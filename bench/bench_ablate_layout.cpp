@@ -25,10 +25,10 @@
 
 #include "experiment_common.hpp"
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/config.hpp"
 #include "mesh/layout.hpp"
 #include "mesh/unk.hpp"
-#include "rt/runtime.hpp"
 #include "support/runtime_params.hpp"
 #include "support/table_writer.hpp"
 #include "tlb/machine.hpp"
@@ -102,10 +102,9 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> cells;
   std::uint64_t vm_4k = 0, zm_4k = 0;
+  mem::PagePool pool;
   for (const mesh::LayoutKind layout : kLayouts) {
-    const mesh::UnkContainer unk(
-        config, mem::HugePolicy::kNone, layout,
-        rt::Runtime::process_default().page_pool());
+    const mesh::UnkContainer unk(config, mem::HugePolicy::kNone, layout, pool);
     for (const Page& page : kPages) {
       const tlb::QuantumStats q = sweep(unk, page.shift);
       if (page.shift == tlb::kShift4K) {

@@ -149,9 +149,9 @@ int main(int argc, char** argv) {
   config.maxblocks = 80;
   config.max_level = 2;
   config.nroot = {2, 2, 2};
-  rt::Runtime& runtime = rt::Runtime::process_default();
+  rt::Runtime runtime;
   mesh::AmrMesh mesh(config, mem::HugePolicy::kNone, runtime.layout(),
-                     runtime.page_pool());
+                     runtime.page_pool(), runtime.arena());
   // Refine everything once so the mesh has 64 leaves (~75 MiB of unk).
   for (int b : mesh.tree().leaves_morton()) {
     mesh.refine_block(b);

@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   rp.declare_int("sample", 4, "trace every Nth block");
   par::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  par::apply_runtime_params(rp);
   const int eos_steps = static_cast<int>(rp.get_int("eos_steps"));
   const int hydro_steps = static_cast<int>(rp.get_int("hydro_steps"));
   const int sample = static_cast<int>(rp.get_int("sample"));
@@ -81,17 +80,20 @@ int main(int argc, char** argv) {
   std::printf("== Figure 1: with/without huge-page ratio bar chart ==\n");
   bench::prepare_huge_pool(800ull << 20);
 
+  mem::PagePool pool;
+  rt::RuntimeOptions context;
+  context.lanes = static_cast<int>(rp.get_int("par.threads"));
+  context.pool = &pool;
   std::printf("# running EOS arms (%d steps each)...\n", eos_steps);
-  const auto eos_without =
-      bench::run_eos_arm(mem::HugePolicy::kNone, eos_steps, 4, sample);
-  const auto eos_with =
-      bench::run_eos_arm(mem::HugePolicy::kHugetlbfs, eos_steps, 4, sample);
+  const auto eos_without = bench::run_eos_arm(context, mem::HugePolicy::kNone,
+                                              eos_steps, 4, sample);
+  const auto eos_with = bench::run_eos_arm(
+      context, mem::HugePolicy::kHugetlbfs, eos_steps, 4, sample);
   std::printf("# running 3-d Hydro arms (%d steps each)...\n", hydro_steps);
-  const auto hyd_without =
-      bench::run_hydro_arm(mem::HugePolicy::kNone, hydro_steps, 3, sample);
-  const auto hyd_with =
-      bench::run_hydro_arm(mem::HugePolicy::kHugetlbfs, hydro_steps, 3,
-                           sample);
+  const auto hyd_without = bench::run_hydro_arm(
+      context, mem::HugePolicy::kNone, hydro_steps, 3, sample);
+  const auto hyd_with = bench::run_hydro_arm(
+      context, mem::HugePolicy::kHugetlbfs, hydro_steps, 3, sample);
 
   Series eos{"EOS", perf::ratios(eos_with.measures, eos_with.flash_timer,
                                  eos_without.measures,

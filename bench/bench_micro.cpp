@@ -24,12 +24,9 @@ namespace {
 
 using namespace fhp;
 
-// Shared execution context for mesh/table construction; the kernels
-// measured here are context-independent.
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 void BM_ArenaAllocate(benchmark::State& state) {
-  mem::Arena arena(mem::HugePolicy::kNone, 16ull << 20);
+  mem::PagePool pool;
+  mem::Arena arena(pool, mem::HugePolicy::kNone, 16ull << 20);
   benchmark::DoNotOptimize(arena.allocate(64, 64));  // pre-warm first chunk
   for (auto _ : state) {
     benchmark::DoNotOptimize(arena.allocate(256, 64));
@@ -96,10 +93,11 @@ void BM_HelmholtzDirect(benchmark::State& state) {
 BENCHMARK(BM_HelmholtzDirect);
 
 std::shared_ptr<const eos::HelmTable> micro_table() {
+  static mem::PagePool pool;  // constructed first, so it outlives the table
   static auto table = std::make_shared<eos::HelmTable>(
       eos::HelmTable::build_or_load(eos::HelmTableSpec{},
-                                    mem::HugePolicy::kNone,
-                                    proc().page_pool(), "helm_table.bin"));
+                                    mem::HugePolicy::kNone, pool,
+                                    "helm_table.bin"));
   return table;
 }
 
@@ -156,8 +154,9 @@ void BM_GuardcellFill(benchmark::State& state) {
   config.nscalars = 2;
   config.maxblocks = 128;
   config.max_level = 3;
-  mesh::AmrMesh mesh(config, mem::HugePolicy::kNone, proc().layout(),
-                     proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh mesh(config, mem::HugePolicy::kNone, runtime.layout(),
+                     runtime.page_pool(), runtime.arena());
   for (int b : mesh.tree().leaves_morton()) mesh.refine_block(b);
   for (auto _ : state) {
     mesh.fill_guardcells();

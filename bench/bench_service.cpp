@@ -27,7 +27,7 @@
 
 #include "experiment_common.hpp"
 #include "eos/eos_table.hpp"
-#include "rt/runtime.hpp"
+#include "mem/page_pool.hpp"
 #include "support/rng.hpp"
 #include "support/runtime_params.hpp"
 #include "svc/service.hpp"
@@ -123,10 +123,12 @@ int main(int argc, char** argv) {
   };
   // Build (or load) the Helm table cache outside the measured window so
   // supernova tenants load it instead of each paying the table build.
-  (void)eos::HelmTable::build_or_load(
-      matrix[2].spec.supernova.table_spec, mem::HugePolicy::kNone,
-      rt::Runtime::process_default().page_pool(),
-      matrix[2].spec.supernova.table_cache);
+  {
+    mem::PagePool pool;
+    (void)eos::HelmTable::build_or_load(
+        matrix[2].spec.supernova.table_spec, mem::HugePolicy::kNone, pool,
+        matrix[2].spec.supernova.table_cache);
+  }
 
   std::printf("== Service under Poisson load: %d jobs/scan, %.0f jobs/s ==\n",
               njobs, rate);

@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   rp.declare_int("sample", 4, "trace every Nth block");
   par::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  par::apply_runtime_params(rp);
   const int nsteps = static_cast<int>(rp.get_int("nsteps"));
   const int max_level = static_cast<int>(rp.get_int("max_level"));
   const int sample = static_cast<int>(rp.get_int("sample"));
@@ -34,10 +33,14 @@ int main(int argc, char** argv) {
       nsteps);
   bench::prepare_huge_pool(512ull << 20);
 
-  const auto without =
-      bench::run_eos_arm(mem::HugePolicy::kNone, nsteps, max_level, sample);
-  const auto with = bench::run_eos_arm(mem::HugePolicy::kHugetlbfs, nsteps,
-                                       max_level, sample);
+  mem::PagePool pool;
+  rt::RuntimeOptions context;
+  context.lanes = static_cast<int>(rp.get_int("par.threads"));
+  context.pool = &pool;
+  const auto without = bench::run_eos_arm(context, mem::HugePolicy::kNone,
+                                          nsteps, max_level, sample);
+  const auto with = bench::run_eos_arm(context, mem::HugePolicy::kHugetlbfs,
+                                       nsteps, max_level, sample);
 
   bench::print_paper_table(
       "RESULTS FOR THE EOS PROBLEM (model: A64FX-like core, 1.8 GHz)",

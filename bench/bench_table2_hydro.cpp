@@ -9,17 +9,16 @@
 ///                           [--obs.timeline=PATH] [--obs.sample_ms=N]
 ///
 /// With --json=PATH the paper table is skipped; instead the without-HP
-/// workload runs as two arms — `bulk_sync` (barrier loops) and
-/// `task_graph` (the block-task DAG) — at 1, 2 and 4 threads through the
-/// shared bench::run_thread_scan harness, and the wall times land in
-/// PATH as JSON (the CI perf-trajectory artifact, BENCH_hydro.json).
-/// Modeled counters are asserted bit-identical across all six runs: the
-/// determinism contract says neither the lane count nor the execution
-/// mode may change the physics or the published counters.
+/// workload runs at 1, 2 and 4 lanes through the shared
+/// bench::run_thread_scan harness, and the wall times land in PATH as
+/// JSON (the CI perf-trajectory artifact, BENCH_hydro.json). Modeled
+/// counters are asserted bit-identical across the three runs: the
+/// determinism contract says the lane count may not change the physics
+/// or the published counters.
 ///
 /// With --obs.timeline=PATH (or FLASHHP_TELEMETRY) the whole bench is
 /// traced — per-lane spans plus a background memory/THP sampler — and
-/// exported as a chrome://tracing JSON, so an arm-vs-arm wall-time gap
+/// exported as a chrome://tracing JSON, so a wall-time gap between runs
 /// can be read span by span instead of as one number.
 
 #include <algorithm>
@@ -27,7 +26,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "experiment_runners.hpp"
 #include "obs/sampler.hpp"
@@ -38,20 +36,15 @@
 
 namespace {
 
-/// One scan run: the without-HP Sedov workload in the given execution
-/// mode. Returns the wall time of the evolution loop only: mesh setup
-/// and the serial tracing/commit work would otherwise dilute the
-/// reported parallel-sweep speedup.
-double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm, fhp::sim::ExecMode mode,
-                          int nsteps, int max_level, int sample,
-                          int threads) {
+/// One scan run: the without-HP Sedov workload on a runtime built from
+/// \p context. Returns the wall time of the evolution loop only: mesh
+/// setup and the serial tracing/commit work would otherwise dilute the
+/// reported parallel-step speedup.
+double run_hydro_scan(fhp::bench::ExperimentArm& arm,
+                      const fhp::rt::RuntimeOptions& context, int nsteps,
+                      int max_level, int sample) {
   using namespace fhp;
-  // Each scan run is a tenant: its own Runtime (explicit lane count)
-  // carving from the shared process pool.
-  rt::RuntimeOptions ropt;
-  ropt.lanes = threads;
-  ropt.pool = &rt::Runtime::process_default().page_pool();
-  rt::Runtime runtime(ropt);
+  rt::Runtime runtime(context);
   sim::SedovParams params;
   params.max_level = max_level;
   params.maxblocks = 700;
@@ -63,7 +56,6 @@ double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm, fhp::sim::ExecMode mod
   dopt.nsteps = nsteps;
   dopt.trace_sample = sample;
   dopt.verbose = false;
-  dopt.exec_mode = mode;
   sim::DriverUnits units = arm.units();
   units.runtime = &runtime;
   sim::Driver driver(setup.mesh(), hydro, arm.timers(), dopt, units);
@@ -73,23 +65,15 @@ double run_hydro_scan_arm(fhp::bench::ExperimentArm& arm, fhp::sim::ExecMode mod
       .count();
 }
 
-/// The bulk_sync/task_graph x 1/2/4-thread scan behind --json=PATH.
-int run_thread_scan(const std::string& path, int nsteps, int max_level,
-                    int sample) {
+/// The 1/2/4-lane scan behind --json=PATH.
+int run_thread_scan(const std::string& path, fhp::rt::RuntimeOptions context,
+                    int nsteps, int max_level, int sample) {
   using namespace fhp;
-  const std::vector<bench::ScanArm> arms = {
-      {"bulk_sync",
-       [&](bench::ExperimentArm& arm, int threads) {
-         return run_hydro_scan_arm(arm, sim::ExecMode::kBulkSync, nsteps,
-                                   max_level, sample, threads);
-       }},
-      {"task_graph",
-       [&](bench::ExperimentArm& arm, int threads) {
-         return run_hydro_scan_arm(arm, sim::ExecMode::kTaskGraph, nsteps,
-                                   max_level, sample, threads);
-       }},
+  const auto run = [&](bench::ExperimentArm& arm, int lanes) {
+    context.lanes = lanes;
+    return run_hydro_scan(arm, context, nsteps, max_level, sample);
   };
-  return bench::run_thread_scan(path, "table2_hydro", arms,
+  return bench::run_thread_scan(path, "table2_hydro", run,
                                 [&](bench::JsonWriter& w) {
                                   w.field("nsteps", nsteps);
                                   w.field("max_level", max_level);
@@ -108,23 +92,29 @@ int main(int argc, char** argv) {
   par::declare_runtime_params(rp);
   obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  par::apply_runtime_params(rp);
   const int nsteps = static_cast<int>(rp.get_int("nsteps"));
   const int max_level = static_cast<int>(rp.get_int("max_level"));
   const int sample = static_cast<int>(rp.get_int("sample"));
 
-  // Optional run tracing. The ambient install means the arms need no
-  // plumbing; lanes cover the widest thread count the scan uses. The
-  // arms own their PerfContexts, so the sampler records memory/THP
-  // state only (its perf columns stay empty).
+  // Every arm runs on its own runtime built from this context: one pool
+  // shared by the arms, and the optional telemetry as each runtime's
+  // trace sink.
+  mem::PagePool pool;
+  rt::RuntimeOptions context;
+  context.lanes = static_cast<int>(rp.get_int("par.threads"));
+  context.pool = &pool;
+
+  // Optional run tracing; lanes cover the widest lane count the scan
+  // uses. The arms own their PerfContexts, so the sampler records
+  // memory/THP state only (its perf columns stay empty).
   const std::string timeline_path = rp.get_string("obs.timeline");
   std::unique_ptr<obs::Telemetry> telemetry;
   std::unique_ptr<obs::Sampler> sampler;
   if (!timeline_path.empty()) {
     obs::TelemetryOptions topts;
-    topts.lanes = std::max(par::threads(), 4);
+    topts.lanes = std::max(context.lanes, 4);
     telemetry = std::make_unique<obs::Telemetry>(topts);
-    telemetry->install();
+    context.trace_sink = telemetry.get();
     obs::SamplerOptions sopts;
     sopts.cadence =
         std::chrono::milliseconds(rp.get_int("obs.sample_ms"));
@@ -134,7 +124,6 @@ int main(int argc, char** argv) {
   const auto finish_timeline = [&] {
     if (telemetry == nullptr) return;
     sampler->stop();
-    telemetry->uninstall();
     obs::write_timeline_file(timeline_path, *telemetry, sampler.get());
     std::printf("# wrote %s (%llu spans, %llu samples)\n",
                 timeline_path.c_str(),
@@ -143,7 +132,7 @@ int main(int argc, char** argv) {
   };
 
   if (const std::string json = rp.get_string("json"); !json.empty()) {
-    const int rc = run_thread_scan(json, nsteps, max_level, sample);
+    const int rc = run_thread_scan(json, context, nsteps, max_level, sample);
     finish_timeline();
     return rc;
   }
@@ -154,10 +143,10 @@ int main(int argc, char** argv) {
       nsteps);
   bench::prepare_huge_pool(800ull << 20);
 
-  const auto without =
-      bench::run_hydro_arm(mem::HugePolicy::kNone, nsteps, max_level, sample);
-  const auto with = bench::run_hydro_arm(mem::HugePolicy::kHugetlbfs, nsteps,
-                                         max_level, sample);
+  const auto without = bench::run_hydro_arm(context, mem::HugePolicy::kNone,
+                                            nsteps, max_level, sample);
+  const auto with = bench::run_hydro_arm(
+      context, mem::HugePolicy::kHugetlbfs, nsteps, max_level, sample);
 
   bench::print_paper_table(
       "RESULTS FOR THE 3-D HYDRO PROBLEM (model: A64FX-like core, 1.8 GHz)",

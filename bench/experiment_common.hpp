@@ -24,7 +24,6 @@
 #include "mem/huge_policy.hpp"
 #include "mem/meminfo.hpp"
 #include "mem/page_size.hpp"
-#include "par/parallel.hpp"
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
@@ -228,57 +227,41 @@ class JsonWriter {
 
 // ------------------------------------------------------------ thread scan
 
-/// One named arm of a thread scan (e.g. "bulk_sync" vs "task_graph"):
-/// runs the workload once under the supplied instrumentation bundle at
-/// the already-configured thread count and returns the evolution wall
-/// time in seconds.
-struct ScanArm {
-  const char* name;
-  std::function<double(ExperimentArm& arm, int threads)> run;
-};
-
-/// Shared --json=PATH thread-scan entry. Runs every arm at 1, 2 and 4
-/// threads, asserts the modeled counters (everything except wall time)
-/// bit-identical across ALL runs — thread counts *and* arms, the
-/// determinism contract of both execution modes — and writes the
-/// artifact through JsonWriter. \p header emits bench-specific fields
-/// (nsteps, ...) into the top-level object. Returns 0 iff the counters
-/// were identical and the file was written.
-inline int run_thread_scan(const std::string& path, const char* bench,
-                           const std::vector<ScanArm>& arms,
-                           const std::function<void(JsonWriter&)>& header) {
-  constexpr int kThreads[3] = {1, 2, 4};
+/// Shared --json=PATH lane-scan entry. Runs the workload \p run at 1, 2
+/// and 4 lanes — `run(arm, lanes)` evolves it once under the supplied
+/// instrumentation bundle and returns the evolution wall time in seconds
+/// — asserts the modeled counters (everything except wall time)
+/// bit-identical across the three runs, the driver's determinism
+/// contract, and writes the artifact through JsonWriter. \p header emits
+/// bench-specific fields (nsteps, ...) into the top-level object.
+/// Returns 0 iff the counters were identical and the file was written.
+inline int run_thread_scan(
+    const std::string& path, const char* bench,
+    const std::function<double(ExperimentArm& arm, int lanes)>& run,
+    const std::function<void(JsonWriter&)>& header) {
+  constexpr int kLanes[3] = {1, 2, 4};
   struct Run {
     double wall = 0;
     perf::CounterSet totals;
   };
-  std::vector<std::array<Run, 3>> runs(arms.size());
-  for (std::size_t a = 0; a < arms.size(); ++a) {
-    for (int t = 0; t < 3; ++t) {
-      par::set_threads(kThreads[t]);
-      ExperimentArm arm;
-      runs[a][static_cast<std::size_t>(t)].wall =
-          arms[a].run(arm, kThreads[t]);
-      runs[a][static_cast<std::size_t>(t)].totals = arm.perf().snapshot();
-      const auto& r = runs[a][static_cast<std::size_t>(t)];
-      std::printf("# arm=%s threads=%d wall=%.3f s cycles=%llu dtlb=%llu\n",
-                  arms[a].name, kThreads[t], r.wall,
-                  static_cast<unsigned long long>(
-                      r.totals[perf::Event::kCycles]),
-                  static_cast<unsigned long long>(
-                      r.totals[perf::Event::kDtlbMisses]));
-    }
+  std::array<Run, 3> runs;
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    ExperimentArm arm;
+    runs[t].wall = run(arm, kLanes[t]);
+    runs[t].totals = arm.perf().snapshot();
+    std::printf("# lanes=%d wall=%.3f s cycles=%llu dtlb=%llu\n", kLanes[t],
+                runs[t].wall,
+                static_cast<unsigned long long>(
+                    runs[t].totals[perf::Event::kCycles]),
+                static_cast<unsigned long long>(
+                    runs[t].totals[perf::Event::kDtlbMisses]));
   }
-  par::set_threads(1);
 
   bool identical = true;
-  const perf::CounterSet& ref = runs[0][0].totals;
-  for (const auto& arm_runs : runs) {
-    for (const Run& r : arm_runs) {
-      for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
-        if (e == static_cast<std::size_t>(perf::Event::kWallNanos)) continue;
-        identical = identical && r.totals.values[e] == ref.values[e];
-      }
+  for (const Run& r : runs) {
+    for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
+      if (e == static_cast<std::size_t>(perf::Event::kWallNanos)) continue;
+      identical = identical && r.totals.values[e] == runs[0].totals.values[e];
     }
   }
 
@@ -291,27 +274,18 @@ inline int run_thread_scan(const std::string& path, const char* bench,
   w.begin_object();
   w.field("bench", bench);
   header(w);
-  w.begin_array("arms");
-  for (std::size_t a = 0; a < arms.size(); ++a) {
-    w.begin_object();
-    w.field("name", arms[a].name);
-    w.begin_object("wall_seconds");
-    for (int t = 0; t < 3; ++t) {
-      w.field(std::to_string(kThreads[t]).c_str(),
-              runs[a][static_cast<std::size_t>(t)].wall);
-    }
-    w.end_object();
-    w.field("speedup_4_over_1",
-            runs[a][2].wall > 0 ? runs[a][0].wall / runs[a][2].wall : 0.0);
-    w.end_object();
+  w.begin_object("wall_seconds");
+  for (std::size_t t = 0; t < runs.size(); ++t) {
+    w.field(std::to_string(kLanes[t]).c_str(), runs[t].wall);
   }
-  w.end_array();
+  w.end_object();
+  w.field("speedup_4_over_1",
+          runs[2].wall > 0 ? runs[0].wall / runs[2].wall : 0.0);
   w.field("modeled_counters_identical", identical);
   w.end_object();
   std::fclose(f);
-  std::printf("# wrote %s (counters identical across %zu arms x 3 thread "
-              "counts: %s)\n",
-              path.c_str(), arms.size(), identical ? "yes" : "NO");
+  std::printf("# wrote %s (counters identical across 1/2/4 lanes: %s)\n",
+              path.c_str(), identical ? "yes" : "NO");
   return identical ? 0 : 1;
 }
 

@@ -3,16 +3,17 @@
 ///
 /// bench_table1_eos, bench_table2_hydro and bench_fig1_ratios all run the
 /// same two workloads; this header holds the single implementation. Each
-/// arm builds on ExperimentArm (its own PerfContext + machine + timers),
-/// and takes a \p threads lane count for the block-parallel sweeps —
-/// modeled counters are bit-identical across thread counts because
-/// tracing replays serially into the arm's machine model.
+/// arm builds on ExperimentArm (its own PerfContext + machine + timers)
+/// and runs as a tenant: its own rt::Runtime built from \p context, whose
+/// lane count drives the block-parallel step and whose shared pool lets
+/// back-to-back arms reuse one huge-page inventory. Modeled counters are
+/// bit-identical across lane counts because tracing replays serially
+/// into the arm's machine model.
 
 #pragma once
 
 #include "experiment_common.hpp"
 #include "hydro/hydro.hpp"
-#include "par/parallel.hpp"
 #include "rt/runtime.hpp"
 #include "sim/sedov.hpp"
 #include "sim/supernova.hpp"
@@ -20,16 +21,10 @@
 namespace fhp::bench {
 
 /// One arm of the EOS experiment (2-d supernova, EOS instrumented).
-inline ArmResult run_eos_arm(mem::HugePolicy policy, int nsteps,
-                             int max_level, int sample,
-                             int threads = par::threads()) {
-  // Each arm is a tenant: its own Runtime (explicit lane count) carving
-  // from the shared process pool, so back-to-back arms reuse the same
-  // huge-page inventory.
-  rt::RuntimeOptions ropt;
-  ropt.lanes = threads;
-  ropt.pool = &rt::Runtime::process_default().page_pool();
-  rt::Runtime runtime(ropt);
+inline ArmResult run_eos_arm(const rt::RuntimeOptions& context,
+                             mem::HugePolicy policy, int nsteps,
+                             int max_level, int sample) {
+  rt::Runtime runtime(context);
   ExperimentArm arm;
 
   sim::SupernovaParams params;
@@ -69,13 +64,10 @@ inline ArmResult run_eos_arm(mem::HugePolicy policy, int nsteps,
 }
 
 /// One arm of the 3-d Hydro experiment (Sedov, hydro instrumented).
-inline ArmResult run_hydro_arm(mem::HugePolicy policy, int nsteps,
-                               int max_level, int sample,
-                               int threads = par::threads()) {
-  rt::RuntimeOptions ropt;
-  ropt.lanes = threads;
-  ropt.pool = &rt::Runtime::process_default().page_pool();
-  rt::Runtime runtime(ropt);
+inline ArmResult run_hydro_arm(const rt::RuntimeOptions& context,
+                               mem::HugePolicy policy, int nsteps,
+                               int max_level, int sample) {
+  rt::Runtime runtime(context);
   ExperimentArm arm;
 
   sim::SedovParams params;

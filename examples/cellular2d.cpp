@@ -14,7 +14,6 @@
 
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
-#include "par/parallel.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/cellular.hpp"
@@ -27,13 +26,9 @@ int main(int argc, char** argv) {
   rp.declare_int("nsteps", 24, "number of time steps");
   rp.declare_int("max_level", 2, "finest AMR level");
   rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
-  mem::declare_runtime_params(rp);
-  par::declare_runtime_params(rp);
-  mesh::declare_runtime_params(rp);
+  rt::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  mem::apply_runtime_params(rp);
-  par::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
+  const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
   if (!policy) {
@@ -41,7 +36,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  rt::Runtime runtime;
+  rt::Runtime runtime(runtime_options);
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));

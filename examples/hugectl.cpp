@@ -25,7 +25,6 @@
 #include "mem/page_size.hpp"
 #include "mem/thp.hpp"
 #include "mem/vmstat.hpp"
-#include "rt/runtime.hpp"
 #include "support/string_util.hpp"
 
 namespace {
@@ -73,12 +72,10 @@ int cmd_pool(const std::string& count_text) {
 }
 
 int cmd_pool_status() {
-  // The process-default runtime owns the pool this tool administers
-  // (simulation tenants each carve from their own runtime's pool).
-  mem::PagePool& pool = rt::Runtime::process_default().page_pool();
-  if (pool.status().state == "idle") {
-    pool.init(mem::config_from_environment());
-  }
+  // A pool configured the way a runtime's private pool would be
+  // (FLASHHP_PAGE_POOL / FLASHHP_PLACEMENT), reporting the live inventory.
+  mem::PagePool pool;
+  pool.init(mem::config_from_environment());
   std::fputs(pool.status_text().c_str(), stdout);
   return 0;
 }

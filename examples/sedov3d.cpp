@@ -23,7 +23,6 @@
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
-#include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/report.hpp"
 #include "perf/timers.hpp"
@@ -41,14 +40,10 @@ int main(int argc, char** argv) {
   rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_string("outfile", "sedov_profile.csv", "profile output path");
   rp.declare_bool("trace", false, "feed the machine model and print a report");
-  mem::declare_runtime_params(rp);
-  par::declare_runtime_params(rp);
-  mesh::declare_runtime_params(rp);
+  rt::declare_runtime_params(rp);
   obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  mem::apply_runtime_params(rp);
-  par::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
+  const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
   if (!policy) {
@@ -56,9 +51,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The execution context: built after the runtime params applied above,
-  // so its lane count honors --par.threads and its layout FLASHHP_LAYOUT.
-  rt::Runtime runtime;
+  // The execution context: its lane count honors --par.threads /
+  // FLASHHP_THREADS and its layout --mesh.layout / FLASHHP_LAYOUT.
+  rt::Runtime runtime(runtime_options);
 
   sim::SedovParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));

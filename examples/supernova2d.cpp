@@ -15,7 +15,6 @@
 
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
-#include "par/parallel.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/driver.hpp"
@@ -31,13 +30,9 @@ int main(int argc, char** argv) {
   rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_real("rho_c", 2.0e9, "central density [g/cc]");
   rp.declare_string("outfile", "wd_profile.csv", "profile output path");
-  mem::declare_runtime_params(rp);
-  par::declare_runtime_params(rp);
-  mesh::declare_runtime_params(rp);
+  rt::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  mem::apply_runtime_params(rp);
-  par::apply_runtime_params(rp);
-  mesh::apply_runtime_params(rp);
+  const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
   if (!policy) {
@@ -45,9 +40,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // The execution context: built after the runtime params applied above,
-  // so its lane count honors --par.threads and its layout FLASHHP_LAYOUT.
-  rt::Runtime runtime;
+  // The execution context: its lane count honors --par.threads /
+  // FLASHHP_THREADS and its layout --mesh.layout / FLASHHP_LAYOUT.
+  rt::Runtime runtime(runtime_options);
 
   sim::SupernovaParams params;
   params.central_density = rp.get_real("rho_c");

@@ -69,17 +69,18 @@ class HydroSolver {
   void eos_update();
 
   // --- task-graph entry points -------------------------------------------
-  // The bulk-sync methods above are loops over these per-block kernels;
-  // the task-graph driver (sim::StepGraph) submits them as task bodies
-  // with guard/sweep/flux dependency edges instead. Determinism: each
+  // The per-unit methods above (tests, setups and the benchmark's traced
+  // pass call them) are loops over these per-block kernels; the driver's
+  // step graph (sim::StepGraph) submits them as task bodies with
+  // guard/sweep/flux dependency edges instead. Determinism: each
   // kernel writes only block b's storage (and b's own flux-register
   // slots), so execution order between distinct blocks cannot change
   // results bit for bit.
 
   /// Size per-lane scratch (pencil buffers, EOS rows) for the current
   /// arena lane count. Driver-thread, setup-time: allocates on lane-count
-  /// change, no-op otherwise. The bulk paths call it on entry; the
-  /// task-graph driver calls it before running a step graph.
+  /// change, no-op otherwise. The per-unit methods call it on entry;
+  /// sim::StepGraph calls it before running a step graph.
   void ensure_lane_scratch();
 
   /// One block's directional sweep using lane \p lane's cached scratch.
@@ -98,7 +99,7 @@ class HydroSolver {
 
   /// The fine blocks whose flux registers apply_flux_correction_block
   /// (axis, b) reads. Empty when b needs no correction along \p axis
-  /// (then the task-graph driver submits no flux task for b). Setup-time
+  /// (then sim::StepGraph submits no flux task for b). Setup-time
   /// query: allocates.
   [[nodiscard]] std::vector<int> flux_sources(int axis, int b) const;
 
@@ -106,8 +107,9 @@ class HydroSolver {
   [[nodiscard]] bool forward_order() const noexcept {
     return (step_count_ % 2) == 0;
   }
-  /// Record one completed step for the Strang alternation — the task-mode
-  /// driver calls this after running a step graph (step() does its own).
+  /// Record one completed step for the Strang alternation —
+  /// sim::StepGraph calls this after running a step graph (step() does
+  /// its own).
   void advance_step_count() noexcept { ++step_count_; }
 
   void set_composition_fn(CompositionFn fn) { composition_ = std::move(fn); }

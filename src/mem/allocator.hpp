@@ -4,7 +4,7 @@
 /// HugeAllocator lets standard containers (std::vector, std::map, ...)
 /// live on huge-page-backed memory:
 ///
-///   fhp::mem::Arena arena(fhp::mem::HugePolicy::kThp);
+///   fhp::mem::Arena arena(runtime.page_pool(), fhp::mem::HugePolicy::kThp);
 ///   std::vector<double, fhp::mem::HugeAllocator<double>> v{
 ///       fhp::mem::HugeAllocator<double>(arena)};
 ///
@@ -35,8 +35,8 @@ class HugeAllocator {
   using propagate_on_container_move_assignment = std::true_type;
   using is_always_equal = std::false_type;
 
-  /// Bind to an arena; defaults to the process-wide global arena.
-  explicit HugeAllocator(Arena& arena = global_arena()) noexcept
+  /// Bind to an arena (non-owning; the arena must outlive the allocator).
+  explicit HugeAllocator(Arena& arena) noexcept
       : arena_(&arena) {}
 
   template <typename U>
@@ -74,9 +74,7 @@ class HugeBuffer {
   HugeBuffer() = default;
 
   /// Allocate room for \p count elements under \p policy (value-initialized)
-  /// from \p pool. The pool is always explicit — callers inside a runtime
-  /// pass `runtime.page_pool()`; code genuinely outside any runtime uses
-  /// `rt::Runtime::process_default().page_pool()`.
+  /// from \p pool (usually `runtime.page_pool()`).
   HugeBuffer(std::size_t count, HugePolicy policy, PagePool& pool)
       : alloc_([&] {
           FHP_REQUIRE(

@@ -10,18 +10,15 @@
 
 namespace fhp::mem {
 
-Arena::Arena(HugePolicy policy, std::size_t chunk_bytes, PagePool* pool)
+Arena::Arena(PagePool& pool, HugePolicy policy, std::size_t chunk_bytes)
     : policy_(policy), chunk_bytes_(chunk_bytes), pool_(pool) {
   FHP_PRECONDITION(chunk_bytes_ >= kPage2M,
                    "arena chunk size must be at least one huge page (2 MiB)");
 }
 
 void Arena::add_chunk(std::size_t min_bytes) {
-  // Null-pool fallback kept for the deprecated global_arena() shim; code
-  // inside a runtime passes its pool. fhp-lint: allow(singleton-instance)
-  PagePool& pool = pool_ != nullptr ? *pool_ : global_page_pool();
   PoolAllocation chunk =
-      pool.alloc(std::max(min_bytes, chunk_bytes_), policy_);
+      pool_.alloc(std::max(min_bytes, chunk_bytes_), policy_);
   switch (chunk.backing()) {
     case Backing::kHugetlbfs: ++stats_.hugetlb_chunks; break;
     case Backing::kThp: ++stats_.thp_chunks; break;
@@ -98,11 +95,6 @@ std::string Arena::report() const {
     os << '\n';
   }
   return os.str();
-}
-
-Arena& global_arena() {
-  static Arena arena(default_policy());
-  return arena;
 }
 
 }  // namespace fhp::mem

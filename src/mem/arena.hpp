@@ -44,15 +44,14 @@ struct ArenaStats {
 /// Monotonic allocator with pluggable page policy.
 class Arena {
  public:
+  /// \param pool the PagePool chunks are carved from (constructing an
+  ///        Arena does not force pool initialization; the first chunk
+  ///        does). Must outlive the arena.
   /// \param policy page regime for all chunks.
   /// \param chunk_bytes growth quantum; individual allocations larger than
   ///        this get a dedicated chunk of their own size.
-  /// \param pool the PagePool chunks are carved from; nullptr defers to
-  ///        global_page_pool() at first allocation (so constructing an
-  ///        Arena never forces pool initialization).
-  explicit Arena(HugePolicy policy = default_policy(),
-                 std::size_t chunk_bytes = 64ull << 20,
-                 PagePool* pool = nullptr);
+  Arena(PagePool& pool, HugePolicy policy,
+        std::size_t chunk_bytes = 64ull << 20);
 
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -96,17 +95,12 @@ class Arena {
   mutable Mutex mutex_;
   HugePolicy policy_;       // set in the constructor, immutable afterwards
   std::size_t chunk_bytes_; // set in the constructor, immutable afterwards
-  PagePool* pool_;          // set in the constructor, immutable afterwards
+  PagePool& pool_;
   std::vector<PoolAllocation> chunks_ FHP_GUARDED_BY(mutex_);
   /// next free byte in the last chunk
   std::byte* cursor_ FHP_GUARDED_BY(mutex_) = nullptr;
   std::byte* chunk_end_ FHP_GUARDED_BY(mutex_) = nullptr;
   ArenaStats stats_ FHP_GUARDED_BY(mutex_);
 };
-
-/// The process-wide arena used by the mesh/EOS containers unless an
-/// explicit arena is supplied. Its policy is fixed on first use from
-/// mem::default_policy() (i.e. the environment).
-[[nodiscard]] Arena& global_arena();
 
 }  // namespace fhp::mem

@@ -1,6 +1,5 @@
 #include "mem/huge_policy.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "mem/page_pool.hpp"
@@ -46,27 +45,6 @@ HugePolicy policy_from_environment(HugePolicy fallback) {
   return fallback;
 }
 
-namespace {
-std::atomic<int> g_default_policy{-1};  // -1: not yet initialized
-}
-
-HugePolicy default_policy() {
-  int v = g_default_policy.load(std::memory_order_acquire);
-  if (v < 0) {
-    const HugePolicy env = policy_from_environment(HugePolicy::kNone);
-    v = static_cast<int>(env);
-    int expected = -1;
-    g_default_policy.compare_exchange_strong(expected, v,
-                                             std::memory_order_acq_rel);
-    v = g_default_policy.load(std::memory_order_acquire);
-  }
-  return static_cast<HugePolicy>(v);
-}
-
-void set_default_policy(HugePolicy policy) noexcept {
-  g_default_policy.store(static_cast<int>(policy), std::memory_order_release);
-}
-
 void declare_runtime_params(RuntimeParams& params) {
   params.declare_string(kPolicyParamName, "",
                         "huge-page policy (none|thp|hugetlbfs; empty: "
@@ -76,17 +54,16 @@ void declare_runtime_params(RuntimeParams& params) {
   declare_page_pool_params(params);
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
-  apply_page_pool_params(params);
+std::optional<HugePolicy> policy_from_params(const RuntimeParams& params) {
   const std::string value = params.get_string(kPolicyParamName);
-  if (value.empty()) return;
+  if (value.empty()) return std::nullopt;
   const auto parsed = parse_huge_policy(value);
   if (!parsed) {
     throw ConfigError(std::string(kPolicyParamName) + "='" + value +
                       "' is not a valid page policy "
                       "(expected none|thp|hugetlbfs)");
   }
-  set_default_policy(*parsed);
+  return parsed;
 }
 
 }  // namespace fhp::mem

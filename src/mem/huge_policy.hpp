@@ -7,17 +7,18 @@
 /// setting flips every large allocation in the process between page
 /// regimes with no source changes.
 ///
-/// There is exactly ONE resolution order for the process default, and
-/// every entry point (environment, runtime-parameter files, explicit
-/// calls) feeds into it. First hit wins:
+/// There is exactly ONE resolution order, applied once when an
+/// rt::Runtime is constructed, and every entry point (environment,
+/// runtime-parameter files, explicit options) feeds into it. First hit
+/// wins:
 ///
-///   1. an explicit set_default_policy() call — including the one made by
-///      apply_runtime_params() when a parameter file / command line sets
-///      a non-empty "mem.hpage_type",
+///   1. an explicit RuntimeOptions::policy — including the one a
+///      parameter file / command line sets with a non-empty
+///      "mem.hpage_type" (see policy_from_params),
 ///   2. the FLASHHP_HPAGE_TYPE environment variable,
 ///   3. the XOS_MMM_L_HPAGE_TYPE environment variable (drop-in
 ///      compatibility with the Fujitsu runtime),
-///   4. the caller-supplied fallback (kNone for default_policy()).
+///   4. the caller-supplied fallback (kNone for a Runtime).
 ///
 /// An unparsable value at any stage throws fhp::ConfigError rather than
 /// silently running on base pages — silent misconfiguration was exactly
@@ -58,16 +59,6 @@ inline constexpr const char* kFujitsuPolicyEnvVar = "XOS_MMM_L_HPAGE_TYPE";
 [[nodiscard]] HugePolicy policy_from_environment(
     HugePolicy fallback = HugePolicy::kNone);
 
-/// Process-wide default policy used by Arena when none is given
-/// explicitly. The policy slot is a single atomic, initialized lazily via
-/// the documented resolution order; concurrent first readers race only on
-/// writing the same resolved value.
-[[nodiscard]] HugePolicy default_policy();
-
-/// Step 1 of the resolution order: pin the process-wide default,
-/// overriding whatever the environment says from now on.
-void set_default_policy(HugePolicy policy) noexcept;
-
 /// Name of the runtime parameter declared by declare_runtime_params().
 inline constexpr const char* kPolicyParamName = "mem.hpage_type";
 
@@ -76,8 +67,11 @@ inline constexpr const char* kPolicyParamName = "mem.hpage_type";
 /// order instead of growing a second, subtly different one.
 void declare_runtime_params(RuntimeParams& params);
 
-/// If "mem.hpage_type" was set non-empty, parse it (ConfigError on junk)
-/// and pin it via set_default_policy(). Call after apply_command_line().
-void apply_runtime_params(const RuntimeParams& params);
+/// Step 1 from a parameter file / command line: the parsed
+/// "mem.hpage_type" when set non-empty (ConfigError on junk), else
+/// nullopt. The page-pool parameters are applied separately, by
+/// apply_page_pool_params().
+[[nodiscard]] std::optional<HugePolicy> policy_from_params(
+    const RuntimeParams& params);
 
 }  // namespace fhp::mem

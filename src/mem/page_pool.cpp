@@ -332,10 +332,6 @@ PoolAllocation PagePool::alloc(std::size_t bytes, HugePolicy policy) {
   return {std::move(region), d};
 }
 
-PoolAllocation PagePool::alloc(std::size_t bytes) {
-  return alloc(bytes, default_policy());
-}
-
 PoolStatus PagePool::status() const {
   MutexLock lock(mutex_);
   PoolStatus s;
@@ -390,13 +386,6 @@ void PagePool::fini() {
     throw ConfigError("PagePool::fini() called on an uninitialized pool");
   }
   state_ = State::kFinished;  // idempotent from kFinished
-}
-
-// The process-wide pool, kept only as the substrate of the deprecated
-// shims and rt::Runtime::process_default(). fhp-lint: allow(singleton-instance)
-PagePool& global_page_pool() {
-  static PagePool pool;
-  return pool;
 }
 
 void declare_page_pool_params(RuntimeParams& params) {

@@ -200,9 +200,6 @@ class PagePool {
   /// SystemError from MappedRegion, not a pool bug.
   [[nodiscard]] PoolAllocation alloc(std::size_t bytes, HugePolicy policy);
 
-  /// alloc() with the process default policy.
-  [[nodiscard]] PoolAllocation alloc(std::size_t bytes);
-
   /// Snapshot of state, inventory mirror, and counters. Valid in any
   /// lifecycle state.
   [[nodiscard]] PoolStatus status() const;
@@ -237,14 +234,6 @@ class PagePool {
   PoolCounters counters_ FHP_GUARDED_BY(mutex_);
 };
 
-/// The process-wide pool backing `rt::Runtime::process_default()` (and,
-/// transitionally, `global_arena()`). Auto-initializes from the
-/// environment on first allocation. New code should not call this —
-/// take a PagePool& (or an rt::Runtime&) instead; the lint rule
-/// `singleton-instance` bans new call sites outside the shims.
-// fhp-lint: allow(singleton-instance)
-[[nodiscard]] PagePool& global_page_pool();
-
 /// Names of the runtime parameters declared by declare_page_pool_params().
 inline constexpr const char* kPoolParamName = "mem.page_pool";
 inline constexpr const char* kPlacementParamName = "mem.placement";
@@ -255,7 +244,7 @@ void declare_page_pool_params(RuntimeParams& params);
 
 /// Record non-empty parameter values as overrides consulted by
 /// config_from_environment() ahead of the environment variables. Throws
-/// ConfigError on junk. Called from mem::apply_runtime_params().
+/// ConfigError on junk. Called from rt::apply_runtime_params().
 void apply_page_pool_params(const RuntimeParams& params);
 
 }  // namespace fhp::mem

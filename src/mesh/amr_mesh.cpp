@@ -20,11 +20,11 @@ double minmod(double a, double b) noexcept {
 
 AmrMesh::AmrMesh(const MeshConfig& config, mem::HugePolicy policy,
                  LayoutKind layout, mem::PagePool& pool,
-                 par::ExecArena* arena)
+                 par::ExecArena& arena)
     : config_(config),
       tree_(config),
       unk_(config, policy, layout, pool),
-      arena_(arena != nullptr ? arena : &par::process_arena()) {
+      arena_(arena) {
   tree_.create_roots();
   unk_.refresh_page_shift();
 }
@@ -365,7 +365,7 @@ void AmrMesh::fill_guardcells() {
     // (same level, never written in this pass) or coarser-level data
     // (finalized by earlier level iterations).
     const std::vector<int>& blocks = tree_.blocks_at_level(level);
-    arena_->parallel_for_blocks(blocks, [&](int /*lane*/, int b) {
+    arena_.parallel_for_blocks(blocks, [&](int /*lane*/, int b) {
       RegionWitness witness;  // region lambda body: lane writer role
       fill_block_guards(b);
     });

@@ -40,16 +40,14 @@ class AmrMesh {
   /// \param pool the PagePool `unk` is carved from (runtime callers pass
   ///        `runtime.page_pool()`).
   /// \param arena the execution arena block-parallel mesh operations
-  ///        (and the physics kernels iterating this mesh) run on; null =
-  ///        the process arena. rt::Runtime-owned setups pass
-  ///        `&runtime.arena()` so concurrent meshes never share a
-  ///        region guard.
+  ///        (and the physics kernels iterating this mesh) run on
+  ///        (runtime callers pass `runtime.arena()`, so concurrent
+  ///        meshes never share a region guard). Must outlive the mesh.
   AmrMesh(const MeshConfig& config, mem::HugePolicy policy,
-          LayoutKind layout, mem::PagePool& pool,
-          par::ExecArena* arena = nullptr);
+          LayoutKind layout, mem::PagePool& pool, par::ExecArena& arena);
 
   /// The arena this mesh's block-parallel sweeps run on.
-  [[nodiscard]] par::ExecArena& arena() const noexcept { return *arena_; }
+  [[nodiscard]] par::ExecArena& arena() const noexcept { return arena_; }
 
   [[nodiscard]] const MeshConfig& config() const noexcept { return config_; }
   [[nodiscard]] UnkContainer& unk() noexcept { return unk_; }
@@ -168,7 +166,7 @@ class AmrMesh {
   MeshConfig config_;
   BlockTree tree_;
   UnkContainer unk_;
-  par::ExecArena* arena_;  ///< never null after construction
+  par::ExecArena& arena_;
 };
 
 }  // namespace fhp::mesh

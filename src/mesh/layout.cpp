@@ -1,6 +1,5 @@
 #include "mesh/layout.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -47,29 +46,6 @@ LayoutKind layout_from_environment(LayoutKind fallback) {
   return fallback;
 }
 
-namespace {
-std::atomic<int> g_default_layout{-1};  // -1: not yet initialized
-}
-
-// Resolution shim behind rt::Runtime's layout snapshot (runtime.cpp is
-// the licensed caller). fhp-lint: allow(singleton-instance)
-LayoutKind default_layout() {
-  int v = g_default_layout.load(std::memory_order_acquire);
-  if (v < 0) {
-    const LayoutKind env = layout_from_environment(LayoutKind::kVarMajor);
-    v = static_cast<int>(env);
-    int expected = -1;
-    g_default_layout.compare_exchange_strong(expected, v,
-                                             std::memory_order_acq_rel);
-    v = g_default_layout.load(std::memory_order_acquire);
-  }
-  return static_cast<LayoutKind>(v);
-}
-
-void set_default_layout(LayoutKind kind) noexcept {
-  g_default_layout.store(static_cast<int>(kind), std::memory_order_release);
-}
-
 void declare_runtime_params(RuntimeParams& params) {
   params.declare_string(kLayoutParamName, "",
                         "block-data layout (var_major|zone_major|tiled; "
@@ -77,16 +53,16 @@ void declare_runtime_params(RuntimeParams& params) {
                             std::string(kLayoutEnvVar) + ")");
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
+std::optional<LayoutKind> layout_from_params(const RuntimeParams& params) {
   const std::string value = params.get_string(kLayoutParamName);
-  if (value.empty()) return;
+  if (value.empty()) return std::nullopt;
   const auto parsed = parse_layout(value);
   if (!parsed) {
     throw ConfigError(std::string(kLayoutParamName) + "='" + value +
                       "' is not a valid block layout "
                       "(expected var_major|zone_major|tiled)");
   }
-  set_default_layout(*parsed);
+  return parsed;
 }
 
 namespace {

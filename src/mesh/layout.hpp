@@ -35,9 +35,10 @@
 /// misses track the real access pattern of each layout.
 ///
 /// Selection mirrors mem::HugePolicy — one resolution order, first hit
-/// wins: explicit set_default_layout() (including the one made by
-/// apply_runtime_params() for a non-empty "mesh.layout"), then the
-/// FLASHHP_LAYOUT environment variable, then kVarMajor.
+/// wins, applied once when an rt::Runtime is constructed: an explicit
+/// RuntimeOptions::layout (which a non-empty "mesh.layout" runtime
+/// parameter feeds), then the FLASHHP_LAYOUT environment variable, then
+/// kVarMajor.
 
 #pragma once
 
@@ -75,26 +76,16 @@ inline constexpr const char* kLayoutEnvVar = "FLASHHP_LAYOUT";
 [[nodiscard]] LayoutKind layout_from_environment(
     LayoutKind fallback = LayoutKind::kVarMajor);
 
-/// Process-wide resolved layout. Lazily initialized via the resolution
-/// order. This is a shim for code outside any runtime: an rt::Runtime
-/// snapshots it (or an explicit override) at construction, and mesh
-/// containers take the layout explicitly. The lint rule
-/// `singleton-instance` bans new call sites outside the shims.
-// fhp-lint: allow(singleton-instance)
-[[nodiscard]] LayoutKind default_layout();
-
-/// Resolution step 1: pin the process-wide default.
-void set_default_layout(LayoutKind kind) noexcept;
-
 /// Name of the runtime parameter declared by declare_runtime_params().
 inline constexpr const char* kLayoutParamName = "mesh.layout";
 
 /// Declare "mesh.layout" (default "": defer to the environment).
 void declare_runtime_params(RuntimeParams& params);
 
-/// If "mesh.layout" was set non-empty, parse it (ConfigError on junk) and
-/// pin it via set_default_layout(). Call after apply_command_line().
-void apply_runtime_params(const RuntimeParams& params);
+/// Resolution step 1 from a parameter file / command line: the parsed
+/// "mesh.layout" when set non-empty (ConfigError on junk), else nullopt.
+[[nodiscard]] std::optional<LayoutKind> layout_from_params(
+    const RuntimeParams& params);
 
 /// One block-data layout, instantiated for a concrete block shape. The
 /// struct is a vtable-free strategy: var_major and zone_major are affine

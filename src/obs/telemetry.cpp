@@ -9,12 +9,6 @@
 
 namespace fhp::obs {
 
-namespace detail {
-
-std::atomic<Telemetry*> g_current{nullptr};
-
-}  // namespace detail
-
 namespace {
 
 std::uint64_t steady_now_ns() {
@@ -28,27 +22,13 @@ std::uint64_t steady_now_ns() {
 
 Telemetry::Telemetry(TelemetryOptions options)
     : clock_(options.clock ? std::move(options.clock) : steady_now_ns) {
-  const int lanes = options.lanes > 0 ? options.lanes : par::threads();
+  const int lanes =
+      options.lanes > 0 ? options.lanes : par::threads_from_environment(1);
   rings_.reserve(static_cast<std::size_t>(lanes));
   for (int l = 0; l < lanes; ++l) rings_.emplace_back(options.ring_capacity);
 }
 
 Telemetry::~Telemetry() { uninstall(); }
-
-void Telemetry::install() {
-  Telemetry* expected = nullptr;
-  if (!detail::g_current.compare_exchange_strong(expected, this,
-                                                 std::memory_order_acq_rel)) {
-    throw ConfigError(
-        "obs::Telemetry::install: another Telemetry is already installed");
-  }
-  if (!trace::try_install(this)) {
-    // Some non-Telemetry sink occupies the support-layer slot.
-    detail::g_current.store(nullptr, std::memory_order_release);
-    throw ConfigError(
-        "obs::Telemetry::install: another trace sink is already installed");
-  }
-}
 
 void Telemetry::install(rt::Runtime& runtime) {
   if (runtime.trace_sink() != nullptr) {
@@ -64,10 +44,6 @@ void Telemetry::uninstall() noexcept {
     if (runtime_->trace_sink() == this) runtime_->set_trace_sink(nullptr);
     runtime_ = nullptr;
   }
-  trace::uninstall(this);
-  Telemetry* expected = this;
-  detail::g_current.compare_exchange_strong(expected, nullptr,
-                                            std::memory_order_acq_rel);
 }
 
 void Telemetry::record_span(int lane, const char* name,

@@ -7,14 +7,15 @@
 /// per-name latency histograms, step marks — before exporting the whole
 /// run as a chrome://tracing / Perfetto timeline (obs/timeline.hpp).
 ///
-/// One Telemetry at a time may be *installed* as the ambient span sink.
-/// The sink slot itself lives one layer down, in support/trace.hpp —
+/// A Telemetry is *installed* on one rt::Runtime and receives the spans
+/// recorded on that runtime's driver thread and arena lanes. The binding
+/// slot itself lives one layer down, in support/trace.hpp —
 /// FHP_TRACE_SPAN and the SpanScope that physics kernels use consult the
 /// support-layer facade, so mesh/hydro/sim never include this module
 /// (the module DAG puts obs on top; tools/fhp_analyze.py enforces it).
 /// Telemetry is the facade's in-tree trace::Sink implementation. The
-/// disabled path is the design's contract: with nothing installed a span
-/// scope is one relaxed atomic load and a branch — no clock read, no
+/// disabled path is the design's contract: with no sink bound a span
+/// scope is one thread-local load and a branch — no clock read, no
 /// allocation, no syscall — so an untraced run pays nothing on the
 /// block-sweep hot path (tests/test_obs.cpp holds this with an
 /// allocation-counting guard).
@@ -51,22 +52,14 @@ class Runtime;  // rt/runtime.hpp — per-runtime install target
 
 namespace fhp::obs {
 
-class Telemetry;
-
-namespace detail {
-/// The installed Telemetry (null = none). Mirrors the support-layer
-/// trace sink slot but with the concrete type, so `Telemetry::current()`
-/// needs no downcast.
-extern std::atomic<Telemetry*> g_current;
-}  // namespace detail
-
 /// Construction-time knobs. The defaults trace a full Sedov run (~1e5
 /// spans) in ~512 KiB per lane.
 struct TelemetryOptions {
   /// Span records retained per lane before oldest-dropped kicks in.
   std::size_t ring_capacity = std::size_t{1} << 14;
-  /// Lane rings to allocate; 0 means par::threads() at construction.
-  /// Spans from lanes beyond this count are counted, not stored.
+  /// Lane rings to allocate; 0 means `par::threads_from_environment()`,
+  /// the lane count a default-constructed rt::Runtime resolves. Spans
+  /// from lanes beyond this count are counted, not stored.
   int lanes = 0;
   /// Timestamp source in nanoseconds; null = steady_clock. Injectable so
   /// tests drive deterministic timelines.
@@ -74,8 +67,8 @@ struct TelemetryOptions {
 };
 
 /// The observability context: owns the per-lane span rings and the step
-/// marks, builds per-name latency histograms, and (while installed) is
-/// the trace::Sink behind FHP_TRACE_SPAN.
+/// marks, builds per-name latency histograms, and (while installed on a
+/// runtime) is the trace::Sink behind that runtime's FHP_TRACE_SPANs.
 class Telemetry final : public trace::Sink {
  public:
   explicit Telemetry(TelemetryOptions options = {});
@@ -83,36 +76,18 @@ class Telemetry final : public trace::Sink {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Publish this context as the ambient FHP_TRACE_SPAN sink. Throws
-  /// fhp::ConfigError if another sink is already installed. This is the
-  /// process-wide legacy path; multi-tenant code installs per runtime.
-  void install() FHP_EXCLUDES_REGION;
-
   /// Publish this context as \p runtime's span sink: spans recorded on
   /// the runtime's arena lanes — and on the driver thread inside a
-  /// Driver step — route here instead of the ambient slot, so
-  /// interleaved runtimes keep separate timelines. Any number of
-  /// runtimes may each carry their own Telemetry this way (the ambient
-  /// slot stays free). Size `TelemetryOptions::lanes` to the runtime's
-  /// lane count — the 0 default sizes for `par::threads()`, which only
-  /// matches the process runtime. Throws fhp::ConfigError if \p runtime
+  /// Driver step or a Runtime::BindScope — route here, so interleaved
+  /// runtimes keep separate timelines. Size `TelemetryOptions::lanes`
+  /// to the runtime's lane count. Throws fhp::ConfigError if \p runtime
   /// already has a sink. The runtime must outlive this Telemetry (or
   /// uninstall() first).
   void install(rt::Runtime& runtime) FHP_EXCLUDES_REGION;
 
-  /// Withdraw from the ambient slot and/or the bound runtime
-  /// (idempotent; the destructor calls it). Only legal when no region is
-  /// in flight and no span is open.
+  /// Withdraw from the bound runtime (idempotent; the destructor calls
+  /// it). Only legal when no region is in flight and no span is open.
   void uninstall() noexcept FHP_EXCLUDES_REGION;
-
-  [[nodiscard]] bool installed() const noexcept {
-    return detail::g_current.load(std::memory_order_relaxed) == this;
-  }
-
-  /// The ambient installed context, or null when tracing is disabled.
-  [[nodiscard]] static Telemetry* current() noexcept {
-    return detail::g_current.load(std::memory_order_acquire);
-  }
 
   /// Current timestamp from the injected clock.
   [[nodiscard]] std::uint64_t now_ns() const override { return clock_(); }

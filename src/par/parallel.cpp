@@ -26,22 +26,6 @@ int clamp_lanes(int n) {
   return n;
 }
 
-/// Configured process lane count; -1 means "not yet resolved from
-/// environment".
-std::atomic<int> g_threads{-1};
-
-int resolved_threads() {
-  int current = g_threads.load(std::memory_order_acquire);
-  if (current > 0) return current;
-  const int from_env = threads_from_environment(1);
-  int expected = -1;
-  if (g_threads.compare_exchange_strong(expected, from_env,
-                                        std::memory_order_acq_rel)) {
-    return from_env;
-  }
-  return expected;
-}
-
 /// Pooled-region participation depth of the calling thread. Incremented
 /// on every lane (caller and workers) for the duration of its chunk;
 /// region_active() reads it. Thread-local so that one runtime draining
@@ -56,7 +40,7 @@ class EnvBinding {
  public:
   explicit EnvBinding(const LaneEnv* env) {
     if (env == nullptr) return;
-    if (env->bind_trace) sink_.emplace(env->trace_sink);
+    if (env->trace_sink != nullptr) sink_.emplace(env->trace_sink);
     if (env->log_tag != nullptr) tag_.emplace(env->log_tag);
   }
   EnvBinding(const EnvBinding&) = delete;
@@ -244,64 +228,37 @@ int threads_from_environment(int fallback) {
   const char* raw = std::getenv(kThreadsEnvVar);
   if (raw == nullptr || *raw == '\0') return clamp_lanes(fallback);
   char* end = nullptr;
+  // Out-of-range input saturates at LONG_MAX, which the clamp below
+  // maps to kMaxLanes like any other oversized count.
   const long value = std::strtol(raw, &end, 10);
   if (end == raw || *end != '\0' || value < 1) {
     throw ConfigError(std::string(kThreadsEnvVar) + "='" + raw +
                       "': expected a positive integer thread count");
   }
-  return clamp_lanes(static_cast<int>(value));
-}
-
-int threads() { return resolved_threads(); }
-
-void set_threads(int n) {
-  g_threads.store(clamp_lanes(n), std::memory_order_release);
+  return value > kMaxLanes ? kMaxLanes : static_cast<int>(value);
 }
 
 bool region_active() noexcept { return t_region_depth > 0; }
 
 void declare_runtime_params(RuntimeParams& params) {
-  params.declare_int("par.threads", threads(),
+  params.declare_int("par.threads", threads_from_environment(1),
                      "worker lanes for block-parallel sweeps "
                      "(FLASHHP_THREADS)");
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
-  set_threads(static_cast<int>(params.get_int("par.threads")));
-}
-
-ExecArena::ExecArena(int lanes)
-    : lanes_(lanes == 0 ? resolved_threads() : clamp_lanes(lanes)) {}
-
-ExecArena::ExecArena(ProcessTag)
-    : track_process_threads_(true), lanes_(1) {}
+ExecArena::ExecArena(int lanes, const LaneEnv* env)
+    : lanes_(lanes == 0 ? threads_from_environment(1) : clamp_lanes(lanes)),
+      env_(env) {}
 
 ExecArena::~ExecArena() = default;
 
-int ExecArena::lanes() const noexcept {
-  if (track_process_threads_) return resolved_threads();
-  return lanes_.load(std::memory_order_acquire);
-}
-
 void ExecArena::set_lanes(int n) {
   const int lanes = clamp_lanes(n);
-  if (track_process_threads_) {
-    set_threads(lanes);
-  } else {
-    lanes_.store(lanes, std::memory_order_release);
-  }
+  lanes_.store(lanes, std::memory_order_release);
   std::lock_guard<std::mutex> lock(lease_mutex_);
   // Drop our reference to a stale pool now; a region in flight keeps its
   // own lease, so the workers join only when that region finishes.
   if (pool_ && pool_->lanes() != lanes) pool_.reset();
-}
-
-void ExecArena::set_lane_env(const LaneEnv* env) noexcept {
-  env_.store(env, std::memory_order_release);
-}
-
-const LaneEnv* ExecArena::lane_env() const noexcept {
-  return env_.load(std::memory_order_acquire);
 }
 
 std::shared_ptr<detail::ThreadPool> ExecArena::acquire_pool() {
@@ -318,14 +275,13 @@ std::shared_ptr<detail::ThreadPool> ExecArena::acquire_pool() {
 void ExecArena::parallel_for(
     std::size_t n, const std::function<void(int lane, std::size_t i)>& fn) {
   const std::shared_ptr<detail::ThreadPool> lease = acquire_pool();
-  const LaneEnv* env = env_.load(std::memory_order_acquire);
   if (lease == nullptr || n < 2) {
-    EnvBinding binding(env);
+    EnvBinding binding(env_);
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
   RegionGuard guard(active_);
-  lease->run(n, fn, env);
+  lease->run(n, fn, env_);
 }
 
 void ExecArena::parallel_for_blocks(
@@ -337,9 +293,8 @@ void ExecArena::parallel_for_blocks(
 
 void ExecArena::run_region(const std::function<void(int lane)>& body) {
   const std::shared_ptr<detail::ThreadPool> lease = acquire_pool();
-  const LaneEnv* env = env_.load(std::memory_order_acquire);
   if (lease == nullptr) {
-    EnvBinding binding(env);
+    EnvBinding binding(env_);
     body(0);
     return;
   }
@@ -348,30 +303,7 @@ void ExecArena::run_region(const std::function<void(int lane)>& body) {
   // pool's run() degenerates to "each lane executes the body once".
   const int lanes = lease->lanes();
   lease->run(static_cast<std::size_t>(lanes),
-             [&body](int lane, std::size_t /*i*/) { body(lane); }, env);
+             [&body](int lane, std::size_t /*i*/) { body(lane); }, env_);
 }
-
-ExecArena& process_arena() {
-  static ExecArena arena{ExecArena::ProcessTag{}};
-  return arena;
-}
-
-void parallel_for(std::size_t n,
-                  const std::function<void(int lane, std::size_t i)>& fn) {
-  process_arena().parallel_for(n, fn);
-}
-
-void parallel_for_blocks(std::span<const int> blocks,
-                         const std::function<void(int lane, int block)>& fn) {
-  process_arena().parallel_for_blocks(blocks, fn);
-}
-
-namespace detail {
-
-void run_region(const std::function<void(int lane)>& body) {
-  process_arena().run_region(body);
-}
-
-}  // namespace detail
 
 }  // namespace fhp::par

@@ -8,36 +8,26 @@
 /// provides a small persistent worker pool with two execution models on
 /// top of it:
 ///
-///   - `parallel_for` / `parallel_for_blocks`: one barrier-synchronized
-///     stage with *static chunking* — lane `i` of `L` processes the
-///     contiguous index range `[i*n/L, (i+1)*n/L)`. Static chunking is
-///     deliberate: the partition depends only on `(n, L)`, never on
-///     timing, which is one half of the bit-identical-across-thread-counts
-///     guarantee (the other half is that parallelized loops write only
-///     per-block data; see DESIGN.md "Threading model"). These survive as
-///     thin shims over the degenerate single-stage dependency graph —
-///     every task ready at entry, no steals possible between chunks — so
-///     existing call sites keep their exact lane-to-index map.
+///   - `ExecArena::parallel_for` / `parallel_for_blocks`: one
+///     barrier-synchronized stage with *static chunking* — lane `i` of `L`
+///     processes the contiguous index range `[i*n/L, (i+1)*n/L)`. Static
+///     chunking is deliberate: the partition depends only on `(n, L)`,
+///     never on timing, which is one half of the
+///     bit-identical-across-thread-counts guarantee (the other half is
+///     that parallelized loops write only per-block data; see DESIGN.md
+///     "Threading model"). compute_dt and the per-unit solver calls use
+///     these.
 ///   - `par::TaskGraph` (task_graph.hpp): per-block tasks with explicit
 ///     dependencies, executed by the same lanes with work-stealing
-///     deques. This is what the fused driver timestep uses to overlap
+///     deques. The driver's fused timestep runs on it, overlapping
 ///     guard-fill, sweeps, flux fixups and EOS updates.
 ///
-/// Execution arenas. The pool, its region guard, and the lane-count
-/// configuration are per-`ExecArena`, not per-process: each rt::Runtime
-/// owns an arena, so two runtimes can run regions concurrently without
-/// tripping each other's nested-region `ConfigError`. The legacy free
-/// functions (`parallel_for`, `parallel_for_blocks`,
-/// `detail::run_region`) are shims over the *process arena* — the one
-/// arena whose lane count tracks `threads()` — and behave exactly as
-/// they always did.
-///
-/// Thread count resolution order for the process arena (highest wins):
-///   1. `set_threads()` / the `par.threads` runtime parameter,
-///   2. the `FLASHHP_THREADS` environment variable,
-///   3. the serial default of 1.
-/// A private arena instead pins its lane count at construction (0 =
-/// "resolve like the process arena, once, now") until `set_lanes()`.
+/// Execution arenas. The pool, its region guard and the lane count belong
+/// to an `ExecArena`; there is no process-wide arena. Each rt::Runtime
+/// owns one, so two runtimes can run regions concurrently without
+/// tripping each other's nested-region `ConfigError`. An arena pins its
+/// lane count at construction (0 = `FLASHHP_THREADS`, else 1) until
+/// `set_lanes()`.
 ///
 /// With one lane every entry point degenerates to a plain serial loop on
 /// the calling thread — no pool is created, no locks are taken — so
@@ -46,11 +36,11 @@
 /// An arena is configured at setup time: calling `set_lanes()` while one
 /// of its regions is in flight reconfigures *later* regions — the
 /// in-flight region keeps a refcounted lease on its pool, so its workers
-/// are never yanked mid-chunk (the old `pool_for()` replace-under-a-
-/// reader hazard). Within a parallel region the caller participates as
-/// lane 0 and workers are lanes `1..L-1`; `lane()` returns the executing
-/// thread's lane so per-lane scratch (pencil buffers, EOS rows, counter
-/// shards) can be indexed without synchronization.
+/// are never yanked mid-chunk. Within a parallel region the caller
+/// participates as lane 0 and workers are lanes `1..L-1`; `lane()`
+/// returns the executing thread's lane so per-lane scratch (pencil
+/// buffers, EOS rows, counter shards) can be indexed without
+/// synchronization.
 
 #pragma once
 
@@ -83,17 +73,9 @@ inline constexpr int kMaxLanes = ::fhp::kMaxLanes;
 
 /// Parses `FLASHHP_THREADS`; returns `fallback` when unset. Throws
 /// `fhp::ConfigError` when set to a non-positive or non-numeric value.
-/// Values above `kMaxLanes` are clamped.
+/// Values above `kMaxLanes`, including ones too large for `long`, are
+/// clamped to `kMaxLanes`.
 [[nodiscard]] int threads_from_environment(int fallback = 1);
-
-/// The process arena's configured lane count (>= 1). Initialized lazily
-/// from `FLASHHP_THREADS` on first use unless `set_threads` ran earlier.
-[[nodiscard]] int threads();
-
-/// Sets the process arena's lane count for subsequent parallel regions.
-/// Clamped to `[1, kMaxLanes]`. Setup-time only with respect to the
-/// process arena's own regions; private arenas are unaffected.
-void set_threads(int n);
 
 /// Lane of the calling thread: 0 for the caller (and for all serial
 /// code), `1..lanes-1` inside pool workers during a region.
@@ -109,22 +91,18 @@ void set_threads(int n);
 /// runtime B being mid-region on another thread.
 [[nodiscard]] bool region_active() noexcept;
 
-/// Registers the `par.threads` runtime parameter (default: current
-/// `threads()` resolution, i.e. env-aware).
+/// Registers the `par.threads` runtime parameter (default:
+/// `threads_from_environment()`); rt::apply_runtime_params reads it into
+/// `RuntimeOptions::lanes`.
 void declare_runtime_params(RuntimeParams& params);
-
-/// Applies `par.threads` from `params` via `set_threads`.
-void apply_runtime_params(const RuntimeParams& params);
 
 /// Per-lane ambient environment an arena applies on every participating
 /// thread (caller lane 0 and each pool worker) for the duration of a
 /// region. This is how an rt::Runtime's trace sink and log tag follow
-/// its work onto pool lanes without any process-global install.
+/// its work onto pool lanes.
 struct LaneEnv {
-  /// Thread-locally bound as the trace sink while a region runs (only
-  /// when `bind_trace`; a bound null masks the ambient sink).
+  /// Non-null: thread-locally bound as the trace sink while a region runs.
   trace::Sink* trace_sink = nullptr;
-  bool bind_trace = false;
   /// Non-null: FHP_LOG lines from region lanes carry this tag.
   const char* log_tag = nullptr;
 };
@@ -134,39 +112,34 @@ class ThreadPool;
 }  // namespace detail
 
 /// One execution arena: a lane pool lease plus its own single-region
-/// guard. All entry points run `fn` with the same static chunking as the
-/// free functions, so results are bit-identical for a given lane count
-/// regardless of which arena runs them. Construction is cheap (the pool
+/// guard. Static chunking makes results bit-identical for a given lane
+/// count regardless of which arena runs them. Construction is cheap (the pool
 /// itself spins up lazily at the first multi-lane region). Regions on
 /// *one* arena must not be nested or issued concurrently from two
 /// threads (ConfigError, and a `-Wthread-safety` error first); regions
 /// on *different* arenas may run concurrently.
 class ExecArena {
  public:
-  /// \param lanes fixed lane count for this arena; 0 = resolve the
-  ///        process thread-count order (set_threads / FLASHHP_THREADS /
-  ///        1) once, now. Clamped to [1, kMaxLanes].
-  explicit ExecArena(int lanes = 0);
+  /// \param lanes fixed lane count for this arena; 0 = resolve
+  ///        `threads_from_environment()` once, now. Clamped to
+  ///        [1, kMaxLanes].
+  /// \param env per-lane environment applied by every region (null =
+  ///        none). The pointee must outlive the arena; rt::Runtime points
+  ///        it at a member of itself.
+  explicit ExecArena(int lanes = 0, const LaneEnv* env = nullptr);
   ~ExecArena();
   ExecArena(const ExecArena&) = delete;
   ExecArena& operator=(const ExecArena&) = delete;
 
-  /// Lane count the next region will use. (The process arena re-resolves
-  /// `threads()` here, which is what keeps the legacy free functions
-  /// responsive to `set_threads`.)
-  [[nodiscard]] int lanes() const noexcept;
+  /// Lane count the next region will use.
+  [[nodiscard]] int lanes() const noexcept {
+    return lanes_.load(std::memory_order_acquire);
+  }
 
   /// Reconfigures the lane count for subsequent regions. A region in
   /// flight on another thread keeps its leased pool until it finishes;
-  /// its workers join when the last lease drops. On the process arena
-  /// this forwards to `set_threads`.
+  /// its workers join when the last lease drops.
   void set_lanes(int n);
-
-  /// Installs the per-lane environment applied by every subsequent
-  /// region (null = none). Setup-time: the pointee must outlive its use;
-  /// rt::Runtime points this at a member of itself.
-  void set_lane_env(const LaneEnv* env) noexcept;
-  [[nodiscard]] const LaneEnv* lane_env() const noexcept;
 
   /// Runs `fn(lane, i)` for every `i` in `[0, n)`, statically chunked
   /// across `lanes()` lanes. Blocks until all lanes finish. The first
@@ -193,48 +166,15 @@ class ExecArena {
       FHP_EXCLUDES_REGION;
 
  private:
-  struct ProcessTag {};
-  explicit ExecArena(ProcessTag);
-  friend ExecArena& process_arena();
-
   /// Leases the pool sized for the current lane count, rebuilding it if
   /// the count changed since the last region. Null when serial.
   [[nodiscard]] std::shared_ptr<detail::ThreadPool> acquire_pool();
-
-  /// True for the one process arena: lanes() tracks threads().
-  const bool track_process_threads_ = false;
 
   mutable std::mutex lease_mutex_;
   std::shared_ptr<detail::ThreadPool> pool_;  // guarded by lease_mutex_
   std::atomic<int> lanes_;
   std::atomic<bool> active_{false};
-  std::atomic<const LaneEnv*> env_{nullptr};
+  const LaneEnv* const env_;
 };
-
-/// The process arena: the one arena behind the legacy free functions and
-/// `rt::Runtime::process_default()`. Its lane count tracks `threads()`.
-[[nodiscard]] ExecArena& process_arena();
-
-/// Shim for `process_arena().parallel_for(n, fn)`, kept so existing call
-/// sites (and code genuinely outside any runtime) keep working. New code
-/// should run on an explicit arena — usually `runtime.arena()` or the
-/// owning mesh's `AmrMesh::arena()`.
-void parallel_for(std::size_t n,
-                  const std::function<void(int lane, std::size_t i)>& fn)
-    FHP_EXCLUDES_REGION;
-
-/// Shim for `process_arena().parallel_for_blocks(blocks, fn)`.
-void parallel_for_blocks(std::span<const int> blocks,
-                         const std::function<void(int lane, int block)>& fn)
-    FHP_EXCLUDES_REGION;
-
-namespace detail {
-
-/// Shim for `process_arena().run_region(body)` (see ExecArena::run_region
-/// for the contract).
-void run_region(const std::function<void(int lane)>& body)
-    FHP_EXCLUDES_REGION;
-
-}  // namespace detail
 
 }  // namespace fhp::par

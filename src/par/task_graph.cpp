@@ -123,7 +123,7 @@ void TaskGraph::freeze() {
                       cycle + "}");
   }
 
-  lanes_ = arena().lanes();
+  lanes_ = arena_.lanes();
   remaining_ = std::vector<std::atomic<int>>(n);
   deques_ = std::vector<Deque>(static_cast<std::size_t>(lanes_));
   for (auto& d : deques_) {
@@ -220,19 +220,14 @@ void TaskGraph::finish_run() {
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
-ExecArena& TaskGraph::arena() const noexcept {
-  return arena_ != nullptr ? *arena_ : process_arena();
-}
-
 void TaskGraph::run() {
   if (!frozen_) throw ConfigError("TaskGraph::run: freeze() the graph first");
   if (nodes_.empty()) return;
-  ExecArena& arena = this->arena();
   // Lane-count changes between freeze and run are a documented setup-time
   // event: re-size the per-lane state once, here, so run() itself stays
   // allocation-free in the steady state.
-  if (lanes_ != arena.lanes()) {
-    lanes_ = arena.lanes();
+  if (lanes_ != arena_.lanes()) {
+    lanes_ = arena_.lanes();
     deques_ = std::vector<Deque>(static_cast<std::size_t>(lanes_));
     for (auto& d : deques_) {
       d.slots = std::make_unique<std::atomic<TaskId>[]>(nodes_.size());
@@ -250,7 +245,7 @@ void TaskGraph::run() {
       next_lane = (next_lane + 1) % lanes_;
     }
   }
-  arena.run_region([this](int lane) { scheduler_loop(lane); });
+  arena_.run_region([this](int lane) { scheduler_loop(lane); });
   finish_run();
 }
 

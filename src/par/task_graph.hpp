@@ -28,8 +28,8 @@
 ///   - **Allocation freedom.** Construction (`add_task`, `add_edge`,
 ///     `freeze`) allocates; `run()` is allocation-free on the hot path —
 ///     fixed-capacity deques and counters are sized at `freeze()`. (The
-///     documented exception: changing `par::threads()` between freeze
-///     and run re-sizes lane state once, a setup-time event.)
+///     documented exception: changing the arena's lane count between
+///     freeze and run re-sizes lane state once, a setup-time event.)
 ///   - **Determinism.** Physics and published counters must be
 ///     bit-identical regardless of steal order and lane count. The graph
 ///     guarantees *ordering* (a task runs after its dependencies); the
@@ -84,12 +84,10 @@ class TaskGraph {
     std::uint64_t yields = 0;         ///< empty scheduler iterations
   };
 
-  /// \param arena the execution arena run() schedules on; null = the
-  ///        process arena (legacy behavior: the lane count tracks
-  ///        `par::threads()`). The arena must outlive the graph;
-  ///        rt::Runtime-owned meshes pass `&mesh.arena()` so a graph
-  ///        claims its own runtime's region slot, not the process one.
-  explicit TaskGraph(ExecArena* arena = nullptr) : arena_(arena) {}
+  /// \param arena the execution arena run() schedules on; it must
+  ///        outlive the graph. The driver's step graphs pass the mesh's
+  ///        arena, so a step claims its own runtime's region slot.
+  explicit TaskGraph(ExecArena& arena) : arena_(arena) {}
   TaskGraph(const TaskGraph&) = delete;
   TaskGraph& operator=(const TaskGraph&) = delete;
 
@@ -168,17 +166,13 @@ class TaskGraph {
     std::uint64_t yields = 0;
   };
 
-  /// The arena run() schedules on (the process arena when none was
-  /// injected at construction).
-  [[nodiscard]] ExecArena& arena() const noexcept;
-
   void require_building(const char* what) const;
   void reset_run_state() noexcept;
   void scheduler_loop(int lane) noexcept;
   FHP_NO_ALLOC void execute_task(TaskId t, int lane) noexcept;
   void finish_run();
 
-  ExecArena* arena_ = nullptr;
+  ExecArena& arena_;
   std::vector<Node> nodes_;
   bool frozen_ = false;
   std::uint64_t edge_count_ = 0;

@@ -23,12 +23,4 @@ PublishedCounters PerfContext::published() const {
   return published_;
 }
 
-// The process-wide context, kept only as the substrate of the deprecated
-// shims and rt::Runtime::process_default(). New code takes a PerfContext&
-// (usually runtime.perf()). fhp-lint: allow(singleton-instance)
-PerfContext& PerfContext::global() noexcept {
-  static PerfContext context;
-  return context;
-}
-
 }  // namespace fhp::perf

@@ -19,16 +19,15 @@
 ///      an experiment arm by construction.
 ///
 /// Shard synchronization contract: lanes write only their own shard
-/// inside a `par::parallel_for` region, and `snapshot()`/`reset()` run
-/// outside any region on the thread that invoked it. The pool's
+/// inside a parallel region (`ExecArena::parallel_for`, a TaskGraph run),
+/// and `snapshot()`/`reset()` run outside any region on the thread that
+/// invoked it. The pool's
 /// start/finish handshake provides the happens-before edge from worker
 /// writes to the caller's reads, so this is data-race-free without
 /// atomics (the `tsan` preset enforces it).
 ///
-/// The old SoftCounters / RegionRegistry::instance() singletons survived
-/// one release as deprecated compat shims forwarding to
-/// `PerfContext::global()`; they are now removed. Code takes a
-/// PerfContext (or reaches the shared one via `PerfContext::global()`).
+/// There is no process-wide context: each rt::Runtime owns one, and code
+/// takes a PerfContext& (usually `runtime.perf()`).
 
 #pragma once
 
@@ -138,11 +137,6 @@ class PerfContext final : public CounterSink {
   /// region lambda (a lane polling the published slot would serialize the
   /// hot path on the publish mutex), hence FHP_EXCLUDES_REGION.
   [[nodiscard]] PublishedCounters published() const FHP_EXCLUDES_REGION;
-
-  /// The process-default context, used by the deprecated singleton shims
-  /// and by units constructed without an explicit context. Prefer
-  /// passing a context; this exists so the migration can be staged.
-  static PerfContext& global() noexcept;
 
  private:
   CounterShard shards_[::fhp::kMaxLanes] = {};

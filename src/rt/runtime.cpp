@@ -1,17 +1,40 @@
 #include "rt/runtime.hpp"
 
-// This file is the one licensed caller of the retired process-singleton
-// accessors (PerfContext::global, global_page_pool, default_layout):
-// Runtime::process_default() wraps them to reproduce pre-Runtime
-// behavior bit-for-bit, and everything else reaches them only through a
-// Runtime. tools/flashhp_lint.py exempts this file from the
-// singleton-instance rule for exactly that reason.
+#include <algorithm>
+
+#include "support/runtime_params.hpp"
 
 namespace fhp::rt {
 
+void declare_runtime_params(RuntimeParams& params) {
+  par::declare_runtime_params(params);
+  mesh::declare_runtime_params(params);
+  mem::declare_runtime_params(params);
+}
+
+RuntimeOptions apply_runtime_params(const RuntimeParams& params) {
+  mem::apply_page_pool_params(params);
+  RuntimeOptions options;
+  // The parameter's default already is the FLASHHP_THREADS resolution;
+  // an explicit 0 or negative count means one lane, not a re-resolve.
+  const long long lanes = params.get_int("par.threads");
+  options.lanes = static_cast<int>(
+      std::clamp<long long>(lanes, 1, par::kMaxLanes));
+  options.layout = mesh::layout_from_params(params);
+  options.policy = mem::policy_from_params(params);
+  return options;
+}
+
 Runtime::Runtime(RuntimeOptions options)
-    : owned_perf_(std::make_unique<perf::PerfContext>()),
-      perf_(owned_perf_.get()),
+    : perf_(std::make_unique<perf::PerfContext>()),
+      arena_(std::make_unique<par::ExecArena>(options.lanes, &env_)),
+      // Snapshot the configuration once: explicit option, else the
+      // environment, so later env mutations cannot skew a constructed
+      // tenant.
+      layout_(options.layout.has_value() ? *options.layout
+                                         : mesh::layout_from_environment()),
+      policy_(options.policy.has_value() ? *options.policy
+                                         : mem::policy_from_environment()),
       log_tag_(std::move(options.log_tag)) {
   if (options.pool != nullptr) {
     pool_ = options.pool;
@@ -19,69 +42,20 @@ Runtime::Runtime(RuntimeOptions options)
     owned_pool_ = std::make_unique<mem::PagePool>();
     pool_ = owned_pool_.get();
   }
-  owned_arena_ = std::make_unique<par::ExecArena>(options.lanes);
-  arena_ = owned_arena_.get();
-
-  // Snapshot the configuration: explicit override, else the process
-  // resolution order, captured once so later set_default_* calls (or
-  // env mutations) cannot skew a constructed tenant.
-  layout_ = options.layout.has_value() ? *options.layout
-                                       : mesh::default_layout();
-  policy_ = options.policy.has_value() ? *options.policy
-                                       : mem::default_policy();
-
   env_.log_tag = log_tag_.empty() ? nullptr : log_tag_.c_str();
-  arena_->set_lane_env(&env_);
-  if (options.trace_sink != nullptr) set_trace_sink(options.trace_sink);
-}
-
-Runtime::Runtime(ProcessTag)
-    : perf_(&perf::PerfContext::global()),
-      pool_(&mem::global_page_pool()),
-      arena_(&par::process_arena()) {
-  // layout_/policy_ stay nullopt: resolved per call, like the old
-  // default arguments. No lane env is installed on the process arena
-  // unless set_trace_sink() is called — legacy free-function users see
-  // exactly the old behavior (ambient sink, untagged logs).
-}
-
-Runtime::~Runtime() {
-  if (owned_arena_ == nullptr && arena_ != nullptr) {
-    // process_default teardown (static destruction): leave the process
-    // arena as we found it.
-    if (arena_->lane_env() == &env_) arena_->set_lane_env(nullptr);
-  }
-}
-
-Runtime& Runtime::process_default() {
-  static Runtime runtime{ProcessTag{}};
-  return runtime;
-}
-
-int Runtime::lanes() const noexcept { return arena_->lanes(); }
-
-mesh::LayoutKind Runtime::layout() const {
-  if (layout_.has_value()) return *layout_;
-  return mesh::default_layout();
-}
-
-mem::HugePolicy Runtime::huge_policy() const {
-  if (policy_.has_value()) return *policy_;
-  return mem::default_policy();
+  env_.trace_sink = options.trace_sink;
 }
 
 void Runtime::set_trace_sink(trace::Sink* sink) noexcept {
   env_.trace_sink = sink;
-  env_.bind_trace = sink != nullptr;
-  // Deferred for process_default so the legacy path stays env-free
-  // until a per-runtime sink is actually requested.
-  arena_->set_lane_env(&env_);
 }
 
 trace::Sink* Runtime::trace_sink() const noexcept { return env_.trace_sink; }
 
 Runtime::BindScope::BindScope(const Runtime& runtime) {
-  if (runtime.env_.bind_trace) sink_.emplace(runtime.env_.trace_sink);
+  if (runtime.env_.trace_sink != nullptr) {
+    sink_.emplace(runtime.env_.trace_sink);
+  }
   if (!runtime.log_tag_.empty()) tag_.emplace(runtime.log_tag_.c_str());
 }
 

@@ -3,9 +3,7 @@
 ///
 /// The paper measures one FLASH instance per node, but the roadmap's
 /// north star is a service batching many concurrent simulations per
-/// process. The blockers were process singletons: one PerfContext, one
-/// page pool, one lane pool with one region guard, one resolved layout,
-/// one ambient trace install. Runtime packages those services as an
+/// process. Runtime packages the services a simulation needs as an
 /// explicitly constructed context — each simulation tenant owns (or is
 /// handed) its own copy, so two sim::Drivers in one process keep their
 /// counters, allocations, parallel regions, trace spans and log lines
@@ -20,23 +18,17 @@
 ///     concurrent runtimes never trip each other's nested-region
 ///     ConfigError,
 ///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration
-///     snapshot (explicit override, else the process resolution order:
-///     runtime params / environment / built-in default),
+///     snapshot (explicit option, else the environment, else the
+///     built-in default),
 ///   - the trace sink and log tag its driver thread and pool lanes bind
 ///     while working (see trace::SinkBinding and fhp::LogTagScope).
 ///
-/// What stays process-wide, by design: the Logger sink itself (one log
-/// stream per process, like FLASH's flash.log — runtimes are told apart
-/// by their log tag), signal/environment state, and the runtime-params
-/// registry. See DESIGN.md "Runtime context model".
-///
-/// `Runtime::process_default()` is the compatibility tenant: it wraps
-/// the historical process singletons (global PerfContext, global page
-/// pool, the process arena whose lane count tracks par::threads(), the
-/// dynamically re-resolved default layout/policy) and reproduces the
-/// pre-Runtime behavior bit-for-bit. Its implementation file is the one
-/// place allowed to call those singleton accessors — the lint rule
-/// `singleton-instance` bans new call sites everywhere else.
+/// There is no process-default runtime: every entry point (example,
+/// bench, test, service tenant) constructs one. What stays process-wide,
+/// by design: the Logger sink itself (one log stream per process, like
+/// FLASH's flash.log — runtimes are told apart by their log tag),
+/// signal/environment state, and the runtime-params registry. See
+/// DESIGN.md "Runtime context model".
 
 #pragma once
 
@@ -52,22 +44,28 @@
 #include "support/log.hpp"
 #include "support/trace.hpp"
 
+namespace fhp {
+class RuntimeParams;
+}  // namespace fhp
+
 namespace fhp::rt {
 
 /// Construction-time configuration for a Runtime. Everything defaults
-/// to "resolve like the process would": 0 lanes = the par thread-count
-/// resolution order, nullopt layout/policy = the mesh/mem resolution
-/// orders, null pool = a private pool auto-initialized from the
-/// environment on first allocation.
+/// to "resolve from the environment": 0 lanes = FLASHHP_THREADS (else
+/// 1), nullopt layout = FLASHHP_LAYOUT (else var_major), nullopt policy =
+/// FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE (else none), null pool = a
+/// private pool auto-initialized from the environment on first
+/// allocation. rt::apply_runtime_params() fills these from
+/// `--par.threads` / `--mesh.layout` / `--mem.hpage_type`.
 struct RuntimeOptions {
   /// Lane count for this runtime's ExecArena; 0 = resolve
-  /// set_threads / FLASHHP_THREADS / 1, once, at construction.
+  /// FLASHHP_THREADS / 1, once, at construction.
   int lanes = 0;
-  /// Block-data layout; nullopt = snapshot the process resolution order
-  /// (set_default_layout / FLASHHP_LAYOUT / var_major) at construction.
+  /// Block-data layout; nullopt = FLASHHP_LAYOUT / var_major, resolved
+  /// once at construction.
   std::optional<mesh::LayoutKind> layout;
-  /// Huge-page policy; nullopt = snapshot the process resolution order
-  /// (set_default_policy / FLASHHP_HPAGE_TYPE / kNone) at construction.
+  /// Huge-page policy; nullopt = FLASHHP_HPAGE_TYPE / kNone, resolved
+  /// once at construction.
   std::optional<mem::HugePolicy> policy;
   /// Non-null: carve from this shared pool instead of a private one.
   /// The pool must outlive the runtime.
@@ -80,21 +78,24 @@ struct RuntimeOptions {
   std::string log_tag;
 };
 
+/// Declares the parameters that configure a runtime: `par.threads`,
+/// `mesh.layout`, `mem.hpage_type` and the page-pool parameters.
+void declare_runtime_params(RuntimeParams& params);
+
+/// Reads the parameters declared above (after apply_command_line) into
+/// RuntimeOptions, with the same meaning their environment twins have,
+/// and records `mem.page_pool` / `mem.placement` for pool
+/// initialization. Throws ConfigError on unparsable values.
+[[nodiscard]] RuntimeOptions apply_runtime_params(const RuntimeParams& params);
+
 /// The per-tenant context. Not copyable or movable: meshes, drivers and
 /// arenas hold references into it, so construct it first and keep it
 /// alive past everything built on it.
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options = {});
-  ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
-
-  /// The compatibility tenant wrapping the historical process
-  /// singletons; reproduces pre-Runtime behavior bit-for-bit (its
-  /// layout/policy re-resolve dynamically instead of snapshotting, and
-  /// its arena lane count tracks par::threads()).
-  [[nodiscard]] static Runtime& process_default();
 
   /// This runtime's performance counters and region registry.
   [[nodiscard]] perf::PerfContext& perf() const noexcept { return *perf_; }
@@ -105,22 +106,21 @@ class Runtime {
   /// The execution arena this runtime's parallel regions run on.
   [[nodiscard]] par::ExecArena& arena() const noexcept { return *arena_; }
 
-  /// Lane count of the arena (process_default: tracks par::threads()).
-  [[nodiscard]] int lanes() const noexcept;
+  /// Lane count of the arena.
+  [[nodiscard]] int lanes() const noexcept { return arena_->lanes(); }
 
-  /// The resolved block-data layout (process_default: re-resolved on
-  /// every call, like the old `mesh::default_layout()` defaults).
-  [[nodiscard]] mesh::LayoutKind layout() const;
+  /// The block-data layout resolved at construction.
+  [[nodiscard]] mesh::LayoutKind layout() const noexcept { return layout_; }
 
-  /// The resolved huge-page policy (process_default: re-resolved on
-  /// every call).
-  [[nodiscard]] mem::HugePolicy huge_policy() const;
+  /// The huge-page policy resolved at construction.
+  [[nodiscard]] mem::HugePolicy huge_policy() const noexcept {
+    return policy_;
+  }
 
   /// Install (or clear, with null) the sink receiving this runtime's
   /// spans and step marks. Setup-time, driver thread, outside evolve():
   /// the driver binds it per step and the arena applies it on every
-  /// lane per region. Unlike the ambient trace::try_install, this is
-  /// per-runtime — two runtimes trace to two sinks concurrently.
+  /// lane per region. Two runtimes trace to two sinks concurrently.
   void set_trace_sink(trace::Sink* sink) noexcept;
   [[nodiscard]] trace::Sink* trace_sink() const noexcept;
 
@@ -146,21 +146,13 @@ class Runtime {
   };
 
  private:
-  struct ProcessTag {};
-  explicit Runtime(ProcessTag);
+  std::unique_ptr<perf::PerfContext> perf_;
+  std::unique_ptr<mem::PagePool> owned_pool_;  ///< null when shared
+  mem::PagePool* pool_ = nullptr;              ///< never null
+  std::unique_ptr<par::ExecArena> arena_;
 
-  // Owned service (null when wrapping a shared/global one) + the active
-  // handle, which is never null after construction.
-  std::unique_ptr<perf::PerfContext> owned_perf_;
-  perf::PerfContext* perf_ = nullptr;
-  std::unique_ptr<mem::PagePool> owned_pool_;
-  mem::PagePool* pool_ = nullptr;
-  std::unique_ptr<par::ExecArena> owned_arena_;
-  par::ExecArena* arena_ = nullptr;
-
-  /// nullopt only on process_default: resolve dynamically.
-  std::optional<mesh::LayoutKind> layout_;
-  std::optional<mem::HugePolicy> policy_;
+  mesh::LayoutKind layout_;
+  mem::HugePolicy policy_;
 
   std::string log_tag_;
   /// The per-lane environment the arena applies during regions; points

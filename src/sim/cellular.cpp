@@ -48,7 +48,7 @@ CellularSetup::CellularSetup(const CellularParams& params,
   config.bc[1][1] = mesh::Bc::kPeriodic;
   mesh_ = std::make_unique<mesh::AmrMesh>(
       config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), &runtime.arena());
+      runtime.page_pool(), runtime.arena());
 
   flame::AdrOptions fopt;
   fopt.phi_scalar = cvar::kPhi;

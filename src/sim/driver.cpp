@@ -6,10 +6,22 @@
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
 #include "rt/runtime.hpp"
+#include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
 
 namespace fhp::sim {
+
+namespace {
+
+rt::Runtime& required_runtime(const DriverUnits& units) {
+  if (units.runtime == nullptr) {
+    throw ConfigError("sim::Driver: DriverUnits::runtime is required");
+  }
+  return *units.runtime;
+}
+
+}  // namespace
 
 Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
                perf::Timers& timers, DriverOptions options, DriverUnits units)
@@ -18,16 +30,13 @@ Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
       timers_(timers),
       options_(std::move(options)),
       units_(std::move(units)),
-      runtime_(units_.runtime != nullptr ? *units_.runtime
-                                         : rt::Runtime::process_default()),
-      perf_(units_.perf != nullptr ? *units_.perf : runtime_.perf()) {
+      runtime_(required_runtime(units_)),
+      perf_(units_.perf != nullptr ? *units_.perf : runtime_.perf()),
+      step_graph_(mesh_, hydro_, units_.flame) {
   if (options_.refine_vars.empty()) {
     options_.refine_vars = {mesh::var::kDens, mesh::var::kPres};
   }
-  if (options_.exec_mode == ExecMode::kTaskGraph) {
-    step_graph_ = std::make_unique<StepGraph>(mesh_, hydro_, units_.flame);
-    step_graph_->rebuild();
-  }
+  step_graph_.rebuild();
 }
 
 // Tracing replays sampled blocks into the (stateful, warm) machine model
@@ -114,26 +123,12 @@ bool Driver::step_once() {
     }
     if (time_ + dt_ > options_.tmax) dt_ = options_.tmax - time_;
 
-    if (step_graph_ != nullptr) {
+    {
       // Fused step: every sweep plus the flame stage as one block-task
       // DAG — no barriers between guard fill, sweep, flux fixup and EOS.
       perf::Timers::Scope t(timers_, "step_graph");
       FHP_TRACE_SPAN("driver.step_graph");
-      step_graph_->run_step(dt_);
-    } else {
-      {
-        perf::Timers::Scope t(timers_, "hydro");
-        FHP_TRACE_SPAN("driver.hydro");
-        hydro_.step(dt_);
-      }
-
-      if (units_.flame != nullptr) {
-        perf::Timers::Scope t(timers_, "flame");
-        FHP_TRACE_SPAN("driver.flame");
-        mesh_.fill_guardcells();
-        units_.flame->advance(dt_);
-        hydro_.eos_update();
-      }
+      step_graph_.run_step(dt_);
     }
 
     if (units_.gravity != nullptr) {
@@ -159,13 +154,11 @@ bool Driver::step_once() {
     // the scheduler statistics (kept out of the counters — they are
     // timing-dependent) and stamp the step mark onto the timeline.
     perf_.publish();
-    if (step_graph_ != nullptr) {
-      const par::TaskGraph::Stats s = step_graph_->last_stats();
-      sched_stats_.executed += s.executed;
-      sched_stats_.steals += s.steals;
-      sched_stats_.steal_attempts += s.steal_attempts;
-      sched_stats_.yields += s.yields;
-    }
+    const par::TaskGraph::Stats s = step_graph_.last_stats();
+    sched_stats_.executed += s.executed;
+    sched_stats_.steals += s.steals;
+    sched_stats_.steal_attempts += s.steal_attempts;
+    sched_stats_.yields += s.yields;
     trace::step_mark(step_, time_, dt_);
 
     if (options_.remesh_interval > 0 &&
@@ -175,11 +168,11 @@ bool Driver::step_once() {
       const int changes = mesh_.remesh(options_.refine_vars,
                                        options_.refine_cut,
                                        options_.derefine_cut);
-      if (changes > 0 && step_graph_ != nullptr) {
+      if (changes > 0) {
         // The block tree changed: the task graphs' block ids, guard
         // dependencies and flux sources are stale. Rebuild (setup-time
         // allocation, amortized over remesh_interval steps).
-        step_graph_->rebuild();
+        step_graph_.rebuild();
       }
       if (options_.verbose && changes > 0) {
         FHP_LOG(kDebug) << "step " << step_ << ": remesh changed " << changes

@@ -7,6 +7,14 @@
 /// the machine model through sampled address-stream replays, plus the
 /// FLASH-style wall-clock Timers.
 ///
+/// The sweeps and the flame stage of every step run as one block-task
+/// DAG (sim::StepGraph on par::TaskGraph). It reproduces the bulk
+/// sequence `HydroSolver::step(dt)`, then `fill_guardcells()`,
+/// `AdrFlame::advance(dt)` and `eos_update()` when a flame is wired, bit
+/// for bit — tests/test_taskgraph.cpp holds that at 1/2/4 lanes across
+/// the three layouts — and overlaps guard fill, sweep, flux fixup and
+/// EOS across blocks instead of draining the lanes between phases.
+///
 /// Sampling: every `trace_sample`-th leaf block (round-robin offset per
 /// step) is replayed into the machine model; commit() scales the counts
 /// back up. The physics itself always runs on every block.
@@ -14,9 +22,8 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "flame/adr.hpp"
 #include "gravity/monopole.hpp"
@@ -37,16 +44,6 @@ class Runtime;  // rt/runtime.hpp — non-owning pointer only
 
 namespace fhp::sim {
 
-/// How the driver executes the per-step physics (sweeps + flame).
-/// Physics and published counters are bit-identical between the two —
-/// the task graph reproduces the bulk data flow through dependency
-/// edges, and modeled counters come from the serial trace pass either
-/// way; only wall-clock (phase overlap) differs.
-enum class ExecMode {
-  kBulkSync,   ///< barrier-synchronized parallel_for loops (classic)
-  kTaskGraph,  ///< block-task DAG with work stealing (sim::StepGraph)
-};
-
 /// Driver controls (FLASH's flash.par driver section).
 struct DriverOptions {
   int nsteps = 50;                ///< step budget (paper: 50 EOS, 200 hydro)
@@ -57,7 +54,6 @@ struct DriverOptions {
   std::vector<int> refine_vars;   ///< variables driving refinement
   int trace_sample = 4;           ///< replay every Nth leaf block (0 = off)
   bool verbose = true;            ///< log step lines
-  ExecMode exec_mode = ExecMode::kBulkSync;  ///< step execution model
 };
 
 /// Per-block EOS trace hook: replay the memory behaviour of one
@@ -70,25 +66,23 @@ using EosTraceFn = std::function<void(tlb::Tracer&, int block)>;
 /// driver is fully wired the moment it exists (this replaced the old
 /// post-construction `set_flame`/`set_gravity`/`set_machine`/
 /// `set_eos_trace` mutators, which allowed half-wired drivers to run).
-/// All pointers are non-owning and may be null.
+/// All pointers are non-owning; every one but `runtime` may be null.
 ///
-/// `runtime` is the context this driver executes in: null means
-/// `rt::Runtime::process_default()`, which reproduces the historical
-/// process-singleton behavior bit-for-bit. A setup built on an explicit
-/// runtime passes it here (and should already have built its mesh from
-/// `runtime.page_pool()` / `&runtime.arena()` — the setup classes do
-/// both). Null `perf` means the runtime's PerfContext.
+/// `runtime` is the context this driver executes in and is required
+/// (the Driver constructor throws ConfigError without it). The mesh must
+/// have been built from the same runtime's `page_pool()` and `arena()` —
+/// the setup classes do both. Null `perf` means the runtime's
+/// PerfContext.
 struct DriverUnits {
   flame::AdrFlame* flame = nullptr;          ///< operator-split burning
   gravity::MonopoleGravity* gravity = nullptr;  ///< monopole gravity
   tlb::Machine* machine = nullptr;  ///< machine model (enables tracing)
   EosTraceFn eos_trace;             ///< per-block EOS replay hook
   perf::PerfContext* perf = nullptr;  ///< context PerfRegions commit into
-  rt::Runtime* runtime = nullptr;   ///< execution context (null = process)
+  rt::Runtime* runtime = nullptr;   ///< execution context (required)
   // Span tracing needs no wiring beyond the runtime: the driver binds
-  // the runtime's trace sink around each step (the ambient
-  // support/trace.hpp facade remains the fallback when the runtime has
-  // no sink) — sim does not depend on the obs layer.
+  // the runtime's trace sink around each step — sim does not depend on
+  // the obs layer.
 };
 
 /// The driver. Non-owning references; the setup wires everything through
@@ -116,8 +110,8 @@ class Driver {
   [[nodiscard]] double last_dt() const noexcept { return dt_; }
 
   /// Accumulated task-graph scheduler statistics (executed/steals/yields
-  /// summed over all steps so far). Zeros under kBulkSync. Snapshotted at
-  /// step boundaries; timing-dependent, hence never PerfContext counters.
+  /// summed over all steps so far). Snapshotted at step boundaries;
+  /// timing-dependent, hence never PerfContext counters.
   [[nodiscard]] par::TaskGraph::Stats scheduler_stats() const noexcept {
     return sched_stats_;
   }
@@ -132,7 +126,7 @@ class Driver {
   DriverUnits units_;
   rt::Runtime& runtime_;
   perf::PerfContext& perf_;
-  std::unique_ptr<StepGraph> step_graph_;  ///< non-null under kTaskGraph
+  StepGraph step_graph_;
   par::TaskGraph::Stats sched_stats_;
 
   double time_ = 0.0;

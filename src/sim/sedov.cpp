@@ -41,7 +41,7 @@ SedovSetup::SedovSetup(const SedovParams& params, mem::HugePolicy policy,
   // FLASH's sedov.par uses outflow on every face.
   mesh_ = std::make_unique<mesh::AmrMesh>(
       config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), &runtime.arena());
+      runtime.page_pool(), runtime.arena());
   initialize();
 }
 

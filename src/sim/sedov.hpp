@@ -42,9 +42,7 @@ class SedovSetup {
   /// \param runtime the execution context the problem lives in: mesh
   ///        storage comes from `runtime.page_pool()`, block loops run on
   ///        `runtime.arena()`, and the mesh layout defaults to
-  ///        `runtime.layout()`. Pass `rt::Runtime::process_default()`
-  ///        for the historical process-wide behavior. The runtime must
-  ///        outlive the setup.
+  ///        `runtime.layout()`. The runtime must outlive the setup.
   /// \param layout overrides the runtime's layout (layout-ablation
   ///        benches sweep this without building a runtime per point).
   SedovSetup(const SedovParams& params, mem::HugePolicy policy,

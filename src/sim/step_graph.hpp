@@ -1,7 +1,7 @@
 /// \file step_graph.hpp
 /// \brief The fused time step as a block-task DAG.
 ///
-/// Builds the par::TaskGraph the task-mode driver runs instead of the
+/// Builds the par::TaskGraph the driver runs in place of the
 /// bulk-synchronous `hydro.step() + flame` sequence: one graph covers
 /// every directional sweep plus the flame stage, with per-block tasks
 /// and explicit dependency edges, so a block's sweep starts the moment
@@ -90,10 +90,10 @@ class StepGraph {
   double dt_ = 0.0;
 
   std::vector<int> leaves_;  ///< leaves_morton captured at rebuild
-  /// Both graphs schedule on the mesh's arena, so a task-mode step
-  /// claims its own runtime's region slot (not the process one).
-  par::TaskGraph forward_{&mesh_.arena()};   ///< sweep order 0..ndim-1
-  par::TaskGraph backward_{&mesh_.arena()};  ///< sweep order ndim-1..0
+  /// Both graphs schedule on the mesh's arena, so a step claims its own
+  /// runtime's region slot.
+  par::TaskGraph forward_{mesh_.arena()};   ///< sweep order 0..ndim-1
+  par::TaskGraph backward_{mesh_.arena()};  ///< sweep order ndim-1..0
   par::TaskGraph::Stats stats_;
 };
 

@@ -74,7 +74,7 @@ SupernovaSetup::SupernovaSetup(const SupernovaParams& params,
   config.bc[1][1] = mesh::Bc::kOutflow;
   mesh_ = std::make_unique<mesh::AmrMesh>(
       config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), &runtime.arena());
+      runtime.page_pool(), runtime.arena());
 
   // --- physics units -------------------------------------------------------
   flame::AdrOptions fopt;

@@ -64,9 +64,7 @@ class SupernovaSetup {
   /// \param runtime the execution context the problem lives in: mesh and
   ///        Helm-table storage come from `runtime.page_pool()`, block
   ///        loops run on `runtime.arena()`, and the mesh layout defaults
-  ///        to `runtime.layout()`. Pass `rt::Runtime::process_default()`
-  ///        for the historical process-wide behavior. The runtime must
-  ///        outlive the setup.
+  ///        to `runtime.layout()`. The runtime must outlive the setup.
   /// \param layout overrides the runtime's layout (layout-ablation
   ///        benches sweep this without building a runtime per point).
   SupernovaSetup(const SupernovaParams& params, mem::HugePolicy policy,

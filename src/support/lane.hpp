@@ -61,7 +61,7 @@ void bind_lane(int lane) noexcept;
 }  // namespace detail
 
 /// Lane of the calling thread: 0 for the driver thread (and all serial
-/// code), `1..threads()-1` inside pool workers during a region.
+/// code), `1..lanes-1` inside pool workers during a region.
 [[nodiscard]] inline int lane_id() noexcept { return detail::t_lane; }
 
 /// The phantom capability type behind FHP_REQUIRES_REGION /

@@ -4,10 +4,7 @@ namespace fhp::trace {
 
 namespace detail {
 
-std::atomic<Sink*> g_sink{nullptr};
-
 thread_local constinit Sink* t_sink = nullptr;
-thread_local constinit bool t_sink_bound = false;
 
 namespace {
 /// Span nesting depth of the executing thread. Each lane traces its own
@@ -19,18 +16,6 @@ std::uint16_t enter_span() noexcept { return t_span_depth++; }
 void exit_span() noexcept { --t_span_depth; }
 
 }  // namespace detail
-
-bool try_install(Sink* s) noexcept {
-  Sink* expected = nullptr;
-  return detail::g_sink.compare_exchange_strong(expected, s,
-                                                std::memory_order_acq_rel);
-}
-
-void uninstall(Sink* s) noexcept {
-  Sink* expected = s;
-  detail::g_sink.compare_exchange_strong(expected, nullptr,
-                                         std::memory_order_acq_rel);
-}
 
 void step_mark(int step, double sim_time, double dt) {
   Sink* s = sink();

@@ -1,5 +1,5 @@
 /// \file trace.hpp
-/// \brief The ambient span-tracing facade behind FHP_TRACE_SPAN.
+/// \brief The thread-bound span-tracing facade behind FHP_TRACE_SPAN.
 ///
 /// Physics kernels (mesh, hydro, flame) and the driver mark timed scopes
 /// with FHP_TRACE_SPAN, but the timeline machinery that stores and
@@ -7,11 +7,14 @@
 /// DAG, above sim. The layers in between may not include it (the
 /// layering rule in tools/fhp_analyze.py makes that an error), so this
 /// facade inverts the dependency: support defines the abstract Sink and
-/// the one ambient slot, obs::Telemetry implements the Sink and installs
-/// itself, and everything in between depends only on support.
+/// a thread-local binding slot, obs::Telemetry implements the Sink and
+/// installs itself on an rt::Runtime, and everything in between depends
+/// only on support. There is no process-wide sink: a span reaches a
+/// sink only on a thread that has one bound (SinkBinding) — a runtime's
+/// driver thread during a step and its arena's lanes during a region.
 ///
-/// The disabled path is the design's contract: with no sink installed a
-/// SpanScope is one relaxed atomic load and a branch — no clock read, no
+/// The disabled path is the design's contract: with no sink bound a
+/// SpanScope is one thread-local load and a branch — no clock read, no
 /// allocation, no virtual call — so an untraced run pays nothing on the
 /// block-sweep hot path (tests/test_obs.cpp holds this with an
 /// allocation-counting guard).
@@ -19,12 +22,10 @@
 /// Threading contract: spans may close on the driver thread and on pool
 /// lanes inside a parallel region — each records only against its own
 /// lane (see support/lane.hpp for the writer-role capability this maps
-/// to). Installing and uninstalling a sink is setup-time, driver-thread
-/// work, outside any region.
+/// to).
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "support/lane.hpp"
@@ -57,71 +58,48 @@ class Sink {
 };
 
 namespace detail {
-/// The ambient installed sink (null = tracing disabled). Exposed so
-/// SpanScope's disabled check inlines to a single atomic load.
-extern std::atomic<Sink*> g_sink;
-/// Per-thread sink override (valid only while t_sink_bound). constinit
+/// The calling thread's bound sink (null = tracing disabled). constinit
 /// thread_local for the same reason as fhp::detail::t_lane — a constant
 /// initializer keeps the access a plain TLS load with no `_ZTH` wrapper
 /// (see support/lane.hpp for the full rationale).
 extern thread_local constinit Sink* t_sink;
-extern thread_local constinit bool t_sink_bound;
 /// Per-thread span nesting depth bookkeeping for SpanScope.
 [[nodiscard]] std::uint16_t enter_span() noexcept;
 void exit_span() noexcept;
 }  // namespace detail
 
-/// The sink visible to the calling thread: a thread-local binding when
-/// one is in effect (see SinkBinding), the ambient sink otherwise. Null
-/// = tracing disabled for this thread.
-[[nodiscard]] inline Sink* sink() noexcept {
-  if (detail::t_sink_bound) return detail::t_sink;
-  return detail::g_sink.load(std::memory_order_acquire);
-}
+/// The sink bound to the calling thread (see SinkBinding). Null =
+/// tracing disabled for this thread.
+[[nodiscard]] inline Sink* sink() noexcept { return detail::t_sink; }
 
 /// RAII thread-local sink binding: while alive, this thread's spans,
-/// step marks and SpanScopes resolve to \p s instead of the ambient
-/// sink (binding null masks the ambient sink for this thread). This is
-/// how an rt::Runtime scopes its telemetry to its own driver thread and
-/// pool lanes without publishing a process-wide sink: the driver binds
-/// inside evolve(), and par applies the owning arena's LaneEnv on every
-/// worker lane for the duration of a region. Bindings nest (save/
-/// restore), and each binds only the constructing thread.
+/// step marks and SpanScopes resolve to \p s (null disables them). This
+/// is how an rt::Runtime scopes its telemetry to its own driver thread
+/// and pool lanes: the driver binds over each step, and par applies the
+/// owning arena's LaneEnv on every worker lane for the duration of a
+/// region. Bindings nest (save/restore), and each binds only the
+/// constructing thread.
 class SinkBinding {
  public:
-  explicit SinkBinding(Sink* s) noexcept
-      : saved_sink_(detail::t_sink), saved_bound_(detail::t_sink_bound) {
+  explicit SinkBinding(Sink* s) noexcept : saved_sink_(detail::t_sink) {
     detail::t_sink = s;
-    detail::t_sink_bound = true;
   }
-  ~SinkBinding() {
-    detail::t_sink = saved_sink_;
-    detail::t_sink_bound = saved_bound_;
-  }
+  ~SinkBinding() { detail::t_sink = saved_sink_; }
   SinkBinding(const SinkBinding&) = delete;
   SinkBinding& operator=(const SinkBinding&) = delete;
 
  private:
   Sink* saved_sink_;
-  bool saved_bound_;
 };
 
-/// Publish \p s as the ambient sink. Returns false (and installs
-/// nothing) when another sink is already installed.
-[[nodiscard]] bool try_install(Sink* s) noexcept;
-
-/// Withdraw \p s from the ambient slot; a no-op when some other sink is
-/// installed (idempotent).
-void uninstall(Sink* s) noexcept;
-
-/// Forward a completed driver step to the ambient sink (no-op when
-/// tracing is disabled). Driver thread only, between regions — hence
+/// Forward a completed driver step to the calling thread's sink (no-op
+/// when tracing is disabled). Driver thread only, between regions — hence
 /// FHP_EXCLUDES_REGION.
 void step_mark(int step, double sim_time, double dt) FHP_EXCLUDES_REGION;
 
 /// RAII span scope: records {name, begin, end, depth, lane} into the
-/// ambient sink on destruction; a no-op (one atomic load) when none is
-/// installed. Use through FHP_TRACE_SPAN.
+/// calling thread's sink on destruction; a no-op (one thread-local load)
+/// when none is bound. Use through FHP_TRACE_SPAN.
 class SpanScope {
  public:
   explicit SpanScope(const char* name) {

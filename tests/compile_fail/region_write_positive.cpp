@@ -10,8 +10,9 @@
 #include "perf/perf_context.hpp"
 #include "support/lane.hpp"
 
-void sanctioned(fhp::perf::PerfContext& ctx, std::size_t n) {
-  fhp::par::parallel_for(n, [&](int, std::size_t) {
+void sanctioned(fhp::par::ExecArena& arena, fhp::perf::PerfContext& ctx,
+                std::size_t n) {
+  arena.parallel_for(n, [&](int, std::size_t) {
     fhp::RegionWitness witness;  // region lambda body: lane writer role
     ctx.add(fhp::perf::Event::kCycles, 1);
   });

@@ -17,11 +17,6 @@
 namespace fhp::sim {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise checkpoint round-trips, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 using mesh::var::kDens;
 using mesh::var::kEner;
 using mesh::var::kPres;
@@ -108,8 +103,10 @@ void paint(mesh::AmrMesh& m) {
 }
 
 TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         runtime.arena());
   // A non-trivial tree: refine block 0, then one of its children.
   original.refine_block(0);
   original.refine_block(original.tree().find(2, {0, 0, 0}));
@@ -119,7 +116,8 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   write_checkpoint("ckpt_roundtrip.bin", original, {0.125, 42});
 
   mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         runtime.arena());
   const CheckpointInfo info =
       read_checkpoint("ckpt_roundtrip.bin", restored);
   EXPECT_DOUBLE_EQ(info.sim_time, 0.125);
@@ -145,13 +143,14 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
 }
 
 TEST(CheckpointTest, RestartContinuesBitExactly) {
+  rt::Runtime runtime;
   // Run A: 8 Sod-like steps straight through. Run B: 4 steps, checkpoint,
   // restore into a fresh mesh, 4 more. The results must agree bit for bit
   // (this is FLASH's restart guarantee).
-  auto build = []() {
+  auto build = [&runtime]() {
     auto m = std::make_unique<mesh::AmrMesh>(
-        ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-        proc().page_pool());
+        ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+        runtime.page_pool(), runtime.arena());
     const mesh::MeshConfig& c = m->config();
     m->for_leaf_cells([&](int b, int i, int j, int k) {
       const double x = m->xcenter(b, i);
@@ -183,8 +182,8 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
     write_checkpoint("ckpt_restart.bin", *run_b, {4e-3, 4});
   }
   auto run_c = std::make_unique<mesh::AmrMesh>(
-      ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-      proc().page_pool());
+      ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+      runtime.page_pool(), runtime.arena());
   read_checkpoint("ckpt_restart.bin", *run_c);
   hydro::HydroSolver solver_c(*run_c, gamma);
   // Match run A's sweep-order phase (4 steps already taken).
@@ -203,21 +202,24 @@ TEST(CheckpointTest, RestartContinuesBitExactly) {
 }
 
 TEST(CheckpointTest, ConfigMismatchRejected) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         runtime.arena());
   paint(original);
   write_checkpoint("ckpt_mismatch.bin", original, {});
 
   mesh::MeshConfig other = ckpt_config();
   other.nscalars = 2;  // different layout
-  mesh::AmrMesh wrong(other, mem::HugePolicy::kNone, proc().layout(),
-                      proc().page_pool());
+  mesh::AmrMesh wrong(other, mem::HugePolicy::kNone, runtime.layout(),
+                      runtime.page_pool(), runtime.arena());
   EXPECT_THROW(read_checkpoint("ckpt_mismatch.bin", wrong), ConfigError);
 }
 
 TEST(CheckpointTest, MissingAndCorruptFilesRejected) {
-  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   EXPECT_THROW(read_checkpoint("nonexistent.bin", m), SystemError);
   // A file with the wrong magic is rejected before any topology change.
   std::FILE* f = std::fopen("ckpt_garbage.bin", "wb");
@@ -227,13 +229,16 @@ TEST(CheckpointTest, MissingAndCorruptFilesRejected) {
 }
 
 TEST(CheckpointTest, RequiresAFreshMesh) {
+  rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
-                         proc().layout(), proc().page_pool());
+                         runtime.layout(), runtime.page_pool(),
+                         runtime.arena());
   paint(original);
   write_checkpoint("ckpt_fresh.bin", original, {});
 
   mesh::AmrMesh busy(ckpt_config(), mem::HugePolicy::kNone,
-                     proc().layout(), proc().page_pool());
+                     runtime.layout(), runtime.page_pool(),
+                     runtime.arena());
   busy.refine_block(0);  // not fresh any more
   EXPECT_THROW(read_checkpoint("ckpt_fresh.bin", busy), ConfigError);
 }

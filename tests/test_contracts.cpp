@@ -24,11 +24,6 @@
 namespace fhp {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise API boundary contracts, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 // ------------------------------------------------------------- the macros
 
 TEST(Contracts, PreconditionPassesWhenTrue) {
@@ -69,24 +64,29 @@ TEST(Contracts, EnabledInThisBuild) {
 // ----------------------------------------------- arena boundary contracts
 
 TEST(ArenaContracts, ZeroByteAllocationViolatesContract) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
   EXPECT_THROW(arena.allocate(0), ContractViolation);
 }
 
 TEST(ArenaContracts, NonPowerOfTwoAlignmentViolatesContract) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
   EXPECT_THROW(arena.allocate(64, 48), ContractViolation);
   EXPECT_THROW(arena.allocate(64, 0), ContractViolation);
 }
 
 TEST(ArenaContracts, UndersizedChunkQuantumViolatesContract) {
-  EXPECT_THROW(mem::Arena(mem::HugePolicy::kNone, 1024), ContractViolation);
+  mem::PagePool pool;
+  EXPECT_THROW(mem::Arena(pool, mem::HugePolicy::kNone, 1024),
+               ContractViolation);
 }
 
 // Satellite fix: count * sizeof(T) used to overflow size_t and silently
 // allocate a tiny wrapped-around buffer. The check is always on.
 TEST(ArenaContracts, AllocateArrayOverflowThrows) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
   EXPECT_THROW(arena.allocate_array<double>(huge_count), ConfigError);
@@ -98,7 +98,8 @@ TEST(ArenaContracts, AllocateArrayOverflowThrows) {
 }
 
 TEST(ArenaContracts, HugeAllocatorOverflowThrows) {
-  mem::Arena arena(mem::HugePolicy::kNone, 4u << 20);
+  mem::PagePool pool;
+  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
   mem::HugeAllocator<double> alloc(arena);
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
@@ -106,11 +107,12 @@ TEST(ArenaContracts, HugeAllocatorOverflowThrows) {
 }
 
 TEST(ArenaContracts, HugeBufferOverflowThrows) {
+  mem::PagePool pool;
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
-  EXPECT_THROW(mem::HugeBuffer<double>(huge_count, mem::HugePolicy::kNone,
-                                       proc().page_pool()),
-               ConfigError);
+  EXPECT_THROW(
+      mem::HugeBuffer<double>(huge_count, mem::HugePolicy::kNone, pool),
+      ConfigError);
 }
 
 // --------------------------------------- mapped-region boundary contracts
@@ -153,8 +155,8 @@ class UnkSweepContracts : public ::testing::Test {
   UnkSweepContracts()
       : machine_(),
         tracer_(&machine_),
-        unk_(config(), mem::HugePolicy::kNone, proc().layout(),
-             proc().page_pool()) {}
+        unk_(config(), mem::HugePolicy::kNone, runtime_.layout(),
+             runtime_.page_pool()) {}
 
   static mesh::MeshConfig config() {
     mesh::MeshConfig c;
@@ -166,6 +168,7 @@ class UnkSweepContracts : public ::testing::Test {
     return c;
   }
 
+  rt::Runtime runtime_;
   tlb::Machine machine_;
   tlb::Tracer tracer_;
   mesh::UnkContainer unk_;

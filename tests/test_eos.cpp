@@ -18,11 +18,6 @@
 namespace fhp::eos {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise the tabulated EOS, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 namespace c = fhp::constants;
 
 // ------------------------------------------------------------ Fermi-Dirac
@@ -311,9 +306,10 @@ TEST(HelmholtzEosTest, Gamma1BetweenLimits) {
 
 /// Small shared table for the table tests (built once).
 const HelmTable& test_table() {
+  static mem::PagePool pool;  // constructed first, so it outlives the table
   static HelmTable table = HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      proc().page_pool(), "helm_table_test.bin");
+      pool, "helm_table_test.bin");
   return table;
 }
 
@@ -366,12 +362,13 @@ TEST(HelmTableTest, OutOfRangeThrows) {
 }
 
 TEST(HelmTableTest, SaveLoadRoundTrip) {
+  rt::Runtime runtime;
   const HelmTableSpec spec{-2.0, 8.0, 21, 6.0, 9.0, 11};
   HelmTable built =
-      HelmTable::build(spec, mem::HugePolicy::kNone, proc().page_pool());
+      HelmTable::build(spec, mem::HugePolicy::kNone, runtime.page_pool());
   built.save("helm_roundtrip.bin");
   auto loaded = HelmTable::load(spec, mem::HugePolicy::kNone,
-                                proc().page_pool(), "helm_roundtrip.bin");
+                                runtime.page_pool(), "helm_roundtrip.bin");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->node(HelmTable::kP, 10, 5),
             built.node(HelmTable::kP, 10, 5));
@@ -379,7 +376,7 @@ TEST(HelmTableTest, SaveLoadRoundTrip) {
   HelmTableSpec other = spec;
   other.nrho = 22;
   EXPECT_FALSE(
-      HelmTable::load(other, mem::HugePolicy::kNone, proc().page_pool(),
+      HelmTable::load(other, mem::HugePolicy::kNone, runtime.page_pool(),
                       "helm_roundtrip.bin")
           .has_value());
 }
@@ -395,9 +392,10 @@ TEST(HelmTableTest, TraceTouchesTableBytes) {
 }
 
 TEST(HelmTableEosTest, MatchesDirectEosThroughAssembly) {
+  rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      proc().page_pool(), "helm_table_test.bin"));
+      runtime.page_pool(), "helm_table_test.bin"));
   const HelmTableEos tabulated(table);
   const HelmholtzEos direct;
 
@@ -415,9 +413,10 @@ TEST(HelmTableEosTest, MatchesDirectEosThroughAssembly) {
 }
 
 TEST(HelmTableEosTest, InversionRoundTripThroughTable) {
+  rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      proc().page_pool(), "helm_table_test.bin"));
+      runtime.page_pool(), "helm_table_test.bin"));
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;
@@ -432,9 +431,10 @@ TEST(HelmTableEosTest, InversionRoundTripThroughTable) {
 }
 
 TEST(HelmTableEosTest, TemperatureFloorClampsInsteadOfThrowing) {
+  rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      proc().page_pool(), "helm_table_test.bin"));
+      runtime.page_pool(), "helm_table_test.bin"));
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;
@@ -448,11 +448,12 @@ TEST(HelmTableEosTest, TemperatureFloorClampsInsteadOfThrowing) {
 }
 
 TEST(HelmTableTest, SpecValidation) {
+  rt::Runtime runtime;
   EXPECT_THROW(HelmTable::build(HelmTableSpec{0, 1, 2, 0, 1, 8},
-                                mem::HugePolicy::kNone, proc().page_pool()),
+                                mem::HugePolicy::kNone, runtime.page_pool()),
                ConfigError);
   EXPECT_THROW(HelmTable::build(HelmTableSpec{5, 1, 8, 0, 1, 8},
-                                mem::HugePolicy::kNone, proc().page_pool()),
+                                mem::HugePolicy::kNone, runtime.page_pool()),
                ConfigError);
 }
 

@@ -19,11 +19,6 @@
 namespace fhp {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise flame and gravity physics, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 namespace c = constants;
 using mesh::var::kDens;
 using mesh::var::kEint;
@@ -140,8 +135,9 @@ double front_position(mesh::AmrMesh& m) {
 }
 
 TEST(AdrFlame, FrontPropagatesAtThePrescribedSpeed) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   const double rho = 1.0e9;
   plant_front(m, 1.0e7, rho);
 
@@ -172,8 +168,9 @@ TEST(AdrFlame, FrontPropagatesAtThePrescribedSpeed) {
 }
 
 TEST(AdrFlame, ReleasesEnergyAndConvertsFuel) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   plant_front(m, 1.0e7, 1.0e9);
   const flame::FlameSpeedTable speeds;
   flame::AdrOptions opts;
@@ -195,8 +192,9 @@ TEST(AdrFlame, ReleasesEnergyAndConvertsFuel) {
 }
 
 TEST(AdrFlame, QuenchesBelowDensityFloor) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   plant_front(m, 1.0e7, 1.0e4);  // far below rho_min = 1e6
   const flame::FlameSpeedTable speeds;
   flame::AdrFlame flame(m, speeds, {});
@@ -210,8 +208,9 @@ TEST(AdrFlame, QuenchesBelowDensityFloor) {
 }
 
 TEST(AdrFlame, PhiStaysInUnitInterval) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   plant_front(m, 2.0e7, 1.0e9);
   const flame::FlameSpeedTable speeds;
   flame::AdrFlame flame(m, speeds, {});
@@ -230,8 +229,9 @@ TEST(AdrFlame, PhiStaysInUnitInterval) {
 }
 
 TEST(AdrFlame, ScalarSlotValidation) {
-  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  rt::Runtime runtime;
+  mesh::AmrMesh m(flame_config(), mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   const flame::FlameSpeedTable speeds;
   flame::AdrOptions bad;
   bad.phi_scalar = 7;  // only 3 scalars configured
@@ -257,8 +257,10 @@ mesh::MeshConfig gravity_config() {
 }
 
 TEST(MonopoleGravity, UniformSphereMatchesAnalyticProfile) {
+  rt::Runtime runtime;
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(),
+                  runtime.arena());
   const double rho0 = 1.0e7, r_star = 5.0e8;
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     const double r = m.xcenter(b, i);
@@ -286,9 +288,11 @@ TEST(MonopoleGravity, UniformSphereMatchesAnalyticProfile) {
 }
 
 TEST(MonopoleGravity, AccelPointsAtTheCenter) {
+  rt::Runtime runtime;
   gravity::MonopoleGravity grav({0.0, 0.0, 0.0}, 64);
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(),
+                  runtime.arena());
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     m.unk().at(kDens, i, j, k, b) = 1.0e5;
   });
@@ -304,8 +308,10 @@ TEST(MonopoleGravity, AccelPointsAtTheCenter) {
 }
 
 TEST(MonopoleGravity, ApplySourceUpdatesMomentumAndEnergy) {
+  rt::Runtime runtime;
   mesh::AmrMesh m(gravity_config(), mem::HugePolicy::kNone,
-                  proc().layout(), proc().page_pool());
+                  runtime.layout(), runtime.page_pool(),
+                  runtime.arena());
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     m.unk().at(kDens, i, j, k, b) = 1.0e7;
     m.unk().at(kEner, i, j, k, b) = 1.0e15;
@@ -331,11 +337,11 @@ TEST(MonopoleGravity, RejectsTooFewShells) {
 // ------------------------------------------------------------ white dwarf
 
 const eos::HelmTableEos& wd_eos() {
+  static mem::PagePool pool;  // constructed first, so it outlives the table
   static auto table = std::make_shared<eos::HelmTable>(
       eos::HelmTable::build_or_load(
           eos::HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51},
-          mem::HugePolicy::kNone, proc().page_pool(),
-          "helm_table_test.bin"));
+          mem::HugePolicy::kNone, pool, "helm_table_test.bin"));
   static eos::HelmTableEos eos(table);
   return eos;
 }

@@ -17,11 +17,6 @@
 namespace fhp::hydro {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise hydro numerics, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 using mesh::var::kDens;
 using mesh::var::kEint;
 using mesh::var::kEner;
@@ -142,6 +137,7 @@ TEST(HllcTest, TransverseMomentumIsPassive) {
 // ------------------------------------------------------------- shock tube
 
 struct SodMesh {
+  rt::Runtime runtime;
   mesh::MeshConfig config;
   std::unique_ptr<mesh::AmrMesh> mesh;
   std::unique_ptr<eos::GammaEos> eos;
@@ -159,9 +155,9 @@ struct SodMesh {
     config.lo = {0.0, 0.0, 0.0};
     config.hi = along_y ? std::array<double, 3>{1.0 / nx_blocks, 1.0, 1.0}
                         : std::array<double, 3>{1.0, 1.0 / nx_blocks, 1.0};
-    mesh = std::make_unique<mesh::AmrMesh>(config, mem::HugePolicy::kNone,
-                                           proc().layout(),
-                                           proc().page_pool());
+    mesh = std::make_unique<mesh::AmrMesh>(
+        config, mem::HugePolicy::kNone, runtime.layout(),
+        runtime.page_pool(), runtime.arena());
     eos = std::make_unique<eos::GammaEos>(1.4);
     HydroOptions opts;
     opts.cfl = 0.6;
@@ -265,6 +261,7 @@ TEST(SodShockTube, PositiveDtFromCfl) {
 // ------------------------------------------------- AMR flux conservation
 
 TEST(AmrConservation, FluxCorrectionKeepsTotalsExact) {
+  rt::Runtime runtime;
   mesh::MeshConfig config;
   config.ndim = 2;
   config.nxb = 8;
@@ -279,8 +276,8 @@ TEST(AmrConservation, FluxCorrectionKeepsTotalsExact) {
     config.bc[static_cast<std::size_t>(d)][0] = mesh::Bc::kPeriodic;
     config.bc[static_cast<std::size_t>(d)][1] = mesh::Bc::kPeriodic;
   }
-  mesh::AmrMesh amr(config, mem::HugePolicy::kNone, proc().layout(),
-                    proc().page_pool());
+  mesh::AmrMesh amr(config, mem::HugePolicy::kNone, runtime.layout(),
+                    runtime.page_pool(), runtime.arena());
   // Refine one block: fine-coarse interfaces appear.
   amr.refine_block(0);
 
@@ -315,6 +312,7 @@ TEST(AmrConservation, FluxCorrectionKeepsTotalsExact) {
 }
 
 TEST(AmrConservation, WithoutCorrectionTotalsDrift) {
+  rt::Runtime runtime;
   // The control experiment: disable flux correction and watch
   // conservation fail at the fine-coarse interface.
   mesh::MeshConfig config;
@@ -330,9 +328,9 @@ TEST(AmrConservation, WithoutCorrectionTotalsDrift) {
     config.bc[static_cast<std::size_t>(d)][1] = mesh::Bc::kPeriodic;
   }
 
-  auto run = [&config](bool correct) {
-    mesh::AmrMesh amr(config, mem::HugePolicy::kNone, proc().layout(),
-                    proc().page_pool());
+  auto run = [&config, &runtime](bool correct) {
+    mesh::AmrMesh amr(config, mem::HugePolicy::kNone, runtime.layout(),
+                      runtime.page_pool(), runtime.arena());
     amr.refine_block(0);
     eos::GammaEos gamma(1.4);
     HydroOptions opts;

@@ -38,11 +38,6 @@
 namespace fhp {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise data layouts, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 using mesh::BlockLayout;
 using mesh::LayoutKind;
 using mesh::MeshConfig;
@@ -67,16 +62,14 @@ TEST(LayoutSelect, ParseAndToStringRoundTrip) {
   EXPECT_FALSE(mesh::parse_layout("").has_value());
 }
 
-TEST(LayoutSelect, RuntimeParamPinsTheProcessDefault) {
+TEST(LayoutSelect, RuntimeParamSelectsTheLayout) {
   RuntimeParams rp;
   mesh::declare_runtime_params(rp);
+  EXPECT_FALSE(mesh::layout_from_params(rp).has_value());  // "": defer
   rp.set_from_string(mesh::kLayoutParamName, "zone_major");
-  mesh::apply_runtime_params(rp);
-  EXPECT_EQ(mesh::default_layout(), LayoutKind::kZoneMajor);
+  EXPECT_EQ(mesh::layout_from_params(rp), LayoutKind::kZoneMajor);
   rp.set_from_string(mesh::kLayoutParamName, "junk");
-  EXPECT_THROW(mesh::apply_runtime_params(rp), ConfigError);
-  // Restore the environment-resolved default for other tests.
-  mesh::set_default_layout(mesh::layout_from_environment());
+  EXPECT_THROW(static_cast<void>(mesh::layout_from_params(rp)), ConfigError);
 }
 
 // ------------------------------------------------------------ the map
@@ -209,9 +202,10 @@ MeshConfig small_3d() {
 }
 
 TEST(LayoutViews, GatherScatterZoneRoundTrips) {
+  rt::Runtime runtime;
   const MeshConfig c = small_3d();
   for (const LayoutKind kind : kAllLayouts) {
-    UnkContainer unk(c, mem::HugePolicy::kNone, kind, proc().page_pool());
+    UnkContainer unk(c, mem::HugePolicy::kNone, kind, runtime.page_pool());
     for (int v = 0; v < c.nvar(); ++v) {
       unk.at(v, 5, 6, 7, 2) = 100.0 * v + 0.25;
     }
@@ -229,10 +223,11 @@ TEST(LayoutViews, GatherScatterZoneRoundTrips) {
 }
 
 TEST(LayoutViews, ZoneSpanIsInPlaceOnlyWhenContiguous) {
+  rt::Runtime runtime;
   const MeshConfig c = small_3d();
   std::vector<double> scratch(static_cast<std::size_t>(c.nscalars));
   for (const LayoutKind kind : kAllLayouts) {
-    UnkContainer unk(c, mem::HugePolicy::kNone, kind, proc().page_pool());
+    UnkContainer unk(c, mem::HugePolicy::kNone, kind, runtime.page_pool());
     for (int s = 0; s < c.nscalars; ++s) {
       unk.at(mesh::var::kFirstScalar + s, 4, 4, 4, 1) = 7.0 + s;
     }
@@ -252,13 +247,14 @@ TEST(LayoutViews, ZoneSpanIsInPlaceOnlyWhenContiguous) {
 // ------------------------------------------------------------- tracing
 
 TEST(LayoutTrace, VarMajorSweepMatchesContiguousZoneVectorReplay) {
+  rt::Runtime runtime;
   // The seed traced each zone as one contiguous nread*8-byte touch at
   // ptr(0, i, j, k, b). The layout-aware sweep must reproduce that
   // byte-for-byte under var_major — this is what keeps the golden
   // counters of the paper reproduction unchanged.
   const MeshConfig c = small_3d();
   const UnkContainer unk(c, mem::HugePolicy::kNone, LayoutKind::kVarMajor,
-                         proc().page_pool());
+                         runtime.page_pool());
   const int nread = c.nvar(), nwrite = 6;
 
   tlb::Machine through_layout;
@@ -292,12 +288,13 @@ TEST(LayoutTrace, VarMajorSweepMatchesContiguousZoneVectorReplay) {
 }
 
 TEST(LayoutTrace, ZoneMajorSingleVarSweepCutsModeled4kMisses) {
+  rt::Runtime runtime;
   // The A2 ablation's headline, guarded in CI: a single-variable sweep
   // (the Löhner-estimator access shape) under zone_major touches ~nvar
   // times fewer 4 KiB pages than under var_major.
   const MeshConfig c = small_3d();
   auto misses = [&](LayoutKind kind) {
-    UnkContainer unk(c, mem::HugePolicy::kNone, kind, proc().page_pool());
+    UnkContainer unk(c, mem::HugePolicy::kNone, kind, runtime.page_pool());
     tlb::Machine machine;
     tlb::Tracer tracer(&machine);
     for (int b = 0; b < c.maxblocks; ++b) {
@@ -342,13 +339,13 @@ void expect_bit_identical(const std::vector<double>& a,
 }
 
 std::vector<double> run_sedov(LayoutKind layout, int threads) {
-  par::set_threads(threads);
+  rt::Runtime runtime({.lanes = threads});
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, proc(), layout);
+  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime, layout);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -356,9 +353,8 @@ std::vector<double> run_sedov(LayoutKind layout, int threads) {
   opts.nsteps = 12;
   opts.trace_sample = 0;
   opts.verbose = false;
-  sim::Driver driver(m, hydro, timers, opts);
+  sim::Driver driver(m, hydro, timers, opts, {.runtime = &runtime});
   driver.evolve();
-  par::set_threads(1);
   return canonical_state(m, driver.sim_time());
 }
 
@@ -379,13 +375,13 @@ TEST(LayoutPhysics, SedovEndStateBitIdenticalAcrossLayoutsAndThreads) {
 }
 
 std::vector<double> run_supernova(LayoutKind layout, int threads) {
-  par::set_threads(threads);
+  rt::Runtime runtime({.lanes = threads});
   sim::SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
   p.table_cache = "helm_table_layout.bin";
-  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, proc(), layout);
+  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime, layout);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
@@ -399,11 +395,11 @@ std::vector<double> run_supernova(LayoutKind layout, int threads) {
   opts.refine_vars = {mesh::var::kDens,
                       mesh::var::kFirstScalar + sim::snvar::kPhi};
   sim::DriverUnits units;
+  units.runtime = &runtime;
   units.flame = &setup.flame();
   units.gravity = &setup.gravity();
   sim::Driver driver(m, hydro, timers, opts, units);
   driver.evolve();
-  par::set_threads(1);
   return canonical_state(m, driver.sim_time());
 }
 
@@ -453,9 +449,10 @@ void paint(mesh::AmrMesh& m) {
 }
 
 TEST(LayoutCheckpoint, AnyLayoutRestoresAnyLayoutExactly) {
+  rt::Runtime runtime;
   for (const LayoutKind writer : kAllLayouts) {
     mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone, writer,
-                           proc().page_pool());
+                           runtime.page_pool(), runtime.arena());
     original.refine_block(0);
     original.refine_block(original.tree().find(2, {0, 0, 0}));
     paint(original);
@@ -464,7 +461,7 @@ TEST(LayoutCheckpoint, AnyLayoutRestoresAnyLayoutExactly) {
 
     for (const LayoutKind reader : kAllLayouts) {
       mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone, reader,
-                             proc().page_pool());
+                             runtime.page_pool(), runtime.arena());
       const sim::CheckpointInfo info =
           sim::read_checkpoint("ckpt_layout.bin", restored);
       EXPECT_DOUBLE_EQ(info.sim_time, 0.5);

@@ -14,20 +14,15 @@
 #include "mem/hugeadm.hpp"
 #include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
+#include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
 #include "mem/procfs.hpp"
 #include "mem/thp.hpp"
 #include "mem/vmstat.hpp"
-#include "rt/runtime.hpp"
 #include "support/error.hpp"
 
 namespace fhp::mem {
 namespace {
-
-// Process-default execution context for construction sites: these tests
-// exercise allocators and mapped regions, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
 
 // ------------------------------------------------------------- page sizes
 
@@ -471,7 +466,8 @@ TEST(MappedRegion, HugetlbfsUsesPoolWhenAvailable) {
 // ------------------------------------------------------------------ arena
 
 TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   std::vector<std::pair<char*, std::size_t>> blocks;
   for (int i = 0; i < 100; ++i) {
     const std::size_t bytes = 64 + static_cast<std::size_t>(i) * 13;
@@ -491,7 +487,8 @@ TEST(Arena, AllocationsAreAlignedAndDisjoint) {
 }
 
 TEST(Arena, LargeAllocationGetsDedicatedChunk) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   (void)arena.allocate(64);
   (void)arena.allocate(16u << 20);  // bigger than the chunk quantum
   const ArenaStats stats = arena.stats();
@@ -500,7 +497,8 @@ TEST(Arena, LargeAllocationGetsDedicatedChunk) {
 }
 
 TEST(Arena, StatsTrackRequests) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   (void)arena.allocate(100);
   (void)arena.allocate(200);
   const ArenaStats stats = arena.stats();
@@ -510,7 +508,8 @@ TEST(Arena, StatsTrackRequests) {
 }
 
 TEST(Arena, ReleaseDropsEverything) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   (void)arena.allocate(1u << 20);
   arena.release();
   EXPECT_EQ(arena.stats().chunk_count, 0u);
@@ -520,14 +519,16 @@ TEST(Arena, ReleaseDropsEverything) {
 }
 
 TEST(Arena, RejectsBadArguments) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   EXPECT_THROW(arena.allocate(0), ConfigError);
   EXPECT_THROW(arena.allocate(64, 63), ConfigError);  // non-pow2 alignment
-  EXPECT_THROW(Arena(HugePolicy::kNone, 1024), ConfigError);  // tiny chunk
+  EXPECT_THROW(Arena(pool, HugePolicy::kNone, 1024), ConfigError);  // tiny
 }
 
 TEST(Arena, ReportMentionsPolicyAndChunks) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   (void)arena.allocate(128);
   const std::string report = arena.report();
   EXPECT_NE(report.find("policy=none"), std::string::npos);
@@ -537,7 +538,8 @@ TEST(Arena, ReportMentionsPolicyAndChunks) {
 // -------------------------------------------------------------- allocator
 
 TEST(HugeAllocatorTest, WorksWithStdVector) {
-  Arena arena(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena arena(pool, HugePolicy::kNone, 4u << 20);
   std::vector<double, HugeAllocator<double>> v{HugeAllocator<double>(arena)};
   for (int i = 0; i < 10000; ++i) v.push_back(i);
   EXPECT_DOUBLE_EQ(v[9999], 9999.0);
@@ -545,7 +547,9 @@ TEST(HugeAllocatorTest, WorksWithStdVector) {
 }
 
 TEST(HugeAllocatorTest, EqualityFollowsArenaIdentity) {
-  Arena a(HugePolicy::kNone, 4u << 20), b(HugePolicy::kNone, 4u << 20);
+  PagePool pool;
+  Arena a(pool, HugePolicy::kNone, 4u << 20);
+  Arena b(pool, HugePolicy::kNone, 4u << 20);
   HugeAllocator<int> aa(a), ab(a), ba(b);
   EXPECT_TRUE(aa == ab);
   EXPECT_FALSE(aa == ba);
@@ -554,7 +558,8 @@ TEST(HugeAllocatorTest, EqualityFollowsArenaIdentity) {
 }
 
 TEST(HugeBufferTest, SizeAndZeroInit) {
-  HugeBuffer<double> buf(1000, HugePolicy::kNone, proc().page_pool());
+  PagePool pool;
+  HugeBuffer<double> buf(1000, HugePolicy::kNone, pool);
   EXPECT_EQ(buf.size(), 1000u);
   EXPECT_EQ(buf.span().size(), 1000u);
   for (std::size_t i = 0; i < buf.size(); ++i) {

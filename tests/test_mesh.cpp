@@ -17,11 +17,6 @@
 namespace fhp::mesh {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise mesh mechanics, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 MeshConfig small_2d() {
   MeshConfig c;
   c.ndim = 2;
@@ -86,12 +81,13 @@ TEST(MeshConfigTest, DerivedExtents) {
 // -------------------------------------------------------------------- unk
 
 TEST(UnkTest, VariableIndexIsFastest) {
+  rt::Runtime runtime;
   const MeshConfig c = small_2d();
   // Pinned to the Fortran layout: this test asserts var_major's specific
   // strides, so it must not float with FLASHHP_LAYOUT (the layout-matrix
   // CI job runs the whole suite under every layout).
   UnkContainer unk(c, mem::HugePolicy::kNone, LayoutKind::kVarMajor,
-                   proc().page_pool());
+                   runtime.page_pool());
   // unk(v, i, j, k, b): v consecutive, i strides by nvar.
   EXPECT_EQ(unk.offset(1, 0, 0, 0, 0) - unk.offset(0, 0, 0, 0, 0), 1u);
   EXPECT_EQ(unk.offset(0, 1, 0, 0, 0) - unk.offset(0, 0, 0, 0, 0),
@@ -103,17 +99,19 @@ TEST(UnkTest, VariableIndexIsFastest) {
 }
 
 TEST(UnkTest, StorageRoundTrip) {
-  UnkContainer unk(small_2d(), mem::HugePolicy::kNone, proc().layout(),
-                   proc().page_pool());
+  rt::Runtime runtime;
+  UnkContainer unk(small_2d(), mem::HugePolicy::kNone, runtime.layout(),
+                   runtime.page_pool());
   unk.at(3, 5, 7, 0, 2) = 42.5;
   EXPECT_DOUBLE_EQ(unk.at(3, 5, 7, 0, 2), 42.5);
   EXPECT_EQ(unk.ptr(3, 5, 7, 0, 2), &unk.at(3, 5, 7, 0, 2));
 }
 
 TEST(UnkTest, SizesMatchConfig) {
+  rt::Runtime runtime;
   const MeshConfig c = small_2d();
-  UnkContainer unk(c, mem::HugePolicy::kNone, proc().layout(),
-                   proc().page_pool());
+  UnkContainer unk(c, mem::HugePolicy::kNone, runtime.layout(),
+                   runtime.page_pool());
   EXPECT_EQ(unk.bytes(), static_cast<std::size_t>(c.nvar()) * c.ni() *
                              c.nj() * c.nk() * c.maxblocks * sizeof(double));
 }
@@ -257,11 +255,12 @@ TEST(TreeTest, BalanceDetection) {
 // --------------------------------------------------------------- AMR mesh
 
 TEST(AmrMeshTest, CellCoordinatesAndVolumesCartesian) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.lo = {0.0, 0.0, 0.0};
   c.hi = {1.0, 1.0, 1.0};
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   const int b = 0;
   EXPECT_DOUBLE_EQ(mesh.dx(b, 0), 1.0 / c.nxb);
   EXPECT_DOUBLE_EQ(mesh.xcenter(b, c.ilo()), 0.5 / c.nxb);
@@ -277,13 +276,14 @@ TEST(AmrMeshTest, CellCoordinatesAndVolumesCartesian) {
 }
 
 TEST(AmrMeshTest, CylindricalVolumesIntegrateToTorus) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.geometry = Geometry::kCylindrical;
   c.lo = {0.0, 0.0, 0.0};
   c.hi = {2.0, 1.0, 1.0};
   c.bc[0][0] = Bc::kAxis;
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   double total = 0.0;
   for (int j = c.jlo(); j < c.jhi(); ++j) {
     for (int i = c.ilo(); i < c.ihi(); ++i) {
@@ -315,10 +315,11 @@ void fill_linear(AmrMesh& mesh) {
 }
 
 TEST(AmrMeshTest, GuardFillReproducesLinearFieldSameLevel) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.nroot = {2, 2, 1};
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   // Interior-side guards of block 0 (high-x) must continue the function.
@@ -333,10 +334,11 @@ TEST(AmrMeshTest, GuardFillReproducesLinearFieldSameLevel) {
 }
 
 TEST(AmrMeshTest, GuardFillInterpolatesFromCoarseExactlyForLinear) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.nroot = {2, 1, 1};
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   mesh.refine_block(0);  // block 1 stays coarse: fine-coarse interface
@@ -360,9 +362,10 @@ TEST(AmrMeshTest, GuardFillInterpolatesFromCoarseExactlyForLinear) {
 }
 
 TEST(AmrMeshTest, OutflowBoundaryCopiesEdgeValue) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   const double edge = mesh.unk().at(0, c.ilo(), c.jlo() + 2, 0, 0);
@@ -372,10 +375,11 @@ TEST(AmrMeshTest, OutflowBoundaryCopiesEdgeValue) {
 }
 
 TEST(AmrMeshTest, ReflectBoundaryMirrorsAndNegatesNormalVelocity) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.bc[0][0] = Bc::kReflect;
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   const int j = c.jlo() + 1;
@@ -390,11 +394,12 @@ TEST(AmrMeshTest, ReflectBoundaryMirrorsAndNegatesNormalVelocity) {
 }
 
 TEST(AmrMeshTest, PeriodicGuardsWrapAround) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.nroot = {2, 1, 1};
   c.bc[0][0] = c.bc[0][1] = Bc::kPeriodic;
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   // A distinctive value at the far-right interior of block 1 must appear
   // in the low-x guards of block 0.
   mesh.unk().at(0, c.ihi() - 1, c.jlo(), 0, 1) = 123.0;
@@ -403,9 +408,10 @@ TEST(AmrMeshTest, PeriodicGuardsWrapAround) {
 }
 
 TEST(AmrMeshTest, RestrictionConservesMassCartesian) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   mesh.refine_block(0);
@@ -419,9 +425,10 @@ TEST(AmrMeshTest, RestrictionConservesMassCartesian) {
 }
 
 TEST(AmrMeshTest, ProlongationIsConservativeAndExactForLinear) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   fill_linear(mesh);
   mesh.fill_guardcells();
   const double mass_before = mesh.integrate(var::kDens);
@@ -438,8 +445,9 @@ TEST(AmrMeshTest, ProlongationIsConservativeAndExactForLinear) {
 }
 
 TEST(AmrMeshTest, LoehnerFlatFieldScoresZero) {
-  AmrMesh mesh(small_2d(), mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  rt::Runtime runtime;
+  AmrMesh mesh(small_2d(), mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   // A constant field has no second derivative anywhere — including at
   // the outflow boundaries, whose zero-gradient guards would make a
   // *linear* field look curved in the edge cells.
@@ -453,9 +461,10 @@ TEST(AmrMeshTest, LoehnerFlatFieldScoresZero) {
 }
 
 TEST(AmrMeshTest, LoehnerDiscontinuityScoresHigh) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   for (int j = 0; j < c.nj(); ++j) {
     for (int i = 0; i < c.ni(); ++i) {
       mesh.unk().at(0, i, j, 0, 0) = i < c.ni() / 2 ? 1.0 : 10.0;
@@ -465,11 +474,12 @@ TEST(AmrMeshTest, LoehnerDiscontinuityScoresHigh) {
 }
 
 TEST(AmrMeshTest, RemeshRefinesDiscontinuityAndKeepsBalance) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.max_level = 3;
   c.maxblocks = 128;
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   auto paint = [&mesh](int v) {
     const MeshConfig& cc = mesh.config();
     for (int b : mesh.tree().leaves_morton()) {
@@ -493,10 +503,11 @@ TEST(AmrMeshTest, RemeshRefinesDiscontinuityAndKeepsBalance) {
 }
 
 TEST(AmrMeshTest, RemeshDerefinesSmoothRegions) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
   c.max_level = 2;
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   mesh.refine_block(0);  // fully refined, but the data is smooth
   for (int b : mesh.tree().leaves_morton()) {
     for (int j = 0; j < c.nj(); ++j) {
@@ -513,9 +524,10 @@ TEST(AmrMeshTest, RemeshDerefinesSmoothRegions) {
 }
 
 TEST(AmrMeshTest, IntegrateProductMatchesHandComputation) {
+  rt::Runtime runtime;
   MeshConfig c = small_2d();
-  AmrMesh mesh(c, mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  AmrMesh mesh(c, mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   for (int j = c.jlo(); j < c.jhi(); ++j) {
     for (int i = c.ilo(); i < c.ihi(); ++i) {
       mesh.unk().at(var::kDens, i, j, 0, 0) = 2.0;
@@ -527,8 +539,9 @@ TEST(AmrMeshTest, IntegrateProductMatchesHandComputation) {
 }
 
 TEST(AmrMeshTest, ThreeDRefinementProducesEightChildren) {
-  AmrMesh mesh(small_3d(), mem::HugePolicy::kNone, proc().layout(),
-               proc().page_pool());
+  rt::Runtime runtime;
+  AmrMesh mesh(small_3d(), mem::HugePolicy::kNone, runtime.layout(),
+               runtime.page_pool(), runtime.arena());
   const auto kids = mesh.refine_block(0);
   int live = 0;
   for (int kid : kids) {

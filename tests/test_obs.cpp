@@ -25,6 +25,7 @@
 #include "obs/timeline.hpp"
 #include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
+#include "rt/runtime.hpp"
 #include "support/error.hpp"
 
 // Allocation counter fed by the global operator-new override below.
@@ -153,14 +154,13 @@ TEST(TelemetryTest, SpanNestingDepthsAreRecorded) {
   opts.lanes = 1;
   opts.clock = clock.fn();
   Telemetry telemetry(opts);
-  telemetry.install();
   {
+    const trace::SinkBinding bound(&telemetry);
     FHP_TRACE_SPAN("outer");
     {
       FHP_TRACE_SPAN("inner");
     }
   }
-  telemetry.uninstall();
   const auto records = telemetry.ring(0).in_order();
   ASSERT_EQ(records.size(), 2u);
   // The inner span closes (and records) first.
@@ -174,11 +174,13 @@ TEST(TelemetryTest, SpanNestingDepthsAreRecorded) {
 }
 
 TEST(TelemetryTest, SecondInstallThrows) {
+  rt::Runtime runtime;
   Telemetry a, b;
-  a.install();
-  EXPECT_THROW(b.install(), ConfigError);
+  a.install(runtime);
+  EXPECT_THROW(b.install(runtime), ConfigError);
   a.uninstall();
-  b.install();  // now free
+  b.install(runtime);  // now free
+  EXPECT_EQ(runtime.trace_sink(), &b);
   b.uninstall();
 }
 
@@ -214,19 +216,17 @@ TEST(TelemetryTest, CrossLaneHistogramMerge) {
 }
 
 TEST(TelemetryTest, SpansFromParallelLanesLandInTheirRings) {
-  const int previous_threads = par::threads();
-  par::set_threads(2);
+  rt::Runtime runtime({.lanes = 2});
   FakeClock clock;
   TelemetryOptions opts;
-  opts.clock = clock.fn();  // lanes = 0 -> par::threads() == 2
+  opts.lanes = runtime.lanes();
+  opts.clock = clock.fn();
   Telemetry telemetry(opts);
-  ASSERT_EQ(telemetry.lanes(), 2);
-  telemetry.install();
-  par::parallel_for(64, [](int /*lane*/, std::size_t /*i*/) {
+  telemetry.install(runtime);
+  runtime.arena().parallel_for(64, [](int /*lane*/, std::size_t /*i*/) {
     FHP_TRACE_SPAN("par.item");
   });
   telemetry.uninstall();
-  par::set_threads(previous_threads);
   // Static chunking: each of the two lanes ran 32 items.
   EXPECT_EQ(telemetry.ring(0).pushed(), 32u);
   EXPECT_EQ(telemetry.ring(1).pushed(), 32u);
@@ -252,11 +252,11 @@ TEST(TelemetryTest, StepMarksCarryTheFakeClock) {
 // ---------------------------------------------------- disabled-path guard
 
 TEST(TelemetryDisabledPath, RecordsNothingAndAllocatesNothing) {
-  // The acceptance contract: with no Telemetry installed, FHP_TRACE_SPAN
-  // is one atomic load + branch — no clock read, no allocation. The
+  // The acceptance contract: with no sink bound, FHP_TRACE_SPAN is one
+  // thread-local load + branch — no clock read, no allocation. The
   // operator-new override at the bottom of this file counts every
   // allocation in the process; the loop must add zero.
-  ASSERT_EQ(Telemetry::current(), nullptr);
+  ASSERT_EQ(trace::sink(), nullptr);
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 100000; ++i) {
     FHP_TRACE_SPAN("disabled.hot_path");
@@ -394,11 +394,12 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   // The tsan workload: a background sampler reading published counters
   // at 1 ms cadence while parallel lanes hammer their shards and record
   // spans. Any read of unsynchronized state here is a tsan report.
-  const int previous_threads = par::threads();
-  par::set_threads(2);
+  rt::Runtime runtime({.lanes = 2});
   perf::PerfContext perf;
-  Telemetry telemetry;  // lanes = par::threads()
-  telemetry.install();
+  TelemetryOptions topts;
+  topts.lanes = runtime.lanes();
+  Telemetry telemetry(topts);
+  telemetry.install(runtime);
   SamplerOptions opts =
       SamplerOptions::with_procfs_root(fixture_root("kernel-6.6"));
   opts.cadence = std::chrono::milliseconds(1);
@@ -406,7 +407,7 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   Sampler sampler(opts);
   sampler.start();
   for (int step = 0; step < 20; ++step) {
-    par::parallel_for(128, [&perf](int /*lane*/, std::size_t /*i*/) {
+    runtime.arena().parallel_for(128, [&perf](int, std::size_t) {
       FHP_TRACE_SPAN("load.item");
       perf.add(perf::Event::kCycles, 7);
     });
@@ -414,7 +415,6 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   }
   sampler.stop();
   telemetry.uninstall();
-  par::set_threads(previous_threads);
   EXPECT_EQ(telemetry.total_spans(), 20u * 128u);
   EXPECT_EQ(perf.published().counters[perf::Event::kCycles],
             20u * 128u * 7u);

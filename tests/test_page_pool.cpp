@@ -440,7 +440,7 @@ TEST(PagePoolAlloc, MovedFromAllocationIsEmpty) {
 TEST(PagePoolCarving, ArenaChunksComeFromTheExplicitPool) {
   PagePool pool;
   pool.init(synthetic_config(one_node_2m(64, 64)));
-  Arena arena(HugePolicy::kHugetlbfs, kPage2M, &pool);
+  Arena arena(pool, HugePolicy::kHugetlbfs, kPage2M);
   void* p = arena.allocate(1024);
   ASSERT_NE(p, nullptr);
   const ArenaStats stats = arena.stats();
@@ -461,7 +461,7 @@ TEST(PagePoolCarving, ArenaCountsRemoteChunks) {
   cfg.placement = PlacementPolicy::kRemoteHugeFirst;
   PagePool pool;
   pool.init(cfg);
-  Arena arena(HugePolicy::kHugetlbfs, kPage2M, &pool);
+  Arena arena(pool, HugePolicy::kHugetlbfs, kPage2M);
   (void)arena.allocate(1024);
   EXPECT_EQ(arena.stats().remote_chunks, 1u);
 }

@@ -2,11 +2,11 @@
 /// \brief The fhp::par worker pool and the bit-identical-across-thread-
 /// counts determinism contract.
 ///
-/// Two layers: unit tests of the pool itself (chunking, lane ids, env
-/// parsing, exception propagation, serial fallback), then the
+/// Two layers: unit tests of the ExecArena pool itself (chunking, lane
+/// ids, env parsing, exception propagation, serial fallback), then the
 /// determinism suite — software counter totals and the full physics
-/// state of the Sedov and supernova workloads must be bit-identical for
-/// FLASHHP_THREADS = 1, 2 and 4. The 4-thread hydro-sweep tests double
+/// state of the Sedov and supernova workloads must be bit-identical on
+/// runtimes with 1, 2 and 4 lanes. The 4-thread hydro-sweep tests double
 /// as the real workload behind the tsan CMake preset.
 
 #include <gtest/gtest.h>
@@ -36,35 +36,28 @@
 namespace fhp::par {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// pin lane counts with par::set_threads (the process arena tracks it);
-// tests/test_runtime.cpp covers explicit runtimes.
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
-/// Every test leaves the process back at the serial default.
-class ParTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_threads(1); }
-};
-
 // ---------------------------------------------------------------- pool
 
-TEST_F(ParTest, SerialDefaultAndClamping) {
-  set_threads(1);
-  EXPECT_EQ(threads(), 1);
-  set_threads(0);  // clamped up
-  EXPECT_EQ(threads(), 1);
-  set_threads(-3);
-  EXPECT_EQ(threads(), 1);
-  set_threads(kMaxLanes + 100);  // clamped down
-  EXPECT_EQ(threads(), kMaxLanes);
+TEST(ParTest, SerialDefaultAndClamping) {
+  ASSERT_EQ(::unsetenv(kThreadsEnvVar), 0);
+  EXPECT_EQ(ExecArena().lanes(), 1);  // 0 = FLASHHP_THREADS, unset = 1
+  EXPECT_EQ(ExecArena(-3).lanes(), 1);  // clamped up
+  EXPECT_EQ(ExecArena(kMaxLanes + 100).lanes(), kMaxLanes);  // clamped down
+  ExecArena arena(2);
+  arena.set_lanes(0);  // clamped up
+  EXPECT_EQ(arena.lanes(), 1);
 }
 
-TEST_F(ParTest, ThreadsFromEnvironmentParsesAndRejects) {
+TEST(ParTest, ThreadsFromEnvironmentParsesAndRejects) {
   ASSERT_EQ(::setenv(kThreadsEnvVar, "3", 1), 0);
   EXPECT_EQ(threads_from_environment(), 3);
   ASSERT_EQ(::setenv(kThreadsEnvVar, "99999", 1), 0);
   EXPECT_EQ(threads_from_environment(), kMaxLanes);  // clamped
+  // Beyond int and beyond long: clamped too, not wrapped to one lane.
+  ASSERT_EQ(::setenv(kThreadsEnvVar, "3000000000", 1), 0);
+  EXPECT_EQ(threads_from_environment(), kMaxLanes);
+  ASSERT_EQ(::setenv(kThreadsEnvVar, "99999999999999999999", 1), 0);
+  EXPECT_EQ(threads_from_environment(), kMaxLanes);
   ASSERT_EQ(::setenv(kThreadsEnvVar, "banana", 1), 0);
   EXPECT_THROW(static_cast<void>(threads_from_environment()), ConfigError);
   ASSERT_EQ(::setenv(kThreadsEnvVar, "0", 1), 0);
@@ -73,12 +66,12 @@ TEST_F(ParTest, ThreadsFromEnvironmentParsesAndRejects) {
   EXPECT_EQ(threads_from_environment(7), 7);  // fallback when unset
 }
 
-TEST_F(ParTest, EveryIndexRunsExactlyOnce) {
+TEST(ParTest, EveryIndexRunsExactlyOnce) {
   for (int lanes : {1, 2, 4, 5}) {
-    set_threads(lanes);
+    ExecArena arena(lanes);
     const std::size_t n = 103;  // deliberately not a multiple of lanes
     std::vector<std::atomic<int>> hits(n);
-    parallel_for(n, [&](int lane, std::size_t i) {
+    arena.parallel_for(n, [&](int lane, std::size_t i) {
       EXPECT_GE(lane, 0);
       EXPECT_LT(lane, lanes);
       hits[i].fetch_add(1, std::memory_order_relaxed);
@@ -89,13 +82,13 @@ TEST_F(ParTest, EveryIndexRunsExactlyOnce) {
   }
 }
 
-TEST_F(ParTest, StaticChunkingIsContiguousAndDeterministic) {
-  set_threads(4);
+TEST(ParTest, StaticChunkingIsContiguousAndDeterministic) {
+  ExecArena arena(4);
   const std::size_t n = 10;
   // lane i of L owns [i*n/L, (i+1)*n/L): 0-1, 2-4, 5-6, 7-9.
   std::vector<int> lane_of(n, -1);
   std::mutex mu;
-  parallel_for(n, [&](int lane, std::size_t i) {
+  arena.parallel_for(n, [&](int lane, std::size_t i) {
     std::lock_guard<std::mutex> lock(mu);
     lane_of[i] = lane;
   });
@@ -103,21 +96,21 @@ TEST_F(ParTest, StaticChunkingIsContiguousAndDeterministic) {
   EXPECT_EQ(lane_of, expected);
 }
 
-TEST_F(ParTest, SerialFallbackRunsOnCallingThread) {
-  set_threads(1);
+TEST(ParTest, SerialFallbackRunsOnCallingThread) {
+  ExecArena arena(1);
   const std::thread::id caller = std::this_thread::get_id();
-  parallel_for(16, [&](int lane, std::size_t) {
+  arena.parallel_for(16, [&](int lane, std::size_t) {
     EXPECT_EQ(lane, 0);
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
 }
 
-TEST_F(ParTest, WorkersReportDistinctLanesAndCallerIsLaneZero) {
-  set_threads(4);
+TEST(ParTest, WorkersReportDistinctLanesAndCallerIsLaneZero) {
+  ExecArena arena(4);
   std::mutex mu;
   std::set<std::thread::id> by_lane[4];
   const std::thread::id caller = std::this_thread::get_id();
-  parallel_for(64, [&](int lane, std::size_t) {
+  arena.parallel_for(64, [&](int lane, std::size_t) {
     std::lock_guard<std::mutex> lock(mu);
     // fhp-analyze: allow(alloc-in-region) -- test harness collecting
     // thread ids under a mutex; this is not a hot-path region
@@ -133,48 +126,49 @@ TEST_F(ParTest, WorkersReportDistinctLanesAndCallerIsLaneZero) {
   EXPECT_EQ(lane(), 0);  // outside a region the caller is lane 0
 }
 
-TEST_F(ParTest, FirstExceptionIsRethrownOnCaller) {
+TEST(ParTest, FirstExceptionIsRethrownOnCaller) {
   // With 4 lanes over 32 indices, i == 2 lies in lane 0's chunk (the
   // caller) and i == 17 in lane 2's (a worker); the caller-side throw
   // must still wait out the completion handshake before rethrowing.
   for (int lanes : {1, 4}) {
     for (std::size_t bad : {std::size_t{2}, std::size_t{17}}) {
-      set_threads(lanes);
-      EXPECT_THROW(
-          parallel_for(32,
-                       [&](int, std::size_t i) {
-                         if (i == bad) throw NumericsError("lane blew up");
-                       }),
-          NumericsError)
+      ExecArena arena(lanes);
+      EXPECT_THROW(arena.parallel_for(32,
+                                      [&](int, std::size_t i) {
+                                        if (i == bad) {
+                                          throw NumericsError("lane blew up");
+                                        }
+                                      }),
+                   NumericsError)
           << "lanes=" << lanes << " bad=" << bad;
       // The pool survives a throwing region and runs the next one.
       std::atomic<int> count{0};
-      parallel_for(8, [&](int, std::size_t) { count.fetch_add(1); });
+      arena.parallel_for(8, [&](int, std::size_t) { count.fetch_add(1); });
       EXPECT_EQ(count.load(), 8);
     }
   }
 }
 
-TEST_F(ParTest, NestedRegionsAreRejectedNotCorrupted) {
-  set_threads(2);
-  EXPECT_THROW(parallel_for(8,
-                            [&](int, std::size_t) {
-                              parallel_for(
-                                  4, [](int, std::size_t) {});
-                            }),
+TEST(ParTest, NestedRegionsAreRejectedNotCorrupted) {
+  ExecArena arena(2);
+  EXPECT_THROW(arena.parallel_for(8,
+                                  [&](int, std::size_t) {
+                                    arena.parallel_for(
+                                        4, [](int, std::size_t) {});
+                                  }),
                ConfigError);
   // The guard released and the pool handshake stayed intact.
   std::atomic<int> count{0};
-  parallel_for(8, [&](int, std::size_t) { count.fetch_add(1); });
+  arena.parallel_for(8, [&](int, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
 }
 
-TEST_F(ParTest, ParallelForBlocksVisitsTheBlockList) {
-  set_threads(3);
+TEST(ParTest, ParallelForBlocksVisitsTheBlockList) {
+  ExecArena arena(3);
   const std::vector<int> blocks = {5, 9, 2, 41, 7};
   std::mutex mu;
   std::vector<int> seen;
-  parallel_for_blocks(blocks, [&](int, int b) {
+  arena.parallel_for_blocks(blocks, [&](int, int b) {
     std::lock_guard<std::mutex> lock(mu);
     // fhp-analyze: allow(alloc-in-region) -- test harness recording the
     // visited block list under a mutex; not a hot-path region
@@ -184,12 +178,12 @@ TEST_F(ParTest, ParallelForBlocksVisitsTheBlockList) {
   EXPECT_EQ(seen, (std::vector<int>{2, 5, 7, 9, 41}));
 }
 
-TEST_F(ParTest, RuntimeParamRoundTrip) {
+TEST(ParTest, RuntimeParamRoundTrip) {
   RuntimeParams rp;
-  declare_runtime_params(rp);
+  rt::declare_runtime_params(rp);
   rp.set_int("par.threads", 2);
-  apply_runtime_params(rp);
-  EXPECT_EQ(threads(), 2);
+  const rt::Runtime runtime(rt::apply_runtime_params(rp));
+  EXPECT_EQ(runtime.lanes(), 2);
 }
 
 // ---------------------------------------------------------- determinism
@@ -217,7 +211,7 @@ struct SedovRun {
 /// The 3-d Hydro workload in miniature, at a given lane count, with the
 /// machine model fed so counter totals are part of the contract.
 SedovRun run_sedov(int nthreads) {
-  set_threads(nthreads);
+  rt::Runtime runtime({.lanes = nthreads});
   perf::PerfContext perf;
   tlb::Machine machine({}, &perf);
   sim::SedovParams params;
@@ -225,7 +219,7 @@ SedovRun run_sedov(int nthreads) {
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
   perf::Timers timers;
   sim::DriverOptions opts;
@@ -233,6 +227,7 @@ SedovRun run_sedov(int nthreads) {
   opts.trace_sample = 2;
   opts.verbose = false;
   sim::DriverUnits units;
+  units.runtime = &runtime;
   units.machine = &machine;
   units.perf = &perf;
   units.eos_trace = [&setup](tlb::Tracer& t, int b) {
@@ -249,7 +244,7 @@ SedovRun run_sedov(int nthreads) {
   return r;
 }
 
-TEST_F(ParTest, SedovIsBitIdenticalAcrossThreadCounts) {
+TEST(ParTest, SedovIsBitIdenticalAcrossThreadCounts) {
   const SedovRun serial = run_sedov(1);
   for (int nthreads : {2, 4}) {
     const SedovRun threaded = run_sedov(nthreads);
@@ -269,13 +264,13 @@ TEST_F(ParTest, SedovIsBitIdenticalAcrossThreadCounts) {
 /// partials summed serially in leaf order — so it too must match to the
 /// last bit.
 std::pair<std::uint64_t, std::uint64_t> run_supernova(int nthreads) {
-  set_threads(nthreads);
+  rt::Runtime runtime({.lanes = nthreads});
   sim::SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
   p.table_cache = "helm_table_test.bin";
-  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, proc());
+  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
@@ -289,6 +284,7 @@ std::pair<std::uint64_t, std::uint64_t> run_supernova(int nthreads) {
   opts.refine_vars = {mesh::var::kDens,
                       mesh::var::kFirstScalar + sim::snvar::kPhi};
   sim::DriverUnits units;
+  units.runtime = &runtime;
   units.flame = &setup.flame();
   units.gravity = &setup.gravity();
   sim::Driver driver(m, hydro, timers, opts, units);
@@ -297,7 +293,7 @@ std::pair<std::uint64_t, std::uint64_t> run_supernova(int nthreads) {
           std::bit_cast<std::uint64_t>(setup.flame().energy_released())};
 }
 
-TEST_F(ParTest, SupernovaIsBitIdenticalAcrossThreadCounts) {
+TEST(ParTest, SupernovaIsBitIdenticalAcrossThreadCounts) {
   const auto serial = run_supernova(1);
   for (int nthreads : {2, 4}) {
     const auto threaded = run_supernova(nthreads);
@@ -310,7 +306,7 @@ TEST_F(ParTest, SupernovaIsBitIdenticalAcrossThreadCounts) {
 /// The tsan workload: a real 4-thread hydro sweep over a refined mesh,
 /// exercising pool handshakes, per-lane pencil buffers and EOS rows,
 /// guard-cell fill, and sharded counters under the race detector.
-TEST_F(ParTest, FourThreadHydroSweepIsClean) {
+TEST(ParTest, FourThreadHydroSweepIsClean) {
   const SedovRun run = run_sedov(4);
   EXPECT_NE(run.state, 0u);
   EXPECT_GT(run.sim_time, 0.0);

@@ -112,12 +112,11 @@ TEST_F(PerfTest, ShardSumsAreExactAcrossLaneCounts) {
   // Same increments pushed through 1 or 4 lanes must yield the same
   // totals: uint64 shard sums are exact and order-independent.
   auto run = [](int lanes) {
-    par::set_threads(lanes);
+    par::ExecArena arena(lanes);
     PerfContext ctx;
-    par::parallel_for(64, [&](int /*lane*/, std::size_t i) {
+    arena.parallel_for(64, [&](int /*lane*/, std::size_t i) {
       ctx.add(Event::kCycles, i + 1);
     });
-    par::set_threads(1);
     return ctx.snapshot()[Event::kCycles];
   };
   EXPECT_EQ(run(1), run(4));

@@ -2,16 +2,15 @@
 /// \brief Tests for fhp::rt::Runtime — the explicit per-tenant context.
 ///
 /// Four layers:
-///   1. context plumbing — process_default() identity and dynamic
-///      re-resolution, construction-time config snapshots, private vs
-///      injected page pools;
+///   1. context plumbing — construction-time config snapshots, private
+///      vs injected page pools, runtime parameters feeding the options;
 ///   2. execution arenas — per-arena region guards (two arenas mid-region
 ///      at once), lane-count reconfiguration between regions, and the
 ///      pool_for() regression: set_lanes() while a region is in flight on
 ///      another thread must leave that region's leased pool alone;
 ///   3. per-runtime observability — two Telemetry sinks installed on two
-///      runtimes trace separate timelines with the ambient slot left
-///      free, and the runtime log tag prefixes driver and lane lines;
+///      runtimes trace separate timelines, and the runtime log tag
+///      prefixes driver and lane lines;
 ///   4. the PR invariant — a Sedov tenant and a supernova tenant (each on
 ///      its own Runtime, with different unk layouts) interleaved
 ///      step-by-step on one thread AND run concurrently on two threads,
@@ -24,6 +23,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -35,6 +35,7 @@
 #include "eos/eos_table.hpp"
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
 #include "mesh/layout.hpp"
@@ -48,6 +49,7 @@
 #include "sim/supernova.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
+#include "support/runtime_params.hpp"
 #include "support/trace.hpp"
 #include "tlb/machine.hpp"
 
@@ -58,32 +60,45 @@ using mesh::LayoutKind;
 
 // ----------------------------------------------------- context plumbing
 
-TEST(RuntimeContext, ProcessDefaultWrapsTheProcessSingletons) {
-  rt::Runtime& a = rt::Runtime::process_default();
-  rt::Runtime& b = rt::Runtime::process_default();
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(&a.arena(), &par::process_arena());
+/// Sets an environment variable for one scope, restoring the previous
+/// value (or absence) on exit — the layout-matrix CI job runs this suite
+/// with FLASHHP_LAYOUT already set.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- single-threaded test setup
+    if (const char* old = std::getenv(name)) saved_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved_) {
+      ::setenv(name_, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
 
-  // The compatibility tenant re-resolves dynamically: its lane count
-  // tracks set_threads, it does not snapshot.
-  const int previous = par::threads();
-  par::set_threads(3);
-  EXPECT_EQ(a.lanes(), 3);
-  par::set_threads(previous);
-}
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
 
 TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
-  const LayoutKind resolved = rt::Runtime::process_default().layout();
-
-  mesh::set_default_layout(LayoutKind::kZoneMajor);
-  rt::RuntimeOptions opts;
-  opts.lanes = 2;
-  rt::Runtime snapshot(opts);  // nullopt layout: snapshot the resolution now
-
-  mesh::set_default_layout(LayoutKind::kTiled);
-  EXPECT_EQ(snapshot.layout(), LayoutKind::kZoneMajor);
-  EXPECT_EQ(rt::Runtime::process_default().layout(), LayoutKind::kTiled);
-  EXPECT_EQ(snapshot.lanes(), 2);
+  std::optional<rt::Runtime> snapshot;
+  {
+    const ScopedEnv env(mesh::kLayoutEnvVar, "zone_major");
+    rt::RuntimeOptions opts;
+    opts.lanes = 2;
+    snapshot.emplace(opts);  // nullopt layout: resolve the environment now
+  }
+  {
+    const ScopedEnv env(mesh::kLayoutEnvVar, "tiled");
+    EXPECT_EQ(snapshot->layout(), LayoutKind::kZoneMajor);
+    EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kTiled);
+  }
+  EXPECT_EQ(snapshot->lanes(), 2);
 
   rt::RuntimeOptions explicit_opts;
   explicit_opts.lanes = 1;
@@ -94,22 +109,44 @@ TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
   EXPECT_EQ(pinned.layout(), LayoutKind::kVarMajor);
   EXPECT_EQ(pinned.huge_policy(), mem::HugePolicy::kNone);
   EXPECT_EQ(pinned.log_tag(), "tenant");
-
-  mesh::set_default_layout(resolved);  // restore for later tests
 }
 
 TEST(RuntimeContext, PoolIsPrivateByDefaultAndSharableByInjection) {
-  rt::Runtime private_tenant;
-  EXPECT_NE(&private_tenant.page_pool(),
-            &rt::Runtime::process_default().page_pool());
-  EXPECT_NE(&private_tenant.perf(), &rt::Runtime::process_default().perf());
-  EXPECT_NE(&private_tenant.arena(), &par::process_arena());
+  rt::Runtime tenant_a;
+  rt::Runtime tenant_b;
+  EXPECT_NE(&tenant_a.page_pool(), &tenant_b.page_pool());
+  EXPECT_NE(&tenant_a.perf(), &tenant_b.perf());
+  EXPECT_NE(&tenant_a.arena(), &tenant_b.arena());
 
+  mem::PagePool shared;
   rt::RuntimeOptions opts;
-  opts.pool = &rt::Runtime::process_default().page_pool();
-  rt::Runtime shared_tenant(opts);
-  EXPECT_EQ(&shared_tenant.page_pool(),
-            &rt::Runtime::process_default().page_pool());
+  opts.pool = &shared;
+  rt::Runtime shared_a(opts);
+  rt::Runtime shared_b(opts);
+  EXPECT_EQ(&shared_a.page_pool(), &shared);
+  EXPECT_EQ(&shared_b.page_pool(), &shared);
+}
+
+TEST(RuntimeContext, RuntimeParamsFeedTheOptions) {
+  RuntimeParams rp;
+  rt::declare_runtime_params(rp);
+  rp.set_int("par.threads", 3);
+  rp.set_from_string(mesh::kLayoutParamName, "tiled");
+  rp.set_from_string(mem::kPolicyParamName, "thp");
+  const rt::Runtime runtime(rt::apply_runtime_params(rp));
+  EXPECT_EQ(runtime.lanes(), 3);
+  EXPECT_EQ(runtime.layout(), LayoutKind::kTiled);
+  EXPECT_EQ(runtime.huge_policy(), mem::HugePolicy::kThp);
+
+  // Empty layout/policy defer to the environment, like a default runtime.
+  rp.set_from_string(mesh::kLayoutParamName, "");
+  rp.set_from_string(mem::kPolicyParamName, "");
+  const rt::RuntimeOptions deferred = rt::apply_runtime_params(rp);
+  EXPECT_FALSE(deferred.layout.has_value());
+  EXPECT_FALSE(deferred.policy.has_value());
+
+  rp.set_from_string(mesh::kLayoutParamName, "junk");
+  EXPECT_THROW(static_cast<void>(rt::apply_runtime_params(rp)), ConfigError);
 }
 
 // ----------------------------------------------------- execution arenas
@@ -213,8 +250,6 @@ TEST(RuntimeTelemetry, PerRuntimeSinksKeepSeparateTimelines) {
   tel_a.install(tenant_a);
   tel_b.install(tenant_b);
 
-  // Per-runtime installs leave the ambient process-wide slot free.
-  EXPECT_EQ(obs::Telemetry::current(), nullptr);
   EXPECT_EQ(tenant_a.trace_sink(), &tel_a);
 
   tenant_a.arena().parallel_for(
@@ -475,9 +510,10 @@ void warm_process() {
   // Build (or load) the Helm table cache once, so every tenant below
   // loads the identical table file instead of each paying the build.
   const SupernovaParams params = snova_params();
-  (void)eos::HelmTable::build_or_load(
-      params.table_spec, mem::HugePolicy::kNone,
-      rt::Runtime::process_default().page_pool(), params.table_cache);
+  mem::PagePool pool;
+  (void)eos::HelmTable::build_or_load(params.table_spec,
+                                      mem::HugePolicy::kNone, pool,
+                                      params.table_cache);
 }
 
 TEST(RuntimePhysics, InterleavedTenantsBitIdenticalToSolo) {

@@ -36,7 +36,6 @@
 #include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
 #include "perf/events.hpp"
-#include "rt/runtime.hpp"
 #include "support/error.hpp"
 #include "svc/service.hpp"
 
@@ -108,10 +107,10 @@ JobSpec supernova_spec(int nsteps = 3) {
 /// build (mirrors test_runtime's warm_process).
 void warm_process() {
   const JobSpec spec = supernova_spec();
-  (void)eos::HelmTable::build_or_load(
-      spec.supernova.table_spec, mem::HugePolicy::kNone,
-      rt::Runtime::process_default().page_pool(),
-      spec.supernova.table_cache);
+  mem::PagePool pool;
+  (void)eos::HelmTable::build_or_load(spec.supernova.table_spec,
+                                      mem::HugePolicy::kNone, pool,
+                                      spec.supernova.table_cache);
 }
 
 void expect_counters_identical(const perf::PublishedCounters& a,

@@ -22,11 +22,6 @@
 namespace fhp::sim {
 namespace {
 
-// Process-default execution context for construction sites: these tests
-// exercise the evolution driver, not multi-tenancy (tests/test_runtime.cpp covers explicit
-// runtimes).
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
-
 using mesh::var::kDens;
 using mesh::var::kEner;
 using mesh::var::kPres;
@@ -34,12 +29,13 @@ using mesh::var::kPres;
 // ------------------------------------------------------------------ Sedov
 
 TEST(SedovSetupTest, InitialStateIsAmbientPlusSpike) {
+  rt::Runtime runtime;
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 64;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
 
   double p_min = 1e300, p_max = 0.0;
@@ -54,12 +50,13 @@ TEST(SedovSetupTest, InitialStateIsAmbientPlusSpike) {
 }
 
 TEST(SedovSetupTest, MeshRefinedAroundTheSpike) {
+  rt::Runtime runtime;
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   EXPECT_EQ(setup.mesh().tree().finest_level(), 3);
   EXPECT_TRUE(setup.mesh().tree().is_balanced());
 }
@@ -74,12 +71,13 @@ TEST(SedovSetupTest, ShockRadiusFormula) {
 }
 
 TEST(SedovEvolution, TwoDConservesAndExpands) {
+  rt::Runtime runtime;
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -87,7 +85,7 @@ TEST(SedovEvolution, TwoDConservesAndExpands) {
   opts.nsteps = 30;
   opts.trace_sample = 0;
   opts.verbose = false;
-  Driver driver(m, hydro, timers, opts);
+  Driver driver(m, hydro, timers, opts, {.runtime = &runtime});
 
   const double mass0 = m.integrate(kDens);
   const double ener0 = m.integrate_product(kDens, kEner);
@@ -103,17 +101,19 @@ TEST(SedovEvolution, TwoDConservesAndExpands) {
 }
 
 TEST(SedovEvolution, ThreeDShockTracksSimilaritySolution) {
+  rt::Runtime runtime;
   SedovParams params;  // 3-d defaults
   params.max_level = 2;
   params.maxblocks = 100;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
+  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
   perf::Timers timers;
   DriverOptions opts;
   opts.nsteps = 60;
   opts.trace_sample = 0;
   opts.verbose = false;
-  Driver driver(setup.mesh(), hydro, timers, opts);
+  Driver driver(setup.mesh(), hydro, timers, opts,
+                {.runtime = &runtime});
   driver.evolve();
 
   RadialProfile profile(setup.mesh(), {0.5, 0.5, 0.5}, 100, {kDens});
@@ -126,14 +126,15 @@ TEST(SedovEvolution, ThreeDShockTracksSimilaritySolution) {
 // --------------------------------------------------------------- profiles
 
 TEST(RadialProfileTest, BinsAndAveragesKnownField) {
+  rt::Runtime runtime;
   mesh::MeshConfig cfg;
   cfg.ndim = 2;
   cfg.nxb = 32;
   cfg.nyb = 32;
   cfg.nroot = {2, 2, 1};
   cfg.maxblocks = 16;
-  mesh::AmrMesh m(cfg, mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  mesh::AmrMesh m(cfg, mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   // f(r) = r around the domain center.
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     const double x = m.xcenter(b, i) - 0.5;
@@ -149,14 +150,15 @@ TEST(RadialProfileTest, BinsAndAveragesKnownField) {
 }
 
 TEST(RadialProfileTest, SteepestGradientFindsAStep) {
+  rt::Runtime runtime;
   mesh::MeshConfig cfg;
   cfg.ndim = 2;
   cfg.nxb = 32;
   cfg.nyb = 32;
   cfg.nroot = {2, 2, 1};
   cfg.maxblocks = 16;
-  mesh::AmrMesh m(cfg, mem::HugePolicy::kNone, proc().layout(),
-                  proc().page_pool());
+  mesh::AmrMesh m(cfg, mem::HugePolicy::kNone, runtime.layout(),
+                  runtime.page_pool(), runtime.arena());
   m.for_leaf_cells([&](int b, int i, int j, int k) {
     const double x = m.xcenter(b, i) - 0.5;
     const double y = m.ycenter(b, j) - 0.5;
@@ -179,7 +181,8 @@ SupernovaParams small_supernova() {
 }
 
 TEST(SupernovaSetupTest, BuildsAHydrostaticStarWithIgnition) {
-  SupernovaSetup setup(small_supernova(), mem::HugePolicy::kNone, proc());
+  rt::Runtime runtime;
+  SupernovaSetup setup(small_supernova(), mem::HugePolicy::kNone, runtime);
   EXPECT_GT(setup.wd().mass() / 1.98847e33, 1.2);
   mesh::AmrMesh& m = setup.mesh();
   // Central density on the mesh close to the model's rho_c.
@@ -208,7 +211,8 @@ TEST(SupernovaSetupTest, CompositionFunctionMapsMixtures) {
 }
 
 TEST(SupernovaEvolution, FiftyStepFlameReleasesEnergy) {
-  SupernovaSetup setup(small_supernova(), mem::HugePolicy::kNone, proc());
+  rt::Runtime runtime;
+  SupernovaSetup setup(small_supernova(), mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
@@ -221,6 +225,7 @@ TEST(SupernovaEvolution, FiftyStepFlameReleasesEnergy) {
   opts.verbose = false;
   opts.refine_vars = {kDens, mesh::var::kFirstScalar + snvar::kPhi};
   DriverUnits units;
+  units.runtime = &runtime;
   units.flame = &setup.flame();
   units.gravity = &setup.gravity();
   Driver driver(m, hydro, timers, opts, units);
@@ -242,10 +247,11 @@ TEST(SupernovaEvolution, FiftyStepFlameReleasesEnergy) {
 // ------------------------------------------------- cellular detonation
 
 TEST(CellularSetupTest, PerturbedFrontSeparatesAshFromFuel) {
+  rt::Runtime runtime;
   CellularParams params;
   params.max_level = 2;
   params.maxblocks = 128;
-  CellularSetup setup(params, mem::HugePolicy::kNone, proc());
+  CellularSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
 
   // The front is a deterministic perturbed plane inside the domain.
@@ -273,19 +279,21 @@ TEST(CellularSetupTest, PerturbedFrontSeparatesAshFromFuel) {
 }
 
 TEST(CellularSetupTest, MeshRefinedAlongTheFront) {
+  rt::Runtime runtime;
   CellularParams params;
   params.max_level = 3;
   params.maxblocks = 256;
-  CellularSetup setup(params, mem::HugePolicy::kNone, proc());
+  CellularSetup setup(params, mem::HugePolicy::kNone, runtime);
   EXPECT_EQ(setup.mesh().tree().finest_level(), 3);
   EXPECT_TRUE(setup.mesh().tree().is_balanced());
 }
 
 TEST(CellularEvolution, FlameAdvancesConservingMass) {
+  rt::Runtime runtime;
   CellularParams params;
   params.max_level = 2;
   params.maxblocks = 128;
-  CellularSetup setup(params, mem::HugePolicy::kNone, proc());
+  CellularSetup setup(params, mem::HugePolicy::kNone, runtime);
   mesh::AmrMesh& m = setup.mesh();
   hydro::HydroSolver hydro(m, setup.eos());
   perf::Timers timers;
@@ -295,6 +303,7 @@ TEST(CellularEvolution, FlameAdvancesConservingMass) {
   opts.verbose = false;
   opts.refine_vars = {kDens, mesh::var::kFirstScalar + cvar::kPhi};
   DriverUnits units;
+  units.runtime = &runtime;
   units.flame = &setup.flame();
   Driver driver(m, hydro, timers, opts, units);
 
@@ -315,7 +324,8 @@ TEST(CellularEvolution, FlameAdvancesConservingMass) {
 /// The paper's headline shape, in miniature: with huge pages the EOS
 /// region's DTLB miss rate collapses while its runtime barely moves.
 TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
-  auto run_arm = [](mem::HugePolicy policy) {
+  rt::Runtime runtime;
+  auto run_arm = [&runtime](mem::HugePolicy policy) {
     perf::PerfContext perf;
     SupernovaParams p;
     p.max_level = 3;
@@ -324,7 +334,7 @@ TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
     // pattern to be faithful; the T range is trimmed for build speed.
     p.table_spec = {-4.0, 10.0, 541, 5.0, 10.0, 41};
     p.table_cache = "helm_table_shape.bin";
-    SupernovaSetup setup(p, policy, proc());
+    SupernovaSetup setup(p, policy, runtime);
     mesh::AmrMesh& m = setup.mesh();
     hydro::HydroOptions hopt;
     hopt.cfl = 0.6;
@@ -337,6 +347,7 @@ TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
     opts.trace_sample = 2;
     opts.verbose = false;
     DriverUnits units;
+    units.runtime = &runtime;
     units.flame = &setup.flame();
     units.gravity = &setup.gravity();
     units.machine = &machine;

@@ -9,16 +9,19 @@
 ///      executes ready tasks in reverse or seeded-random order, so any
 ///      missing edge shows up as an ordering violation without needing a
 ///      lucky thread interleaving;
-///   3. the PR invariant — Sedov and supernova end states *and* published
-///      counters bit-identical between bulk-sync and task-graph execution
-///      at 1/2/4 lanes across all three unk layouts, plus a tsan workload
-///      with the sampler running over task-graph steps.
+///   3. executor equivalence — the Driver's task-graph step must leave
+///      Sedov and supernova end states *and* every published counter bit
+///      for bit where the bulk-synchronous per-unit sequence it stands in
+///      for leaves them, at 1/2/4 lanes across all three unk layouts, plus a
+///      tsan workload with the sampler running over Driver steps.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "eos/eos_table.hpp"
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
 #include "mesh/layout.hpp"
@@ -33,7 +37,9 @@
 #include "obs/telemetry.hpp"
 #include "par/parallel.hpp"
 #include "par/task_graph.hpp"
+#include "perf/events.hpp"
 #include "perf/perf_context.hpp"
+#include "perf/region.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/driver.hpp"
@@ -48,7 +54,8 @@ namespace {
 // ------------------------------------------------- construction contracts
 
 TEST(TaskGraphBuild, CycleRejectedWithTaskNames) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("alpha", [](int) {});
   const auto b = g.add_task("beta", [](int) {});
   const auto c = g.add_task("gamma", [](int) {});
@@ -67,13 +74,15 @@ TEST(TaskGraphBuild, CycleRejectedWithTaskNames) {
 }
 
 TEST(TaskGraphBuild, SelfEdgeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("self", [](int) {});
   EXPECT_THROW(g.add_edge(a, a), ConfigError);
 }
 
 TEST(TaskGraphBuild, DuplicateEdgeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("a", [](int) {});
   const auto b = g.add_task("b", [](int) {});
   g.add_edge(a, b);
@@ -81,7 +90,8 @@ TEST(TaskGraphBuild, DuplicateEdgeRejected) {
 }
 
 TEST(TaskGraphBuild, MutationAfterFreezeRejected) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   const auto a = g.add_task("a", [](int) {});
   const auto b = g.add_task("b", [](int) {});
   g.add_edge(a, b);
@@ -95,14 +105,16 @@ TEST(TaskGraphBuild, MutationAfterFreezeRejected) {
 }
 
 TEST(TaskGraphBuild, RunRequiresFreeze) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   g.add_task("a", [](int) {});
   EXPECT_THROW(g.run(), ConfigError);
   EXPECT_THROW(g.run_serial(TaskGraph::Schedule::kFifo), ConfigError);
 }
 
 TEST(TaskGraphBuild, EmptyGraphRunsAsNoOp) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   g.freeze();
   g.run();
   EXPECT_EQ(g.last_stats().executed, 0u);
@@ -111,10 +123,9 @@ TEST(TaskGraphBuild, EmptyGraphRunsAsNoOp) {
 // --------------------------------------------------- parallel execution
 
 TEST(TaskGraphRun, EveryTaskExecutesExactlyOnce) {
-  const int previous = threads();
-  set_threads(4);
   constexpr int kTasks = 96;
-  TaskGraph g;
+  ExecArena arena(4);
+  TaskGraph g(arena);
   std::vector<std::atomic<int>> hits(kTasks);
   for (int i = 0; i < kTasks; ++i) {
     g.add_task("work", [&hits, i](int) {
@@ -130,13 +141,11 @@ TEST(TaskGraphRun, EveryTaskExecutesExactlyOnce) {
   // Graphs are reusable: a second run re-executes everything.
   g.run();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 2);
-  set_threads(previous);
 }
 
 TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
-  const int previous = threads();
-  set_threads(2);
-  TaskGraph g;
+  ExecArena arena(2);
+  TaskGraph g(arena);
   std::atomic<int> ran{0};
   const auto boom = g.add_task("boom", [](int) {
     throw NumericsError("deliberate task failure");
@@ -152,7 +161,6 @@ TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
   // the graph is reusable afterwards: a run with no throwing body works.
   ran.store(0);
   EXPECT_THROW(g.run(), NumericsError);
-  set_threads(previous);
 }
 
 // ------------------------------------------- adversarial ready orders
@@ -163,7 +171,8 @@ TEST(TaskGraphRun, ExceptionAbortsRunAndRethrows) {
 ///    │      ╲          ▲
 ///    └─► 2 ──► 4 ──────┘     (plus 6, 7 independent)
 struct OrderedGraph {
-  TaskGraph g;
+  ExecArena arena{1};
+  TaskGraph g{arena};
   std::vector<int> order;  // completion sequence of task ids
   std::vector<std::pair<int, int>> edges;
 
@@ -209,7 +218,8 @@ TEST(TaskGraphAdversarial, RandomSchedulesRespectDependencies) {
 }
 
 TEST(TaskGraphAdversarial, FifoScheduleIsSubmissionOrderForFreeTasks) {
-  TaskGraph g;
+  ExecArena arena(1);
+  TaskGraph g(arena);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
     // fhp-analyze: allow(alloc-in-region) -- test harness recording the
@@ -225,16 +235,11 @@ TEST(TaskGraphAdversarial, FifoScheduleIsSubmissionOrderForFreeTasks) {
 }  // namespace fhp::par
 
 // ===================================================================
-// Driver-level invariant: bulk-sync vs task-graph bit-identity.
+// Executor equivalence: the Driver's task graph vs the bulk sequence.
 // ===================================================================
 
 namespace fhp::sim {
 namespace {
-
-// Process-default execution context for construction sites: these tests
-// pin lane counts with par::set_threads (the process arena tracks it);
-// tests/test_runtime.cpp covers explicit runtimes.
-rt::Runtime& proc() { return rt::Runtime::process_default(); }
 
 using mesh::LayoutKind;
 
@@ -243,182 +248,249 @@ constexpr LayoutKind kAllLayouts[] = {LayoutKind::kVarMajor,
                                       LayoutKind::kTiled};
 
 /// Canonical end state: every leaf interior zone vector in Morton order,
-/// the final time, and the full published software-counter set (wall
-/// nanos excluded — modeled counters must be exact, wall time is not).
+/// the final time (plus, with a flame, its serial leaf-order energy
+/// reduction), and the full counter set — both the live snapshot and the
+/// last published one.
 struct RunResult {
   std::vector<double> state;
   perf::CounterSet counters;
+  perf::CounterSet published;
 };
 
-void append_canonical_state(const mesh::AmrMesh& m, double time,
-                            std::vector<double>& out) {
-  const mesh::MeshConfig& c = m.config();
-  std::vector<double> zone(static_cast<std::size_t>(c.nvar()));
-  for (int b : m.tree().leaves_morton()) {
-    for (int k = c.klo(); k < c.khi(); ++k) {
-      for (int j = c.jlo(); j < c.jhi(); ++j) {
-        for (int i = c.ilo(); i < c.ihi(); ++i) {
-          m.unk().gather_zone(0, c.nvar(), i, j, k, b, zone.data());
-          out.insert(out.end(), zone.begin(), zone.end());
+/// One problem on its own runtime, wired the way a Driver expects.
+/// Declaration order is the destruction contract: the runtime outlives
+/// the setup, which outlives the solver built on its mesh.
+struct Problem {
+  rt::Runtime runtime;
+  perf::PerfContext perf;
+  tlb::Machine machine{{}, &perf};
+  std::unique_ptr<SedovSetup> sedov;
+  std::unique_ptr<SupernovaSetup> supernova;
+  std::unique_ptr<hydro::HydroSolver> hydro;
+  perf::Timers timers;
+  DriverOptions opts;
+  DriverUnits units;
+
+  explicit Problem(int lanes) : runtime({.lanes = lanes}) {
+    opts.trace_sample = 2;  // exercise the modeled counters too
+    opts.verbose = false;
+    units.machine = &machine;
+    units.perf = &perf;
+    units.runtime = &runtime;
+  }
+
+  [[nodiscard]] mesh::AmrMesh& mesh() const {
+    return sedov ? sedov->mesh() : supernova->mesh();
+  }
+
+  [[nodiscard]] RunResult result(double time) {
+    RunResult r;
+    const mesh::AmrMesh& m = mesh();
+    const mesh::MeshConfig& c = m.config();
+    std::vector<double> zone(static_cast<std::size_t>(c.nvar()));
+    for (int b : m.tree().leaves_morton()) {
+      for (int k = c.klo(); k < c.khi(); ++k) {
+        for (int j = c.jlo(); j < c.jhi(); ++j) {
+          for (int i = c.ilo(); i < c.ihi(); ++i) {
+            m.unk().gather_zone(0, c.nvar(), i, j, k, b, zone.data());
+            r.state.insert(r.state.end(), zone.begin(), zone.end());
+          }
         }
       }
     }
+    r.state.push_back(time);
+    if (units.flame != nullptr) {
+      r.state.push_back(units.flame->energy_released());
+    }
+    r.counters = perf.snapshot();
+    r.published = perf.published().counters;
+    return r;
   }
-  out.push_back(time);
-}
+};
 
-void expect_identical(const RunResult& a, const RunResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.state.size(), b.state.size()) << what;
-  ASSERT_EQ(std::memcmp(a.state.data(), b.state.data(),
-                        a.state.size() * sizeof(double)),
-            0)
-      << what << ": physics state differs";
-  for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
-    if (e == static_cast<std::size_t>(perf::Event::kWallNanos)) continue;
-    EXPECT_EQ(a.counters.values[e], b.counters.values[e])
-        << what << ": counter " << e << " differs";
-  }
-}
-
-RunResult run_sedov(LayoutKind layout, int threads, ExecMode mode) {
-  par::set_threads(threads);
-  perf::PerfContext perf;
+std::unique_ptr<Problem> sedov_problem(LayoutKind layout, int lanes) {
+  auto p = std::make_unique<Problem>(lanes);
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc(), layout);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroSolver hydro(m, setup.eos());
-  perf::Timers timers;
-  tlb::Machine machine({}, &perf);
-  DriverOptions opts;
-  opts.nsteps = 12;
-  opts.trace_sample = 2;  // exercise the modeled counters too
-  opts.verbose = false;
-  opts.exec_mode = mode;
-  DriverUnits units;
-  units.machine = &machine;
-  units.perf = &perf;
-  Driver driver(m, hydro, timers, opts, units);
+  p->sedov = std::make_unique<SedovSetup>(params, mem::HugePolicy::kNone,
+                                          p->runtime, layout);
+  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), p->sedov->eos());
+  p->opts.nsteps = 12;
+  p->opts.refine_vars = {mesh::var::kDens, mesh::var::kPres};
+  return p;
+}
+
+constexpr const char* kSupernovaTable = "helm_table_taskgraph.bin";
+constexpr eos::HelmTableSpec kSupernovaTableSpec{-4.0, 10.0, 141,
+                                                 5.0, 10.0, 51};
+
+std::unique_ptr<Problem> supernova_problem(LayoutKind layout, int lanes) {
+  auto p = std::make_unique<Problem>(lanes);
+  SupernovaParams params;
+  params.max_level = 3;
+  params.maxblocks = 400;
+  params.table_spec = kSupernovaTableSpec;
+  params.table_cache = kSupernovaTable;
+  p->supernova = std::make_unique<SupernovaSetup>(
+      params, mem::HugePolicy::kNone, p->runtime, layout);
+  SupernovaSetup& setup = *p->supernova;
+  hydro::HydroOptions hopt;
+  hopt.cfl = 0.6;
+  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), setup.eos(),
+                                                  hopt);
+  p->hydro->set_composition_fn(setup.composition_fn());
+  p->opts.nsteps = 4;
+  p->opts.refine_vars = {mesh::var::kDens,
+                         mesh::var::kFirstScalar + snvar::kPhi};
+  p->units.flame = &setup.flame();
+  p->units.gravity = &setup.gravity();
+  p->units.eos_trace = [&setup](tlb::Tracer& t, int b) {
+    setup.trace_eos_block(t, b);
+  };
+  return p;
+}
+
+/// The Driver under test: its task-graph step, to the step budget.
+RunResult run_driver(Problem& p, int lanes) {
+  Driver driver(p.mesh(), *p.hydro, p.timers, p.opts, p.units);
   driver.evolve();
-  par::set_threads(1);
-  RunResult r;
-  append_canonical_state(m, driver.sim_time(), r.state);
-  r.counters = perf.snapshot();
-  if (mode == ExecMode::kTaskGraph && threads > 1) {
-    // Sanity: the DAG actually executed tasks (the invariant would hold
-    // vacuously if the task path silently fell back to bulk).
+  if (lanes > 1) {
+    // Sanity: the DAG actually executed tasks on the lanes.
     EXPECT_GT(driver.scheduler_stats().executed, 0u);
   }
-  return r;
+  return p.result(driver.sim_time());
+}
+
+/// The modeled replay of one step, as Driver::trace_regions does it:
+/// every trace_sample-th leaf (round-robin offset per step) into the
+/// machine model, one PerfRegion and one scaled commit per unit.
+void replay_step(Problem& p, int step) {
+  const mesh::AmrMesh& m = p.mesh();
+  tlb::Tracer tracer(&p.machine);
+  const auto sample = static_cast<std::size_t>(p.opts.trace_sample);
+  const std::vector<int> leaves = m.tree().leaves_morton();
+  const auto each_sampled = [&](const std::function<void(int)>& fn) {
+    for (std::size_t n = static_cast<std::size_t>(step) % sample;
+         n < leaves.size(); n += sample) {
+      fn(leaves[n]);
+    }
+  };
+  {
+    perf::PerfRegion region(p.perf, "hydro");
+    each_sampled([&](int b) { p.hydro->trace_step_block(tracer, b); });
+    p.machine.commit(sample);
+  }
+  if (p.units.eos_trace) {
+    perf::PerfRegion region(p.perf, "eos");
+    for (int s = 0; s < m.config().ndim; ++s) {
+      each_sampled([&](int b) { p.units.eos_trace(tracer, b); });
+    }
+    p.machine.commit(sample);
+  }
+  if (p.units.flame != nullptr) {
+    perf::PerfRegion region(p.perf, "flame");
+    each_sampled([&](int b) { p.units.flame->trace_advance_block(tracer, b); });
+    p.machine.commit(sample);
+  }
+  {
+    perf::PerfRegion region(p.perf, "grid");
+    const mesh::MeshConfig& c = m.config();
+    each_sampled([&](int b) {
+      m.unk().trace_sweep(tracer, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
+                          c.klo(), c.khi(), c.nvar(), c.nvar());
+    });
+    p.machine.commit(sample);
+  }
+}
+
+/// The reference: the bulk-synchronous per-unit sequence the step graph
+/// stands in for — HydroSolver::step, then guard fill, flame and EOS when
+/// a flame is wired — wrapped in the same dt, gravity, replay, publish
+/// and remesh steps as Driver::step_once.
+RunResult run_bulk(Problem& p) {
+  mesh::AmrMesh& m = p.mesh();
+  double time = 0.0;
+  for (int step = 0; step < p.opts.nsteps; ++step) {
+    const double dt = p.hydro->compute_dt();
+    p.hydro->step(dt);
+    if (p.units.flame != nullptr) {
+      m.fill_guardcells();
+      p.units.flame->advance(dt);
+      p.hydro->eos_update();
+    }
+    if (p.units.gravity != nullptr) {
+      p.units.gravity->update(m);
+      p.units.gravity->apply_source(m, dt);
+      p.hydro->eos_update();
+    }
+    replay_step(p, step);
+    time += dt;
+    p.perf.publish();
+    if ((step + 1) % p.opts.remesh_interval == 0) {
+      (void)m.remesh(p.opts.refine_vars, p.opts.refine_cut,
+                     p.opts.derefine_cut);
+    }
+  }
+  return p.result(time);
+}
+
+void expect_identical(const RunResult& bulk, const RunResult& driver,
+                      const std::string& what) {
+  ASSERT_EQ(bulk.state.size(), driver.state.size()) << what;
+  ASSERT_EQ(std::memcmp(bulk.state.data(), driver.state.data(),
+                        bulk.state.size() * sizeof(double)),
+            0)
+      << what << ": physics state differs";
+  for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
+    if (e == static_cast<std::size_t>(perf::Event::kWallNanos)) continue;
+    EXPECT_EQ(bulk.counters.values[e], driver.counters.values[e])
+        << what << ": counter " << perf::event_name(static_cast<perf::Event>(e))
+        << " differs";
+    EXPECT_EQ(bulk.published.values[e], driver.published.values[e])
+        << what << ": published counter "
+        << perf::event_name(static_cast<perf::Event>(e)) << " differs";
+  }
+}
+
+/// For each layout: the bulk sequence at one lane is the reference (and
+/// its physics is layout-invariant), and the Driver at 1/2/4 lanes must
+/// match it bit for bit — state and counters. Modeled counters are a
+/// function of the layout (that is the paper's point), so the counter
+/// invariant holds within each layout.
+template <typename Build>
+void expect_driver_matches_bulk(Build build) {
+  std::vector<double> var_major_state;
+  for (const LayoutKind layout : kAllLayouts) {
+    const RunResult bulk = run_bulk(*build(layout, 1));
+    ASSERT_GT(bulk.state.size(), 1u);
+    if (var_major_state.empty()) var_major_state = bulk.state;
+    ASSERT_EQ(bulk.state, var_major_state)
+        << mesh::to_string(layout) << ": bulk state differs across layouts";
+    for (const int lanes : {1, 2, 4}) {
+      expect_identical(bulk, run_driver(*build(layout, lanes), lanes),
+                       std::string(mesh::to_string(layout)) + " x " +
+                           std::to_string(lanes) + " lanes");
+    }
+  }
 }
 
 TEST(TaskGraphPhysics, SedovBitIdenticalAcrossModesLanesAndLayouts) {
-  // Modeled counters are a function of the layout (that is the paper's
-  // point), so the counter invariant is bulk-sync vs task-graph *within*
-  // each layout; the physics state is additionally layout-invariant.
-  const RunResult global =
-      run_sedov(LayoutKind::kVarMajor, 1, ExecMode::kBulkSync);
-  ASSERT_GT(global.state.size(), 1u);
-  for (const LayoutKind layout : kAllLayouts) {
-    const RunResult bulk =
-        layout == LayoutKind::kVarMajor
-            ? global
-            : run_sedov(layout, 1, ExecMode::kBulkSync);
-    ASSERT_EQ(bulk.state.size(), global.state.size());
-    ASSERT_EQ(std::memcmp(bulk.state.data(), global.state.data(),
-                          global.state.size() * sizeof(double)),
-              0)
-        << mesh::to_string(layout) << ": bulk state differs across layouts";
-    for (const int threads : {1, 2, 4}) {
-      expect_identical(
-          bulk, run_sedov(layout, threads, ExecMode::kTaskGraph),
-          std::string(mesh::to_string(layout)) + " x " +
-              std::to_string(threads) + " lanes (task graph)");
-    }
-  }
-}
-
-RunResult run_supernova(LayoutKind layout, int threads, ExecMode mode) {
-  par::set_threads(threads);
-  perf::PerfContext perf;
-  SupernovaParams p;
-  p.max_level = 3;
-  p.maxblocks = 400;
-  p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  p.table_cache = "helm_table_taskgraph.bin";
-  SupernovaSetup setup(p, mem::HugePolicy::kNone, proc(), layout);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  hydro::HydroSolver hydro(m, setup.eos(), hopt);
-  hydro.set_composition_fn(setup.composition_fn());
-  perf::Timers timers;
-  tlb::Machine machine({}, &perf);
-  DriverOptions opts;
-  opts.nsteps = 4;
-  opts.trace_sample = 2;
-  opts.verbose = false;
-  opts.refine_vars = {mesh::var::kDens,
-                      mesh::var::kFirstScalar + snvar::kPhi};
-  opts.exec_mode = mode;
-  DriverUnits units;
-  units.flame = &setup.flame();
-  units.gravity = &setup.gravity();
-  units.machine = &machine;
-  units.eos_trace =
-      [&setup](tlb::Tracer& t, int b) { setup.trace_eos_block(t, b); };
-  units.perf = &perf;
-  Driver driver(m, hydro, timers, opts, units);
-  driver.evolve();
-  par::set_threads(1);
-  RunResult r;
-  append_canonical_state(m, driver.sim_time(), r.state);
-  r.counters = perf.snapshot();
-  // The flame's serial leaf-order energy reduction is part of the
-  // bit-identity contract; fold it into the comparable state.
-  r.state.push_back(setup.flame().energy_released());
-  return r;
+  expect_driver_matches_bulk(sedov_problem);
 }
 
 TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
-  // Warm the process before the baseline run. Two harness artifacts can
-  // shift the modeled address stream without any physics difference:
-  // building the helm table (first run in a fresh tree) vs loading it
-  // (every later run) leaves a different allocation layout behind, and —
-  // under sanitizer allocators especially — the very first full
-  // simulation in a process runs against a colder heap than every later
-  // one. Neither is part of the bulk-vs-task-graph contract, so warm the
-  // table cache and then discard one complete run: every *measured* run
-  // below executes in allocator steady state.
-  (void)eos::HelmTable::build_or_load({-4.0, 10.0, 141, 5.0, 10.0, 51},
-                                      mem::HugePolicy::kNone,
-                                      proc().page_pool(),
-                                      "helm_table_taskgraph.bin");
-  (void)run_supernova(LayoutKind::kVarMajor, 1, ExecMode::kBulkSync);
-  const RunResult global =
-      run_supernova(LayoutKind::kVarMajor, 1, ExecMode::kBulkSync);
-  ASSERT_GT(global.state.size(), 1u);
-  for (const LayoutKind layout : kAllLayouts) {
-    const RunResult bulk =
-        layout == LayoutKind::kVarMajor
-            ? global
-            : run_supernova(layout, 1, ExecMode::kBulkSync);
-    ASSERT_EQ(bulk.state.size(), global.state.size());
-    ASSERT_EQ(std::memcmp(bulk.state.data(), global.state.data(),
-                          global.state.size() * sizeof(double)),
-              0)
-        << mesh::to_string(layout) << ": bulk state differs across layouts";
-    for (const int threads : {1, 2, 4}) {
-      expect_identical(
-          bulk, run_supernova(layout, threads, ExecMode::kTaskGraph),
-          std::string(mesh::to_string(layout)) + " x " +
-              std::to_string(threads) + " lanes (task graph)");
-    }
+  // Build (or load) the Helm table cache before the first measured run,
+  // so every run below loads the identical table file.
+  {
+    mem::PagePool pool;
+    (void)eos::HelmTable::build_or_load(kSupernovaTableSpec,
+                                        mem::HugePolicy::kNone, pool,
+                                        kSupernovaTable);
   }
+  expect_driver_matches_bulk(supernova_problem);
 }
 
 // --------------------------------------------------- tsan workload
@@ -426,48 +498,30 @@ TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
 TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   // The tsan preset's task-graph workload: a background sampler reading
   // published counters at 1 ms cadence while work-stealing lanes run a
-  // full task-graph Sedov evolution with spans enabled. Any read of
+  // full Driver Sedov evolution with spans enabled. Any read of
   // unsynchronized scheduler or shard state is a tsan report.
-  const int previous = par::threads();
-  par::set_threads(2);
-  perf::PerfContext perf;
-  obs::Telemetry telemetry;
-  telemetry.install();
+  const std::unique_ptr<Problem> p = sedov_problem(LayoutKind::kVarMajor, 2);
+  p->opts.nsteps = 10;
+  obs::TelemetryOptions topts;
+  topts.lanes = p->runtime.lanes();
+  obs::Telemetry telemetry(topts);
+  telemetry.install(p->runtime);
   obs::SamplerOptions sopts = obs::SamplerOptions::with_procfs_root(
       std::string(FHP_TEST_FIXTURE_DIR) + "/procfs/kernel-6.6");
   sopts.cadence = std::chrono::milliseconds(1);
-  sopts.perf = &perf;
+  sopts.perf = &p->perf;
   obs::Sampler sampler(sopts);
   sampler.start();
 
-  SedovParams params;
-  params.ndim = 2;
-  params.nzb = 1;
-  params.max_level = 2;
-  params.maxblocks = 128;
-  SedovSetup setup(params, mem::HugePolicy::kNone, proc());
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroSolver hydro(m, setup.eos());
-  perf::Timers timers;
-  tlb::Machine machine({}, &perf);
-  DriverOptions opts;
-  opts.nsteps = 10;
-  opts.trace_sample = 2;
-  opts.verbose = false;
-  opts.exec_mode = ExecMode::kTaskGraph;
-  DriverUnits units;
-  units.machine = &machine;
-  units.perf = &perf;
-  Driver driver(m, hydro, timers, opts, units);
+  Driver driver(p->mesh(), *p->hydro, p->timers, p->opts, p->units);
   driver.evolve();
 
   sampler.stop();
   telemetry.uninstall();
-  par::set_threads(previous);
   EXPECT_EQ(driver.steps(), 10);
   EXPECT_GT(telemetry.total_spans(), 0u);
   EXPECT_GE(sampler.taken(), 1u);
-  EXPECT_GT(perf.published().seq, 0u);
+  EXPECT_GT(p->perf.published().seq, 0u);
 }
 
 }  // namespace

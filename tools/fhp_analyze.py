@@ -32,7 +32,7 @@ tree that only emerge from whole-file or whole-graph views:
                     hydro back.
 
   alloc-in-region   lexically inside the lambda passed to
-                    par::parallel_for / parallel_for_blocks, or the task
+                    ExecArena::parallel_for / parallel_for_blocks, or the task
                     body submitted via TaskGraph::add_task, no dynamic
                     allocation: no `new`, no malloc/calloc/realloc, no
                     growing-container calls (push_back, emplace_back,
@@ -133,8 +133,7 @@ QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 ALLOW_RE = re.compile(
     r"fhp-analyze:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)(\s*--\s*\S.*)?")
 PARALLEL_CALL_RE = re.compile(
-    r"(?<![\w:])(?:par\s*::\s*)?(parallel_for_blocks|parallel_for|add_task)"
-    r"\s*\(")
+    r"(?<![\w:])(parallel_for_blocks|parallel_for|add_task)\s*\(")
 NO_ALLOC_RE = re.compile(r"\bFHP_NO_ALLOC\b")
 DEFINE_NO_ALLOC_RE = re.compile(r"#\s*define\s+FHP_NO_ALLOC\b")
 
@@ -525,7 +524,7 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
     # Allocation inside a region lambda: one `new`, one push_back.
     "src/flame/bad_region_alloc.cpp": (
         'void advance(int n) {\n'
-        '  par::parallel_for(n, [&](int lane, unsigned long i) {\n'
+        '  arena_.parallel_for(n, [&](int lane, unsigned long i) {\n'
         '    auto* scratch = new double[8];\n'
         '    results.push_back(scratch[0]);\n'
         '  });\n'
@@ -561,7 +560,7 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
     "src/hydro/clean_region.cpp": (
         'void sweep(int n) {\n'
         '  lane_scratch_.resize(lanes);\n'
-        '  par::parallel_for(n, [&](int lane, unsigned long i) {\n'
+        '  arena_.parallel_for(n, [&](int lane, unsigned long i) {\n'
         '    lane_scratch_[lane][i] = solve(i);\n'
         '  });\n'
         '}\n',
@@ -586,7 +585,7 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
     # A reasoned allow licenses one site.
     "src/obs/suppressed.cpp": (
         'void drain(int n) {\n'
-        '  par::parallel_for(n, [&](int lane, unsigned long i) {\n'
+        '  arena_.parallel_for(n, [&](int lane, unsigned long i) {\n'
         '    // fhp-analyze: allow(alloc-in-region) -- cold path: first\n'
         '    // call only, ring is grown once then reused forever\n'
         '    ring_.reserve(cap_);\n'
@@ -597,7 +596,7 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
     # An unreasoned allow is itself a finding AND licenses nothing.
     "src/obs/bare_suppressed.cpp": (
         'void drain(int n) {\n'
-        '  par::parallel_for(n, [&](int lane, unsigned long i) {\n'
+        '  arena_.parallel_for(n, [&](int lane, unsigned long i) {\n'
         '    ring_.reserve(cap_);  // fhp-analyze: allow(alloc-in-region)\n'
         '  });\n'
         '}\n',
@@ -606,7 +605,7 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
     # Comments and strings never trigger allocation rules.
     "src/gravity/comments_only.cpp": (
         'void doc(int n) {\n'
-        '  par::parallel_for(n, [&](int lane, unsigned long i) {\n'
+        '  arena_.parallel_for(n, [&](int lane, unsigned long i) {\n'
         '    // new double[8]; v.push_back(x); std::malloc(8);\n'
         '    const char* s = "new malloc push_back";\n'
         '    use(s);\n'

@@ -41,22 +41,6 @@ so this linter does:
                       explicit perf::PerfContext so experiment arms and
                       threads cannot leak counters into each other; a new
                       process-wide singleton reintroduces exactly that.
-                      The rule also bans the retired process-global
-                      accessors — `PerfContext::global()`,
-                      `mem::global_page_pool()`, `mesh::default_layout()`
-                      — everywhere except src/rt/runtime.cpp, the one
-                      file allowed to wrap them (it is what
-                      rt::Runtime::process_default() is made of). Code
-                      inside a runtime takes `runtime.perf()`,
-                      `runtime.page_pool()`, `runtime.layout()`.
-
-  runtime-construction  (--check-runtime only) an executable under
-                      examples/ or bench/ that constructs simulation
-                      state (a Setup, DriverUnits, AmrMesh, UnkContainer,
-                      HugeBuffer, HelmTable) must name an fhp::rt::Runtime
-                      somewhere in the file: entry points own their
-                      context explicitly instead of leaning on ambient
-                      process state.
 
   layout-offset       hand-rolled unk index arithmetic — an nvar-like
                       factor multiplied into a parenthesized index
@@ -114,12 +98,7 @@ RULES = {
     "page-size-literal": "magic page-size literal outside src/mem/page_size.*",
     "bulk-alloc": "malloc/new[] bulk allocation in mesh/hydro/eos",
     "include-hygiene": "#pragma once, module-qualified non-relative includes",
-    "singleton-instance":
-        "::instance() / process-global accessor call site outside the "
-        "compat shims and src/rt/runtime.cpp",
-    "runtime-construction":
-        "examples/bench executable builds simulation state without an "
-        "rt::Runtime (--check-runtime mode)",
+    "singleton-instance": "::instance() call site outside the compat shims",
     "layout-offset":
         "hand-rolled unk index arithmetic outside src/mesh/layout.*",
     "procfs-hygiene":
@@ -302,24 +281,6 @@ MAKE_UNIQUE_ARRAY_RE = re.compile(r"\bmake_unique\s*<[^;>]*\[\s*\]\s*>")
 QUOTED_INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once\b")
 SINGLETON_RE = re.compile(r"(?:\.|->|::)\s*instance\s*\(\s*\)")
-# The retired process-global accessors. `\bdefault_layout` deliberately
-# does NOT match `set_default_layout(` (no word boundary after `set_`):
-# *choosing* the process default is configuration, *reading* it is the
-# ambient dependency the rule exists to stop.
-PROCESS_GLOBAL_RE = re.compile(
-    r"PerfContext\s*::\s*global\s*\(|\bglobal_page_pool\s*\(|"
-    r"\bdefault_layout\s*\(")
-# --check-runtime: the types whose construction marks an executable as
-# "builds simulation state", and the tokens that satisfy the obligation.
-SIM_STATE_RE = re.compile(
-    r"\b(?:SedovSetup|SupernovaSetup|CellularSetup|DriverUnits|AmrMesh|"
-    r"UnkContainer|HugeBuffer|HelmTable|JobSpec)\b")
-# svc::Service satisfies the obligation too: the service constructs one
-# rt::Runtime per tenant internally — a load generator submitting
-# JobSpecs owns its context through the service, not an ambient one.
-RUNTIME_TOKEN_RE = re.compile(
-    r"\brt\s*::\s*Runtime\b|\bRuntime\s*::\s*process_default\b|"
-    r"\bsvc\s*::\s*Service\b")
 # An nvar-like factor (nvar, nvar_, nvar(), kNvar, c.nvar(), NVAR ...)
 # multiplied into a parenthesized expression: the shape of hand-rolled
 # var-major offset math like `v + nvar * (i + ni * (j + ...))`. The
@@ -360,11 +321,6 @@ class Linter:
     def _is_singleton_shim(self, path: pathlib.Path) -> bool:
         return self._under(path, "perf") and \
             path.stem in ("soft_counters", "region")
-
-    def _is_runtime_home(self, path: pathlib.Path) -> bool:
-        # The one licensed caller of the process-global accessors:
-        # rt::Runtime::process_default()'s implementation file.
-        return self._under(path, "rt") and path.stem == "runtime"
 
     def _is_layout(self, path: pathlib.Path) -> bool:
         return self._under(path, "mesh") and path.stem == "layout"
@@ -410,7 +366,6 @@ class Linter:
         in_page_size = self._is_page_size(path)
         in_bulk = self._is_bulk_scope(path)
         in_singleton_shim = self._is_singleton_shim(path)
-        in_runtime_home = self._is_runtime_home(path)
         in_layout = self._is_layout(path)
 
         # ---- procfs hygiene ------------------------------------------
@@ -524,15 +479,6 @@ class Linter:
                        "::instance() call site — pass an explicit "
                        "perf::PerfContext (or the relevant handle) instead "
                        "of reaching for process-wide singleton state")
-            if not in_runtime_home:
-                m = PROCESS_GLOBAL_RE.search(code)
-                if m:
-                    accessor = m.group(0).rstrip("(").strip()
-                    report(lineno, "singleton-instance",
-                           f"{accessor}() call site — construct an "
-                           f"fhp::rt::Runtime (or use "
-                           f"rt::Runtime::process_default()) and take "
-                           f"the handle from it")
 
             # ---- bulk allocation in simulation modules ---------------
             if in_bulk:
@@ -547,34 +493,6 @@ class Linter:
                     report(lineno, "bulk-alloc",
                            "array new in a simulation module — bulk data "
                            "must come from mem::Arena / mem::HugeBuffer")
-
-    # --------------------------------------------------- runtime check
-    def check_runtime_construction(self) -> None:
-        """--check-runtime: every executable under examples/ and bench/
-        that constructs simulation state must name an rt::Runtime.
-
-        Grep-granularity on the stripped source of each .cpp: shared
-        headers (bench/experiment_common.hpp) may pre-wire handles for a
-        caller-supplied runtime, so the obligation sits on the entry
-        points, where the context is owned."""
-        for sub in ("examples", "bench"):
-            base = self.root / sub
-            if not base.is_dir():
-                continue
-            for path in sorted(base.rglob("*.cpp")):
-                text = path.read_text(encoding="utf-8", errors="replace")
-                code = "\n".join(strip_code(text))
-                if not SIM_STATE_RE.search(code):
-                    continue
-                if RUNTIME_TOKEN_RE.search(code):
-                    continue
-                self.violations.append(Violation(
-                    path, 1, "runtime-construction",
-                    "constructs simulation state (Setup / DriverUnits / "
-                    "mesh containers) but never names an fhp::rt::Runtime "
-                    "— construct one (or take "
-                    "rt::Runtime::process_default()) and pass its "
-                    "handles down"))
 
     def lint_tree(self, paths: list[pathlib.Path]) -> None:
         for base in paths:
@@ -657,37 +575,6 @@ SELF_TEST_FILES = {
         '  fhp::perf::SoftCounters::instance().reset();\n'
         '}\n',
         {"singleton-instance": 1},
-    ),
-    # The retired process-global accessors are singleton reads too.
-    "src/hydro/bad_process_global.cpp": (
-        'void wire_from_ambient_state() {\n'
-        '  auto& ctx = fhp::perf::PerfContext::global();\n'
-        '  auto& pool = fhp::mem::global_page_pool();\n'
-        '  auto kind = fhp::mesh::default_layout();\n'
-        '  (void)ctx; (void)pool; (void)kind;\n'
-        '}\n',
-        {"singleton-instance": 3},
-    ),
-    # rt/runtime.cpp is the licensed wrapper of the process globals.
-    "src/rt/runtime.cpp": (
-        'namespace fhp::rt {\n'
-        'void snapshot_process_state() {\n'
-        '  auto& ctx = perf::PerfContext::global();\n'
-        '  auto& pool = mem::global_page_pool();\n'
-        '  auto kind = mesh::default_layout();\n'
-        '  (void)ctx; (void)pool; (void)kind;\n'
-        '}\n'
-        '}  // namespace fhp::rt\n',
-        {},
-    ),
-    # Pinning the default (set_default_layout) is configuration, not an
-    # ambient read; it must not trip the accessor ban.
-    "src/sim/set_layout_ok.cpp": (
-        'namespace fhp::mesh { enum class LayoutKind : int; }\n'
-        'void choose(fhp::mesh::LayoutKind k) {\n'
-        '  fhp::mesh::set_default_layout(k);\n'
-        '}\n',
-        {},
     ),
     # The compat shims themselves may define and call instance().
     "src/perf/soft_counters.cpp": (
@@ -805,50 +692,9 @@ def run_self_test() -> int:
             print("SELF-TEST FAIL: page_size.hpp must be exempt from "
                   "page-size-literal", file=sys.stderr)
 
-        # --check-runtime: an example that builds a mesh without naming a
-        # Runtime fails; one that constructs a Runtime passes; one that
-        # touches no simulation state is out of scope, as is a shared
-        # bench header that pre-wires handles for a caller's runtime.
-        (root / "examples").mkdir()
-        (root / "bench").mkdir()
-        (root / "examples/bad_no_runtime.cpp").write_text(
-            'int main() {\n'
-            '  fhp::sim::SedovSetup setup({}, fhp::mem::HugePolicy::kNone);\n'
-            '  return 0;\n'
-            '}\n')
-        (root / "examples/good_runtime.cpp").write_text(
-            'int main() {\n'
-            '  fhp::rt::Runtime runtime({});\n'
-            '  fhp::sim::SedovSetup setup({}, fhp::mem::HugePolicy::kNone,\n'
-            '                             runtime);\n'
-            '  return 0;\n'
-            '}\n')
-        (root / "examples/no_sim_state.cpp").write_text(
-            'int main() { return 0; }\n')
-        # A service client builds JobSpecs, never a Runtime by name: the
-        # svc::Service constructs the per-tenant runtimes, so naming the
-        # service satisfies the obligation.
-        (root / "examples/good_service.cpp").write_text(
-            'int main() {\n'
-            '  fhp::svc::Service service({});\n'
-            '  fhp::svc::JobSpec spec;\n'
-            '  (void)service.submit(spec);\n'
-            '  return 0;\n'
-            '}\n')
-        (root / "bench/experiment_helpers.hpp").write_text(
-            '#pragma once\n'
-            'fhp::sim::DriverUnits units();  // caller wires the runtime\n')
-        linter = Linter(root)
-        linter.check_runtime_construction()
-        runtime_hits = sorted(v.path.name for v in linter.violations)
-        if runtime_hits != ["bad_no_runtime.cpp"] or any(
-                v.rule != "runtime-construction" for v in linter.violations):
-            failures += 1
-            print(f"SELF-TEST FAIL --check-runtime: expected exactly "
-                  f"bad_no_runtime.cpp, got {runtime_hits}", file=sys.stderr)
     if failures == 0:
         print(f"flashhp_lint self-test: OK "
-              f"({len(SELF_TEST_FILES) + 2} scenarios)")
+              f"({len(SELF_TEST_FILES) + 1} scenarios)")
         return 0
     print(f"flashhp_lint self-test: {failures} scenario(s) failed",
           file=sys.stderr)
@@ -875,10 +721,6 @@ def main(argv: list[str]) -> int:
                         help="print rule ids and exit")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the linter catches planted violations")
-    parser.add_argument("--check-runtime", action="store_true",
-                        help="check that examples/bench executables "
-                             "constructing simulation state name an "
-                             "rt::Runtime (instead of linting src/)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -894,16 +736,13 @@ def main(argv: list[str]) -> int:
         return 2
 
     linter = Linter(root)
-    if args.check_runtime:
-        linter.check_runtime_construction()
-    else:
-        paths = [p if p.is_absolute() else root / p
-                 for p in args.paths] or [root / "src"]
-        for p in paths:
-            if not p.exists():
-                print(f"flashhp_lint: no such path: {p}", file=sys.stderr)
-                return 2
-        linter.lint_tree(paths)
+    paths = [p if p.is_absolute() else root / p
+             for p in args.paths] or [root / "src"]
+    for p in paths:
+        if not p.exists():
+            print(f"flashhp_lint: no such path: {p}", file=sys.stderr)
+            return 2
+    linter.lint_tree(paths)
     findings = [
         fhp_report.Finding(fhp_report.relativize(v.path, root), v.line,
                            v.rule, v.message)
