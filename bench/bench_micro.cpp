@@ -1,12 +1,16 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the library's hot paths.
 ///
-/// Covers the allocator (A3), the machine model's per-access cost, the
-/// EOS paths (direct Fermi-Dirac vs table interpolation — the ~10^3 gap
-/// that makes the table the production path), the Riemann solvers, and
-/// mesh guard-cell filling.
+/// Covers the allocator (A3), the machine model's per-access cost and
+/// its replay of the benchmark workloads' address streams, the EOS paths
+/// (direct Fermi-Dirac vs table interpolation — the ~10^3 gap that makes
+/// the table the production path), the Riemann solvers, and mesh
+/// guard-cell filling.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "eos/eos_table.hpp"
 #include "eos/fermi_dirac.hpp"
@@ -17,8 +21,10 @@
 #include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
 #include "mesh/amr_mesh.hpp"
+#include "mesh/unk.hpp"
 #include "rt/runtime.hpp"
 #include "tlb/machine.hpp"
+#include "tlb/trace.hpp"
 
 namespace {
 
@@ -128,6 +134,79 @@ void BM_HelmTableEosDensEner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HelmTableEosDensEner);
+
+/// The machine-model replay on the streams the benchmark workloads spend
+/// it on, in modeled cache lines per second. Unlike BM_TlbTouch, most
+/// lines hit the L1 DTLB and the L1D here, as in the real replay; the
+/// miss shares are reported beside the rate.
+enum class ReplayStream {
+  kHelmRow,     ///< supernova2d: EOS rows of Helm-table gathers, 4 KiB pages
+  kUnkYPencil,  ///< sedov3d: var_major 3-d y-pencil sweeps, 2 MiB pages
+};
+
+void BM_MachineReplay(benchmark::State& state, ReplayStream stream) {
+  tlb::Machine machine;
+  tlb::Tracer tracer(&machine);
+  std::uint64_t lines = 0, l1_dtlb_misses = 0, l1d_misses = 0;
+  auto commit = [&] {
+    lines += machine.quantum().accesses;
+    l1_dtlb_misses += machine.quantum().l1_tlb_misses;
+    l1d_misses += machine.quantum().l1d_misses;
+    benchmark::DoNotOptimize(machine.commit());
+  };
+  if (stream == ReplayStream::kHelmRow) {
+    // Rows of 16 neighbouring zones, each row at its own point of the
+    // supernova's density and temperature range; each zone is a (rho, e)
+    // Newton inversion, the EOS mode the hydro update calls.
+    const eos::HelmTableEos helm(micro_table());
+    std::vector<std::vector<eos::State>> rows(64,
+                                              std::vector<eos::State>(16));
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (auto& row : rows) {
+      h ^= h << 13;
+      h ^= h >> 7;
+      h ^= h << 17;
+      const double log_rho = 5.0 + 4.4e-3 * static_cast<double>(h % 1000);
+      const double log_temp =
+          7.0 + 2.7e-3 * static_cast<double>(h / 1000 % 1000);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const auto x = static_cast<double>(i);
+        row[i].abar = 13.714;
+        row[i].zbar = 6.857;
+        row[i].rho = std::pow(10.0, log_rho - 0.01 * x);
+        row[i].temp = std::pow(10.0, log_temp + 0.005 * x);
+      }
+    }
+    std::size_t r = 0;
+    for (auto _ : state) {
+      helm.trace_eval(tracer, eos::Mode::kDensEner, rows[r]);
+      r = (r + 1) % rows.size();
+      commit();
+    }
+  } else {
+    mesh::MeshConfig c;
+    c.ndim = 3;
+    c.nxb = c.nyb = c.nzb = 16;
+    c.maxblocks = 8;
+    mem::PagePool pool;
+    const mesh::UnkContainer unk(c, mem::HugePolicy::kNone,
+                                 mesh::LayoutKind::kVarMajor, pool);
+    int b = 0;
+    for (auto _ : state) {
+      unk.trace_sweep_axis(tracer, b, 1, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
+                           c.klo(), c.khi(), c.nvar(), 5, tlb::kShift2M);
+      b = (b + 1) % c.maxblocks;
+      commit();
+    }
+  }
+  const double n = static_cast<double>(lines);
+  state.counters["lines"] = benchmark::Counter(n, benchmark::Counter::kIsRate);
+  state.counters["l1_dtlb_miss_share"] =
+      static_cast<double>(l1_dtlb_misses) / n;
+  state.counters["l1d_miss_share"] = static_cast<double>(l1d_misses) / n;
+}
+BENCHMARK_CAPTURE(BM_MachineReplay, helm_row_4k, ReplayStream::kHelmRow);
+BENCHMARK_CAPTURE(BM_MachineReplay, unk_ypencil_2m, ReplayStream::kUnkYPencil);
 
 void BM_Hllc(benchmark::State& state) {
   hydro::PrimState left{1.0, 0.75, 0.0, 0.0, 1.0, 1.4, 1.4};

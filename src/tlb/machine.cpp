@@ -13,8 +13,9 @@ Machine::Machine(const MachineParams& params, perf::CounterSink* sink)
       l1d_(params.l1d),
       l2_(params.l2) {}
 
-void Machine::touch(const void* addr, std::size_t bytes, bool write,
-                    std::uint8_t page_shift) noexcept {
+FHP_NO_ALLOC void Machine::touch(const void* addr, std::size_t bytes,
+                                 bool write,
+                                 std::uint8_t page_shift) noexcept {
   if (bytes == 0) return;
   const auto base = reinterpret_cast<std::uint64_t>(addr);
   const std::uint32_t line = params_.l1d.line_bytes;

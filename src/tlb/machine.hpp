@@ -159,10 +159,6 @@ class Machine {
     return quantum_;
   }
   [[nodiscard]] const MachineParams& params() const noexcept { return params_; }
-  [[nodiscard]] const TlbModel& l1_tlb() const noexcept { return l1_tlb_; }
-  [[nodiscard]] const TlbModel& l2_tlb() const noexcept { return l2_tlb_; }
-  [[nodiscard]] const CacheModel& l1d() const noexcept { return l1d_; }
-  [[nodiscard]] const CacheModel& l2() const noexcept { return l2_; }
 
   /// Total modeled cycles committed so far (unscaled sum of quanta x scale).
   [[nodiscard]] double total_cycles() const noexcept { return total_cycles_; }

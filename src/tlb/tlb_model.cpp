@@ -1,14 +1,11 @@
 #include "tlb/tlb_model.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "support/error.hpp"
 
 namespace fhp::tlb {
-
-namespace {
-constexpr bool is_pow2_u32(std::uint32_t v) {
-  return v != 0 && (v & (v - 1)) == 0;
-}
-}  // namespace
 
 TlbModel::TlbModel(const TlbGeometry& geometry) {
   FHP_REQUIRE(geometry.entries > 0, "TLB must have at least one entry");
@@ -20,58 +17,65 @@ TlbModel::TlbModel(const TlbGeometry& geometry) {
                 "TLB entries must divide evenly into ways");
     sets_ = geometry.entries / geometry.ways;
     ways_ = geometry.ways;
-    FHP_REQUIRE(is_pow2_u32(sets_), "TLB set count must be a power of two");
+    FHP_REQUIRE(std::has_single_bit(sets_),
+                "TLB set count must be a power of two");
   }
-  entries_.resize(static_cast<std::size_t>(sets_) * ways_);
+  keys_.resize(static_cast<std::size_t>(sets_) * ways_);
+  fill_.resize(sets_);
+  // At least four slots per entry keeps linear-probe runs short.
+  const std::uint64_t slots =
+      std::bit_ceil(std::uint64_t{4} * geometry.entries);
+  index_.assign(slots, kNoKey);
+  index_mask_ = slots - 1;
+  index_shift_ = 64 - std::countr_zero(slots);
 }
 
-bool TlbModel::access(std::uint64_t addr, std::uint8_t page_shift) noexcept {
-  const std::uint64_t vpn = addr >> page_shift;
-  const std::uint32_t set =
-      sets_ == 1 ? 0 : static_cast<std::uint32_t>(vpn & (sets_ - 1));
-  Entry* row = &entries_[static_cast<std::size_t>(set) * ways_];
-  ++clock_;
-
-  Entry* victim = nullptr;
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Entry& e = row[w];
-    if (e.valid && e.vpn == vpn && e.page_shift == page_shift) {
-      e.last_use = clock_;
-      ++hits_;
-      return true;
-    }
-    if (victim == nullptr && !e.valid) victim = &e;
-  }
+FHP_NO_ALLOC void TlbModel::install(std::uint64_t key) noexcept {
   ++misses_;
-  if (victim == nullptr) {
+  const std::uint32_t set =
+      static_cast<std::uint32_t>((key >> kShiftBits) & (sets_ - 1));
+  std::uint64_t* row = &keys_[static_cast<std::size_t>(set) * ways_];
+  std::uint32_t& fill = fill_[set];
+  std::uint32_t way;
+  if (fill < ways_) {
+    way = fill++;
+  } else {
     // Pseudo-random replacement (deterministic xorshift64).
     prng_ ^= prng_ << 13;
     prng_ ^= prng_ >> 7;
     prng_ ^= prng_ << 17;
-    victim = &row[prng_ % ways_];
+    way = static_cast<std::uint32_t>(prng_ % ways_);
+    index_erase(row[way]);
   }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->page_shift = page_shift;
-  victim->last_use = clock_;
-  return false;
+  row[way] = key;
+  index_insert(key);
 }
 
-bool TlbModel::contains(std::uint64_t addr,
-                        std::uint8_t page_shift) const noexcept {
-  const std::uint64_t vpn = addr >> page_shift;
-  const std::uint32_t set =
-      sets_ == 1 ? 0 : static_cast<std::uint32_t>(vpn & (sets_ - 1));
-  const Entry* row = &entries_[static_cast<std::size_t>(set) * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    const Entry& e = row[w];
-    if (e.valid && e.vpn == vpn && e.page_shift == page_shift) return true;
+FHP_NO_ALLOC void TlbModel::index_insert(std::uint64_t key) noexcept {
+  std::uint64_t i = home(key);
+  while (index_[i] != kNoKey) i = (i + 1) & index_mask_;
+  index_[i] = key;
+}
+
+FHP_NO_ALLOC void TlbModel::index_erase(std::uint64_t key) noexcept {
+  std::uint64_t hole = home(key);
+  while (index_[hole] != key) hole = (hole + 1) & index_mask_;
+  // Backward-shift deletion: pull each later key of the probe run into
+  // the hole unless that would move it in front of its home slot.
+  for (std::uint64_t i = (hole + 1) & index_mask_; index_[i] != kNoKey;
+       i = (i + 1) & index_mask_) {
+    const std::uint64_t from_home = (i - home(index_[i])) & index_mask_;
+    if (from_home >= ((i - hole) & index_mask_)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
   }
-  return false;
+  index_[hole] = kNoKey;
 }
 
 void TlbModel::flush() noexcept {
-  for (Entry& e : entries_) e.valid = false;
+  std::fill(fill_.begin(), fill_.end(), 0u);
+  std::fill(index_.begin(), index_.end(), kNoKey);
 }
 
 }  // namespace fhp::tlb

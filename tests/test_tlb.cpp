@@ -3,7 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <cstdio>
+#include <string>
+
+#include "eos/eos_table.hpp"
+#include "mesh/config.hpp"
+#include "mesh/layout.hpp"
+#include "mesh/unk.hpp"
 #include "perf/perf_context.hpp"
+#include "rt/runtime.hpp"
+#include "support/contracts.hpp"
 #include "support/error.hpp"
 #include "mem/page_size.hpp"
 #include "tlb/cache_model.hpp"
@@ -11,8 +22,88 @@
 #include "tlb/tlb_model.hpp"
 #include "tlb/trace.hpp"
 
+#include "reference_models.hpp"
+
 namespace fhp::tlb {
 namespace {
+
+// ------------------------------------------------ differential test stream
+
+/// A deterministic mixed address stream for the reference comparisons:
+/// phases of sequential, working-set, strided and random addresses, each
+/// phase on one page size with occasional accesses at another, about a
+/// third of them writes.
+class MixedStream {
+ public:
+  struct Access {
+    std::uint64_t addr;
+    std::uint8_t shift;
+    bool write;
+  };
+
+  explicit MixedStream(std::uint64_t seed) : rng_(seed | 1) {}
+
+  Access next() {
+    if (left_ == 0) start_phase();
+    --left_;
+    switch (pattern_) {
+      case 0:  // sequential, sub-line to multi-line steps
+        cursor_ += 8u << (rand() % 6);
+        break;
+      case 1:  // uniform over a working set
+        cursor_ = origin_ + rand() % span_;
+        break;
+      case 2:  // fixed stride (pencil-like)
+        cursor_ += stride_;
+        break;
+      default:  // anywhere in a 48-bit space
+        cursor_ = rand() & ((std::uint64_t{1} << 48) - 1);
+        break;
+    }
+    const std::uint8_t shift =
+        rand() % 10 == 0 ? kShifts[rand() % 4] : shift_;
+    return {cursor_, shift, rand() % 3 == 0};
+  }
+
+  /// A nearby or random address for a side-effect-free probe.
+  std::uint64_t probe_addr() {
+    return rand() % 2 == 0 ? cursor_ - (rand() % 8) * 4096
+                           : rand() & ((std::uint64_t{1} << 40) - 1);
+  }
+  std::uint8_t probe_shift() { return kShifts[rand() % 4]; }
+
+ private:
+  static constexpr std::uint8_t kShifts[4] = {kShift4K, kShift64K, kShift2M,
+                                              kShift512M};
+
+  std::uint64_t rand() {
+    rng_ ^= rng_ << 13;
+    rng_ ^= rng_ >> 7;
+    rng_ ^= rng_ << 17;
+    return rng_;
+  }
+
+  void start_phase() {
+    pattern_ = static_cast<int>(rand() % 4);
+    left_ = 500 + rand() % 4000;
+    shift_ = kShifts[rand() % 4];
+    origin_ = (rand() & ((std::uint64_t{1} << 44) - 1)) & ~std::uint64_t{63};
+    span_ = std::uint64_t{1} << (12 + rand() % 16);  // 4 KiB .. 128 MiB
+    constexpr std::uint64_t kStrides[] = {64,    256,    2880,     4160,
+                                          9000,  65600,  1u << 20, 2097344};
+    stride_ = kStrides[rand() % 8];
+    if (pattern_ != 3) cursor_ = origin_;
+  }
+
+  std::uint64_t rng_;
+  int pattern_ = 0;
+  std::uint64_t left_ = 0;
+  std::uint8_t shift_ = kShift4K;
+  std::uint64_t origin_ = 0, span_ = 1, stride_ = 64, cursor_ = 0;
+};
+
+constexpr int kReferenceAccesses = 600000;
+constexpr int kReferenceFlushEvery = 100000;
 
 // -------------------------------------------------------------- TLB model
 
@@ -89,6 +180,64 @@ TEST(TlbModelTest, GeometryValidation) {
   TlbModel ok({48, 0});                           // A64FX L1 shape
   EXPECT_EQ(ok.sets(), 1u);
   EXPECT_EQ(ok.ways(), 48u);
+}
+
+/// A lookup key holds the page shift in 6 bits beside a 58-bit VPN, so
+/// shifts outside [6, 63] are refused where the key is formed.
+TEST(TlbModelTest, PageShiftOutsideKeyRangeViolatesContract) {
+  if (!FHP_CONTRACTS_ENABLED) GTEST_SKIP() << "contracts compiled out";
+  TlbModel tlb({4, 0});
+  EXPECT_THROW(tlb.access(0x1000, TlbModel::kMinPageShift - 1),
+               ContractViolation);
+  EXPECT_THROW(static_cast<void>(tlb.contains(0x1000, 64)),
+               ContractViolation);
+  EXPECT_EQ(tlb.misses(), 0u);
+  EXPECT_FALSE(tlb.access(~std::uint64_t{0}, TlbModel::kMinPageShift));
+  EXPECT_FALSE(tlb.access(0x1000, TlbModel::kMaxPageShift));
+  EXPECT_TRUE(tlb.contains(~std::uint64_t{0} >> 1, TlbModel::kMaxPageShift));
+  EXPECT_TRUE(tlb.contains(~std::uint64_t{0}, TlbModel::kMinPageShift));
+}
+
+/// The hashed TLB against the scanning reference it replaced: every
+/// hit/miss, sampled contains() probes and the final counts agree on a
+/// long mixed stream with flushes, for each geometry shape in use (and
+/// the degenerate ones).
+TEST(TlbModelTest, MatchesReferenceModel) {
+  const TlbGeometry geometries[] = {{48, 0}, {4, 0},  {1, 0},
+                                    {1024, 4}, {8, 2}, {64, 8}};
+  for (const TlbGeometry& g : geometries) {
+    SCOPED_TRACE(testing::Message() << g.entries << " entries, " << g.ways
+                                    << " ways");
+    TlbModel tlb(g);
+    reference::TlbModel ref(g);
+    ASSERT_EQ(tlb.sets(), ref.sets());
+    ASSERT_EQ(tlb.ways(), ref.ways());
+    MixedStream stream(0x9e3779b97f4a7c15ull * g.entries + g.ways);
+    int mismatches = 0;
+    for (int n = 1; n <= kReferenceAccesses; ++n) {
+      const MixedStream::Access a = stream.next();
+      if (tlb.access(a.addr, a.shift) != ref.access(a.addr, a.shift) &&
+          mismatches++ == 0) {
+        ADD_FAILURE() << "first access mismatch at access " << n;
+      }
+      if (n % 7 == 0) {
+        const std::uint64_t p = stream.probe_addr();
+        const std::uint8_t s = stream.probe_shift();
+        if (tlb.contains(p, s) != ref.contains(p, s) && mismatches++ == 0) {
+          ADD_FAILURE() << "first probe mismatch at access " << n;
+        }
+      }
+      if (n % kReferenceFlushEvery == 0) {
+        tlb.flush();
+        ref.flush();
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(tlb.hits(), ref.hits());
+    EXPECT_EQ(tlb.misses(), ref.misses());
+    EXPECT_GT(tlb.hits(), 0u);
+    EXPECT_GT(tlb.misses(), 0u);
+  }
 }
 
 /// Property: for a fixed strided stream, misses never increase when the
@@ -171,6 +320,7 @@ TEST(CacheModelTest, GeometryValidation) {
   EXPECT_THROW(CacheModel({1024, 0, 64}), ConfigError);
   EXPECT_THROW(CacheModel({1024, 2, 63}), ConfigError);
   EXPECT_THROW(CacheModel({64, 2, 64}), ConfigError);  // 0.5 sets
+  EXPECT_THROW(CacheModel({2, 2, 1}), ConfigError);    // no spare tag value
 }
 
 TEST(CacheModelTest, FlushDropsDirtyState) {
@@ -180,6 +330,50 @@ TEST(CacheModelTest, FlushDropsDirtyState) {
   EXPECT_FALSE(cache.contains(0x000));
   const CacheResult r = cache.access(0x080, false);
   EXPECT_FALSE(r.writeback);  // dirty bit did not survive the flush
+}
+
+/// The branch-free cache against the scanning reference it replaced:
+/// every hit and writeback result, sampled contains() probes and the
+/// final counts agree on a long mixed stream with flushes.
+TEST(CacheModelTest, MatchesReferenceModel) {
+  const CacheGeometry geometries[] = {{std::size_t{64} << 10, 4, 256},
+                                      {std::size_t{1} << 20, 16, 256},
+                                      {1024, 2, 64},
+                                      {128, 1, 64}};
+  for (const CacheGeometry& g : geometries) {
+    SCOPED_TRACE(testing::Message() << g.capacity_bytes << " B, " << g.ways
+                                    << " ways, " << g.line_bytes << " B lines");
+    CacheModel cache(g);
+    reference::CacheModel ref(g);
+    ASSERT_EQ(cache.sets(), ref.sets());
+    MixedStream stream(0xd1b54a32d192ed03ull ^ g.capacity_bytes ^ g.ways);
+    int mismatches = 0;
+    for (int n = 1; n <= kReferenceAccesses; ++n) {
+      const MixedStream::Access a = stream.next();
+      const CacheResult r = cache.access(a.addr, a.write);
+      const reference::CacheResult e = ref.access(a.addr, a.write);
+      if ((r.hit != e.hit || r.writeback != e.writeback) &&
+          mismatches++ == 0) {
+        ADD_FAILURE() << "first access mismatch at access " << n;
+      }
+      if (n % 7 == 0) {
+        const std::uint64_t p = stream.probe_addr();
+        if (cache.contains(p) != ref.contains(p) && mismatches++ == 0) {
+          ADD_FAILURE() << "first probe mismatch at access " << n;
+        }
+      }
+      if (n % kReferenceFlushEvery == 0) {
+        cache.flush();
+        ref.flush();
+      }
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(cache.hits(), ref.hits());
+    EXPECT_EQ(cache.misses(), ref.misses());
+    EXPECT_EQ(cache.writebacks(), ref.writebacks());
+    EXPECT_GT(cache.hits(), 0u);
+    EXPECT_GT(cache.writebacks(), 0u);
+  }
 }
 
 // ---------------------------------------------------------------- machine
@@ -288,6 +482,145 @@ TEST(MachineTest, HugePagesCollapseStridedMisses) {
   const auto misses_4k = run(kShift4K);
   const auto misses_2m = run(kShift2M);
   EXPECT_GT(misses_4k, 20u * misses_2m);
+}
+
+// ------------------------------------------------------- golden counters
+//
+// Two fixed replay streams — the unk pencil sweeps of the hydro and the
+// Helmholtz-table gathers of the EOS — pushed through a default (A64FX)
+// Machine into a PerfContext. Every counter the Machine publishes is
+// pinned to the literal the scanning models (tests/reference_models.hpp)
+// produced, so any change to the TLB/cache models or the cycle formula
+// that moves a modeled measure fails here by name.
+
+/// The nine events Machine::commit publishes, in Event order.
+constexpr std::array<perf::Event, 9> kModeledEvents = {
+    perf::Event::kCycles,        perf::Event::kInstructions,
+    perf::Event::kVectorOps,     perf::Event::kDtlbMisses,
+    perf::Event::kTlbWalkCycles, perf::Event::kBytesRead,
+    perf::Event::kBytesWritten,  perf::Event::kL1Misses,
+    perf::Event::kL2Misses};
+
+using ModeledCounters = std::array<std::uint64_t, kModeledEvents.size()>;
+
+ModeledCounters published_counters(perf::PerfContext& perf) {
+  perf.publish();
+  const perf::PublishedCounters pub = perf.published();
+  ModeledCounters out{};
+  for (std::size_t e = 0; e < kModeledEvents.size(); ++e) {
+    out[e] = pub.counters[kModeledEvents[e]];
+  }
+  return out;
+}
+
+void expect_counters(const ModeledCounters& actual,
+                     const ModeledCounters& expected,
+                     const std::string& arm) {
+  for (std::size_t e = 0; e < kModeledEvents.size(); ++e) {
+    EXPECT_EQ(actual[e], expected[e])
+        << arm << ": " << perf::event_name(kModeledEvents[e]);
+  }
+  if (actual != expected) {
+    std::printf("  %s actual: {", arm.c_str());
+    for (const std::uint64_t v : actual) {
+      std::printf("%lluull, ", static_cast<unsigned long long>(v));
+    }
+    std::printf("}\n");
+  }
+}
+
+TEST(MachineGolden, UnkSweepCountersArePinned) {
+  rt::Runtime runtime;
+  mesh::MeshConfig c;
+  c.ndim = 3;
+  c.nxb = c.nyb = c.nzb = 16;
+  c.nguard = 4;
+  c.nscalars = 5;
+  c.maxblocks = 4;
+  struct Arm {
+    mesh::LayoutKind layout;
+    std::uint8_t shift;
+    ModeledCounters expected;
+  };
+  const Arm arms[] = {
+      {mesh::LayoutKind::kVarMajor, kShift4K,
+       {3121469, 365280, 2400, 11443, 15689, 13369344, 11702272, 101708,
+        52224}},
+      {mesh::LayoutKind::kVarMajor, kShift2M,
+       {3078473, 365280, 2400, 1354, 9751, 13369344, 11702272, 101708,
+        52224}},
+      {mesh::LayoutKind::kZoneMajor, kShift4K,
+       {7014018, 2174688, 2400, 807991, 44664, 17694720, 1055744, 752944,
+        69120}},
+      {mesh::LayoutKind::kZoneMajor, kShift2M,
+       {3774148, 2174688, 2400, 1659, 11947, 17694720, 1055744, 752944,
+        69120}},
+      {mesh::LayoutKind::kTiled, kShift4K,
+       {4542322, 2174688, 2400, 125824, 66537, 17694720, 1040384, 887424,
+        69120}},
+      {mesh::LayoutKind::kTiled, kShift2M,
+       {4022184, 2174688, 2400, 1768, 12731, 17694720, 1040384, 887424,
+        69120}},
+  };
+  for (const Arm& arm : arms) {
+    const mesh::UnkContainer unk(c, mem::HugePolicy::kNone, arm.layout,
+                                 runtime.page_pool());
+    perf::PerfContext perf;
+    Machine machine({}, &perf);
+    Tracer tracer(&machine);
+    for (int axis = 0; axis < 3; ++axis) {
+      for (int b = 0; b < c.maxblocks; ++b) {
+        unk.trace_sweep_axis(tracer, b, axis, c.ilo(), c.ihi(), c.jlo(),
+                             c.jhi(), c.klo(), c.khi(), c.nvar(), 6,
+                             arm.shift);
+        // A store-only pass (no read first) leaves dirty lines in the L2,
+        // so its evictions write back.
+        unk.trace_sweep_var(tracer, b, mesh::var::kFirstScalar + axis,
+                            c.ilo(), c.ihi(), c.jlo(), c.jhi(), c.klo(),
+                            c.khi(), /*write=*/true, arm.shift);
+        machine.compute(400, 100);
+      }
+      machine.commit(/*scale=*/axis + 1);
+    }
+    expect_counters(published_counters(perf), arm.expected,
+                    std::string(mesh::to_string(arm.layout)) + " shift " +
+                        std::to_string(arm.shift));
+  }
+}
+
+TEST(MachineGolden, HelmInterpolateCountersArePinned) {
+  rt::Runtime runtime;
+  const eos::HelmTableSpec spec{-4.0, 10.0, 81, 5.0, 10.0, 31};
+  const eos::HelmTable table =
+      eos::HelmTable::build(spec, mem::HugePolicy::kNone, runtime.page_pool());
+  ASSERT_EQ(table.page_shift(), kShift4K);  // never refreshed: 4 KiB
+  perf::PerfContext perf;
+  Machine machine({}, &perf);
+  Tracer tracer(&machine);
+  // Zones hop across the (rhoYe, T) grid (strides 37 and 13 cells), so
+  // consecutive lookups gather from different table pages: one full state
+  // fill and three P/E-only Newton iterations per zone, committed every
+  // 400 zones.
+  auto axis_value = [](double lo, double hi, int cells, double x) {
+    return std::pow(10.0, lo + (hi - lo) * x / cells);
+  };
+  const int nr = spec.nrho - 1, nt = spec.ntemp - 1;
+  for (int n = 0; n < 4000; ++n) {
+    const double rho_ye = axis_value(spec.log_rho_min, spec.log_rho_max, nr,
+                                     (n * 37) % nr + 0.57);
+    const double temp = axis_value(spec.log_temp_min, spec.log_temp_max, nt,
+                                   (n * 13) % nt + 0.31);
+    table.trace_interpolate(tracer, rho_ye, temp, true);
+    for (int it = 0; it < 3; ++it) {
+      table.trace_interpolate(tracer, rho_ye, temp * (1.0 + 0.01 * it),
+                              false);
+    }
+    if (n % 400 == 399) machine.commit(/*scale=*/2);
+  }
+  expect_counters(published_counters(perf),
+                  {13662934, 17939942, 8320000, 104042, 44286, 643072, 0,
+                   221146, 2512},
+                  "helm 4 KiB");
 }
 
 // ------------------------------------------------------------------ tracer
