@@ -2,13 +2,13 @@
 /// \brief Ablation A2: block-data layout x page size, on the real library.
 ///
 /// PARAMESH stores unk(nvar, i, j, k, blk) with the variable index
-/// fastest; the library's BlockLayout policy now offers zone-major
-/// (contiguous per-variable planes) and tiled alternatives. This ablation
-/// traces the same per-variable sweep — read one variable across every
-/// zone, the access shape of single-variable kernels like the Löhner
-/// estimator, which reads guard zones too — through *real UnkContainers*
-/// under every layout x page-size arm, showing how much of the paper's
-/// TLB problem is layout-induced rather than page-size-induced.
+/// fastest; the library's BlockLayout policy also offers zone-major
+/// (contiguous per-variable planes). This ablation traces the same
+/// per-variable sweep — read one variable across every zone, the access
+/// shape of single-variable kernels like the Löhner estimator, which
+/// reads guard zones too — through *real UnkContainers* under every
+/// layout x page-size arm, showing how much of the paper's TLB problem is
+/// layout-induced rather than page-size-induced.
 ///
 /// Usage: bench_ablate_layout [--json=PATH]
 ///
@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
 
   const mesh::MeshConfig config = bench_config();
   constexpr mesh::LayoutKind kLayouts[] = {mesh::LayoutKind::kVarMajor,
-                                           mesh::LayoutKind::kZoneMajor,
-                                           mesh::LayoutKind::kTiled};
+                                           mesh::LayoutKind::kZoneMajor};
   struct Page {
     const char* name;
     std::uint8_t shift;

@@ -9,11 +9,22 @@
 
 namespace fhp::mesh {
 
+namespace {
+/// Every valid layout, as the errors and the parameter help spell it.
+constexpr std::string_view kLayoutChoices = "var_major|zone_major";
+
+[[noreturn]] void throw_bad_layout(std::string_view source,
+                                   std::string_view value) {
+  throw ConfigError(std::string(source) + "='" + std::string(value) +
+                    "' is not a valid block layout (expected " +
+                    std::string(kLayoutChoices) + ")");
+}
+}  // namespace
+
 std::string_view to_string(LayoutKind kind) noexcept {
   switch (kind) {
     case LayoutKind::kVarMajor: return "var_major";
     case LayoutKind::kZoneMajor: return "zone_major";
-    case LayoutKind::kTiled: return "tiled";
   }
   return "?";
 }
@@ -26,7 +37,6 @@ std::optional<LayoutKind> parse_layout(std::string_view s) {
   if (v == "zone_major" || v == "zonemajor" || v == "soa") {
     return LayoutKind::kZoneMajor;
   }
-  if (v == "tiled" || v == "tile") return LayoutKind::kTiled;
   return std::nullopt;
 }
 
@@ -36,11 +46,7 @@ LayoutKind layout_from_environment(LayoutKind fallback) {
   if (const char* raw = std::getenv(kLayoutEnvVar);
       raw != nullptr && *raw != '\0') {
     const auto parsed = parse_layout(raw);
-    if (!parsed) {
-      throw ConfigError(std::string(kLayoutEnvVar) + "='" + raw +
-                        "' is not a valid block layout "
-                        "(expected var_major|zone_major|tiled)");
-    }
+    if (!parsed) throw_bad_layout(kLayoutEnvVar, raw);
     return *parsed;
   }
   return fallback;
@@ -48,8 +54,8 @@ LayoutKind layout_from_environment(LayoutKind fallback) {
 
 void declare_runtime_params(RuntimeParams& params) {
   params.declare_string(kLayoutParamName, "",
-                        "block-data layout (var_major|zone_major|tiled; "
-                        "empty: resolve from " +
+                        "block-data layout (" + std::string(kLayoutChoices) +
+                            "; empty: resolve from " +
                             std::string(kLayoutEnvVar) + ")");
 }
 
@@ -57,24 +63,9 @@ std::optional<LayoutKind> layout_from_params(const RuntimeParams& params) {
   const std::string value = params.get_string(kLayoutParamName);
   if (value.empty()) return std::nullopt;
   const auto parsed = parse_layout(value);
-  if (!parsed) {
-    throw ConfigError(std::string(kLayoutParamName) + "='" + value +
-                      "' is not a valid block layout "
-                      "(expected var_major|zone_major|tiled)");
-  }
+  if (!parsed) throw_bad_layout(kLayoutParamName, value);
   return parsed;
 }
-
-namespace {
-/// Largest edge from {8, 4, 2, 1} dividing the padded extent \p n, so
-/// tiles always partition the block exactly (no padding, no straddling).
-int tile_edge(int n) {
-  for (int e : {8, 4, 2}) {
-    if (n % e == 0) return e;
-  }
-  return 1;
-}
-}  // namespace
 
 BlockLayout::BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk)
     : kind_(kind),
@@ -104,14 +95,6 @@ BlockLayout::BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk)
       sj_ = niz;
       sk_ = niz * njz;
       sv_ = niz * njz * nkz;
-      break;
-    case LayoutKind::kTiled:
-      ti_ = tile_edge(ni);
-      tj_ = tile_edge(nj);
-      tk_ = tile_edge(nk);
-      ntx_ = ni / ti_;
-      nty_ = nj / tj_;
-      tile_cells_ = static_cast<std::size_t>(ti_) * tj_ * tk_;
       break;
   }
 }

@@ -8,15 +8,16 @@
 /// arXiv:2408.16084) treat data layout as the co-equal knob next to page
 /// size. BlockLayout lifts the decision out of UnkContainer into an
 /// explicit, runtime-selectable policy so layout x page-size is a
-/// first-class experiment axis:
+/// first-class experiment axis. The two layouts span that knob:
 ///
 ///   | kind       | order (fastest -> slowest)      | per-var plane        |
 ///   |------------|---------------------------------|----------------------|
 ///   | var_major  | v, i, j, k, b (Fortran baseline)| strided by nvar      |
 ///   | zone_major | i, j, k, v, b (block-local SoA) | contiguous           |
-///   | tiled      | i,j,k in tiles; v per tile; b   | contiguous per tile  |
 ///
 /// Invariants every layout must satisfy (enforced by test_layout.cpp):
+///   * affine: offset = v*sv + i*si + j*sj + k*sk + b*block_stride, with
+///     strides fixed at construction — at() is branch-free;
 ///   * bijection: offset() is a bijection from the (v,i,j,k,b) domain onto
 ///     [0, nvar*ni*nj*nk*maxblocks) — no holes, no aliasing;
 ///   * identical footprint: block_stride() == nvar*ni*nj*nk for all kinds,
@@ -31,7 +32,7 @@
 /// for_each_var_run(): the maximal contiguous runs covering a zone's
 /// variable vector. Under var_major that is one nread*8-byte touch —
 /// byte-for-byte the seed's trace, keeping golden counters bit-identical —
-/// while zone_major/tiled decay to per-variable touches, so modeled DTLB
+/// while zone_major decays to per-variable touches, so modeled DTLB
 /// misses track the real access pattern of each layout.
 ///
 /// Selection mirrors mem::HugePolicy — one resolution order, first hit
@@ -59,10 +60,9 @@ namespace fhp::mesh {
 enum class LayoutKind : std::uint8_t {
   kVarMajor,   ///< Fortran unk(nvar,i,j,k,blk): variable fastest (baseline)
   kZoneMajor,  ///< block-local SoA: contiguous per-variable planes
-  kTiled,      ///< zone-major inside cache-sized i x j x k tiles
 };
 
-/// Canonical lower-case spelling ("var_major", "zone_major", "tiled").
+/// Canonical lower-case spelling ("var_major", "zone_major").
 [[nodiscard]] std::string_view to_string(LayoutKind kind) noexcept;
 
 /// Parse a layout string (case-insensitive); nullopt if unrecognized.
@@ -87,17 +87,14 @@ void declare_runtime_params(RuntimeParams& params);
 [[nodiscard]] std::optional<LayoutKind> layout_from_params(
     const RuntimeParams& params);
 
-/// One block-data layout, instantiated for a concrete block shape. The
-/// struct is a vtable-free strategy: var_major and zone_major are affine
-/// (offset = v*sv + i*si + j*sj + k*sk + b*block_stride with precomputed
-/// strides) and tiled adds a tile decomposition; offset() branches on the
-/// kind once, with no virtual dispatch on the at() hot path.
+/// One block-data layout, instantiated for a concrete block shape: the
+/// affine map offset = v*sv + i*si + j*sj + k*sk + b*block_stride with
+/// strides precomputed per kind, so offset() on the at() hot path is one
+/// dot product, with no branch and no virtual dispatch.
 class BlockLayout {
  public:
   /// Build a layout for nvar variables on padded blocks of ni x nj x nk
-  /// zones. Tiled picks, per axis, the largest tile edge from {8,4,2,1}
-  /// that divides the padded extent, so tiles never straddle blocks and
-  /// no padding is introduced (block_stride is identical across kinds).
+  /// zones.
   BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk);
 
   [[nodiscard]] LayoutKind kind() const noexcept { return kind_; }
@@ -114,66 +111,39 @@ class BlockLayout {
   /// Flat offset of (v, i, j, k, b) in doubles from the arena base.
   [[nodiscard]] std::size_t offset(int v, int i, int j, int k,
                                    int b) const noexcept {
-    const auto vz = static_cast<std::size_t>(v);
-    const auto bz = static_cast<std::size_t>(b);
-    if (kind_ != LayoutKind::kTiled) {
-      return vz * sv_ + static_cast<std::size_t>(i) * si_ +
-             static_cast<std::size_t>(j) * sj_ +
-             static_cast<std::size_t>(k) * sk_ + bz * block_stride_;
-    }
-    const auto io = static_cast<std::size_t>(i % ti_);
-    const auto jo = static_cast<std::size_t>(j % tj_);
-    const auto ko = static_cast<std::size_t>(k % tk_);
-    const auto tile =
-        static_cast<std::size_t>((i / ti_) +
-                                 ntx_ * ((j / tj_) + nty_ * (k / tk_)));
-    return io +
-           static_cast<std::size_t>(ti_) *
-               (jo + static_cast<std::size_t>(tj_) *
-                         (ko + static_cast<std::size_t>(tk_) * vz)) +
-           tile_cells_ * static_cast<std::size_t>(nvar_) * tile +
-           bz * block_stride_;
-  }
-
-  /// True when offset() is affine in all five indices (var_major,
-  /// zone_major). Tiled offsets are piecewise affine: zone_stride() and
-  /// var_stride() are only meaningful for affine layouts.
-  [[nodiscard]] bool affine() const noexcept {
-    return kind_ != LayoutKind::kTiled;
+    return static_cast<std::size_t>(v) * sv_ +
+           static_cast<std::size_t>(i) * si_ +
+           static_cast<std::size_t>(j) * sj_ +
+           static_cast<std::size_t>(k) * sk_ +
+           static_cast<std::size_t>(b) * block_stride_;
   }
 
   /// Distance in doubles between a zone and its neighbour along \p axis
-  /// (0=i, 1=j, 2=k) at fixed variable. Affine layouts only.
+  /// (0=i, 1=j, 2=k) at fixed variable.
   [[nodiscard]] std::size_t zone_stride(int axis) const noexcept {
-    FHP_PRECONDITION(affine(), "zone_stride is defined for affine layouts");
     FHP_PRECONDITION(axis >= 0 && axis <= 2, "axis must be 0, 1 or 2");
     return axis == 0 ? si_ : axis == 1 ? sj_ : sk_;
   }
 
-  /// Distance in doubles between consecutive variables of one zone.
-  /// Affine layouts only (1 for var_major, ni*nj*nk for zone_major).
-  [[nodiscard]] std::size_t var_stride() const noexcept {
-    FHP_PRECONDITION(affine(), "var_stride is defined for affine layouts");
-    return sv_;
-  }
+  /// Distance in doubles between consecutive variables of one zone
+  /// (1 for var_major, ni*nj*nk for zone_major).
+  [[nodiscard]] std::size_t var_stride() const noexcept { return sv_; }
 
   /// True when a zone's variable vector [0, nvar) is contiguous in
   /// memory — the Fortran property FLASH kernels and the checkpoint
-  /// format historically assumed. Only var_major has it.
-  [[nodiscard]] bool vars_contiguous() const noexcept {
-    return kind_ == LayoutKind::kVarMajor;
-  }
+  /// format historically assumed (var_major).
+  [[nodiscard]] bool vars_contiguous() const noexcept { return sv_ == 1; }
 
   /// Enumerate the maximal contiguous runs that cover variables
   /// [v0, v0+count) of zone (i,j,k,b), calling fn(offset, run_length) for
   /// each. var_major yields one run of `count` (byte-identical to the
-  /// seed's contiguous touch); zone_major and tiled yield `count` runs of
-  /// one double each. This is the tracer's window into the layout.
+  /// seed's contiguous touch); zone_major yields `count` runs of one
+  /// double each. This is the tracer's window into the layout.
   template <typename Fn>
   void for_each_var_run(int v0, int count, int i, int j, int k, int b,
                         Fn&& fn) const {
     if (count <= 0) return;
-    if (kind_ == LayoutKind::kVarMajor) {
+    if (vars_contiguous()) {
       fn(offset(v0, i, j, k, b), count);
       return;
     }
@@ -205,14 +175,8 @@ class BlockLayout {
   LayoutKind kind_;
   int nvar_, ni_, nj_, nk_;
   std::size_t block_stride_;
-  // Affine strides (doubles). Valid for var_major / zone_major; for tiled
-  // they are unused and offset() takes the tile path instead.
+  // Strides (doubles), fixed per kind at construction.
   std::size_t sv_ = 0, si_ = 0, sj_ = 0, sk_ = 0;
-  // Tile decomposition (tiled only): edge lengths, tile counts per axis,
-  // zones per tile.
-  int ti_ = 1, tj_ = 1, tk_ = 1;
-  int ntx_ = 1, nty_ = 1;
-  std::size_t tile_cells_ = 1;
 };
 
 }  // namespace fhp::mesh

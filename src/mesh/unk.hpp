@@ -11,9 +11,10 @@
 /// pattern the paper identifies as the motivation for huge pages
 /// ("there is a stride in memory for addressing variables in different
 /// zones or blocks"). UnkContainer is carved from a mem::PagePool under
-/// the experiment's HugePolicy; the index -> address map itself is delegated
-/// to a BlockLayout policy (layout.hpp), with the Fortran order
-/// (LayoutKind::kVarMajor) as the bit-for-bit default.
+/// the experiment's HugePolicy; the index -> address map, and the block
+/// extents with it, belong to a BlockLayout policy (layout.hpp): an affine
+/// map with strides fixed at construction, so at() is branch-free, and the
+/// Fortran order (LayoutKind::kVarMajor) as the bit-for-bit default.
 
 #pragma once
 
@@ -43,10 +44,6 @@ class UnkContainer {
                LayoutKind layout_kind, mem::PagePool& pool)
       : layout_(layout_kind, config.nvar(), config.ni(), config.nj(),
                 config.nk()),
-        nvar_(config.nvar()),
-        ni_(config.ni()),
-        nj_(config.nj()),
-        nk_(config.nk()),
         maxblocks_(config.maxblocks),
         data_(layout_.block_stride() * static_cast<std::size_t>(maxblocks_),
               policy, pool),
@@ -80,10 +77,10 @@ class UnkContainer {
     return layout_.kind();
   }
 
-  [[nodiscard]] int nvar() const noexcept { return nvar_; }
-  [[nodiscard]] int ni() const noexcept { return ni_; }
-  [[nodiscard]] int nj() const noexcept { return nj_; }
-  [[nodiscard]] int nk() const noexcept { return nk_; }
+  [[nodiscard]] int nvar() const noexcept { return layout_.nvar(); }
+  [[nodiscard]] int ni() const noexcept { return layout_.ni(); }
+  [[nodiscard]] int nj() const noexcept { return layout_.nj(); }
+  [[nodiscard]] int nk() const noexcept { return layout_.nk(); }
   [[nodiscard]] int maxblocks() const noexcept { return maxblocks_; }
   [[nodiscard]] std::size_t block_stride() const noexcept {
     return layout_.block_stride();
@@ -141,7 +138,7 @@ class UnkContainer {
   /// variable vector is touched as the maximal contiguous runs the active
   /// layout provides: one nread*8-byte touch under var_major (FLASH
   /// kernels read unk(:, i, j, k) vectors — the canonical strided pattern
-  /// of the paper), per-variable touches under zone_major/tiled.
+  /// of the paper), per-variable touches under zone_major.
   void trace_sweep(tlb::Tracer& tracer, int b, int ilo, int ihi, int jlo,
                    int jhi, int klo, int khi, int nread, int nwrite) const {
     trace_sweep_axis(tracer, b, 0, ilo, ihi, jlo, jhi, klo, khi, nread,
@@ -215,7 +212,7 @@ class UnkContainer {
                        std::uint8_t page_shift) const {
     if (!tracer.enabled()) return;
     check_sweep_range(b, 0, ilo, ihi, jlo, jhi, klo, khi, 1, 0);
-    FHP_PRECONDITION(v >= 0 && v < nvar_, "variable index out of range");
+    FHP_PRECONDITION(v >= 0 && v < nvar(), "variable index out of range");
     const auto* base = static_cast<const double*>(
         tlb::synthetic_scratch(tlb::kUnkTraceSlot));
     for (int k = klo; k < khi; ++k) {
@@ -233,25 +230,25 @@ class UnkContainer {
                          int klo, int khi, int nread, int nwrite) const {
     FHP_PRECONDITION(axis >= 0 && axis <= 2, "sweep axis must be 0, 1 or 2");
     FHP_PRECONDITION(b >= 0 && b < maxblocks_, "block index out of range");
-    FHP_PRECONDITION(0 <= ilo && ilo <= ihi && ihi <= ni_ &&
-                         0 <= jlo && jlo <= jhi && jhi <= nj_ &&
-                         0 <= klo && klo <= khi && khi <= nk_,
+    FHP_PRECONDITION(0 <= ilo && ilo <= ihi && ihi <= ni() &&
+                         0 <= jlo && jlo <= jhi && jhi <= nj() &&
+                         0 <= klo && klo <= khi && khi <= nk(),
                      "sweep range exceeds block extent");
-    FHP_PRECONDITION(nread >= 0 && nread <= nvar_ && nwrite >= 0 &&
-                         nwrite <= nvar_,
+    FHP_PRECONDITION(nread >= 0 && nread <= nvar() && nwrite >= 0 &&
+                         nwrite <= nvar(),
                      "cannot touch more variables than the mesh carries");
     // Mapped-range containment: the sweep's last zone — at the layout's
     // highest variable address — must lie inside the backing region
     // (catches stride/layout bugs before they scribble).
     FHP_ASSERT(ihi == ilo || jhi == jlo || khi == klo ||
                    region().contains(
-                       ptr(nvar_ - 1, ihi - 1, jhi - 1, khi - 1, b),
+                       ptr(nvar() - 1, ihi - 1, jhi - 1, khi - 1, b),
                        sizeof(double)),
                "sweep extends past the mapped unk region");
   }
 
   BlockLayout layout_;
-  int nvar_, ni_, nj_, nk_, maxblocks_;
+  int maxblocks_;
   mem::HugeBuffer<double> data_;
   std::uint8_t page_shift_;
 };

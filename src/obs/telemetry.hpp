@@ -151,10 +151,6 @@ class Telemetry final : public trace::Sink {
   rt::Runtime* runtime_ = nullptr;  ///< per-runtime install target
 };
 
-/// Compat alias: the RAII span scope moved to support/trace.hpp with the
-/// FHP_TRACE_SPAN macro (kernels below the obs layer use it from there).
-using SpanScope = ::fhp::trace::SpanScope;
-
 /// Environment variable naming the timeline output path ("" = disabled).
 inline constexpr const char* kTimelineEnvVar = "FLASHHP_TELEMETRY";
 /// Environment variable overriding the sampler cadence in milliseconds.

@@ -15,9 +15,13 @@ namespace {
 // Format 3: zone vectors are serialized in *canonical* (variable-fastest)
 // order via gather/scatter regardless of the in-memory BlockLayout, and
 // the writer's layout kind is recorded in the header — informational
-// provenance only, so a checkpoint written under var_major restores
-// exactly under zone_major or tiled.
+// provenance only, so a checkpoint written under either layout restores
+// exactly under the other.
 constexpr char kMagic[8] = {'F', 'H', 'P', 'C', 'K', 'P', 'T', '3'};
+
+// Provenance of files written under the since-deleted tiled layout. Their
+// zone data is canonical like any other, so they keep restoring.
+constexpr std::int32_t kLegacyTiledProvenance = 2;
 
 /// The config fields that must match for a restart to make sense.
 struct ConfigRecord {
@@ -138,9 +142,10 @@ CheckpointInfo read_checkpoint(const std::string& path,
 
   std::int32_t stored_layout = 0;
   read_pod(in, stored_layout);
-  FHP_REQUIRE(stored_layout >= 0 &&
-                  stored_layout <=
-                      static_cast<std::int32_t>(mesh::LayoutKind::kTiled),
+  FHP_REQUIRE((stored_layout >= 0 &&
+               stored_layout <=
+                   static_cast<std::int32_t>(mesh::LayoutKind::kZoneMajor)) ||
+                  stored_layout == kLegacyTiledProvenance,
               "checkpoint '" + path + "' carries an unknown block layout");
 
   CheckpointInfo info;

@@ -12,7 +12,7 @@
 /// sequence `HydroSolver::step(dt)`, then `fill_guardcells()`,
 /// `AdrFlame::advance(dt)` and `eos_update()` when a flame is wired, bit
 /// for bit — tests/test_taskgraph.cpp holds that at 1/2/4 lanes across
-/// the three layouts — and overlaps guard fill, sweep, flux fixup and
+/// both layouts — and overlaps guard fill, sweep, flux fixup and
 /// EOS across blocks instead of draining the lanes between phases.
 ///
 /// Sampling: every `trace_sample`-th leaf block (round-robin offset per

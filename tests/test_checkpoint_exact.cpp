@@ -4,7 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "eos/gamma_eos.hpp"
 #include "hydro/hydro.hpp"
@@ -17,6 +24,7 @@
 namespace fhp::sim {
 namespace {
 
+using mesh::LayoutKind;
 using mesh::var::kDens;
 using mesh::var::kEner;
 using mesh::var::kPres;
@@ -102,6 +110,25 @@ void paint(mesh::AmrMesh& m) {
   }
 }
 
+/// Every interior value of \p restored equals that of \p original.
+void expect_same_interiors(const mesh::AmrMesh& restored,
+                           const mesh::AmrMesh& original) {
+  ASSERT_EQ(restored.tree().leaves_morton(),
+            original.tree().leaves_morton());
+  const mesh::MeshConfig& c = original.config();
+  for (int b : original.tree().leaves_morton()) {
+    for (int j = c.jlo(); j < c.jhi(); ++j) {
+      for (int i = c.ilo(); i < c.ihi(); ++i) {
+        for (int v = 0; v < c.nvar(); ++v) {
+          ASSERT_EQ(restored.unk().at(v, i, j, 0, b),
+                    original.unk().at(v, i, j, 0, b))
+              << "b=" << b << " i=" << i << " j=" << j << " v=" << v;
+        }
+      }
+    }
+  }
+}
+
 TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   rt::Runtime runtime;
   mesh::AmrMesh original(ckpt_config(), mem::HugePolicy::kNone,
@@ -129,17 +156,7 @@ TEST(CheckpointTest, RoundTripRestoresTopologyAndData) {
   EXPECT_EQ(restored.tree().leaves_morton(),
             original.tree().leaves_morton());
   // ...and bit-identical interiors.
-  const mesh::MeshConfig& c = original.config();
-  for (int b : original.tree().leaves_morton()) {
-    for (int j = c.jlo(); j < c.jhi(); ++j) {
-      for (int i = c.ilo(); i < c.ihi(); ++i) {
-        for (int v = 0; v < c.nvar(); ++v) {
-          ASSERT_EQ(restored.unk().at(v, i, j, 0, b),
-                    original.unk().at(v, i, j, 0, b));
-        }
-      }
-    }
-  }
+  expect_same_interiors(restored, original);
 }
 
 TEST(CheckpointTest, RestartContinuesBitExactly) {
@@ -241,6 +258,102 @@ TEST(CheckpointTest, RequiresAFreshMesh) {
                      runtime.arena());
   busy.refine_block(0);  // not fresh any more
   EXPECT_THROW(read_checkpoint("ckpt_fresh.bin", busy), ConfigError);
+}
+
+/// A refined, painted mesh under \p layout.
+std::unique_ptr<mesh::AmrMesh> painted_mesh(rt::Runtime& runtime,
+                                            LayoutKind layout) {
+  auto m = std::make_unique<mesh::AmrMesh>(
+      ckpt_config(), mem::HugePolicy::kNone, layout, runtime.page_pool(),
+      runtime.arena());
+  m->refine_block(0);
+  m->refine_block(m->tree().find(2, {0, 0, 0}));
+  paint(*m);
+  return m;
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// The painted mesh's checkpoint written under var_major, and the offset
+/// of its writer-layout provenance: the one 4-byte field in which it
+/// differs from the same mesh written under zone_major.
+struct ProvenanceFile {
+  std::vector<char> bytes;
+  std::size_t field = 0;
+};
+
+ProvenanceFile provenance_file(rt::Runtime& runtime) {
+  std::vector<char> written[2];
+  for (const LayoutKind layout :
+       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
+    write_checkpoint("ckpt_provenance.bin", *painted_mesh(runtime, layout),
+                     {0.5, 7});
+    written[static_cast<int>(layout)] = file_bytes("ckpt_provenance.bin");
+  }
+  ProvenanceFile file{written[0], 0};
+  EXPECT_EQ(written[0].size(), written[1].size());
+  std::vector<std::size_t> differ;
+  for (std::size_t n = 0; n < written[0].size(); ++n) {
+    if (written[0][n] != written[1][n]) differ.push_back(n);
+  }
+  EXPECT_FALSE(differ.empty());
+  if (differ.empty()) return file;
+  EXPECT_LT(differ.back() - differ.front(), sizeof(std::int32_t));
+  file.field = differ.front();
+  std::int32_t as_written[2];
+  for (int w = 0; w < 2; ++w) {
+    std::memcpy(&as_written[w], written[w].data() + file.field,
+                sizeof(std::int32_t));
+  }
+  EXPECT_EQ(as_written[0], static_cast<std::int32_t>(LayoutKind::kVarMajor));
+  EXPECT_EQ(as_written[1], static_cast<std::int32_t>(LayoutKind::kZoneMajor));
+  return file;
+}
+
+/// Write \p file to \p path with its provenance field set to \p value.
+void write_with_provenance(const ProvenanceFile& file, std::int32_t value,
+                           const std::string& path) {
+  std::vector<char> bytes = file.bytes;
+  std::memcpy(bytes.data() + file.field, &value, sizeof value);
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(CheckpointTest, LegacyTiledProvenanceRestoresExactly) {
+  rt::Runtime runtime;
+  const ProvenanceFile file = provenance_file(runtime);
+  ASSERT_GT(file.field, 0u);
+  // Files written under the since-deleted tiled layout say 2; their zone
+  // data is canonical, so they restore into either layout.
+  write_with_provenance(file, 2, "ckpt_legacy_layout.bin");
+  const auto original = painted_mesh(runtime, LayoutKind::kVarMajor);
+  for (const LayoutKind reader :
+       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
+    mesh::AmrMesh restored(ckpt_config(), mem::HugePolicy::kNone, reader,
+                           runtime.page_pool(), runtime.arena());
+    const CheckpointInfo info =
+        read_checkpoint("ckpt_legacy_layout.bin", restored);
+    EXPECT_DOUBLE_EQ(info.sim_time, 0.5);
+    EXPECT_EQ(info.step, 7);
+    expect_same_interiors(restored, *original);
+  }
+}
+
+TEST(CheckpointTest, UnknownLayoutProvenanceRejected) {
+  rt::Runtime runtime;
+  const ProvenanceFile file = provenance_file(runtime);
+  ASSERT_GT(file.field, 0u);
+  for (const std::int32_t value : {-1, 3}) {
+    write_with_provenance(file, value, "ckpt_unknown_layout.bin");
+    mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+                    runtime.page_pool(), runtime.arena());
+    EXPECT_THROW(read_checkpoint("ckpt_unknown_layout.bin", m), ConfigError)
+        << "provenance " << value;
+  }
 }
 
 }  // namespace

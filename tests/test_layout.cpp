@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,9 +32,12 @@
 #include "sim/driver.hpp"
 #include "sim/sedov.hpp"
 #include "sim/supernova.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "tlb/machine.hpp"
 #include "tlb/trace.hpp"
+
+#include "scoped_env.hpp"
 
 namespace fhp {
 namespace {
@@ -44,8 +48,7 @@ using mesh::MeshConfig;
 using mesh::UnkContainer;
 
 constexpr LayoutKind kAllLayouts[] = {LayoutKind::kVarMajor,
-                                      LayoutKind::kZoneMajor,
-                                      LayoutKind::kTiled};
+                                      LayoutKind::kZoneMajor};
 
 // ----------------------------------------------------------- selection
 
@@ -57,25 +60,58 @@ TEST(LayoutSelect, ParseAndToStringRoundTrip) {
   }
   EXPECT_EQ(mesh::parse_layout("  SoA "), LayoutKind::kZoneMajor);
   EXPECT_EQ(mesh::parse_layout("Fortran"), LayoutKind::kVarMajor);
-  EXPECT_EQ(mesh::parse_layout("TILE"), LayoutKind::kTiled);
   EXPECT_FALSE(mesh::parse_layout("diagonal").has_value());
   EXPECT_FALSE(mesh::parse_layout("").has_value());
+  // The deleted tiled layout and its alias.
+  EXPECT_FALSE(mesh::parse_layout("tiled").has_value());
+  EXPECT_FALSE(mesh::parse_layout("tile").has_value());
+}
+
+/// The message of the ConfigError \p fn throws ("" if it throws none).
+template <typename Fn>
+std::string config_error_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// \p text names every valid layout.
+void expect_names_every_layout(const std::string& text) {
+  ASSERT_FALSE(text.empty()) << "no ConfigError";
+  for (const LayoutKind kind : kAllLayouts) {
+    EXPECT_NE(text.find(mesh::to_string(kind)), std::string::npos) << text;
+  }
 }
 
 TEST(LayoutSelect, RuntimeParamSelectsTheLayout) {
   RuntimeParams rp;
   mesh::declare_runtime_params(rp);
+  std::ostringstream help;
+  rp.dump(help);
+  expect_names_every_layout(help.str());
   EXPECT_FALSE(mesh::layout_from_params(rp).has_value());  // "": defer
   rp.set_from_string(mesh::kLayoutParamName, "zone_major");
   EXPECT_EQ(mesh::layout_from_params(rp), LayoutKind::kZoneMajor);
   rp.set_from_string(mesh::kLayoutParamName, "junk");
   EXPECT_THROW(static_cast<void>(mesh::layout_from_params(rp)), ConfigError);
+  rp.set_from_string(mesh::kLayoutParamName, "tiled");
+  expect_names_every_layout(config_error_text(
+      [&] { static_cast<void>(mesh::layout_from_params(rp)); }));
+}
+
+TEST(LayoutSelect, TiledEnvironmentIsAConfigError) {
+  const test::ScopedEnv env(mesh::kLayoutEnvVar, "tiled");
+  expect_names_every_layout(
+      config_error_text([] { static_cast<void>(rt::Runtime()); }));
 }
 
 // ------------------------------------------------------------ the map
 
 TEST(LayoutMap, EveryLayoutIsABijectionWithBlockLocality) {
-  // Deliberately anisotropic extents: 12 (8|4-divisible), 10, 6.
+  // Deliberately anisotropic extents.
   const int nvar = 7, ni = 12, nj = 10, nk = 6, nblocks = 3;
   for (const LayoutKind kind : kAllLayouts) {
     const BlockLayout layout(kind, nvar, ni, nj, nk);
@@ -128,10 +164,8 @@ TEST(LayoutMap, VarMajorMatchesTheFortranFormula) {
 
 TEST(LayoutMap, AffineStridesMatchOffsetDeltas) {
   const int nvar = 6, ni = 12, nj = 10, nk = 6;
-  for (const LayoutKind kind :
-       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
+  for (const LayoutKind kind : kAllLayouts) {
     const BlockLayout layout(kind, nvar, ni, nj, nk);
-    ASSERT_TRUE(layout.affine());
     const std::size_t base = layout.offset(2, 3, 4, 2, 1);
     EXPECT_EQ(layout.offset(2, 4, 4, 2, 1) - base, layout.zone_stride(0));
     EXPECT_EQ(layout.offset(2, 3, 5, 2, 1) - base, layout.zone_stride(1));
@@ -147,17 +181,6 @@ TEST(LayoutMap, AffineStridesMatchOffsetDeltas) {
   const BlockLayout zm(LayoutKind::kZoneMajor, nvar, ni, nj, nk);
   EXPECT_EQ(zm.zone_stride(0), 1u);
   EXPECT_EQ(zm.var_stride(), static_cast<std::size_t>(ni) * nj * nk);
-  EXPECT_FALSE(
-      BlockLayout(LayoutKind::kTiled, nvar, ni, nj, nk).affine());
-}
-
-TEST(LayoutMap, TiledIsZoneMajorInsideOneTile) {
-  const BlockLayout layout(LayoutKind::kTiled, 4, 16, 16, 8);
-  // Within a tile the i-neighbour is one double away; crossing a tile
-  // boundary jumps by a whole tile of every variable.
-  const std::size_t base = layout.offset(1, 0, 0, 0, 0);
-  EXPECT_EQ(layout.offset(1, 1, 0, 0, 0) - base, 1u);
-  EXPECT_NE(layout.offset(1, 8, 0, 0, 0) - layout.offset(1, 7, 0, 0, 0), 1u);
 }
 
 TEST(LayoutMap, VarRunsCoverTheZoneVectorExactly) {

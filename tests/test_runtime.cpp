@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -53,37 +52,15 @@
 #include "support/trace.hpp"
 #include "tlb/machine.hpp"
 
+#include "scoped_env.hpp"
+
 namespace fhp::sim {
 namespace {
 
 using mesh::LayoutKind;
+using test::ScopedEnv;
 
 // ----------------------------------------------------- context plumbing
-
-/// Sets an environment variable for one scope, restoring the previous
-/// value (or absence) on exit — the layout-matrix CI job runs this suite
-/// with FLASHHP_LAYOUT already set.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- single-threaded test setup
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
   std::optional<rt::Runtime> snapshot;
@@ -94,9 +71,9 @@ TEST(RuntimeContext, ExplicitRuntimeSnapshotsConfigAtConstruction) {
     snapshot.emplace(opts);  // nullopt layout: resolve the environment now
   }
   {
-    const ScopedEnv env(mesh::kLayoutEnvVar, "tiled");
+    const ScopedEnv env(mesh::kLayoutEnvVar, "var_major");
     EXPECT_EQ(snapshot->layout(), LayoutKind::kZoneMajor);
-    EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kTiled);
+    EXPECT_EQ(rt::Runtime().layout(), LayoutKind::kVarMajor);
   }
   EXPECT_EQ(snapshot->lanes(), 2);
 
@@ -131,11 +108,11 @@ TEST(RuntimeContext, RuntimeParamsFeedTheOptions) {
   RuntimeParams rp;
   rt::declare_runtime_params(rp);
   rp.set_int("par.threads", 3);
-  rp.set_from_string(mesh::kLayoutParamName, "tiled");
+  rp.set_from_string(mesh::kLayoutParamName, "zone_major");
   rp.set_from_string(mem::kPolicyParamName, "thp");
   const rt::Runtime runtime(rt::apply_runtime_params(rp));
   EXPECT_EQ(runtime.lanes(), 3);
-  EXPECT_EQ(runtime.layout(), LayoutKind::kTiled);
+  EXPECT_EQ(runtime.layout(), LayoutKind::kZoneMajor);
   EXPECT_EQ(runtime.huge_policy(), mem::HugePolicy::kThp);
 
   // Empty layout/policy defer to the environment, like a default runtime.

@@ -17,7 +17,7 @@
 ///   5. the scheduler extension of the PR 9 invariant — a probe tenant
 ///      stepped in 1- and 3-step quanta, interleaved with strangers on
 ///      concurrent workers, ends bit-identical (canonical end state AND
-///      published counters) to its solo run, across all three layouts.
+///      published counters) to its solo run, across both layouts.
 
 #include <gtest/gtest.h>
 
@@ -441,7 +441,7 @@ TEST(ServiceShutdown, DestructorDrainsAndSecondShutdownIsIdempotent) {
 // The scheduler extension of the PR 9 invariant: fair-share quanta are
 // invisible to the tenant — end state and published counters are
 // bit-identical to the solo run, at 1- and 3-step quanta, interleaved
-// with strangers on concurrent workers, across all three layouts.
+// with strangers on concurrent workers, across both layouts.
 // =====================================================================
 
 struct ProbeResult {
@@ -466,13 +466,13 @@ ProbeResult run_probe(LayoutKind layout, int quantum, bool interference) {
   EXPECT_TRUE(p.accepted());
   std::vector<Submission> others;
   if (interference) {
-    // Strangers on other layouts, one of them flame-bearing, so the
+    // Strangers on both layouts, one of them flame-bearing, so the
     // probe's quanta interleave with genuinely different physics.
     JobSpec c = cellular_spec(8);
     c.layout = LayoutKind::kVarMajor;
     others.push_back(service.submit(std::move(c)));
     JobSpec s = sedov_spec(8);
-    s.layout = LayoutKind::kTiled;
+    s.layout = LayoutKind::kZoneMajor;
     s.sedov.max_level = 1;
     others.push_back(service.submit(std::move(s)));
   }
@@ -487,7 +487,7 @@ ProbeResult run_probe(LayoutKind layout, int quantum, bool interference) {
 
 TEST(ServiceFairShare, QuantaInterleavedBitIdenticalToSolo) {
   for (const LayoutKind layout :
-       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor, LayoutKind::kTiled}) {
+       {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
     const ProbeResult solo = run_probe(layout, 4, /*interference=*/false);
     ASSERT_GT(solo.state.size(), 1u);
     ASSERT_GT(solo.counters.seq, 0u);

@@ -12,7 +12,7 @@
 ///   3. executor equivalence — the Driver's task-graph step must leave
 ///      Sedov and supernova end states *and* every published counter bit
 ///      for bit where the bulk-synchronous per-unit sequence it stands in
-///      for leaves them, at 1/2/4 lanes across all three unk layouts, plus a
+///      for leaves them, at 1/2/4 lanes across both unk layouts, plus a
 ///      tsan workload with the sampler running over Driver steps.
 
 #include <gtest/gtest.h>
@@ -244,8 +244,7 @@ namespace {
 using mesh::LayoutKind;
 
 constexpr LayoutKind kAllLayouts[] = {LayoutKind::kVarMajor,
-                                      LayoutKind::kZoneMajor,
-                                      LayoutKind::kTiled};
+                                      LayoutKind::kZoneMajor};
 
 /// Canonical end state: every leaf interior zone vector in Morton order,
 /// the final time (plus, with a flame, its serial leaf-order energy

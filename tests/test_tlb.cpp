@@ -555,12 +555,6 @@ TEST(MachineGolden, UnkSweepCountersArePinned) {
       {mesh::LayoutKind::kZoneMajor, kShift2M,
        {3774148, 2174688, 2400, 1659, 11947, 17694720, 1055744, 752944,
         69120}},
-      {mesh::LayoutKind::kTiled, kShift4K,
-       {4542322, 2174688, 2400, 125824, 66537, 17694720, 1040384, 887424,
-        69120}},
-      {mesh::LayoutKind::kTiled, kShift2M,
-       {4022184, 2174688, 2400, 1768, 12731, 17694720, 1040384, 887424,
-        69120}},
   };
   for (const Arm& arm : arms) {
     const mesh::UnkContainer unk(c, mem::HugePolicy::kNone, arm.layout,

@@ -35,12 +35,12 @@ so this linter does:
                       ("../mem/arena.hpp"), and must resolve to a real
                       file under src/.
 
-  singleton-instance  `::instance()` call sites are allowed only in the
-                      deprecated compat shims (src/perf/soft_counters.*,
-                      src/perf/region.*). Instrumentation goes through an
-                      explicit perf::PerfContext so experiment arms and
-                      threads cannot leak counters into each other; a new
-                      process-wide singleton reintroduces exactly that.
+  singleton-instance  no `::instance()` call sites. Instrumentation goes
+                      through an explicit perf::PerfContext so experiment
+                      arms and threads cannot leak counters into each
+                      other; a new process-wide singleton reintroduces
+                      exactly that. The process log sink is the one
+                      deliberate singleton and carries allow comments.
 
   layout-offset       hand-rolled unk index arithmetic — an nvar-like
                       factor multiplied into a parenthesized index
@@ -48,7 +48,7 @@ so this linter does:
                       only in src/mesh/layout.*. The block-data layout is a
                       runtime-selectable BlockLayout policy; offset math
                       re-derived anywhere else silently assumes var_major
-                      and breaks under FLASHHP_LAYOUT=zone_major|tiled.
+                      and breaks under FLASHHP_LAYOUT=zone_major.
 
   procfs-hygiene      "/proc/..." path literals are allowed only under
                       src/mem/ and src/obs/ — the readers there take
@@ -98,7 +98,7 @@ RULES = {
     "page-size-literal": "magic page-size literal outside src/mem/page_size.*",
     "bulk-alloc": "malloc/new[] bulk allocation in mesh/hydro/eos",
     "include-hygiene": "#pragma once, module-qualified non-relative includes",
-    "singleton-instance": "::instance() call site outside the compat shims",
+    "singleton-instance": "::instance() call site",
     "layout-offset":
         "hand-rolled unk index arithmetic outside src/mesh/layout.*",
     "procfs-hygiene":
@@ -318,10 +318,6 @@ class Linter:
     def _is_bulk_scope(self, path: pathlib.Path) -> bool:
         return any(self._under(path, m) for m in ("mesh", "hydro", "eos"))
 
-    def _is_singleton_shim(self, path: pathlib.Path) -> bool:
-        return self._under(path, "perf") and \
-            path.stem in ("soft_counters", "region")
-
     def _is_layout(self, path: pathlib.Path) -> bool:
         return self._under(path, "mesh") and path.stem == "layout"
 
@@ -365,7 +361,6 @@ class Linter:
         in_mmap_scope = self._is_mmap_scope(path)
         in_page_size = self._is_page_size(path)
         in_bulk = self._is_bulk_scope(path)
-        in_singleton_shim = self._is_singleton_shim(path)
         in_layout = self._is_layout(path)
 
         # ---- procfs hygiene ------------------------------------------
@@ -474,7 +469,7 @@ class Linter:
                        "the code holds under every FLASHHP_LAYOUT")
 
             # ---- singleton call sites --------------------------------
-            if not in_singleton_shim and SINGLETON_RE.search(code):
+            if SINGLETON_RE.search(code):
                 report(lineno, "singleton-instance",
                        "::instance() call site — pass an explicit "
                        "perf::PerfContext (or the relevant handle) instead "
@@ -576,16 +571,10 @@ SELF_TEST_FILES = {
         '}\n',
         {"singleton-instance": 1},
     ),
-    # The compat shims themselves may define and call instance().
-    "src/perf/soft_counters.cpp": (
-        'namespace fhp::perf {\n'
-        'struct SoftCounters { static SoftCounters& instance() noexcept; };\n'
-        'SoftCounters& SoftCounters::instance() noexcept {\n'
-        '  static SoftCounters shim;\n'
-        '  return shim;\n'
-        '}\n'
-        '}\n',
-        {},
+    # A call site under src/perf is flagged like any other.
+    "src/perf/region.cpp": (
+        'void reset() { fhp::perf::RegionRegistry::instance().reset(); }\n',
+        {"singleton-instance": 1},
     ),
     # Hand-rolled var-major offset math outside the layout policy.
     "src/hydro/bad_offset.cpp": (
