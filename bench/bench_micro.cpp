@@ -17,7 +17,6 @@
 #include "eos/gamma_eos.hpp"
 #include "eos/helmholtz_eos.hpp"
 #include "hydro/riemann.hpp"
-#include "mem/arena.hpp"
 #include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
 #include "mesh/amr_mesh.hpp"
@@ -29,16 +28,6 @@
 namespace {
 
 using namespace fhp;
-
-void BM_ArenaAllocate(benchmark::State& state) {
-  mem::PagePool pool;
-  mem::Arena arena(pool, mem::HugePolicy::kNone, 16ull << 20);
-  benchmark::DoNotOptimize(arena.allocate(64, 64));  // pre-warm first chunk
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(arena.allocate(256, 64));
-  }
-}
-BENCHMARK(BM_ArenaAllocate);
 
 void BM_MappedRegion(benchmark::State& state) {
   const auto policy = static_cast<mem::HugePolicy>(state.range(0));

@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   rp.declare_int("seed", 42, "arrival-process seed");
   svc::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  svc::apply_runtime_params(rp);
+  svc::ServiceOptions opts = svc::apply_runtime_params(rp);
 
   const std::string json = rp.get_string("json");
   const std::string trace = rp.get_string("trace");
@@ -138,7 +138,6 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   for (const int workers : kWorkerScan) {
-    svc::ServiceOptions opts;
     opts.workers = workers;
     svc::Service service(opts);
 

@@ -36,19 +36,18 @@
 
 namespace {
 
-/// One scan run: the without-HP Sedov workload on a runtime built from
-/// \p context. Returns the wall time of the evolution loop only: mesh
-/// setup and the serial tracing/commit work would otherwise dilute the
-/// reported parallel-step speedup.
-double run_hydro_scan(fhp::bench::ExperimentArm& arm,
-                      const fhp::rt::RuntimeOptions& context, int nsteps,
+/// One scan run: the Sedov workload on \p arm's runtime. Returns the wall
+/// time of the evolution loop only: mesh setup and the serial
+/// tracing/commit work would otherwise dilute the reported parallel-step
+/// speedup.
+double run_hydro_scan(fhp::bench::ExperimentArm& arm, int nsteps,
                       int max_level, int sample) {
   using namespace fhp;
-  rt::Runtime runtime(context);
+  rt::Runtime& runtime = arm.runtime();
   sim::SedovParams params;
   params.max_level = max_level;
   params.maxblocks = 700;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
+  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
   hydro::HydroOptions hopt;
   hopt.cfl = 0.6;
   hydro::HydroSolver hydro(setup.mesh(), setup.eos(), hopt);
@@ -57,27 +56,11 @@ double run_hydro_scan(fhp::bench::ExperimentArm& arm,
   dopt.trace_sample = sample;
   dopt.verbose = false;
   sim::DriverUnits units = arm.units();
-  units.runtime = &runtime;
   sim::Driver driver(setup.mesh(), hydro, arm.timers(), dopt, units);
   const auto t0 = std::chrono::steady_clock::now();
   driver.evolve();
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-/// The 1/2/4-lane scan behind --json=PATH.
-int run_thread_scan(const std::string& path, fhp::rt::RuntimeOptions context,
-                    int nsteps, int max_level, int sample) {
-  using namespace fhp;
-  const auto run = [&](bench::ExperimentArm& arm, int lanes) {
-    context.lanes = lanes;
-    return run_hydro_scan(arm, context, nsteps, max_level, sample);
-  };
-  return bench::run_thread_scan(path, "table2_hydro", run,
-                                [&](bench::JsonWriter& w) {
-                                  w.field("nsteps", nsteps);
-                                  w.field("max_level", max_level);
-                                });
 }
 
 }  // namespace
@@ -105,8 +88,8 @@ int main(int argc, char** argv) {
   context.pool = &pool;
 
   // Optional run tracing; lanes cover the widest lane count the scan
-  // uses. The arms own their PerfContexts, so the sampler records
-  // memory/THP state only (its perf columns stay empty).
+  // uses. Each arm counts into its own runtime's perf(), so the sampler
+  // records memory/THP state only (its perf columns stay empty).
   const std::string timeline_path = rp.get_string("obs.timeline");
   std::unique_ptr<obs::Telemetry> telemetry;
   std::unique_ptr<obs::Sampler> sampler;
@@ -132,7 +115,17 @@ int main(int argc, char** argv) {
   };
 
   if (const std::string json = rp.get_string("json"); !json.empty()) {
-    const int rc = run_thread_scan(json, context, nsteps, max_level, sample);
+    // The scan times the without-HP workload.
+    context.policy = mem::HugePolicy::kNone;
+    const int rc = bench::run_thread_scan(
+        json, "table2_hydro", context,
+        [&](bench::ExperimentArm& arm) {
+          return run_hydro_scan(arm, nsteps, max_level, sample);
+        },
+        [&](bench::JsonWriter& w) {
+          w.field("nsteps", nsteps);
+          w.field("max_level", max_level);
+        });
     finish_timeline();
     return rc;
   }

@@ -28,6 +28,7 @@
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
 #include "perf/timers.hpp"
+#include "rt/runtime.hpp"
 #include "sim/driver.hpp"
 #include "support/string_util.hpp"
 #include "support/table_writer.hpp"
@@ -62,35 +63,39 @@ inline bool prepare_huge_pool(std::size_t bytes) {
   return granted.has_value() && *granted > 0;
 }
 
-/// One experiment arm's instrumentation bundle: its own PerfContext (so
-/// arms cannot leak counters into each other and no reset() hygiene is
-/// needed), the machine model wired to it, the FLASH-style timers, and
-/// the host wall clock started at construction. All three table/figure
-/// benches build their arms on this so the per-arm boilerplate cannot
-/// drift between them.
+/// One experiment arm's instrumentation bundle: its own rt::Runtime (so
+/// arms cannot leak counters into each other through its perf() and no
+/// reset() hygiene is needed), the machine model wired to that context,
+/// the FLASH-style timers, and the host wall clock started at
+/// construction. All three table/figure benches build their arms on this
+/// so the per-arm boilerplate cannot drift between them.
 class ExperimentArm {
  public:
-  ExperimentArm() : machine_({}, &perf_) {}
+  explicit ExperimentArm(const rt::RuntimeOptions& options)
+      : runtime_(options), machine_({}, &runtime_.perf()) {}
 
-  [[nodiscard]] perf::PerfContext& perf() noexcept { return perf_; }
+  [[nodiscard]] rt::Runtime& runtime() noexcept { return runtime_; }
+  [[nodiscard]] perf::PerfContext& perf() const noexcept {
+    return runtime_.perf();
+  }
   [[nodiscard]] tlb::Machine& machine() noexcept { return machine_; }
   [[nodiscard]] perf::Timers& timers() noexcept { return timers_; }
 
-  /// DriverUnits with the machine and perf context pre-wired; callers
-  /// add flame/gravity/eos_trace as the workload needs.
+  /// DriverUnits with the runtime and machine pre-wired; callers add
+  /// flame/gravity/eos_trace as the workload needs.
   [[nodiscard]] sim::DriverUnits units() noexcept {
     sim::DriverUnits u;
     u.machine = &machine_;
-    u.perf = &perf_;
+    u.runtime = &runtime_;
     return u;
   }
 
   /// Derive the arm's measures for \p region_name; stamps the wall clock.
   [[nodiscard]] ArmResult finish(const std::string& region_name) const {
     ArmResult arm;
-    const perf::RegionStats stats = perf_.regions().get(region_name);
+    const perf::RegionStats stats = perf().regions().get(region_name);
     arm.measures = perf::derive_measures(stats.totals, kClockHz);
-    const perf::CounterSet totals = perf_.snapshot();
+    const perf::CounterSet totals = perf().snapshot();
     arm.flash_timer =
         static_cast<double>(totals[perf::Event::kCycles]) / kClockHz;
     arm.wall_seconds =
@@ -101,7 +106,7 @@ class ExperimentArm {
   }
 
  private:
-  perf::PerfContext perf_;
+  rt::Runtime runtime_;
   tlb::Machine machine_;
   perf::Timers timers_;
   std::chrono::steady_clock::time_point wall0_ =
@@ -228,17 +233,17 @@ class JsonWriter {
 // ------------------------------------------------------------ thread scan
 
 /// Shared --json=PATH lane-scan entry. Runs the workload \p run at 1, 2
-/// and 4 lanes — `run(arm, lanes)` evolves it once under the supplied
-/// instrumentation bundle and returns the evolution wall time in seconds
-/// — asserts the modeled counters (everything except wall time)
+/// and 4 lanes — `run(arm)` evolves it once on an arm built from
+/// \p context at that lane count and returns the evolution wall time in
+/// seconds — asserts the modeled counters (everything except wall time)
 /// bit-identical across the three runs, the driver's determinism
 /// contract, and writes the artifact through JsonWriter. \p header emits
 /// bench-specific fields (nsteps, ...) into the top-level object.
 /// Returns 0 iff the counters were identical and the file was written.
-inline int run_thread_scan(
-    const std::string& path, const char* bench,
-    const std::function<double(ExperimentArm& arm, int lanes)>& run,
-    const std::function<void(JsonWriter&)>& header) {
+inline int run_thread_scan(const std::string& path, const char* bench,
+                           rt::RuntimeOptions context,
+                           const std::function<double(ExperimentArm&)>& run,
+                           const std::function<void(JsonWriter&)>& header) {
   constexpr int kLanes[3] = {1, 2, 4};
   struct Run {
     double wall = 0;
@@ -246,8 +251,9 @@ inline int run_thread_scan(
   };
   std::array<Run, 3> runs;
   for (std::size_t t = 0; t < runs.size(); ++t) {
-    ExperimentArm arm;
-    runs[t].wall = run(arm, kLanes[t]);
+    context.lanes = kLanes[t];
+    ExperimentArm arm(context);
+    runs[t].wall = run(arm);
     runs[t].totals = arm.perf().snapshot();
     std::printf("# lanes=%d wall=%.3f s cycles=%llu dtlb=%llu\n", kLanes[t],
                 runs[t].wall,

@@ -3,12 +3,12 @@
 ///
 /// bench_table1_eos, bench_table2_hydro and bench_fig1_ratios all run the
 /// same two workloads; this header holds the single implementation. Each
-/// arm builds on ExperimentArm (its own PerfContext + machine + timers)
-/// and runs as a tenant: its own rt::Runtime built from \p context, whose
-/// lane count drives the block-parallel step and whose shared pool lets
-/// back-to-back arms reuse one huge-page inventory. Modeled counters are
-/// bit-identical across lane counts because tracing replays serially
-/// into the arm's machine model.
+/// arm builds on ExperimentArm and runs as a tenant: its own rt::Runtime
+/// built from \p context with the arm's huge-page policy, whose lane count
+/// drives the block-parallel step, whose perf() collects the arm's
+/// counters and whose shared pool lets back-to-back arms reuse one
+/// huge-page inventory. Modeled counters are bit-identical across lane
+/// counts because tracing replays serially into the arm's machine model.
 
 #pragma once
 
@@ -21,17 +21,18 @@
 namespace fhp::bench {
 
 /// One arm of the EOS experiment (2-d supernova, EOS instrumented).
-inline ArmResult run_eos_arm(const rt::RuntimeOptions& context,
+inline ArmResult run_eos_arm(rt::RuntimeOptions context,
                              mem::HugePolicy policy, int nsteps,
                              int max_level, int sample) {
-  rt::Runtime runtime(context);
-  ExperimentArm arm;
+  context.policy = policy;
+  ExperimentArm arm(context);
+  rt::Runtime& runtime = arm.runtime();
 
   sim::SupernovaParams params;
   params.max_level = max_level;
   params.maxblocks = 1500;
   params.table_cache = "helm_table.bin";
-  sim::SupernovaSetup setup(params, policy, runtime);
+  sim::SupernovaSetup setup(params, runtime.huge_policy(), runtime);
 
   mesh::AmrMesh& mesh = setup.mesh();
   hydro::HydroOptions hopt;
@@ -46,7 +47,6 @@ inline ArmResult run_eos_arm(const rt::RuntimeOptions& context,
   dopt.refine_vars = {mesh::var::kDens,
                       mesh::var::kFirstScalar + sim::snvar::kPhi};
   sim::DriverUnits units = arm.units();
-  units.runtime = &runtime;
   units.flame = &setup.flame();
   units.gravity = &setup.gravity();
   units.eos_trace =
@@ -64,16 +64,17 @@ inline ArmResult run_eos_arm(const rt::RuntimeOptions& context,
 }
 
 /// One arm of the 3-d Hydro experiment (Sedov, hydro instrumented).
-inline ArmResult run_hydro_arm(const rt::RuntimeOptions& context,
+inline ArmResult run_hydro_arm(rt::RuntimeOptions context,
                                mem::HugePolicy policy, int nsteps,
                                int max_level, int sample) {
-  rt::Runtime runtime(context);
-  ExperimentArm arm;
+  context.policy = policy;
+  ExperimentArm arm(context);
+  rt::Runtime& runtime = arm.runtime();
 
   sim::SedovParams params;
   params.max_level = max_level;
   params.maxblocks = 700;
-  sim::SedovSetup setup(params, policy, runtime);
+  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
 
   mesh::AmrMesh& mesh = setup.mesh();
   hydro::HydroOptions hopt;
@@ -85,7 +86,6 @@ inline ArmResult run_hydro_arm(const rt::RuntimeOptions& context,
   dopt.trace_sample = sample;
   dopt.verbose = false;
   sim::DriverUnits units = arm.units();
-  units.runtime = &runtime;
   units.eos_trace = [&mesh](tlb::Tracer& t, int b) {
     const mesh::MeshConfig& c = mesh.config();
     mesh.unk().trace_sweep(t, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(), c.klo(),

@@ -8,7 +8,7 @@
 /// module without building the full supernova.
 ///
 /// Usage: cellular2d [--nsteps=N] [--max_level=L]
-///                   [--policy=none|thp|hugetlbfs] [--par.threads=T]
+///                   [--mem.hpage_type=none|thp|hugetlbfs] [--par.threads=T]
 
 #include <iostream>
 
@@ -18,31 +18,25 @@
 #include "rt/runtime.hpp"
 #include "sim/cellular.hpp"
 #include "sim/driver.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 24, "number of time steps");
   rp.declare_int("max_level", 2, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rt::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
-
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
-  rt::Runtime runtime(runtime_options);
+  rt::Runtime runtime(rt::apply_runtime_params(rp));
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
-  sim::CellularSetup setup(params, *policy, runtime);
+  sim::CellularSetup setup(params, runtime.huge_policy(), runtime);
 
-  std::cout << "unk: " << setup.mesh().unk().region().describe() << "\n";
+  const mem::MappedRegion& unk = setup.mesh().unk().region();
+  std::cout << "unk: " << unk.describe() << " requested "
+            << mem::to_string(unk.requested_policy()) << "\n";
 
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
 
@@ -71,4 +65,7 @@ int main(int argc, char** argv) {
             << " erg\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "cellular2d: " << e.what() << "\n";
+  return 2;
 }

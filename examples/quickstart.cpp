@@ -2,13 +2,13 @@
 /// \brief First contact with flashhp: huge-page memory + a tiny simulation.
 ///
 /// Demonstrates the core loop of the library in ~60 lines of user code:
-///   1. pick a huge-page policy (environment-driven, like the Fujitsu
-///      runtime's XOS_MMM_L_HPAGE_TYPE),
-///   2. allocate a mesh on it and *verify* the backing via /proc (the
-///      paper's methodology),
-///   3. build the rt::Runtime execution context the simulation runs in
-///      (lane count from FLASHHP_THREADS, layout from FLASHHP_LAYOUT),
-///   4. run a small Sedov explosion and print the FLASH-style timer
+///   1. build the rt::Runtime execution context the simulation runs in
+///      (lane count from FLASHHP_THREADS, layout from FLASHHP_LAYOUT,
+///      huge-page policy from FLASHHP_HPAGE_TYPE — environment-driven,
+///      like the Fujitsu runtime's XOS_MMM_L_HPAGE_TYPE),
+///   2. allocate a mesh under the runtime's policy and *verify* the
+///      backing via /proc (the paper's methodology),
+///   3. run a small Sedov explosion and print the FLASH-style timer
 ///      summary.
 ///
 /// Try: FLASHHP_HPAGE_TYPE=hugetlbfs FLASHHP_THREADS=4 ./quickstart
@@ -26,27 +26,27 @@
 int main() {
   using namespace fhp;
 
-  // 1. Policy from the environment (none | thp | hugetlbfs).
-  const mem::HugePolicy policy = mem::policy_from_environment();
-  std::cout << "huge-page policy: " << mem::to_string(policy) << "\n";
-
-  // 2. The execution context: lane count from FLASHHP_THREADS (defaults
-  //    to 1 = serial), mesh layout from FLASHHP_LAYOUT, and a page pool
+  // 1. The execution context: lane count from FLASHHP_THREADS (defaults
+  //    to 1 = serial), mesh layout from FLASHHP_LAYOUT, huge-page policy
+  //    from FLASHHP_HPAGE_TYPE (none | thp | hugetlbfs) and a page pool
   //    of its own. Every service the simulation uses hangs off this one
   //    object — a second Runtime would be a second, independent tenant.
   rt::Runtime runtime;
+  std::cout << "huge-page policy: " << mem::to_string(runtime.huge_policy())
+            << "\n";
 
-  // 3. A small 2-d Sedov problem; the mesh's unk container lives on the
-  //    chosen policy, carved from the runtime's pool.
+  // 2. A small 2-d Sedov problem; the mesh's unk container lives on the
+  //    runtime's policy, carved from the runtime's pool.
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  sim::SedovSetup setup(params, policy, runtime);
+  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
 
   const mem::MappedRegion& region = setup.mesh().unk().region();
-  std::cout << "unk backing: " << region.describe() << "\n";
+  std::cout << "unk: " << region.describe() << " requested "
+            << mem::to_string(region.requested_policy()) << "\n";
   std::cout << "verified on huge pages: "
             << region.resident_huge_bytes() / (1 << 20) << " MiB\n";
   std::cout << "system: " << mem::MeminfoSnapshot::capture().summary()
@@ -56,7 +56,7 @@ int main() {
   //    results are bit-identical to the serial run at any lane count.
   std::cout << "sweep threads: " << runtime.lanes() << "\n";
 
-  // 4. Evolve 30 steps and report.
+  // 3. Evolve 30 steps and report.
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
   perf::Timers timers;
   sim::DriverOptions opts;

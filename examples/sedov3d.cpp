@@ -5,9 +5,9 @@
 /// position against the analytic similarity solution, and writes the
 /// spherically averaged density/pressure profile to sedov_profile.csv.
 ///
-/// Usage: sedov3d [--nsteps=N] [--max_level=L] [--policy=none|thp|hugetlbfs]
-///                [--par.threads=T] [--obs.timeline=timeline.json]
-///                [--obs.sample_ms=N]
+/// Usage: sedov3d [--nsteps=N] [--max_level=L]
+///                [--mem.hpage_type=none|thp|hugetlbfs] [--par.threads=T]
+///                [--obs.timeline=timeline.json] [--obs.sample_ms=N]
 ///
 /// With --obs.timeline (or FLASHHP_TELEMETRY=timeline.json) the run is
 /// traced: per-lane spans, step marks, and a background memory/THP
@@ -23,21 +23,20 @@
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
-#include "perf/perf_context.hpp"
 #include "perf/report.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/driver.hpp"
 #include "sim/profiles.hpp"
 #include "sim/sedov.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 120, "number of time steps");
   rp.declare_int("max_level", 3, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_string("outfile", "sedov_profile.csv", "profile output path");
   rp.declare_bool("trace", false, "feed the machine model and print a report");
   rt::declare_runtime_params(rp);
@@ -45,36 +44,29 @@ int main(int argc, char** argv) {
   rp.apply_command_line(argc, argv);
   const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
   // The execution context: its lane count honors --par.threads /
-  // FLASHHP_THREADS and its layout --mesh.layout / FLASHHP_LAYOUT.
+  // FLASHHP_THREADS, its layout --mesh.layout / FLASHHP_LAYOUT and its
+  // page policy --mem.hpage_type / FLASHHP_HPAGE_TYPE.
   rt::Runtime runtime(runtime_options);
 
   sim::SedovParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 700;
-  sim::SedovSetup setup(params, *policy, runtime);
-  std::cout << "unk: " << setup.mesh().unk().region().describe() << "\n";
+  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
+  const mem::MappedRegion& unk = setup.mesh().unk().region();
+  std::cout << "unk: " << unk.describe() << " requested "
+            << mem::to_string(unk.requested_policy()) << "\n";
 
   hydro::HydroSolver hydro(setup.mesh(), setup.eos());
   perf::Timers timers;
-  perf::PerfContext perf;
-  tlb::Machine machine({}, &perf);
+  tlb::Machine machine({}, &runtime.perf());
   sim::DriverOptions opts;
   opts.nsteps = static_cast<int>(rp.get_int("nsteps"));
   const bool trace = rp.get_bool("trace");
   opts.trace_sample = trace ? 4 : 0;
   sim::DriverUnits units;
   units.runtime = &runtime;
-  if (trace) {
-    units.machine = &machine;
-    units.perf = &perf;
-  }
+  if (trace) units.machine = &machine;
 
   // Telemetry: span tracer + background memory/THP sampler, exported as
   // a chrome://tracing timeline when a path is configured.
@@ -86,18 +78,17 @@ int main(int argc, char** argv) {
     topts.lanes = runtime.lanes();
     telemetry = std::make_unique<obs::Telemetry>(topts);
     telemetry->install(runtime);  // per-runtime: steps + lanes route here
-    units.perf = &perf;
     obs::SamplerOptions sopts;
     sopts.cadence =
         std::chrono::milliseconds(rp.get_int("obs.sample_ms"));
-    sopts.perf = &perf;
+    sopts.perf = &runtime.perf();
     sampler = std::make_unique<obs::Sampler>(sopts);
     sampler->start();
   }
 
   sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
   driver.evolve();
-  if (trace) perf::RegionReport(perf, 1.8e9).render(std::cout);
+  if (trace) perf::RegionReport(runtime.perf(), 1.8e9).render(std::cout);
 
   if (telemetry) {
     sampler->stop();
@@ -130,4 +121,7 @@ int main(int argc, char** argv) {
   std::cout << "profile written to " << outfile << "\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "sedov3d: " << e.what() << "\n";
+  return 2;
 }

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   rp.declare_string("policy", "none", "huge-page policy for every tenant");
   svc::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  svc::apply_runtime_params(rp);
+  const svc::ServiceOptions options = svc::apply_runtime_params(rp);
 
   const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
   if (!policy) {
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   const int njobs = static_cast<int>(rp.get_int("jobs"));
 
-  svc::Service service;  // workers from --svc.lanes / FLASHHP_SVC_LANES
+  svc::Service service(options);  // workers: --svc.lanes / FLASHHP_SVC_LANES
 
   std::vector<svc::JobId> ids;
   for (int j = 0; j < njobs; ++j) {

@@ -7,7 +7,7 @@
 /// nuclear energy release and writes a radial profile of the star.
 ///
 /// Usage: supernova2d [--nsteps=N] [--max_level=L]
-///                    [--policy=none|thp|hugetlbfs] [--rho_c=2e9]
+///                    [--mem.hpage_type=none|thp|hugetlbfs] [--rho_c=2e9]
 ///                    [--par.threads=T]
 
 #include <fstream>
@@ -20,28 +20,23 @@
 #include "sim/driver.hpp"
 #include "sim/profiles.hpp"
 #include "sim/supernova.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("nsteps", 50, "number of time steps (paper: 50)");
   rp.declare_int("max_level", 4, "finest AMR level");
-  rp.declare_string("policy", "none", "huge-page policy (none|thp|hugetlbfs)");
   rp.declare_real("rho_c", 2.0e9, "central density [g/cc]");
   rp.declare_string("outfile", "wd_profile.csv", "profile output path");
   rt::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::cerr << "bad --policy value\n";
-    return 2;
-  }
-
   // The execution context: its lane count honors --par.threads /
-  // FLASHHP_THREADS and its layout --mesh.layout / FLASHHP_LAYOUT.
+  // FLASHHP_THREADS, its layout --mesh.layout / FLASHHP_LAYOUT and its
+  // page policy --mem.hpage_type / FLASHHP_HPAGE_TYPE.
   rt::Runtime runtime(runtime_options);
 
   sim::SupernovaParams params;
@@ -49,11 +44,13 @@ int main(int argc, char** argv) {
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 1500;
   params.table_cache = "helm_table.bin";
-  sim::SupernovaSetup setup(params, *policy, runtime);
+  sim::SupernovaSetup setup(params, runtime.huge_policy(), runtime);
 
   std::cout << "white dwarf: R = " << setup.wd().radius() / 1e5
             << " km, M = " << setup.wd().mass() / 1.98847e33 << " Msun\n";
-  std::cout << "unk: " << setup.mesh().unk().region().describe() << "\n";
+  const mem::MappedRegion& unk = setup.mesh().unk().region();
+  std::cout << "unk: " << unk.describe() << " requested "
+            << mem::to_string(unk.requested_policy()) << "\n";
   std::cout << "helm table: " << setup.table().region().describe() << "\n";
 
   hydro::HydroOptions hopt;
@@ -97,4 +94,7 @@ int main(int argc, char** argv) {
   std::cout << "profile written to " << outfile << "\n";
   timers.summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "supernova2d: " << e.what() << "\n";
+  return 2;
 }

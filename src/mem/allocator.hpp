@@ -1,16 +1,9 @@
 /// \file allocator.hpp
-/// \brief STL-compatible allocator over an Arena, plus HugeBuffer.
+/// \brief HugeBuffer: a typed array carved from a PagePool.
 ///
-/// HugeAllocator lets standard containers (std::vector, std::map, ...)
-/// live on huge-page-backed memory:
-///
-///   fhp::mem::Arena arena(runtime.page_pool(), fhp::mem::HugePolicy::kThp);
-///   std::vector<double, fhp::mem::HugeAllocator<double>> v{
-///       fhp::mem::HugeAllocator<double>(arena)};
-///
-/// Because the arena is monotonic, deallocate() is a no-op: the memory is
-/// reclaimed when the arena is released. That is the FLASH pattern —
-/// allocate the mesh once, run, tear everything down together.
+/// The big arrays (unk, the EOS table) are allocated once at setup and
+/// freed together at teardown — the FLASH pattern — so each is one pool
+/// allocation rather than a container growing through an allocator.
 
 #pragma once
 
@@ -19,50 +12,10 @@
 #include <span>
 #include <type_traits>
 
-#include "mem/arena.hpp"
 #include "mem/page_pool.hpp"
 #include "support/error.hpp"
 
 namespace fhp::mem {
-
-/// C++17/20 allocator over an Arena (non-owning reference).
-template <typename T>
-class HugeAllocator {
- public:
-  using value_type = T;
-  using size_type = std::size_t;
-  using difference_type = std::ptrdiff_t;
-  using propagate_on_container_move_assignment = std::true_type;
-  using is_always_equal = std::false_type;
-
-  /// Bind to an arena (non-owning; the arena must outlive the allocator).
-  explicit HugeAllocator(Arena& arena) noexcept
-      : arena_(&arena) {}
-
-  template <typename U>
-  HugeAllocator(const HugeAllocator<U>& other) noexcept
-      : arena_(&other.arena()) {}
-
-  [[nodiscard]] T* allocate(size_type n) {
-    FHP_REQUIRE(n <= std::numeric_limits<size_type>::max() / sizeof(T),
-                "allocator byte count overflows size_t");
-    return static_cast<T*>(arena_->allocate(n * sizeof(T), alignof(T)));
-  }
-
-  void deallocate(T* p, size_type n) noexcept {
-    arena_->deallocate(p, n * sizeof(T));
-  }
-
-  [[nodiscard]] Arena& arena() const noexcept { return *arena_; }
-
-  template <typename U>
-  [[nodiscard]] bool operator==(const HugeAllocator<U>& other) const noexcept {
-    return arena_ == &other.arena();
-  }
-
- private:
-  Arena* arena_;
-};
 
 /// A fixed-size typed buffer carved from a PagePool as a single
 /// allocation — used for the really big arrays (unk, the EOS table) where

@@ -20,6 +20,12 @@
 ///      compatibility with the Fujitsu runtime),
 ///   4. the caller-supplied fallback (kNone for a Runtime).
 ///
+/// The result is Runtime::huge_policy(), and it is what reaches the
+/// arrays: the examples, the bench arms and the service's tenants hand
+/// their setups the policy of the runtime they are built on, so unk and
+/// the EOS table are mapped under it. (The paper's GNU/Cray builds never
+/// got huge pages because their request never reached the arrays.)
+///
 /// An unparsable value at any stage throws fhp::ConfigError rather than
 /// silently running on base pages — silent misconfiguration was exactly
 /// the failure mode the paper spent a section debugging.
@@ -69,8 +75,8 @@ void declare_runtime_params(RuntimeParams& params);
 
 /// Step 1 from a parameter file / command line: the parsed
 /// "mem.hpage_type" when set non-empty (ConfigError on junk), else
-/// nullopt. The page-pool parameters are applied separately, by
-/// apply_page_pool_params().
+/// nullopt. The page-pool parameters are read separately, by
+/// pool_config_from_params().
 [[nodiscard]] std::optional<HugePolicy> policy_from_params(
     const RuntimeParams& params);
 

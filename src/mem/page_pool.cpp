@@ -16,19 +16,6 @@ namespace fhp::mem {
 
 namespace {
 
-/// Runtime-parameter overrides recorded by apply_page_pool_params();
-/// consulted ahead of the environment by config_from_environment().
-struct ParamOverrides {
-  Mutex mutex;
-  std::optional<std::string> pool_spec FHP_GUARDED_BY(mutex);
-  std::optional<PlacementPolicy> placement FHP_GUARDED_BY(mutex);
-};
-
-ParamOverrides& param_overrides() {
-  static ParamOverrides overrides;
-  return overrides;
-}
-
 std::string_view state_name(int state) noexcept {
   switch (state) {
     case 0: return "idle";
@@ -43,11 +30,32 @@ std::size_t pages_needed(std::size_t bytes, std::size_t page_bytes) noexcept {
   return round_up(bytes, page_bytes) / page_bytes;
 }
 
-void publish_event(perf::CounterSink* sink, perf::Event e) noexcept {
-  if (sink == nullptr) return;
-  perf::CounterSet delta;
-  delta[e] = 1;
-  sink->sink_counters(delta);
+/// \p var's value, or "" when unset.
+std::string_view env_setting(const char* var) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read when a pool is
+  // configured at setup; nothing in-process calls setenv.
+  const char* raw = std::getenv(var);
+  return raw == nullptr ? std::string_view() : std::string_view(raw);
+}
+
+/// A config from a pool spec and a placement ("" = unset, keep the
+/// default); \p placement_source names the placement's origin in errors.
+PagePoolConfig make_config(std::string_view spec,
+                           std::string_view placement_source,
+                           std::string_view placement) {
+  PagePoolConfig config;
+  if (!spec.empty()) parse_pool_spec(spec, config.enabled, config.reservations);
+  if (!placement.empty()) {
+    const auto parsed = parse_placement_policy(placement);
+    if (!parsed) {
+      throw ConfigError(std::string(placement_source) + "='" +
+                        std::string(placement) +
+                        "' is not a valid placement policy "
+                        "(expected local-first|remote-huge-first)");
+    }
+    config.placement = *parsed;
+  }
+  return config;
 }
 
 }  // namespace
@@ -85,45 +93,8 @@ void parse_pool_spec(std::string_view spec, bool& enabled,
 }
 
 PagePoolConfig config_from_environment() {
-  PagePoolConfig config;
-
-  std::optional<std::string> spec;
-  {
-    auto& overrides = param_overrides();
-    MutexLock lock(overrides.mutex);
-    spec = overrides.pool_spec;
-    if (overrides.placement) config.placement = *overrides.placement;
-  }
-  if (!spec) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once when the pool is
-    // configured at startup, single-threaded; nothing calls setenv.
-    if (const char* raw = std::getenv(kPoolEnvVar);
-        raw != nullptr && *raw != '\0') {
-      spec = std::string(raw);
-    }
-  }
-  if (spec) parse_pool_spec(*spec, config.enabled, config.reservations);
-
-  bool have_placement = false;
-  {
-    auto& overrides = param_overrides();
-    MutexLock lock(overrides.mutex);
-    have_placement = overrides.placement.has_value();
-  }
-  if (!have_placement) {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe) -- same setup-time-only read.
-    if (const char* raw = std::getenv(kPlacementEnvVar);
-        raw != nullptr && *raw != '\0') {
-      const auto parsed = parse_placement_policy(raw);
-      if (!parsed) {
-        throw ConfigError(std::string(kPlacementEnvVar) + "='" + raw +
-                          "' is not a valid placement policy "
-                          "(expected local-first|remote-huge-first)");
-      }
-      config.placement = *parsed;
-    }
-  }
-  return config;
+  return make_config(env_setting(kPoolEnvVar), kPlacementEnvVar,
+                     env_setting(kPlacementEnvVar));
 }
 
 void PagePool::init(PagePoolConfig config) {
@@ -238,7 +209,6 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
         d.tier = Backing::kSmallPages;
         d.reason = "thp-unavailable->base";
         ++counters_.base_fallbacks;
-        publish_event(config_.sink, perf::Event::kPoolBaseFallbacks);
       }
       return d;
     case HugePolicy::kHugetlbfs:
@@ -271,11 +241,7 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
     d.remote = node != config_.local_node;
     d.reason = d.remote ? "remote-huge" : "local-huge";
     ++counters_.huge_allocs;
-    publish_event(config_.sink, perf::Event::kPoolHugeAllocs);
-    if (d.remote) {
-      ++counters_.remote_huge_allocs;
-      publish_event(config_.sink, perf::Event::kPoolRemoteAllocs);
-    }
+    if (d.remote) ++counters_.remote_huge_allocs;
     return d;
   }
 
@@ -285,12 +251,10 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
     d.tier = Backing::kThp;
     d.reason = "pool-exhausted->thp";
     ++counters_.thp_fallbacks;
-    publish_event(config_.sink, perf::Event::kPoolThpFallbacks);
   } else {
     d.tier = Backing::kSmallPages;
     d.reason = "pool-exhausted->base";
     ++counters_.base_fallbacks;
-    publish_event(config_.sink, perf::Event::kPoolBaseFallbacks);
   }
   FHP_LOG(kInfo) << "page pool exhausted for " << format_bytes(bytes)
                  << " (placement=" << to_string(config_.placement)
@@ -400,30 +364,16 @@ void declare_page_pool_params(RuntimeParams& params) {
                             std::string(kPlacementEnvVar) + ")");
 }
 
-void apply_page_pool_params(const RuntimeParams& params) {
+std::optional<PagePoolConfig> pool_config_from_params(
+    const RuntimeParams& params) {
   const std::string spec = params.get_string(kPoolParamName);
-  if (!spec.empty()) {
-    // Validate now (ConfigError on junk) so a bad parameter file fails at
-    // apply time, not at first allocation.
-    bool enabled = true;
-    std::vector<PoolReservation> reservations;
-    parse_pool_spec(spec, enabled, reservations);
-    auto& overrides = param_overrides();
-    MutexLock lock(overrides.mutex);
-    overrides.pool_spec = spec;
-  }
   const std::string placement = params.get_string(kPlacementParamName);
-  if (!placement.empty()) {
-    const auto parsed = parse_placement_policy(placement);
-    if (!parsed) {
-      throw ConfigError(std::string(kPlacementParamName) + "='" + placement +
-                        "' is not a valid placement policy "
-                        "(expected local-first|remote-huge-first)");
-    }
-    auto& overrides = param_overrides();
-    MutexLock lock(overrides.mutex);
-    overrides.placement = *parsed;
-  }
+  if (spec.empty() && placement.empty()) return std::nullopt;
+  return make_config(spec.empty() ? env_setting(kPoolEnvVar) : spec,
+                     placement.empty() ? kPlacementEnvVar
+                                       : kPlacementParamName,
+                     placement.empty() ? env_setting(kPlacementEnvVar)
+                                       : placement);
 }
 
 }  // namespace fhp::mem

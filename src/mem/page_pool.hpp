@@ -22,6 +22,13 @@
 ///     a silent page-size change. Every decision is queryable
 ///     (PoolDecision) and every shortfall between the decision and what
 ///     the kernel actually granted is counted — verify, don't assume.
+///     PoolCounters is the one tally of those decisions; svc and the
+///     benchmark read it through counters().
+///
+/// A pool's configuration is fixed when it is initialized: from an
+/// explicit PagePoolConfig (RuntimeOptions::pool_config,
+/// ServiceOptions::pool_config), else from the environment on first use.
+/// Nothing configures pools process-wide.
 ///
 /// PagePool does not mmap anything itself: all mappings go through
 /// MappedRegion, which owns the one raw-mmap seam in the library
@@ -31,13 +38,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "mem/mapped_region.hpp"
 #include "mem/numa.hpp"
 #include "mem/page_size.hpp"
-#include "support/events.hpp"
 #include "support/mutex.hpp"
 
 namespace fhp {
@@ -80,9 +87,6 @@ struct PagePoolConfig {
   /// This is how tests and benchmarks model asymmetric node pools
   /// deterministically.
   std::vector<NodeHugePools> inventory;
-
-  /// Where POOL_* counter events are published (may be null).
-  perf::CounterSink* sink = nullptr;
 };
 
 /// Running totals of pool decisions (monotonic over the pool's lifetime).
@@ -167,8 +171,8 @@ inline constexpr const char* kPlacementEnvVar = "FLASHHP_PLACEMENT";
 void parse_pool_spec(std::string_view spec, bool& enabled,
                      std::vector<PoolReservation>& reservations);
 
-/// Default config resolved from runtime parameters (if applied) and the
-/// environment, in that order.
+/// The config FLASHHP_PAGE_POOL and FLASHHP_PLACEMENT describe (defaults
+/// where unset). Throws ConfigError on junk.
 [[nodiscard]] PagePoolConfig config_from_environment();
 
 /// The pool manager. All entry points are thread-safe (one internal
@@ -187,9 +191,9 @@ class PagePool {
   void init(PagePoolConfig config);
 
   /// Decide placement for \p bytes under \p policy without mapping
-  /// anything: consults and decrements the inventory mirror, updates
-  /// counters, publishes POOL_* events. Auto-initializes from the
-  /// environment on first use; throws ConfigError after fini().
+  /// anything: consults and decrements the inventory mirror and updates
+  /// counters(). Auto-initializes from the environment on first use;
+  /// throws ConfigError after fini().
   [[nodiscard]] PoolDecision plan(std::size_t bytes, HugePolicy policy);
 
   /// plan() + carve the mapping through MappedRegion, honouring the
@@ -242,9 +246,11 @@ inline constexpr const char* kPlacementParamName = "mem.placement";
 /// environment). Called from mem::declare_runtime_params().
 void declare_page_pool_params(RuntimeParams& params);
 
-/// Record non-empty parameter values as overrides consulted by
-/// config_from_environment() ahead of the environment variables. Throws
-/// ConfigError on junk. Called from rt::apply_runtime_params().
-void apply_page_pool_params(const RuntimeParams& params);
+/// The pool config the parameters above describe, each unset one taken
+/// from its environment variable; nullopt when both are unset. Throws
+/// ConfigError on junk. rt::apply_runtime_params() stores it in
+/// RuntimeOptions::pool_config.
+[[nodiscard]] std::optional<PagePoolConfig> pool_config_from_params(
+    const RuntimeParams& params);
 
 }  // namespace fhp::mem

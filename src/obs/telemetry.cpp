@@ -101,17 +101,7 @@ std::string timeline_from_environment() {
 }
 
 int sample_ms_from_environment(int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once at sampler
-  // setup, before any worker threads exist; nothing calls setenv.
-  const char* raw = std::getenv(kSampleMsEnvVar);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(kSampleMsEnvVar) + "='" + raw +
-                      "': expected a positive sampler cadence in ms");
-  }
-  return static_cast<int>(value);
+  return positive_int_from_environment(kSampleMsEnvVar, fallback);
 }
 
 void declare_runtime_params(RuntimeParams& params) {

@@ -159,8 +159,9 @@ inline constexpr const char* kSampleMsEnvVar = "FLASHHP_SAMPLE_MS";
 /// FLASHHP_TELEMETRY's value, or "" when unset (telemetry off).
 [[nodiscard]] std::string timeline_from_environment();
 
-/// FLASHHP_SAMPLE_MS as a positive integer; \p fallback when unset.
-/// Throws fhp::ConfigError on a non-positive or non-numeric value.
+/// FLASHHP_SAMPLE_MS as a positive integer, clamped to INT_MAX;
+/// \p fallback when unset. Throws fhp::ConfigError on a non-positive or
+/// non-numeric value.
 [[nodiscard]] int sample_ms_from_environment(int fallback);
 
 /// Registers `obs.timeline` (default: FLASHHP_TELEMETRY) and

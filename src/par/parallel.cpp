@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -223,19 +222,8 @@ class ThreadPool {
 }  // namespace detail
 
 int threads_from_environment(int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read once before the pool
-  // spins up its first worker; nothing in-process calls setenv.
-  const char* raw = std::getenv(kThreadsEnvVar);
-  if (raw == nullptr || *raw == '\0') return clamp_lanes(fallback);
-  char* end = nullptr;
-  // Out-of-range input saturates at LONG_MAX, which the clamp below
-  // maps to kMaxLanes like any other oversized count.
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(kThreadsEnvVar) + "='" + raw +
-                      "': expected a positive integer thread count");
-  }
-  return value > kMaxLanes ? kMaxLanes : static_cast<int>(value);
+  return clamp_lanes(
+      positive_int_from_environment(kThreadsEnvVar, fallback, kMaxLanes));
 }
 
 bool region_active() noexcept { return t_region_depth > 0; }

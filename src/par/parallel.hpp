@@ -73,8 +73,8 @@ inline constexpr int kMaxLanes = ::fhp::kMaxLanes;
 
 /// Parses `FLASHHP_THREADS`; returns `fallback` when unset. Throws
 /// `fhp::ConfigError` when set to a non-positive or non-numeric value.
-/// Values above `kMaxLanes`, including ones too large for `long`, are
-/// clamped to `kMaxLanes`.
+/// Values above `kMaxLanes`, including ones too large for any integer
+/// type, are clamped to `kMaxLanes`.
 [[nodiscard]] int threads_from_environment(int fallback = 1);
 
 /// Lane of the calling thread: 0 for the caller (and for all serial

@@ -13,7 +13,6 @@ void declare_runtime_params(RuntimeParams& params) {
 }
 
 RuntimeOptions apply_runtime_params(const RuntimeParams& params) {
-  mem::apply_page_pool_params(params);
   RuntimeOptions options;
   // The parameter's default already is the FLASHHP_THREADS resolution;
   // an explicit 0 or negative count means one lane, not a re-resolve.
@@ -22,6 +21,7 @@ RuntimeOptions apply_runtime_params(const RuntimeParams& params) {
       std::clamp<long long>(lanes, 1, par::kMaxLanes));
   options.layout = mesh::layout_from_params(params);
   options.policy = mem::policy_from_params(params);
+  options.pool_config = mem::pool_config_from_params(params);
   return options;
 }
 
@@ -40,6 +40,7 @@ Runtime::Runtime(RuntimeOptions options)
     pool_ = options.pool;
   } else {
     owned_pool_ = std::make_unique<mem::PagePool>();
+    if (options.pool_config) owned_pool_->init(std::move(*options.pool_config));
     pool_ = owned_pool_.get();
   }
   env_.log_tag = log_tag_.empty() ? nullptr : log_tag_.c_str();

@@ -10,16 +10,20 @@
 /// fully separate, and each run is bit-identical to the same run solo.
 ///
 /// What a Runtime owns:
-///   - a perf::PerfContext (counters, regions, publish snapshots),
-///   - a mem::PagePool handle — private by default, or a shared pool
-///     injected via RuntimeOptions::pool (tenants sharing one reserved
-///     hugetlb inventory),
+///   - a perf::PerfContext (counters, regions, publish snapshots) — the
+///     one context its Driver's regions, its machine model and its
+///     step-boundary publishes land in,
+///   - a mem::PagePool handle — private by default (configured from
+///     RuntimeOptions::pool_config, else from the environment), or a
+///     shared pool injected via RuntimeOptions::pool (tenants sharing one
+///     reserved hugetlb inventory),
 ///   - a par::ExecArena — its own lane pool lease and region guard, so
 ///     concurrent runtimes never trip each other's nested-region
 ///     ConfigError,
 ///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration
 ///     snapshot (explicit option, else the environment, else the
-///     built-in default),
+///     built-in default); setups built on the runtime allocate with its
+///     huge_policy(),
 ///   - the trace sink and log tag its driver thread and pool lanes bind
 ///     while working (see trace::SinkBinding and fhp::LogTagScope).
 ///
@@ -54,9 +58,10 @@ namespace fhp::rt {
 /// to "resolve from the environment": 0 lanes = FLASHHP_THREADS (else
 /// 1), nullopt layout = FLASHHP_LAYOUT (else var_major), nullopt policy =
 /// FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE (else none), null pool = a
-/// private pool auto-initialized from the environment on first
-/// allocation. rt::apply_runtime_params() fills these from
-/// `--par.threads` / `--mesh.layout` / `--mem.hpage_type`.
+/// private pool initialized from `pool_config`, or from the environment
+/// on first allocation. rt::apply_runtime_params() fills these from
+/// `--par.threads` / `--mesh.layout` / `--mem.hpage_type` /
+/// `--mem.page_pool` / `--mem.placement`.
 struct RuntimeOptions {
   /// Lane count for this runtime's ExecArena; 0 = resolve
   /// FLASHHP_THREADS / 1, once, at construction.
@@ -70,6 +75,10 @@ struct RuntimeOptions {
   /// Non-null: carve from this shared pool instead of a private one.
   /// The pool must outlive the runtime.
   mem::PagePool* pool = nullptr;
+  /// Config the private pool is initialized with at construction
+  /// (ignored when `pool` is set); nullopt = initialize it from the
+  /// environment on first allocation.
+  std::optional<mem::PagePoolConfig> pool_config;
   /// Initial trace sink (see set_trace_sink); usually installed later,
   /// after the obs::Telemetry for this runtime exists.
   trace::Sink* trace_sink = nullptr;
@@ -83,9 +92,9 @@ struct RuntimeOptions {
 void declare_runtime_params(RuntimeParams& params);
 
 /// Reads the parameters declared above (after apply_command_line) into
-/// RuntimeOptions, with the same meaning their environment twins have,
-/// and records `mem.page_pool` / `mem.placement` for pool
-/// initialization. Throws ConfigError on unparsable values.
+/// RuntimeOptions, with the same meaning their environment twins have;
+/// `mem.page_pool` / `mem.placement` land in `pool_config`. Touches no
+/// process-wide state. Throws ConfigError on unparsable values.
 [[nodiscard]] RuntimeOptions apply_runtime_params(const RuntimeParams& params);
 
 /// The per-tenant context. Not copyable or movable: meshes, drivers and
@@ -100,7 +109,7 @@ class Runtime {
   /// This runtime's performance counters and region registry.
   [[nodiscard]] perf::PerfContext& perf() const noexcept { return *perf_; }
 
-  /// The pool this runtime's unk array, EOS table and arenas carve from.
+  /// The pool this runtime's unk array and EOS table carve from.
   [[nodiscard]] mem::PagePool& page_pool() const noexcept { return *pool_; }
 
   /// The execution arena this runtime's parallel regions run on.

@@ -31,7 +31,6 @@ Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
       options_(std::move(options)),
       units_(std::move(units)),
       runtime_(required_runtime(units_)),
-      perf_(units_.perf != nullptr ? *units_.perf : runtime_.perf()),
       step_graph_(mesh_, hydro_, units_.flame) {
   if (options_.refine_vars.empty()) {
     options_.refine_vars = {mesh::var::kDens, mesh::var::kPres};
@@ -46,6 +45,7 @@ Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
 void Driver::trace_regions() {
   if (units_.machine == nullptr || options_.trace_sample <= 0) return;
   tlb::Tracer tracer(units_.machine);
+  perf::PerfContext& perf = runtime_.perf();
   const auto scale = static_cast<std::uint64_t>(options_.trace_sample);
   const std::vector<int> leaves = mesh_.tree().leaves_morton();
   // Round-robin the sampled subset so every block is eventually modeled.
@@ -53,7 +53,7 @@ void Driver::trace_regions() {
 
   // --- hydro sweeps (the "3-d Hydro" instrumented region) ---------------
   {
-    perf::PerfRegion region(perf_, "hydro");
+    perf::PerfRegion region(perf, "hydro");
     for (std::size_t n = static_cast<std::size_t>(offset); n < leaves.size();
          n += static_cast<std::size_t>(options_.trace_sample)) {
       hydro_.trace_step_block(tracer, leaves[n]);
@@ -63,7 +63,7 @@ void Driver::trace_regions() {
 
   // --- EOS (the "EOS" instrumented region): ndim per-sweep passes -------
   if (units_.eos_trace) {
-    perf::PerfRegion region(perf_, "eos");
+    perf::PerfRegion region(perf, "eos");
     for (int sweep = 0; sweep < mesh_.config().ndim; ++sweep) {
       for (std::size_t n = static_cast<std::size_t>(offset);
            n < leaves.size();
@@ -76,7 +76,7 @@ void Driver::trace_regions() {
 
   // --- flame -------------------------------------------------------------
   if (units_.flame != nullptr) {
-    perf::PerfRegion region(perf_, "flame");
+    perf::PerfRegion region(perf, "flame");
     for (std::size_t n = static_cast<std::size_t>(offset); n < leaves.size();
          n += static_cast<std::size_t>(options_.trace_sample)) {
       units_.flame->trace_advance_block(tracer, leaves[n]);
@@ -86,7 +86,7 @@ void Driver::trace_regions() {
 
   // --- guard fill + bookkeeping ("grid") ----------------------------------
   {
-    perf::PerfRegion region(perf_, "grid");
+    perf::PerfRegion region(perf, "grid");
     const mesh::MeshConfig& c = mesh_.config();
     const auto& unk = mesh_.unk();
     for (std::size_t n = static_cast<std::size_t>(offset); n < leaves.size();
@@ -153,7 +153,7 @@ bool Driver::step_once() {
     // sampler thread only ever reads this published copy), accumulate
     // the scheduler statistics (kept out of the counters — they are
     // timing-dependent) and stamp the step mark onto the timeline.
-    perf_.publish();
+    runtime_.perf().publish();
     const par::TaskGraph::Stats s = step_graph_.last_stats();
     sched_stats_.executed += s.executed;
     sched_stats_.steals += s.steals;

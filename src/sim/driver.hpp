@@ -5,7 +5,8 @@
 /// operator-split sources, periodic re-gridding, and the instrumentation
 /// the paper describes: named PerfRegions around each physics unit fed by
 /// the machine model through sampled address-stream replays, plus the
-/// FLASH-style wall-clock Timers.
+/// FLASH-style wall-clock Timers. The regions and the step-boundary
+/// publish() always land in the runtime's PerfContext, `runtime.perf()`.
 ///
 /// The sweeps and the flame stage of every step run as one block-task
 /// DAG (sim::StepGraph on par::TaskGraph). It reproduces the bulk
@@ -33,10 +34,6 @@
 #include "perf/timers.hpp"
 #include "sim/step_graph.hpp"
 #include "tlb/machine.hpp"
-
-namespace fhp::perf {
-class PerfContext;  // perf/perf_context.hpp — non-owning pointer only
-}
 
 namespace fhp::rt {
 class Runtime;  // rt/runtime.hpp — non-owning pointer only
@@ -71,14 +68,13 @@ using EosTraceFn = std::function<void(tlb::Tracer&, int block)>;
 /// `runtime` is the context this driver executes in and is required
 /// (the Driver constructor throws ConfigError without it). The mesh must
 /// have been built from the same runtime's `page_pool()` and `arena()` —
-/// the setup classes do both. Null `perf` means the runtime's
-/// PerfContext.
+/// the setup classes do both. A wired `machine` should sink into the
+/// runtime's `perf()`, where the driver's regions commit.
 struct DriverUnits {
   flame::AdrFlame* flame = nullptr;          ///< operator-split burning
   gravity::MonopoleGravity* gravity = nullptr;  ///< monopole gravity
   tlb::Machine* machine = nullptr;  ///< machine model (enables tracing)
   EosTraceFn eos_trace;             ///< per-block EOS replay hook
-  perf::PerfContext* perf = nullptr;  ///< context PerfRegions commit into
   rt::Runtime* runtime = nullptr;   ///< execution context (required)
   // Span tracing needs no wiring beyond the runtime: the driver binds
   // the runtime's trace sink around each step — sim does not depend on
@@ -125,7 +121,6 @@ class Driver {
   DriverOptions options_;
   DriverUnits units_;
   rt::Runtime& runtime_;
-  perf::PerfContext& perf_;
   StepGraph step_graph_;
   par::TaskGraph::Stats sched_stats_;
 

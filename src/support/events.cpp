@@ -13,10 +13,6 @@ std::string_view event_name(Event e) noexcept {
     case Event::kBytesWritten: return "MEM_BYTES_WR";
     case Event::kL1Misses: return "PAPI_L1_DCM";
     case Event::kL2Misses: return "PAPI_L2_DCM";
-    case Event::kPoolHugeAllocs: return "POOL_HUGE_ALLOC";
-    case Event::kPoolRemoteAllocs: return "POOL_REMOTE_ALLOC";
-    case Event::kPoolThpFallbacks: return "POOL_THP_FALLBACK";
-    case Event::kPoolBaseFallbacks: return "POOL_BASE_FALLBACK";
     case Event::kWallNanos: return "WALL_NS";
   }
   return "UNKNOWN";

@@ -40,14 +40,10 @@ enum class Event : std::uint8_t {
   kBytesWritten,    ///< bytes moved to memory
   kL1Misses,        ///< L1D misses (model detail)
   kL2Misses,        ///< L2 misses = memory traffic events
-  kPoolHugeAllocs,  ///< PagePool allocations placed on a hugetlb pool
-  kPoolRemoteAllocs,///< subset of the above placed on a non-local node
-  kPoolThpFallbacks,///< PagePool degradations to THP (pool exhausted)
-  kPoolBaseFallbacks,///< PagePool degradations to base pages
   kWallNanos,       ///< wall-clock nanoseconds
 };
 
-inline constexpr std::size_t kNumEvents = 14;
+inline constexpr std::size_t kNumEvents = 10;
 
 /// PAPI-flavoured names, for reports ("PAPI_TOT_CYC", ...).
 [[nodiscard]] std::string_view event_name(Event e) noexcept;

@@ -5,7 +5,7 @@
 /// thread-safety analysis cannot track std::lock_guard acquisitions of
 /// it. fhp::Mutex is a zero-overhead wrapper that is a proper annotated
 /// capability, and fhp::MutexLock is the matching annotated scoped lock.
-/// All lockful flashhp classes (mem::Arena, Logger, perf::RegionRegistry)
+/// All lockful flashhp classes (mem::PagePool, Logger, perf::RegionRegistry)
 /// use these so `-Wthread-safety` sees their whole lock discipline.
 
 #pragma once

@@ -1,5 +1,6 @@
 #include "support/runtime_params.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -284,6 +285,23 @@ std::vector<std::string> RuntimeParams::names() const {
   out.reserve(entries_.size());
   for (const auto& [name, e] : entries_) out.push_back(name);
   return out;
+}
+
+int positive_int_from_environment(const char* var, int fallback,
+                                  int ceiling) {
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read at setup, before any
+  // worker thread exists; nothing in-process calls setenv.
+  const char* raw = std::getenv(var);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  char* end = nullptr;
+  // Out-of-range input saturates at LLONG_MAX, which the clamp below
+  // maps to the ceiling like any other oversized value.
+  const long long value = std::strtoll(raw, &end, 10);
+  if (end == raw || *end != '\0' || value < 1) {
+    throw ConfigError(std::string(var) + "='" + raw +
+                      "': expected a positive integer");
+  }
+  return value > ceiling ? ceiling : static_cast<int>(value);
 }
 
 }  // namespace fhp

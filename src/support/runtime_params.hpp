@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <climits>
 #include <iosfwd>
 #include <map>
 #include <optional>
@@ -86,5 +87,12 @@ class RuntimeParams {
 
   std::map<std::string, Entry> entries_;  // key: lower-cased name
 };
+
+/// The integer setting in environment variable \p var: \p fallback when
+/// unset or empty, else a positive base-10 integer clamped to
+/// \p ceiling — a value too large for any integer type clamps too,
+/// never wraps. Throws ConfigError naming \p var on anything else.
+[[nodiscard]] int positive_int_from_environment(const char* var, int fallback,
+                                                int ceiling = INT_MAX);
 
 }  // namespace fhp

@@ -1,9 +1,10 @@
 #include "svc/service.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -34,26 +35,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
-}
-
-/// Runtime-param overrides (0 = unset, defer to environment/default).
-std::atomic<int> g_param_lanes{0};
-std::atomic<int> g_param_queue{0};
-std::atomic<int> g_param_max_tenants{0};
-std::atomic<int> g_param_quantum{0};
-
-int env_positive_int(const char* var, int fallback) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read at service construction;
-  // nothing in-process calls setenv.
-  const char* raw = std::getenv(var);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 1) {
-    throw ConfigError(std::string(var) + "='" + raw +
-                      "': expected a positive integer");
-  }
-  return static_cast<int>(value);
 }
 
 PoolSummary counter_delta(const mem::PoolCounters& before,
@@ -191,12 +172,6 @@ std::vector<double> canonical_state(const mesh::AmrMesh& mesh,
   return out;
 }
 
-int resolve_service_lanes() {
-  const int param = g_param_lanes.load(std::memory_order_acquire);
-  if (param > 0) return param;
-  return env_positive_int(kSvcLanesEnvVar, 2);
-}
-
 void declare_runtime_params(RuntimeParams& params) {
   params.declare_int("svc.lanes", 0,
                      "service worker threads stepping tenants "
@@ -210,19 +185,21 @@ void declare_runtime_params(RuntimeParams& params) {
                      "(0 = default 4)");
 }
 
-void apply_runtime_params(const RuntimeParams& params) {
-  auto apply_one = [&params](const char* name, std::atomic<int>& slot) {
+ServiceOptions apply_runtime_params(const RuntimeParams& params) {
+  const auto read = [&params](const char* name, int ceiling) {
     const long long value = params.get_int(name);
     if (value < 0) {
       throw ConfigError(std::string(name) + "=" + std::to_string(value) +
                         ": expected a non-negative integer");
     }
-    slot.store(static_cast<int>(value), std::memory_order_release);
+    return static_cast<int>(std::min<long long>(value, ceiling));
   };
-  apply_one("svc.lanes", g_param_lanes);
-  apply_one("svc.queue", g_param_queue);
-  apply_one("svc.max_tenants", g_param_max_tenants);
-  apply_one("svc.quantum", g_param_quantum);
+  ServiceOptions options;
+  options.workers = read("svc.lanes", par::kMaxLanes);
+  options.queue_capacity = read("svc.queue", INT_MAX);
+  options.max_tenants = read("svc.max_tenants", INT_MAX);
+  options.quantum_steps = read("svc.quantum", INT_MAX);
+  return options;
 }
 
 // ---------------------------------------------------------------- Impl
@@ -377,14 +354,14 @@ struct Service::Impl {
     switch (spec.kind) {
       case JobKind::kSedov: {
         tenant->sedov = std::make_unique<sim::SedovSetup>(
-            spec.sedov, spec.policy, runtime);
+            spec.sedov, runtime.huge_policy(), runtime);
         tenant->hydro = std::make_unique<hydro::HydroSolver>(
             tenant->sedov->mesh(), tenant->sedov->eos());
         break;
       }
       case JobKind::kCellular: {
         tenant->cellular = std::make_unique<sim::CellularSetup>(
-            spec.cellular, spec.policy, runtime);
+            spec.cellular, runtime.huge_policy(), runtime);
         tenant->hydro = std::make_unique<hydro::HydroSolver>(
             tenant->cellular->mesh(), tenant->cellular->eos());
         units.flame = &tenant->cellular->flame();
@@ -394,7 +371,7 @@ struct Service::Impl {
       }
       case JobKind::kSupernova: {
         tenant->supernova = std::make_unique<sim::SupernovaSetup>(
-            spec.supernova, spec.policy, runtime);
+            spec.supernova, runtime.huge_policy(), runtime);
         hydro::HydroOptions hopts;
         hopts.cfl = 0.6;
         tenant->hydro = std::make_unique<hydro::HydroSolver>(
@@ -519,17 +496,16 @@ struct Service::Impl {
 // ------------------------------------------------------------- Service
 
 Service::Service(ServiceOptions options) : impl_(std::make_unique<Impl>()) {
-  auto resolve = [](int explicit_value, std::atomic<int>& param,
-                    int fallback) {
-    if (explicit_value > 0) return explicit_value;
-    const int p = param.load(std::memory_order_acquire);
-    return p > 0 ? p : fallback;
+  const auto or_default = [](int value, int fallback) {
+    return value > 0 ? value : fallback;
   };
-  impl_->workers_n = options.workers > 0 ? options.workers
-                                         : resolve_service_lanes();
-  impl_->queue_capacity = resolve(options.queue_capacity, g_param_queue, 16);
-  impl_->max_tenants = resolve(options.max_tenants, g_param_max_tenants, 8);
-  impl_->quantum = resolve(options.quantum_steps, g_param_quantum, 4);
+  impl_->workers_n =
+      options.workers > 0
+          ? std::min(options.workers, par::kMaxLanes)
+          : positive_int_from_environment(kSvcLanesEnvVar, 2, par::kMaxLanes);
+  impl_->queue_capacity = or_default(options.queue_capacity, 16);
+  impl_->max_tenants = or_default(options.max_tenants, 8);
+  impl_->quantum = or_default(options.quantum_steps, 4);
 
   if (options.pool != nullptr) {
     impl_->pool = options.pool;

@@ -18,14 +18,17 @@
 ///     in 1-step quanta interleaved with strangers ends bit-identical
 ///     to its solo run — the scheduler extension of the PR 9 contract,
 ///     held by tests/test_service.cpp;
-///   - a shared huge-page arena: every tenant's Runtime carves block
-///     and table storage from one mem::PagePool. Tenant setups are
+///   - a shared huge-page pool: every tenant's Runtime carves block
+///     and table storage from one mem::PagePool, under the runtime's
+///     huge_policy() (the job's JobSpec::policy). Tenant setups are
 ///     serialized under one mutex (PagePool serializes allocations
 ///     anyway, and the Helm-table disk cache is not concurrent-build
 ///     safe), and the pool counter deltas across each setup become the
 ///     tenant's PoolSummary — per-tenant accounting over a shared
 ///     inventory. Exhaustion degrades (hugetlbfs -> THP -> base), it
 ///     never fails a job;
+///   - per-tenant counters: each tenant's Driver and machine model count
+///     into its runtime's perf(), which progress() and JobResult read;
 ///   - result streaming: progress() reads the tenant's last published
 ///     counter snapshot from any thread mid-flight; completed jobs
 ///     resolve to a JobResult via wait(); per-tenant span timelines
@@ -54,22 +57,23 @@ namespace fhp::svc {
 /// Environment knob: worker (scheduler lane) count, FLASHHP_SVC_LANES.
 inline constexpr const char* kSvcLanesEnvVar = "FLASHHP_SVC_LANES";
 
-/// Construction-time configuration.
+/// Construction-time configuration: the one way settings enter a
+/// Service. svc::apply_runtime_params() fills it from the `svc.*`
+/// parameters.
 struct ServiceOptions {
-  /// Worker threads stepping tenants. 0 = resolve the "svc.lanes"
-  /// runtime param / FLASHHP_SVC_LANES / 2, at construction.
+  /// Worker threads stepping tenants, clamped to par::kMaxLanes.
+  /// 0 = resolve FLASHHP_SVC_LANES / 2, at construction.
   int workers = 0;
   /// Pending-queue bound: jobs admitted but not yet finished beyond the
   /// ones holding tenants. submit() rejects kQueueFull at capacity.
-  /// 0 = resolve "svc.queue" / 16.
+  /// 0 = 16.
   int queue_capacity = 0;
   /// Maximum concurrently *constructed* tenants (jobs holding mesh
   /// storage in the shared pool). Workers defer building fresh tenants
   /// beyond this; admitted jobs wait queued instead of failing.
-  /// 0 = resolve "svc.max_tenants" / 8.
+  /// 0 = 8.
   int max_tenants = 0;
-  /// Steps a tenant advances per scheduling quantum.
-  /// 0 = resolve "svc.quantum" / 4.
+  /// Steps a tenant advances per scheduling quantum. 0 = 4.
   int quantum_steps = 0;
   /// Non-null: carve every tenant from this pool (must outlive the
   /// service). Null: the service owns a private pool, initialized from
@@ -141,7 +145,7 @@ class Service {
 
   [[nodiscard]] ServiceStats stats() const;
 
-  /// The shared arena tenants carve from (the injected pool, or the
+  /// The shared pool tenants carve from (the injected pool, or the
   /// service-owned one).
   [[nodiscard]] mem::PagePool& pool() noexcept;
 
@@ -160,16 +164,13 @@ class Service {
 [[nodiscard]] std::vector<double> canonical_state(const mesh::AmrMesh& mesh,
                                                   double sim_time);
 
-/// Resolve the default worker count: "svc.lanes" runtime param if
-/// applied, else FLASHHP_SVC_LANES, else 2. Throws fhp::ConfigError on
-/// junk values.
-[[nodiscard]] int resolve_service_lanes();
-
 /// Declare "svc.lanes", "svc.queue", "svc.max_tenants", "svc.quantum".
 void declare_runtime_params(RuntimeParams& params);
 
-/// Record non-empty values as overrides consulted by ServiceOptions
-/// resolution ahead of the environment.
-void apply_runtime_params(const RuntimeParams& params);
+/// The ServiceOptions those parameters describe (0 = unset, resolved at
+/// construction). `svc.lanes` clamps to par::kMaxLanes, the others to
+/// INT_MAX. Touches no process-wide state. Throws fhp::ConfigError on a
+/// negative value.
+[[nodiscard]] ServiceOptions apply_runtime_params(const RuntimeParams& params);
 
 }  // namespace fhp::svc

@@ -11,7 +11,6 @@
 #include <limits>
 
 #include "mem/allocator.hpp"
-#include "mem/arena.hpp"
 #include "mem/mapped_region.hpp"
 #include "mem/page_size.hpp"
 #include "mesh/config.hpp"
@@ -61,52 +60,11 @@ TEST(Contracts, EnabledInThisBuild) {
 }
 #endif
 
-// ----------------------------------------------- arena boundary contracts
+// ------------------------------------------ HugeBuffer boundary contracts
 
-TEST(ArenaContracts, ZeroByteAllocationViolatesContract) {
-  mem::PagePool pool;
-  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
-  EXPECT_THROW(arena.allocate(0), ContractViolation);
-}
-
-TEST(ArenaContracts, NonPowerOfTwoAlignmentViolatesContract) {
-  mem::PagePool pool;
-  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
-  EXPECT_THROW(arena.allocate(64, 48), ContractViolation);
-  EXPECT_THROW(arena.allocate(64, 0), ContractViolation);
-}
-
-TEST(ArenaContracts, UndersizedChunkQuantumViolatesContract) {
-  mem::PagePool pool;
-  EXPECT_THROW(mem::Arena(pool, mem::HugePolicy::kNone, 1024),
-               ContractViolation);
-}
-
-// Satellite fix: count * sizeof(T) used to overflow size_t and silently
-// allocate a tiny wrapped-around buffer. The check is always on.
-TEST(ArenaContracts, AllocateArrayOverflowThrows) {
-  mem::PagePool pool;
-  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
-  const std::size_t huge_count =
-      std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
-  EXPECT_THROW(arena.allocate_array<double>(huge_count), ConfigError);
-  // A benign count still works after the failed request.
-  double* p = arena.allocate_array<double>(16);
-  ASSERT_NE(p, nullptr);
-  p[15] = 2.5;
-  EXPECT_DOUBLE_EQ(p[15], 2.5);
-}
-
-TEST(ArenaContracts, HugeAllocatorOverflowThrows) {
-  mem::PagePool pool;
-  mem::Arena arena(pool, mem::HugePolicy::kNone, 4u << 20);
-  mem::HugeAllocator<double> alloc(arena);
-  const std::size_t huge_count =
-      std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;
-  EXPECT_THROW((void)alloc.allocate(huge_count), ConfigError);
-}
-
-TEST(ArenaContracts, HugeBufferOverflowThrows) {
+// count * sizeof(T) must not overflow size_t into a tiny wrapped-around
+// allocation. The check is always on.
+TEST(HugeBufferContracts, OverflowThrows) {
   mem::PagePool pool;
   const std::size_t huge_count =
       std::numeric_limits<std::size_t>::max() / sizeof(double) + 1;

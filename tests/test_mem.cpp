@@ -4,12 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "mem/allocator.hpp"
-#include "mem/arena.hpp"
 #include "mem/huge_policy.hpp"
 #include "mem/hugeadm.hpp"
 #include "mem/mapped_region.hpp"
@@ -463,99 +460,7 @@ TEST(MappedRegion, HugetlbfsUsesPoolWhenAvailable) {
             snap.huge_pages_total.value_or());
 }
 
-// ------------------------------------------------------------------ arena
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  std::vector<std::pair<char*, std::size_t>> blocks;
-  for (int i = 0; i < 100; ++i) {
-    const std::size_t bytes = 64 + static_cast<std::size_t>(i) * 13;
-    auto* p = static_cast<char*>(arena.allocate(bytes, 64));
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
-    blocks.emplace_back(p, bytes);
-  }
-  // Write patterns and verify no overlap corrupted anything.
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    std::memset(blocks[i].first, static_cast<int>(i), blocks[i].second);
-  }
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    for (std::size_t b = 0; b < blocks[i].second; ++b) {
-      ASSERT_EQ(static_cast<unsigned char>(blocks[i].first[b]), i);
-    }
-  }
-}
-
-TEST(Arena, LargeAllocationGetsDedicatedChunk) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  (void)arena.allocate(64);
-  (void)arena.allocate(16u << 20);  // bigger than the chunk quantum
-  const ArenaStats stats = arena.stats();
-  EXPECT_EQ(stats.chunk_count, 2u);
-  EXPECT_GE(stats.bytes_reserved, 20u << 20);
-}
-
-TEST(Arena, StatsTrackRequests) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  (void)arena.allocate(100);
-  (void)arena.allocate(200);
-  const ArenaStats stats = arena.stats();
-  EXPECT_EQ(stats.allocation_count, 2u);
-  EXPECT_EQ(stats.bytes_requested, 300u);
-  EXPECT_EQ(stats.small_chunks, 1u);
-}
-
-TEST(Arena, ReleaseDropsEverything) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  (void)arena.allocate(1u << 20);
-  arena.release();
-  EXPECT_EQ(arena.stats().chunk_count, 0u);
-  // Arena remains usable afterwards.
-  (void)arena.allocate(64);
-  EXPECT_EQ(arena.stats().chunk_count, 1u);
-}
-
-TEST(Arena, RejectsBadArguments) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  EXPECT_THROW(arena.allocate(0), ConfigError);
-  EXPECT_THROW(arena.allocate(64, 63), ConfigError);  // non-pow2 alignment
-  EXPECT_THROW(Arena(pool, HugePolicy::kNone, 1024), ConfigError);  // tiny
-}
-
-TEST(Arena, ReportMentionsPolicyAndChunks) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  (void)arena.allocate(128);
-  const std::string report = arena.report();
-  EXPECT_NE(report.find("policy=none"), std::string::npos);
-  EXPECT_NE(report.find("chunk 0"), std::string::npos);
-}
-
-// -------------------------------------------------------------- allocator
-
-TEST(HugeAllocatorTest, WorksWithStdVector) {
-  PagePool pool;
-  Arena arena(pool, HugePolicy::kNone, 4u << 20);
-  std::vector<double, HugeAllocator<double>> v{HugeAllocator<double>(arena)};
-  for (int i = 0; i < 10000; ++i) v.push_back(i);
-  EXPECT_DOUBLE_EQ(v[9999], 9999.0);
-  EXPECT_GT(arena.stats().bytes_requested, 10000u * 8);
-}
-
-TEST(HugeAllocatorTest, EqualityFollowsArenaIdentity) {
-  PagePool pool;
-  Arena a(pool, HugePolicy::kNone, 4u << 20);
-  Arena b(pool, HugePolicy::kNone, 4u << 20);
-  HugeAllocator<int> aa(a), ab(a), ba(b);
-  EXPECT_TRUE(aa == ab);
-  EXPECT_FALSE(aa == ba);
-  HugeAllocator<double> rebound(aa);  // converting constructor
-  EXPECT_TRUE(rebound == HugeAllocator<double>(a));
-}
+// ------------------------------------------------------------- HugeBuffer
 
 TEST(HugeBufferTest, SizeAndZeroInit) {
   PagePool pool;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <new>
 #include <sstream>
@@ -482,6 +483,9 @@ TEST(ObsEnvironment, SampleMsParsesAndValidates) {
   EXPECT_THROW(static_cast<void>(sample_ms_from_environment(10)), ConfigError);
   ::setenv(kSampleMsEnvVar, "fast", 1);
   EXPECT_THROW(static_cast<void>(sample_ms_from_environment(10)), ConfigError);
+  // 2^32 + 1 ms must not truncate to a 1 ms cadence.
+  ::setenv(kSampleMsEnvVar, "4294967297", 1);
+  EXPECT_EQ(sample_ms_from_environment(10), INT_MAX);
   ::unsetenv(kSampleMsEnvVar);
 }
 

@@ -1,6 +1,6 @@
 /// \file test_page_pool.cpp
 /// \brief mem::PagePool: lifecycle contracts, exhaustion degradation,
-///        NUMA placement, status reporting, counter events.
+///        NUMA placement, status reporting, decision counters.
 ///
 /// All sysfs-derived state comes from fixture trees (injectable roots) or
 /// explicit synthetic inventories, so every test runs unprivileged and
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "mem/arena.hpp"
 #include "mem/allocator.hpp"
 #include "mem/numa.hpp"
 #include "mem/page_pool.hpp"
@@ -46,20 +45,6 @@ PagePoolConfig synthetic_config(std::vector<NodeHugePools> inventory,
   cfg.thp_root = thp ? sysfs_fixture("thp") : "/flashhp-nonexistent";
   return cfg;
 }
-
-/// CounterSink that accumulates every published delta.
-class RecordingSink final : public perf::CounterSink {
- public:
-  void sink_counters(const perf::CounterSet& delta) noexcept override {
-    totals_ += delta;
-  }
-  [[nodiscard]] std::uint64_t operator[](perf::Event e) const noexcept {
-    return totals_[e];
-  }
-
- private:
-  perf::CounterSet totals_;
-};
 
 // ---------------------------------------------------------------- numa.hpp
 
@@ -368,8 +353,7 @@ TEST(PagePoolStatus, EmptyInventoryText) {
 
 // ----------------------------------------------------------- counter events
 
-TEST(PagePoolEvents, PublishedToTheConfiguredSink) {
-  RecordingSink sink;
+TEST(PagePoolEvents, CountedInPoolCounters) {
   HugetlbPool local;
   local.page_bytes = kPage2M;
   local.nr_hugepages = 2;
@@ -377,7 +361,6 @@ TEST(PagePoolEvents, PublishedToTheConfiguredSink) {
   HugetlbPool remote = local;
   PagePoolConfig cfg = synthetic_config({{0, {local}}, {1, {remote}}});
   cfg.placement = PlacementPolicy::kRemoteHugeFirst;
-  cfg.sink = &sink;
   PagePool pool;
   pool.init(cfg);
 
@@ -385,10 +368,11 @@ TEST(PagePoolEvents, PublishedToTheConfiguredSink) {
   (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // remote huge
   (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // exhausted -> thp
 
-  EXPECT_EQ(sink[perf::Event::kPoolHugeAllocs], 2u);
-  EXPECT_EQ(sink[perf::Event::kPoolRemoteAllocs], 1u);
-  EXPECT_EQ(sink[perf::Event::kPoolThpFallbacks], 1u);
-  EXPECT_EQ(sink[perf::Event::kPoolBaseFallbacks], 0u);
+  const PoolCounters counters = pool.counters();
+  EXPECT_EQ(counters.huge_allocs, 2u);
+  EXPECT_EQ(counters.remote_huge_allocs, 1u);
+  EXPECT_EQ(counters.thp_fallbacks, 1u);
+  EXPECT_EQ(counters.base_fallbacks, 0u);
 }
 
 // ------------------------------------------------- real mappings (alloc())
@@ -435,22 +419,9 @@ TEST(PagePoolAlloc, MovedFromAllocationIsEmpty) {
   EXPECT_EQ(a.decision().tier, Backing::kSmallPages);
 }
 
-// ---------------------------------------------- carving (Arena, HugeBuffer)
+// ------------------------------------------------------ carving (HugeBuffer)
 
-TEST(PagePoolCarving, ArenaChunksComeFromTheExplicitPool) {
-  PagePool pool;
-  pool.init(synthetic_config(one_node_2m(64, 64)));
-  Arena arena(pool, HugePolicy::kHugetlbfs, kPage2M);
-  void* p = arena.allocate(1024);
-  ASSERT_NE(p, nullptr);
-  const ArenaStats stats = arena.stats();
-  EXPECT_EQ(stats.chunk_count, 1u);
-  // The pool recorded the decision regardless of what the kernel granted.
-  EXPECT_EQ(pool.counters().huge_allocs, 1u);
-  EXPECT_NE(arena.report().find("pool decision"), std::string::npos);
-}
-
-TEST(PagePoolCarving, ArenaCountsRemoteChunks) {
+TEST(PagePoolCarving, HugeBufferCountsRemoteChunks) {
   HugetlbPool dry;
   dry.page_bytes = kPage2M;
   dry.nr_hugepages = 4;
@@ -461,9 +432,10 @@ TEST(PagePoolCarving, ArenaCountsRemoteChunks) {
   cfg.placement = PlacementPolicy::kRemoteHugeFirst;
   PagePool pool;
   pool.init(cfg);
-  Arena arena(pool, HugePolicy::kHugetlbfs, kPage2M);
-  (void)arena.allocate(1024);
-  EXPECT_EQ(arena.stats().remote_chunks, 1u);
+  const HugeBuffer<char> buf(1024, HugePolicy::kHugetlbfs, pool);
+  EXPECT_TRUE(buf.allocation().decision().remote);
+  EXPECT_EQ(buf.allocation().decision().node, 1);
+  EXPECT_EQ(pool.counters().remote_huge_allocs, 1u);
 }
 
 TEST(PagePoolCarving, HugeBufferExposesItsDecision) {

@@ -212,8 +212,7 @@ struct SedovRun {
 /// machine model fed so counter totals are part of the contract.
 SedovRun run_sedov(int nthreads) {
   rt::Runtime runtime({.lanes = nthreads});
-  perf::PerfContext perf;
-  tlb::Machine machine({}, &perf);
+  tlb::Machine machine({}, &runtime.perf());
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
@@ -229,7 +228,6 @@ SedovRun run_sedov(int nthreads) {
   sim::DriverUnits units;
   units.runtime = &runtime;
   units.machine = &machine;
-  units.perf = &perf;
   units.eos_trace = [&setup](tlb::Tracer& t, int b) {
     const mesh::MeshConfig& c = setup.mesh().config();
     setup.mesh().unk().trace_sweep(t, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
@@ -240,7 +238,7 @@ SedovRun run_sedov(int nthreads) {
   SedovRun r;
   r.state = unk_fingerprint(setup.mesh());
   r.sim_time = driver.sim_time();
-  r.counters = perf.snapshot();
+  r.counters = runtime.perf().snapshot();
   return r;
 }
 

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -35,9 +36,13 @@
 #include "mem/numa.hpp"
 #include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
+#include "par/parallel.hpp"
 #include "perf/events.hpp"
 #include "support/error.hpp"
+#include "support/runtime_params.hpp"
 #include "svc/service.hpp"
+
+#include "scoped_env.hpp"
 
 namespace fhp::svc {
 namespace {
@@ -207,6 +212,54 @@ TEST(ServiceLifecycle, TimelineExportsPerTenantTrace) {
   EXPECT_NE(text.find("traceEvents"), std::string::npos);
   EXPECT_NE(text.find("driver.step"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------- options
+
+TEST(ServiceOptionsTest, RuntimeParamsFillTheOptionsOnly) {
+  RuntimeParams rp;
+  declare_runtime_params(rp);
+  rp.set_int("svc.quantum", 1);
+  rp.set_int("svc.queue", 3);
+  const ServiceOptions options = apply_runtime_params(rp);
+  EXPECT_EQ(options.quantum_steps, 1);
+  EXPECT_EQ(options.queue_capacity, 3);
+  EXPECT_EQ(options.workers, 0);  // unset: resolved at construction
+
+  // Applying them configured no process-wide slot.
+  Service service;
+  EXPECT_EQ(service.quantum_steps(), 4);
+
+  rp.set_int("svc.max_tenants", -1);
+  EXPECT_THROW(static_cast<void>(apply_runtime_params(rp)), ConfigError);
+}
+
+TEST(ServiceOptionsTest, OversizedValuesClampInsteadOfWrapping) {
+  RuntimeParams rp;
+  declare_runtime_params(rp);
+  for (const char* name :
+       {"svc.lanes", "svc.queue", "svc.max_tenants", "svc.quantum"}) {
+    rp.set_from_string(name, "3000000000");
+  }
+  const ServiceOptions options = apply_runtime_params(rp);
+  EXPECT_EQ(options.workers, par::kMaxLanes);
+  EXPECT_EQ(options.queue_capacity, INT_MAX);
+  EXPECT_EQ(options.max_tenants, INT_MAX);
+  EXPECT_EQ(options.quantum_steps, INT_MAX);
+}
+
+TEST(ServiceOptionsTest, WorkerCountsClampToMaxLanes) {
+  // One lane over the ceiling: a broken clamp starts kMaxLanes + 1
+  // threads, never thousands.
+  const std::string over = std::to_string(par::kMaxLanes + 1);
+  {
+    const test::ScopedEnv env(kSvcLanesEnvVar, over.c_str());
+    const Service from_env({.start_paused = true});
+    EXPECT_EQ(from_env.workers(), par::kMaxLanes);
+  }
+  const Service explicit_count(
+      {.workers = par::kMaxLanes + 1, .start_paused = true});
+  EXPECT_EQ(explicit_count.workers(), par::kMaxLanes);
 }
 
 // ------------------------------------------------------------ admission

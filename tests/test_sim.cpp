@@ -324,9 +324,8 @@ TEST(CellularEvolution, FlameAdvancesConservingMass) {
 /// The paper's headline shape, in miniature: with huge pages the EOS
 /// region's DTLB miss rate collapses while its runtime barely moves.
 TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
-  rt::Runtime runtime;
-  auto run_arm = [&runtime](mem::HugePolicy policy) {
-    perf::PerfContext perf;
+  auto run_arm = [](mem::HugePolicy policy) {
+    rt::Runtime runtime({.policy = policy});
     SupernovaParams p;
     p.max_level = 3;
     p.maxblocks = 400;
@@ -334,14 +333,14 @@ TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
     // pattern to be faithful; the T range is trimmed for build speed.
     p.table_spec = {-4.0, 10.0, 541, 5.0, 10.0, 41};
     p.table_cache = "helm_table_shape.bin";
-    SupernovaSetup setup(p, policy, runtime);
+    SupernovaSetup setup(p, runtime.huge_policy(), runtime);
     mesh::AmrMesh& m = setup.mesh();
     hydro::HydroOptions hopt;
     hopt.cfl = 0.6;
     hydro::HydroSolver hydro(m, setup.eos(), hopt);
     hydro.set_composition_fn(setup.composition_fn());
     perf::Timers timers;
-    tlb::Machine machine({}, &perf);
+    tlb::Machine machine({}, &runtime.perf());
     DriverOptions opts;
     opts.nsteps = 8;
     opts.trace_sample = 2;
@@ -353,10 +352,10 @@ TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
     units.machine = &machine;
     units.eos_trace =
         [&setup](tlb::Tracer& t, int b) { setup.trace_eos_block(t, b); };
-    units.perf = &perf;
     Driver driver(m, hydro, timers, opts, units);
     driver.evolve();
-    return perf::derive_measures(perf.regions().get("eos").totals, 1.8e9);
+    return perf::derive_measures(
+        runtime.perf().regions().get("eos").totals, 1.8e9);
   };
 
   const auto without = run_arm(mem::HugePolicy::kNone);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <sstream>
 
@@ -11,6 +12,8 @@
 #include "support/runtime_params.hpp"
 #include "support/string_util.hpp"
 #include "support/table_writer.hpp"
+
+#include "scoped_env.hpp"
 
 namespace fhp {
 namespace {
@@ -229,6 +232,30 @@ TEST(RuntimeParams, DumpListsEverything) {
   EXPECT_NE(os.str().find("alpha = 1"), std::string::npos);
   EXPECT_NE(os.str().find("doc for alpha"), std::string::npos);
   EXPECT_NE(os.str().find("beta"), std::string::npos);
+}
+
+constexpr const char* kTestIntVar = "FLASHHP_TEST_INT";
+
+TEST(EnvironmentInt, ParsesClampsAndRejects) {
+  {
+    const test::ScopedEnv env(kTestIntVar, "");
+    EXPECT_EQ(positive_int_from_environment(kTestIntVar, 7), 7);  // unset
+  }
+  const auto read = [](const char* value, int ceiling) {
+    const test::ScopedEnv env(kTestIntVar, value);
+    return positive_int_from_environment(kTestIntVar, 7, ceiling);
+  };
+  EXPECT_EQ(read("25", INT_MAX), 25);
+  EXPECT_EQ(read("99", 64), 64);
+  // Beyond int and beyond every integer type: clamped, never wrapped.
+  for (const char* oversized : {"3000000000", "99999999999999999999"}) {
+    EXPECT_EQ(read(oversized, INT_MAX), INT_MAX) << oversized;
+    EXPECT_EQ(read(oversized, 64), 64) << oversized;
+  }
+  for (const char* junk : {"0", "-3", "-99999999999999999999", "fast", "4x"}) {
+    EXPECT_THROW(static_cast<void>(read(junk, INT_MAX)), ConfigError)
+        << junk;
+  }
 }
 
 // --------------------------------------------------------------------- rng

@@ -261,7 +261,7 @@ struct RunResult {
 /// the setup, which outlives the solver built on its mesh.
 struct Problem {
   rt::Runtime runtime;
-  perf::PerfContext perf;
+  perf::PerfContext& perf = runtime.perf();
   tlb::Machine machine{{}, &perf};
   std::unique_ptr<SedovSetup> sedov;
   std::unique_ptr<SupernovaSetup> supernova;
@@ -274,7 +274,6 @@ struct Problem {
     opts.trace_sample = 2;  // exercise the modeled counters too
     opts.verbose = false;
     units.machine = &machine;
-    units.perf = &perf;
     units.runtime = &runtime;
   }
 

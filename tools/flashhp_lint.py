@@ -12,7 +12,7 @@ so this linter does:
                       files where page-regime decisions are made and
                       *verified* (MappedRegion records what it actually
                       got). A raw mmap anywhere else — including the rest
-                      of src/mem (PagePool, Arena, allocator compose the
+                      of src/mem (PagePool and HugeBuffer compose the
                       seam, they must not reopen it) — is exactly the
                       unverified allocation the paper warns about.
 
@@ -26,14 +26,13 @@ so this linter does:
   bulk-alloc          src/mesh, src/hydro and src/eos must not allocate
                       bulk data with malloc/calloc/realloc/free or
                       `new T[...]`: simulation arrays go through
-                      mem::Arena / mem::HugeBuffer so one HugePolicy
-                      switch moves the whole working set between page
-                      regimes.
+                      mem::HugeBuffer so one HugePolicy switch moves the
+                      whole working set between page regimes.
 
   include-hygiene     headers carry `#pragma once`; project includes are
-                      module-qualified ("mem/arena.hpp"), never relative
-                      ("../mem/arena.hpp"), and must resolve to a real
-                      file under src/.
+                      module-qualified ("mem/page_size.hpp"), never
+                      relative ("../mem/page_size.hpp"), and must resolve
+                      to a real file under src/.
 
   singleton-instance  no `::instance()` call sites. Instrumentation goes
                       through an explicit perf::PerfContext so experiment
@@ -306,7 +305,7 @@ class Linter:
     def _is_mmap_scope(self, path: pathlib.Path) -> bool:
         # The raw-mmap seam is narrower than src/mem: only MappedRegion
         # (the mapping ladder) and thp (the madvise helpers) may touch the
-        # syscalls. Everything else in mem — PagePool, Arena, allocator —
+        # syscalls. Everything else in mem — PagePool, HugeBuffer —
         # composes those two, so a new mmap there is as suspect as one in
         # src/hydro.
         return self._under(path, "mem") and \
@@ -481,13 +480,12 @@ class Linter:
                 if m:
                     report(lineno, "bulk-alloc",
                            f"{m.group(1)}() in a simulation module — bulk "
-                           f"data must come from mem::Arena / "
-                           f"mem::HugeBuffer")
+                           f"data must come from mem::HugeBuffer")
                 if NEW_ARRAY_RE.search(code) or \
                         MAKE_UNIQUE_ARRAY_RE.search(code):
                     report(lineno, "bulk-alloc",
                            "array new in a simulation module — bulk data "
-                           "must come from mem::Arena / mem::HugeBuffer")
+                           "must come from mem::HugeBuffer")
 
     def lint_tree(self, paths: list[pathlib.Path]) -> None:
         for base in paths:
@@ -546,8 +544,8 @@ SELF_TEST_FILES = {
         {"bulk-alloc": 3},
     ),
     "src/tlb/bad_include.hpp": (
-        '#include "../mem/arena.hpp"\n'
-        '#include "arena.hpp"\n',
+        '#include "../mem/page_size.hpp"\n'
+        '#include "page_size.hpp"\n',
         {"include-hygiene": 3},  # relative + unqualified + no pragma once
     ),
     "src/perf/suppressed.cpp": (
