@@ -202,12 +202,13 @@ void AmrMesh::fill_from_coarse(int dst, const std::array<int, 3>& step) {
   }
 }
 
-void AmrMesh::apply_boundaries(int b) {
+void AmrMesh::apply_boundaries(int b, unsigned axes) {
   const BlockInfo& info = tree_.info(b);
   const int nvar = config_.nvar();
   const int ng = config_.nguard;
 
   for (int axis = 0; axis < config_.ndim; ++axis) {
+    if ((axes & (1u << axis)) == 0) continue;
     const auto ax = static_cast<std::size_t>(axis);
     const std::int32_t extent = tree_.level_extent(info.level, axis);
     for (int side = 0; side < 2; ++side) {
@@ -277,82 +278,26 @@ void AmrMesh::fill_block_guards(int b) {
       }
     }
   }
-  apply_boundaries(b);
+  apply_boundaries(b, ~0u);
 }
 
-AmrMesh::GuardSources AmrMesh::guard_sources(int b) const {
-  GuardSources sources;
-  const auto note = [](std::vector<int>& list, int id) {
-    if (std::find(list.begin(), list.end(), id) == list.end()) {
-      list.push_back(id);
-    }
-  };
-  const BlockInfo& fine = tree_.info(b);
-  const std::array<int, 3> nb = {config_.nxb, config_.nyb, config_.nzb};
-  const int ng = config_.nguard;
-  const int zlo = config_.ndim >= 3 ? -1 : 0;
-  const int zhi = config_.ndim >= 3 ? 1 : 0;
-  for (int dz = zlo; dz <= zhi; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx_ = -1; dx_ <= 1; ++dx_) {
-        if (dx_ == 0 && dy == 0 && dz == 0) continue;
-        const std::array<int, 3> step{dx_, dy, dz};
-        const NeighborQuery q = tree_.neighbor(b, step);
-        if (q.outside_domain) continue;
-        if (q.id >= 0) {
-          if (q.id != b) note(sources.same_level, q.id);
-          continue;
-        }
-        // Coarse interpolation: replay fill_from_coarse's per-guard-cell
-        // block lookup, collecting the covering coarse blocks instead of
-        // reading them (diagonal directions can touch several).
-        const Range ri = guard_range(0, step[0]);
-        const Range rj = guard_range(1, step[1]);
-        const Range rk = guard_range(2, step[2]);
-        std::array<std::int64_t, 3> nglobal{1, 1, 1};
-        for (int d = 0; d < config_.ndim; ++d) {
-          nglobal[static_cast<std::size_t>(d)] =
-              static_cast<std::int64_t>(tree_.level_extent(fine.level, d)) *
-              nb[static_cast<std::size_t>(d)];
-        }
-        for (int k = rk.lo; k < rk.hi; ++k) {
-          for (int j = rj.lo; j < rj.hi; ++j) {
-            for (int i = ri.lo; i < ri.hi; ++i) {
-              std::array<std::int64_t, 3> gf = {
-                  static_cast<std::int64_t>(fine.coord[0]) * nb[0] + (i - ng),
-                  config_.ndim >= 2
-                      ? static_cast<std::int64_t>(fine.coord[1]) * nb[1] +
-                            (j - ng)
-                      : 0,
-                  config_.ndim >= 3
-                      ? static_cast<std::int64_t>(fine.coord[2]) * nb[2] +
-                            (k - ng)
-                      : 0};
-              for (int d = 0; d < config_.ndim; ++d) {
-                const auto dd = static_cast<std::size_t>(d);
-                gf[dd] = ((gf[dd] % nglobal[dd]) + nglobal[dd]) % nglobal[dd];
-              }
-              const std::array<std::int64_t, 3> gc = {gf[0] >> 1, gf[1] >> 1,
-                                                      gf[2] >> 1};
-              const std::array<std::int32_t, 3> cb = {
-                  static_cast<std::int32_t>(gc[0] / nb[0]),
-                  config_.ndim >= 2
-                      ? static_cast<std::int32_t>(gc[1] / nb[1])
-                      : 0,
-                  config_.ndim >= 3
-                      ? static_cast<std::int32_t>(gc[2] / nb[2])
-                      : 0};
-              const int coarse = tree_.find(fine.level - 1, cb);
-              FHP_CHECK(coarse >= 0,
-                        "2:1 balance violated: no coarse cover block");
-              note(sources.coarse, coarse);
-            }
-          }
-        }
+void AmrMesh::fill_block_faces(int b, FaceMask faces) {
+  unsigned axes = 0;
+  for (int axis = 0; axis < config_.ndim; ++axis) {
+    for (int side = 0; side < 2; ++side) {
+      if ((faces & face_bit(axis, side)) == 0) continue;
+      axes |= 1u << axis;
+      const std::array<int, 3> step = face_step(axis, side);
+      const NeighborQuery q = tree_.neighbor(b, step);
+      if (q.outside_domain) continue;  // physical BC pass below
+      if (q.id >= 0) {
+        copy_same_level(b, q.id, step);
+      } else {
+        fill_from_coarse(b, step);
       }
     }
   }
-  return sources;
+  apply_boundaries(b, axes);
 }
 
 void AmrMesh::fill_guardcells() {
@@ -414,6 +359,17 @@ void AmrMesh::restrict_all() {
     for (int b : tree_.blocks_at_level(level)) {
       const int parent = tree_.info(b).parent;
       if (parent >= 0) restrict_child(parent, b);
+    }
+  }
+}
+
+void AmrMesh::restrict_parents(std::span<const int> parents) {
+  for (const int parent : parents) {
+    const BlockInfo& info = tree_.info(parent);
+    FHP_PRECONDITION(info.in_use && !info.is_leaf,
+                     "restrict_parents: not a parent block");
+    for (int c = 0; c < config_.nchildren(); ++c) {
+      restrict_child(parent, info.children[static_cast<std::size_t>(c)]);
     }
   }
 }

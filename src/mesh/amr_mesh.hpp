@@ -4,7 +4,9 @@
 /// AmrMesh combines the `unk` container and the block tree and implements
 /// the PARAMESH operations FLASH relies on:
 ///   - guard-cell filling (same-level exchange, coarse-to-fine
-///     interpolation, physical boundary conditions), level by level;
+///     interpolation, physical boundary conditions): the full fill, level
+///     by level over every allocated block, and the face-mask fill of one
+///     leaf that a per-stage GuardPlan (guard_plan.hpp) schedules;
 ///   - restriction (children -> parents, volume-weighted), so interior
 ///     blocks always carry valid data;
 ///   - prolongation on refinement (minmod-limited linear, conservative);
@@ -23,6 +25,7 @@
 
 #include "mem/huge_policy.hpp"
 #include "mesh/config.hpp"
+#include "mesh/guard_plan.hpp"
 #include "mesh/tree.hpp"
 #include "mesh/unk.hpp"
 #include "support/lane.hpp"
@@ -76,32 +79,25 @@ class AmrMesh {
   /// Fill every guard cell of every allocated block (restriction first,
   /// then level-ordered exchange/interpolation, then physical BCs).
   /// Within each level the per-block exchange runs block-parallel on
-  /// this mesh's arena.
+  /// this mesh's arena. Remesh, checkpoint restore, the setups and the
+  /// bulk per-unit path (HydroSolver::step) use this full fill; the
+  /// driver's step graph fills only what each stage reads (guard_plan.hpp).
   void fill_guardcells();
 
-  /// Fill every guard zone of one block (same-level copies, coarse
-  /// interpolation, physical BCs). Writes only \p b's guards and reads
-  /// only the blocks reported by guard_sources(b): same-level neighbor
-  /// *interiors* and coarse-block interiors *plus guards*. Runs as a
-  /// region-lambda / task body on a pool lane, hence FHP_REQUIRES_REGION.
-  /// The bulk fill_guardcells() path calls it level by level; the
-  /// task-graph driver submits it per block with guard_sources-derived
-  /// dependency edges instead.
-  void fill_block_guards(int b) FHP_REQUIRES_REGION;
+  /// Fill the guard faces in \p faces of leaf \p b. Same-level copies
+  /// read the neighbor's interior, coarse interpolation reads the cover's
+  /// interior and face guards, and the physical boundary of each planned
+  /// axis reads b's own zones (it also rewrites that axis's edge and
+  /// corner zones, which no stage reads). Each face slab comes out
+  /// bit-identical to fill_guardcells()'s once its sources are current —
+  /// a GuardPlan orders the fills and restrictions that make them so.
+  /// Runs as a task body on a pool lane, hence FHP_REQUIRES_REGION.
+  void fill_block_faces(int b, FaceMask faces) FHP_REQUIRES_REGION;
 
-  /// The blocks whose data fill_block_guards(b) reads — the task-graph
-  /// driver's dependency query. Setup-time (allocates; walks the same
-  /// directions and per-cell coarse lookups as the fill itself, so the
-  /// edge set is exact, including diagonal coarse covers and periodic
-  /// wraps). \p b itself never appears in either list.
-  struct GuardSources {
-    std::vector<int> same_level;  ///< interiors read by same-level copies
-    std::vector<int> coarse;      ///< interior+guards read by interpolation
-  };
-  [[nodiscard]] GuardSources guard_sources(int b) const;
-
-  /// Restrict leaf data into all ancestors (volume-weighted).
-  void restrict_all();
+  /// Restrict into each of \p parents from its children, in list order
+  /// (a GuardPlan lists them finest first, so a parent's non-leaf
+  /// children are current before it is).
+  void restrict_parents(std::span<const int> parents);
 
   /// Refine one leaf: allocate children and prolong data into them.
   /// Guard cells of \p id must be current (call fill_guardcells first).
@@ -150,8 +146,16 @@ class AmrMesh {
   /// Fill the guards of one block in one direction by interpolating from
   /// the underlying coarse block.
   void fill_from_coarse(int dst, const std::array<int, 3>& step);
-  /// Apply physical boundary conditions on every domain-facing guard slab.
-  void apply_boundaries(int b);
+  /// Fill every guard zone of one block (same-level copies, coarse
+  /// interpolation, physical BCs) — fill_guardcells()'s per-block body,
+  /// run level by level on the arena. Reads same-level neighbor
+  /// interiors and coarse-block interiors plus guards.
+  void fill_block_guards(int b) FHP_REQUIRES_REGION;
+  /// Restrict leaf data into all ancestors (volume-weighted).
+  void restrict_all();
+  /// Apply physical boundary conditions on the domain-facing guard slabs
+  /// of the axes in \p axes (bit per axis).
+  void apply_boundaries(int b, unsigned axes);
   /// Restrict one child quadrant/octant into its parent.
   void restrict_child(int parent, int child);
   /// Prolong parent data into one child (minmod-limited linear).

@@ -44,9 +44,12 @@ Sampler::Sampler(SamplerOptions options)
 
 Sampler::~Sampler() { stop(); }
 
-void Sampler::sample_once() {
+void Sampler::sample_once() { (void)capture(); }
+
+std::uint64_t Sampler::capture() {
   Sample s;
   s.t_ns = clock_();
+  const std::uint64_t t_ns = s.t_ns;
   bool failed = false;
   // Procfs reads happen outside the ring lock: a slow /proc read must
   // not block a concurrent samples() reader.
@@ -74,12 +77,15 @@ void Sampler::sample_once() {
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (failed) ++errors_;
+  if (taken_ == 0) first_t_ns_ = s.t_ns;
+  last_t_ns_ = s.t_ns;
   if (ring_.size() >= options_.ring_capacity) {
     ring_.pop_front();
     ++dropped_;
   }
   ring_.push_back(std::move(s));
   ++taken_;
+  return t_ns;
 }
 
 void Sampler::start() {
@@ -110,15 +116,34 @@ bool Sampler::running() const noexcept {
 }
 
 void Sampler::thread_main() {
-  // Sample immediately so even a short run gets a first data point,
-  // then on every cadence tick until stop() wakes us.
+  // Sample immediately so even a short run gets a first data point, then
+  // on the ticks t0 + n * cadence of the sampler's clock (t0: the first
+  // capture's t_ns) until stop() wakes us. The clock is read once as a
+  // capture starts and once as it ends. A tick that has already passed
+  // is captured at once; of several passed ticks only the latest is, and
+  // the others count as missed.
+  const auto cadence = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(options_.cadence)
+          .count());
+  std::uint64_t deadline = capture();
   for (;;) {
-    sample_once();
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (cv_.wait_for(lock, options_.cadence,
-                     [this] { return stop_requested_; })) {
-      return;
+    const std::uint64_t now = clock_();
+    deadline += cadence;
+    std::uint64_t lost = 0;
+    if (now > deadline) {
+      lost = (now - deadline) / cadence;
+      deadline += lost * cadence;
     }
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      missed_ += lost;
+      const std::chrono::nanoseconds wait(deadline > now ? deadline - now
+                                                         : 0);
+      if (cv_.wait_for(lock, wait, [this] { return stop_requested_; })) {
+        return;
+      }
+    }
+    capture();
   }
 }
 
@@ -140,6 +165,16 @@ std::uint64_t Sampler::dropped() const {
 std::uint64_t Sampler::errors() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return errors_;
+}
+
+std::uint64_t Sampler::missed() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return missed_;
+}
+
+std::uint64_t Sampler::period_ns() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return taken_ < 2 ? 0 : (last_t_ns_ - first_t_ns_) / (taken_ - 1);
 }
 
 void Sampler::write_csv(std::ostream& os) const {

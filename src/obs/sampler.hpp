@@ -11,6 +11,11 @@
 /// span tracer so "when did THP kick in" lines up with "what was the
 /// solver doing". Samples land in a bounded ring (oldest dropped, drops
 /// counted) and export as counter tracks in the timeline JSON plus a CSV.
+/// The thread ticks on absolute deadlines; captures that overrun later
+/// ticks skip them, and the skipped ticks and the achieved mean period
+/// are reported next to the samples, so a reader knows the resolution it
+/// actually got (an `smaps_rollup` read walks every PTE of the process,
+/// ~190 k on a base-page 740 MiB mesh).
 ///
 /// Determinism for tests: the clock and every procfs path are
 /// injectable, and sample_once() captures synchronously without a
@@ -109,6 +114,16 @@ class Sampler {
   /// Procfs captures that failed (missing file, parse trouble).
   [[nodiscard]] std::uint64_t errors() const;
 
+  /// Cadence ticks the background thread skipped because a capture ran
+  /// past them. Ticks sit on absolute deadlines of the sampler's clock,
+  /// so a slow capture costs whole ticks (counted here) instead of
+  /// stretching every later period.
+  [[nodiscard]] std::uint64_t missed() const;
+
+  /// Achieved mean period between captures in clock ns:
+  /// (last t_ns - first t_ns) / (taken - 1), or 0 before two captures.
+  [[nodiscard]] std::uint64_t period_ns() const;
+
   [[nodiscard]] const SamplerOptions& options() const noexcept {
     return options_;
   }
@@ -119,6 +134,8 @@ class Sampler {
 
  private:
   void thread_main();
+  /// sample_once's body; returns the capture's t_ns.
+  std::uint64_t capture() FHP_EXCLUDES_REGION;
 
   SamplerOptions options_;
   std::function<std::uint64_t()> clock_;
@@ -129,6 +146,9 @@ class Sampler {
   std::uint64_t taken_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t errors_ = 0;
+  std::uint64_t missed_ = 0;
+  std::uint64_t first_t_ns_ = 0;  ///< t_ns of the first capture
+  std::uint64_t last_t_ns_ = 0;   ///< t_ns of the latest capture
   bool stop_requested_ = false;
   bool running_ = false;
   std::thread thread_;

@@ -217,7 +217,9 @@ void write_timeline(std::ostream& os, const Telemetry& telemetry,
     os << ",\n    \"samples\": " << sampler->samples().size()
        << ",\n    \"samplesTaken\": " << sampler->taken()
        << ",\n    \"samplesDropped\": " << sampler->dropped()
-       << ",\n    \"sampleErrors\": " << sampler->errors();
+       << ",\n    \"sampleErrors\": " << sampler->errors()
+       << ",\n    \"samplesMissed\": " << sampler->missed()
+       << ",\n    \"samplePeriodNs\": " << sampler->period_ns();
   }
   os << ",\n    \"histograms\": {";
   write_histograms(os, telemetry);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 
 #include "par/parallel.hpp"
 #include "support/error.hpp"
@@ -16,6 +17,16 @@ void StepGraph::rebuild() {
   leaves_ = mesh_.tree().leaves_morton();
   forward_.clear();
   backward_.clear();
+  // One plan per stage: each sweep axis reads its two faces, the flame
+  // reads every face. The task bodies hold spans into these plans.
+  const int ndim = mesh_.config().ndim;
+  plans_.clear();
+  for (int axis = 0; axis < ndim; ++axis) {
+    plans_.push_back(mesh::plan_guards(mesh_.tree(), mesh::axis_faces(axis)));
+  }
+  if (flame_ != nullptr) {
+    plans_.push_back(mesh::plan_guards(mesh_.tree(), mesh::all_faces(ndim)));
+  }
   build(forward_, /*forward=*/true);
   build(backward_, /*forward=*/false);
   forward_.freeze();
@@ -24,21 +35,8 @@ void StepGraph::rebuild() {
 
 void StepGraph::build(par::TaskGraph& graph, bool forward) {
   using TaskId = par::TaskGraph::TaskId;
-  const mesh::MeshConfig& c = mesh_.config();
-  const mesh::BlockTree& tree = mesh_.tree();
-  const int ndim = c.ndim;
-  const int finest = tree.finest_level();
-
-  // Every allocated block that receives a guard fill, in the same level
-  // order the bulk fill_guardcells walks.
-  std::vector<int> guard_blocks;
-  for (int level = 1; level <= finest; ++level) {
-    const std::vector<int>& blocks = tree.blocks_at_level(level);
-    guard_blocks.insert(guard_blocks.end(), blocks.begin(), blocks.end());
-  }
-  int max_id = -1;
-  for (const int b : guard_blocks) max_id = std::max(max_id, b);
-  const auto nslots = static_cast<std::size_t>(max_id + 1);
+  const int ndim = mesh_.config().ndim;
+  const auto nslots = static_cast<std::size_t>(mesh_.tree().capacity());
 
   // Local out-degree bookkeeping for the stage-chaining barrier (the
   // graph itself rejects duplicate edges, so every edge goes through
@@ -60,89 +58,75 @@ void StepGraph::build(par::TaskGraph& graph, bool forward) {
   std::size_t prev_begin = 0;
   std::size_t prev_end = 0;
 
-  // Guard-fill sub-stage, shared by the sweep and flame stages: restrict
-  // root, then one guard task per allocated block with coarse-to-fine
-  // edges. Fills `guard_task` (block -> task id) and `readers` (block ->
-  // guard blocks whose fill reads that block's interior), both reused by
-  // the caller for the anti-dependency edges.
-  std::vector<TaskId> guard_task;
-  std::vector<std::vector<int>> readers;
-  const auto build_guard_stage = [&]() {
+  // Guard sub-stage, shared by the sweep and flame stages: the restrict
+  // root, then one guard task per planned fill, each after the fills of
+  // the coarse covers whose face guards it interpolates from. Fills
+  // `guard_task` (block -> task id), which link_guard_deps reuses.
+  std::vector<TaskId> guard_task(nslots, -1);
+  const auto build_guard_stage = [&](const mesh::GuardPlan& plan) {
     const std::size_t stage_begin = out_degree.size();
+    const std::span<const int> parents(plan.restricts);
     const TaskId restrict_task =
-        add("task.restrict", [this](int /*lane*/) { mesh_.restrict_all(); });
-    if (prev_end > prev_begin) {
-      for (std::size_t id = prev_begin; id < prev_end; ++id) {
-        if (out_degree[id] == 0) {
-          link(static_cast<TaskId>(id), restrict_task);
-        }
-      }
+        add("task.restrict", [this, parents](int /*lane*/) {
+          mesh_.restrict_parents(parents);
+        });
+    for (std::size_t id = prev_begin; id < prev_end; ++id) {
+      if (out_degree[id] == 0) link(static_cast<TaskId>(id), restrict_task);
     }
-    guard_task.assign(nslots, -1);
-    readers.assign(nslots, {});
-    for (const int b : guard_blocks) {
-      guard_task[static_cast<std::size_t>(b)] =
-          add("task.guard", [this, b](int /*lane*/) {
-            RegionWitness witness;  // task body: lane writer role
-            mesh_.fill_block_guards(b);
-          });
-    }
-    for (const int b : guard_blocks) {
-      const TaskId gb = guard_task[static_cast<std::size_t>(b)];
+    std::fill(guard_task.begin(), guard_task.end(), -1);
+    for (const mesh::GuardFill& fill : plan.fills) {
+      const int b = fill.block;
+      const mesh::FaceMask faces = fill.faces;
+      const TaskId gb = add("task.guard", [this, b, faces](int /*lane*/) {
+        RegionWitness witness;  // task body: lane writer role
+        mesh_.fill_block_faces(b, faces);
+      });
+      guard_task[static_cast<std::size_t>(b)] = gb;
       link(restrict_task, gb);
-      const mesh::AmrMesh::GuardSources sources = mesh_.guard_sources(b);
-      // Coarse interpolation reads the coarse block's guards too, so the
-      // coarse fill must complete first (the bulk path's level ordering).
-      for (const int cb : sources.coarse) {
+      // Plan order is coarse to fine, so every cover's task exists.
+      for (const int cb : fill.covers) {
         const TaskId gc = guard_task[static_cast<std::size_t>(cb)];
-        FHP_CHECK(gc >= 0, "coarse guard source without a guard task");
+        FHP_CHECK(gc >= 0, "coarse cover without a planned fill");
         link(gc, gb);
-        readers[static_cast<std::size_t>(cb)].push_back(b);
-      }
-      // Same-level copies read interiors only: no guard-guard edge, but
-      // the read still anti-orders against the source's sweep/flame.
-      for (const int sb : sources.same_level) {
-        readers[static_cast<std::size_t>(sb)].push_back(b);
       }
     }
     prev_begin = stage_begin;  // provisional; caller extends prev_end
   };
 
-  // Links guard(b) -> task plus the anti-dependency guard(r) -> task for
-  // every r whose guard fill reads b's interior (the task overwrites it).
-  const auto link_guard_deps = [&](int b, TaskId task) {
-    link(guard_task[static_cast<std::size_t>(b)], task);
-    for (const int r : readers[static_cast<std::size_t>(b)]) {
-      link(guard_task[static_cast<std::size_t>(r)], task);
+  // guard(b) -> task(b), plus the anti-dependency guard(b) -> task(s)
+  // for every leaf s whose interior b's fill reads (task(s) overwrites
+  // it). \p task_of maps a leaf to its sweep or flame task.
+  const auto link_guard_deps = [&](const mesh::GuardPlan& plan,
+                                   const std::vector<TaskId>& task_of) {
+    for (const mesh::GuardFill& fill : plan.fills) {
+      const TaskId gb = guard_task[static_cast<std::size_t>(fill.block)];
+      link(gb, task_of[static_cast<std::size_t>(fill.block)]);
+      for (const int s : fill.reads) {
+        link(gb, task_of[static_cast<std::size_t>(s)]);
+      }
     }
   };
 
   // --- one stage per directional sweep, in Strang order ------------------
+  std::vector<TaskId> task_of(nslots, -1);
   for (int s = 0; s < ndim; ++s) {
     const int axis = forward ? s : ndim - 1 - s;
-    build_guard_stage();
+    const mesh::GuardPlan& plan = plans_[static_cast<std::size_t>(axis)];
+    build_guard_stage(plan);
     for (const int b : leaves_) {
       // Span names are static-storage literals (the trace ring keeps the
       // pointer), so the per-axis name is a table lookup.
       static constexpr const char* kSweepNames[3] = {
           "task.sweep_x", "task.sweep_y", "task.sweep_z"};
-      const TaskId sweep =
+      task_of[static_cast<std::size_t>(b)] =
           add(kSweepNames[axis], [this, axis, b](int lane) {
             RegionWitness witness;  // task body: lane writer role
             hydro_.sweep_block_task(axis, dt_, b, lane);
           });
-      link_guard_deps(b, sweep);
     }
-    // Sweep task ids, in leaves_ order, start right after the guard tasks.
-    const std::size_t sweep_base = out_degree.size() - leaves_.size();
-    std::vector<TaskId> sweep_of(nslots, -1);
-    for (std::size_t n = 0; n < leaves_.size(); ++n) {
-      sweep_of[static_cast<std::size_t>(leaves_[n])] =
-          static_cast<TaskId>(sweep_base + n);
-    }
-    for (std::size_t n = 0; n < leaves_.size(); ++n) {
-      const int b = leaves_[n];
-      const TaskId sweep = static_cast<TaskId>(sweep_base + n);
+    link_guard_deps(plan, task_of);
+    for (const int b : leaves_) {
+      const TaskId sweep = task_of[static_cast<std::size_t>(b)];
       TaskId last = sweep;
       const std::vector<int> fine = hydro_.flux_sources(axis, b);
       if (!fine.empty()) {
@@ -153,7 +137,7 @@ void StepGraph::build(par::TaskGraph& graph, bool forward) {
             });
         link(sweep, flux);
         for (const int f : fine) {
-          const TaskId fs = sweep_of[static_cast<std::size_t>(f)];
+          const TaskId fs = task_of[static_cast<std::size_t>(f)];
           FHP_CHECK(fs >= 0, "flux source is not a swept leaf");
           link(fs, flux);
         }
@@ -170,32 +154,51 @@ void StepGraph::build(par::TaskGraph& graph, bool forward) {
 
   // --- flame stage (guard fill, per-block ADR update, EOS) ---------------
   if (flame_ != nullptr) {
-    build_guard_stage();
+    const mesh::GuardPlan& plan = plans_.back();
+    build_guard_stage(plan);
     for (std::size_t n = 0; n < leaves_.size(); ++n) {
       const int b = leaves_[n];
-      const TaskId burn = add("task.flame", [this, n, b](int lane) {
-        RegionWitness witness;  // task body: lane writer role
-        flame_->advance_block_task(n, b, dt_, lane);
-      });
-      link_guard_deps(b, burn);
+      task_of[static_cast<std::size_t>(b)] =
+          add("task.flame", [this, n, b](int lane) {
+            RegionWitness witness;  // task body: lane writer role
+            flame_->advance_block_task(n, b, dt_, lane);
+          });
+    }
+    link_guard_deps(plan, task_of);
+    for (const int b : leaves_) {
       const TaskId eos = add("task.eos", [this, b](int lane) {
         RegionWitness witness;  // task body: lane writer role
         hydro_.eos_update_block_task(b, lane);
       });
-      link(burn, eos);
+      link(task_of[static_cast<std::size_t>(b)], eos);
     }
     prev_end = out_degree.size();
   }
 }
 
 void StepGraph::run_step(double dt) {
+  par::TaskGraph& graph = begin_step(dt);
+  graph.run();
+  end_step(graph);
+}
+
+void StepGraph::run_step_serial(double dt, par::TaskGraph::Schedule schedule,
+                                std::uint64_t seed) {
+  par::TaskGraph& graph = begin_step(dt);
+  graph.run_serial(schedule, seed);
+  end_step(graph);
+}
+
+par::TaskGraph& StepGraph::begin_step(double dt) {
   dt_ = dt;
   // Setup-time sizing on the driver thread so the task bodies themselves
   // stay allocation-free.
   hydro_.ensure_lane_scratch();
   if (flame_ != nullptr) flame_->begin_advance(leaves_.size());
-  par::TaskGraph& graph = hydro_.forward_order() ? forward_ : backward_;
-  graph.run();
+  return hydro_.forward_order() ? forward_ : backward_;
+}
+
+void StepGraph::end_step(const par::TaskGraph& graph) {
   if (flame_ != nullptr) flame_->finish_advance();
   hydro_.advance_step_count();
   stats_ = graph.last_stats();

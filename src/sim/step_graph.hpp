@@ -9,15 +9,20 @@
 /// guard-fill barrier.
 ///
 /// Stage structure per directional sweep (mirroring the bulk order
-/// `fill_guardcells(); sweep(axis); eos_update();`):
+/// `fill_guardcells(); sweep(axis); eos_update();`, but filling only the
+/// guard faces the stage reads — mesh::GuardPlan, compiled per stage in
+/// rebuild()):
 ///
-///   restrict ──► guard(b)  per allocated block, level-ordered through
-///        edges guard(coarse source) ─► guard(fine) from
-///        AmrMesh::guard_sources (coarse interpolation reads the coarse
-///        block's *guards*, so the coarse fill must complete first;
-///        same-level copies read interiors only and need no edge)
+///   restrict ──► guard(b)  one root per stage restricting only the
+///        parents the plan's faces copy from (none on a uniform mesh),
+///        then one face-mask fill per planned leaf: the sweep axis's two
+///        faces, plus every face of each coarse cover a fine face
+///        interpolates from. Edges guard(cover) ─► guard(fine) come from
+///        the plan's cover lists (coarse interpolation reads the cover's
+///        face guards, so its fill must complete first; same-level copies
+///        read interiors only and need no edge)
 ///   guard(b) ─► sweep(b)   per leaf, plus the anti-dependency
-///        guard(r) ─► sweep(b) for every r whose guard fill reads b's
+///        guard(r) ─► sweep(b) for every planned r whose fill reads b's
 ///        interior (the sweep overwrites it)
 ///   sweep(b), sweep(fine sources) ─► flux(b)  per coarse leaf abutting
 ///        finer blocks (HydroSolver::flux_sources)
@@ -25,17 +30,23 @@
 ///
 /// Stages are chained by a barrier edge set: the next stage's restrict
 /// task depends on every zero-out-degree task of the previous stage.
-/// The flame stage (guard fill, per-block ADR update, EOS) attaches the
-/// same way; its per-block energy partials are summed serially in leaf
-/// order by AdrFlame::finish_advance after the graph run.
+/// The flame stage (every face of every leaf, since the flame reads ±1
+/// zones of φ; per-block ADR update; EOS) attaches the same way; its
+/// per-block energy partials are summed serially in leaf order by
+/// AdrFlame::finish_advance after the graph run.
 ///
-/// Determinism: the edges above reproduce the bulk data flow exactly —
-/// every read happens after the same writes as in the barrier version —
-/// and every task writes only its own block (plus its own flux-register
-/// slots), so physics is bit-identical at any lane count and steal
-/// order. Modeled counters stay out of the graph entirely (the driver's
-/// serial trace_regions pass); steal/idle statistics are read from
-/// last_stats() and never published as counters.
+/// Determinism: every zone a stage reads — the sweep axis's face slabs
+/// inside the transverse interior, or every face for the flame — gets
+/// the full fill's bits from the same sources, and the edges above order
+/// every such read after the same writes as in the barrier version.
+/// Every task writes only its own block (plus its own flux-register
+/// slots), so physics is bit-identical to the bulk sequence at any lane
+/// count and steal order. Parents' interiors and the edge and corner
+/// guards the graph leaves stale are read by nothing until the next full
+/// fill (remesh, checkpoint restore, the bulk path). Modeled counters
+/// stay out of the graph entirely (the driver's serial trace_regions
+/// pass); steal/idle statistics are read from last_stats() and never
+/// published as counters.
 ///
 /// Two graphs are kept — forward (axes 0..ndim-1) and backward — and
 /// selected per step by the Strang parity. Graphs are rebuilt only when
@@ -44,11 +55,13 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "flame/adr.hpp"
 #include "hydro/hydro.hpp"
 #include "mesh/amr_mesh.hpp"
+#include "mesh/guard_plan.hpp"
 #include "par/task_graph.hpp"
 
 namespace fhp::sim {
@@ -69,6 +82,13 @@ class StepGraph {
   /// Advances the hydro Strang parity, exactly like HydroSolver::step.
   void run_step(double dt) FHP_EXCLUDES_REGION;
 
+  /// run_step through par::TaskGraph::run_serial: every task on the
+  /// calling thread, ready tasks picked in \p schedule's adversarial
+  /// order. For tests — a missing dependency edge changes the end state
+  /// under some schedule without needing a lucky thread interleaving.
+  void run_step_serial(double dt, par::TaskGraph::Schedule schedule,
+                       std::uint64_t seed = 0) FHP_EXCLUDES_REGION;
+
   /// Scheduler statistics of the last run_step (timing-dependent; see
   /// par::TaskGraph::Stats — intentionally not PerfContext counters).
   [[nodiscard]] par::TaskGraph::Stats last_stats() const noexcept {
@@ -80,6 +100,10 @@ class StepGraph {
 
  private:
   void build(par::TaskGraph& graph, bool forward);
+  /// Shared by run_step/run_step_serial: publish dt, size the lane
+  /// scratch, pick the Strang-parity graph; then finish the step.
+  par::TaskGraph& begin_step(double dt);
+  void end_step(const par::TaskGraph& graph);
 
   mesh::AmrMesh& mesh_;
   hydro::HydroSolver& hydro_;
@@ -90,6 +114,9 @@ class StepGraph {
   double dt_ = 0.0;
 
   std::vector<int> leaves_;  ///< leaves_morton captured at rebuild
+  /// Guard plans per stage, compiled at rebuild: one per sweep axis,
+  /// then the flame stage's. The restrict tasks hold spans into them.
+  std::vector<mesh::GuardPlan> plans_;
   /// Both graphs schedule on the mesh's arena, so a step claims its own
   /// runtime's region slot.
   par::TaskGraph forward_{mesh_.arena()};   ///< sweep order 0..ndim-1

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <system_error>
 
 #include "mem/allocator.hpp"
 #include "mem/huge_policy.hpp"
@@ -442,12 +445,18 @@ TEST(MappedRegion, HugetlbfsFallsBackWhenNoPool) {
 }
 
 TEST(MappedRegion, HugetlbfsUsesPoolWhenAvailable) {
-  const auto granted = ensure_hugetlb_pool(kPage2M, 8);
-  if (!granted || *granted < 8) {
-    GTEST_SKIP() << "cannot configure a hugetlb pool here";
+  // Maps from the 2 MiB pages the host already has free. Sizing the pool
+  // is the administrator's step (CI's hugepages action, `hugectl pool N`);
+  // the suite never resizes it (the host_hugepages fixtures check that).
+  constexpr std::size_t kPages = 4;
+  const auto before = MeminfoSnapshot::capture();
+  if (before.hugepagesize.value_or() != kPage2M ||
+      before.huge_pages_free.value_or() < kPages) {
+    GTEST_SKIP() << "fewer than " << kPages
+                 << " free 2 MiB hugetlb pages on this host";
   }
   MapRequest req;
-  req.bytes = 8u << 20;
+  req.bytes = kPages * kPage2M;
   req.policy = HugePolicy::kHugetlbfs;
   MappedRegion region(req);
   ASSERT_TRUE(region.valid());
@@ -481,12 +490,60 @@ TEST(Hugeadm, MissingSysfsYieldsNullopt) {
   EXPECT_FALSE(release_hugetlb_pool(kPage2M, 0, "/nonexistent"));
 }
 
+/// A temporary directory laid out like /sys/kernel/mm/hugepages with one
+/// 2 MiB pool of \p pages: the write path's target, so the tests never
+/// touch the host's pool.
+class FakeHugepagesRoot {
+ public:
+  explicit FakeHugepagesRoot(std::size_t pages) {
+    std::string templ =
+        (std::filesystem::temp_directory_path() / "fhp_hugeadm_XXXXXX")
+            .string();
+    FHP_CHECK(::mkdtemp(templ.data()) != nullptr, "mkdtemp failed");
+    root_ = templ;
+    std::filesystem::create_directory(root_ / "hugepages-2048kB");
+    std::ofstream(nr_path()) << pages << '\n';
+  }
+  ~FakeHugepagesRoot() {
+    std::error_code ec;
+    std::filesystem::remove_all(root_, ec);
+  }
+  FakeHugepagesRoot(const FakeHugepagesRoot&) = delete;
+  FakeHugepagesRoot& operator=(const FakeHugepagesRoot&) = delete;
+
+  [[nodiscard]] std::string root() const { return root_.string(); }
+  [[nodiscard]] std::size_t pages() const {
+    std::size_t n = 0;
+    std::ifstream(nr_path()) >> n;
+    return n;
+  }
+
+ private:
+  [[nodiscard]] std::filesystem::path nr_path() const {
+    return root_ / "hugepages-2048kB" / "nr_hugepages";
+  }
+  std::filesystem::path root_;
+};
+
 TEST(Hugeadm, EnsureIsMonotoneNonDestructive) {
-  const auto current = ensure_hugetlb_pool(kPage2M, 0);
-  if (!current) GTEST_SKIP() << "no hugetlb support";
-  // Asking for fewer pages than exist must not shrink the pool.
-  const auto after = ensure_hugetlb_pool(kPage2M, 0);
-  EXPECT_GE(*after, *current == 0 ? 0 : *current);
+  FakeHugepagesRoot sysfs(6);
+  // Asking for no more pages than exist must not shrink the pool.
+  EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 0, sysfs.root()), 6u);
+  EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 4, sysfs.root()), 6u);
+  EXPECT_EQ(sysfs.pages(), 6u);
+  // Asking for more grows it to exactly the request.
+  EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 10, sysfs.root()), 10u);
+  EXPECT_EQ(sysfs.pages(), 10u);
+  // No pool of that page size under the root.
+  EXPECT_FALSE(ensure_hugetlb_pool(kPage1G, 1, sysfs.root()).has_value());
+}
+
+TEST(Hugeadm, ReleaseShrinksThePool) {
+  FakeHugepagesRoot sysfs(8);
+  EXPECT_TRUE(release_hugetlb_pool(kPage2M, 2, sysfs.root()));
+  EXPECT_EQ(sysfs.pages(), 2u);
+  EXPECT_TRUE(release_hugetlb_pool(kPage2M, 0, sysfs.root()));
+  EXPECT_EQ(sysfs.pages(), 0u);
 }
 
 }  // namespace

@@ -4,15 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
+#include "mesh/guard_plan.hpp"
 #include "mesh/tree.hpp"
 #include "mesh/unk.hpp"
 #include "rt/runtime.hpp"
 #include "support/error.hpp"
+#include "support/lane.hpp"
+#include "support/rng.hpp"
 
 namespace fhp::mesh {
 namespace {
@@ -549,6 +556,276 @@ TEST(AmrMeshTest, ThreeDRefinementProducesEightChildren) {
   }
   EXPECT_EQ(live, 8);
   EXPECT_EQ(mesh.tree().leaves_morton().size(), 8u);
+}
+
+// ------------------------------------------------------------- guard plan
+//
+// A stage's GuardPlan must write the full fill's bits into every zone the
+// stage reads: for a sweep, both face slabs along its axis, nguard deep,
+// inside the transverse interior, every variable; for the flame stage,
+// every face. Each case runs fill_guardcells() on one mesh and the plan
+// on an identical copy whose non-interior zones hold different garbage,
+// so a zone the plan forgets to fill (or fills from a stale source)
+// shows up as a bit mismatch.
+
+struct PlanCase {
+  const char* name;
+  MeshConfig config;
+  /// Blocks refined in order, as (level, coordinates).
+  std::vector<std::pair<int, std::array<std::int32_t, 3>>> refine;
+};
+
+std::vector<PlanCase> plan_cases() {
+  std::vector<PlanCase> cases;
+  {
+    // Three levels: a level-3 corner inside a refined root, so the
+    // plan restricts a parent after its non-leaf child.
+    MeshConfig c = small_2d();
+    c.nroot = {2, 2, 1};
+    c.bc[0] = {Bc::kOutflow, Bc::kReflect};
+    c.bc[1] = {Bc::kReflect, Bc::kOutflow};
+    cases.push_back({"2d-outflow-reflect", c, {{1, {0, 0, 0}}, {2, {0, 0, 0}}}});
+  }
+  {
+    // In the y-sweep stage a cover's x face copies from a parent whose
+    // refined children no planned face copies from directly: the plan
+    // must still restrict them first, so the parent comes out whole.
+    MeshConfig c = small_2d();
+    c.nroot = {3, 2, 1};
+    cases.push_back({"2d-restrict-closure",
+                     c,
+                     {{1, {2, 1, 0}},
+                      {1, {1, 0, 0}},
+                      {1, {2, 0, 0}},
+                      {2, {5, 2, 0}},
+                      {2, {5, 1, 0}},
+                      {2, {5, 3, 0}}}});
+  }
+  {
+    // Fine-coarse faces across the periodic wrap.
+    MeshConfig c = small_2d();
+    c.nroot = {2, 2, 1};
+    c.bc[0] = {Bc::kPeriodic, Bc::kPeriodic};
+    c.bc[1] = {Bc::kPeriodic, Bc::kPeriodic};
+    cases.push_back({"2d-periodic", c, {{1, {1, 0, 0}}}});
+  }
+  {
+    // Cylindrical (r, z) with the axis boundary under refined blocks.
+    MeshConfig c = small_2d();
+    c.geometry = Geometry::kCylindrical;
+    c.nroot = {2, 2, 1};
+    c.bc[0] = {Bc::kAxis, Bc::kOutflow};
+    c.bc[1] = {Bc::kReflect, Bc::kOutflow};
+    cases.push_back({"2d-cylindrical-axis", c, {{1, {0, 0, 0}}, {2, {0, 0, 0}}}});
+  }
+  {
+    MeshConfig c = small_3d();
+    c.nscalars = 1;
+    c.maxblocks = 32;
+    c.nroot = {2, 2, 2};
+    c.bc[0] = {Bc::kOutflow, Bc::kOutflow};
+    c.bc[1] = {Bc::kReflect, Bc::kOutflow};
+    c.bc[2] = {Bc::kOutflow, Bc::kReflect};
+    cases.push_back({"3d-outflow-reflect", c, {{1, {0, 0, 0}}, {2, {0, 0, 0}}}});
+  }
+  {
+    MeshConfig c = small_3d();
+    c.maxblocks = 32;
+    c.nroot = {2, 2, 2};
+    c.bc[0] = {Bc::kPeriodic, Bc::kPeriodic};
+    c.bc[1] = {Bc::kPeriodic, Bc::kPeriodic};
+    c.bc[2] = {Bc::kPeriodic, Bc::kPeriodic};
+    cases.push_back({"3d-periodic", c, {{1, {1, 1, 1}}}});
+  }
+  return cases;
+}
+
+/// True if some leaf face abuts a coarser block.
+bool has_fine_coarse_face(const BlockTree& tree) {
+  for (const int b : tree.leaves_morton()) {
+    for (int axis = 0; axis < tree.config().ndim; ++axis) {
+      for (int side = 0; side < 2; ++side) {
+        const NeighborQuery q = tree.neighbor(b, face_step(axis, side));
+        if (!q.outside_domain && q.id < 0) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// The case's mesh: every zone of every allocated block holds garbage
+/// from \p garbage_seed, then every leaf interior the same seeded state.
+std::unique_ptr<AmrMesh> build_plan_case(const PlanCase& pc,
+                                         rt::Runtime& runtime,
+                                         std::uint64_t garbage_seed) {
+  auto mesh = std::make_unique<AmrMesh>(pc.config, mem::HugePolicy::kNone,
+                                        runtime.layout(), runtime.page_pool(),
+                                        runtime.arena());
+  for (const auto& [level, coord] : pc.refine) {
+    mesh->refine_block(mesh->tree().find(level, coord));
+  }
+  const MeshConfig& c = mesh->config();
+  UnkContainer& unk = mesh->unk();
+  Rng garbage(garbage_seed);
+  for (int level = 1; level <= mesh->tree().finest_level(); ++level) {
+    for (const int b : mesh->tree().blocks_at_level(level)) {
+      for (int k = 0; k < c.nk(); ++k) {
+        for (int j = 0; j < c.nj(); ++j) {
+          for (int i = 0; i < c.ni(); ++i) {
+            for (int v = 0; v < c.nvar(); ++v) {
+              unk.at(v, i, j, k, b) = garbage.uniform(-1.0, 0.0);
+            }
+          }
+        }
+      }
+    }
+  }
+  Rng state(2024);
+  mesh->for_leaf_cells([&](int b, int i, int j, int k) {
+    for (int v = 0; v < c.nvar(); ++v) {
+      unk.at(v, i, j, k, b) = state.uniform(0.5, 2.0);
+    }
+  });
+  return mesh;
+}
+
+/// The plan, executed serially in its own order (restrictions, then
+/// fills coarse to fine) — the order its task edges enforce.
+void run_plan(AmrMesh& mesh, const GuardPlan& plan) {
+  mesh.restrict_parents(plan.restricts);
+  for (const GuardFill& fill : plan.fills) {
+    RegionWitness witness;  // serial test: the only thread on this mesh
+    mesh.fill_block_faces(fill.block, fill.faces);
+  }
+}
+
+/// Interior zones of \p b that differ, bit for bit, between the meshes.
+std::int64_t interior_mismatches(const AmrMesh& full, const AmrMesh& planned,
+                                 int b) {
+  const MeshConfig& c = full.config();
+  std::int64_t mismatches = 0;
+  for (int k = c.klo(); k < c.khi(); ++k) {
+    for (int j = c.jlo(); j < c.jhi(); ++j) {
+      for (int i = c.ilo(); i < c.ihi(); ++i) {
+        for (int v = 0; v < c.nvar(); ++v) {
+          const double want = full.unk().at(v, i, j, k, b);
+          const double got = planned.unk().at(v, i, j, k, b);
+          if (std::memcmp(&want, &got, sizeof want) != 0) ++mismatches;
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+/// Compares, bit for bit, every zone a stage reading \p faces reads on
+/// every leaf; returns {zones compared, mismatches}.
+std::pair<std::int64_t, std::int64_t> compare_stage_reads(
+    const AmrMesh& full, const AmrMesh& planned, FaceMask faces) {
+  const MeshConfig& c = full.config();
+  const std::array<int, 3> lo = {c.ilo(), c.jlo(), c.klo()};
+  const std::array<int, 3> hi = {c.ihi(), c.jhi(), c.khi()};
+  std::int64_t compared = 0;
+  std::int64_t mismatches = 0;
+  for (const int b : full.tree().leaves_morton()) {
+    for (int axis = 0; axis < c.ndim; ++axis) {
+      for (int side = 0; side < 2; ++side) {
+        if ((faces & face_bit(axis, side)) == 0) continue;
+        std::array<int, 3> from = lo;
+        std::array<int, 3> to = hi;
+        const auto a = static_cast<std::size_t>(axis);
+        from[a] = side == 0 ? lo[a] - c.nguard : hi[a];
+        to[a] = side == 0 ? lo[a] : hi[a] + c.nguard;
+        for (int k = from[2]; k < to[2]; ++k) {
+          for (int j = from[1]; j < to[1]; ++j) {
+            for (int i = from[0]; i < to[0]; ++i) {
+              for (int v = 0; v < c.nvar(); ++v) {
+                const double want = full.unk().at(v, i, j, k, b);
+                const double got = planned.unk().at(v, i, j, k, b);
+                ++compared;
+                if (std::memcmp(&want, &got, sizeof want) != 0) ++mismatches;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return {compared, mismatches};
+}
+
+TEST(GuardPlan, WritesTheFullFillsBitsIntoEveryZoneEachStageReads) {
+  rt::Runtime runtime;
+  for (const PlanCase& pc : plan_cases()) {
+    SCOPED_TRACE(pc.name);
+    const std::unique_ptr<AmrMesh> full = build_plan_case(pc, runtime, 1);
+    ASSERT_TRUE(has_fine_coarse_face(full->tree()));
+    // The full fill also checks 2:1 balance: every guard direction of a
+    // leaf without a same-level neighbor must find a coarse cover.
+    full->fill_guardcells();
+
+    const int ndim = pc.config.ndim;
+    std::vector<FaceMask> stages;
+    for (int axis = 0; axis < ndim; ++axis) stages.push_back(axis_faces(axis));
+    stages.push_back(all_faces(ndim));  // the flame stage
+    for (const FaceMask faces : stages) {
+      SCOPED_TRACE("faces " + std::to_string(faces));
+      const GuardPlan plan = plan_guards(full->tree(), faces);
+      for (const GuardFill& fill : plan.fills) {
+        EXPECT_TRUE(full->tree().info(fill.block).is_leaf);
+        EXPECT_EQ(fill.faces & faces, faces);
+      }
+      const std::unique_ptr<AmrMesh> planned =
+          build_plan_case(pc, runtime, 2);
+      run_plan(*planned, plan);
+      const auto [compared, mismatches] =
+          compare_stage_reads(*full, *planned, faces);
+      EXPECT_GT(compared, 0);
+      EXPECT_EQ(mismatches, 0) << "of " << compared << " zones read";
+      // A parent the plan restricts holds exactly the full fill's data.
+      for (const int parent : plan.restricts) {
+        EXPECT_EQ(interior_mismatches(*full, *planned, parent), 0)
+            << "restricted parent " << parent;
+      }
+    }
+  }
+}
+
+TEST(GuardPlan, UniformSedovMeshFillsOnlySweepFacesAndRestrictsNothing) {
+  // sedov3d's mesh: 16^3 blocks, 4 guards, 64 level-3 leaves under 9
+  // parents. The counts are the plan's own, not a timing.
+  MeshConfig c;
+  c.ndim = 3;
+  c.nxb = c.nyb = c.nzb = 16;
+  c.nguard = 4;
+  c.maxblocks = 80;
+  c.max_level = 3;
+  BlockTree tree(c);
+  tree.create_roots();
+  for (const int kid : tree.refine(0)) (void)tree.refine(kid);
+  ASSERT_EQ(tree.leaves_morton().size(), 64u);
+  ASSERT_EQ(tree.num_allocated(), 73);
+
+  const std::int64_t shell = static_cast<std::int64_t>(c.ni()) * c.nj() *
+                                 c.nk() -
+                             static_cast<std::int64_t>(c.nxb) * c.nyb * c.nzb;
+  EXPECT_EQ(shell, 9728);
+  EXPECT_EQ(tree.num_allocated() * shell, 710144);  // the full fill
+
+  for (int axis = 0; axis < 3; ++axis) {
+    const GuardPlan plan = plan_guards(tree, axis_faces(axis));
+    EXPECT_EQ(plan.guard_zones, 131072);  // 64 x 2 x 4*16*16
+    EXPECT_TRUE(plan.restricts.empty());
+    ASSERT_EQ(plan.fills.size(), 64u);
+    for (const GuardFill& fill : plan.fills) {
+      EXPECT_TRUE(tree.info(fill.block).is_leaf);
+      EXPECT_EQ(fill.faces, axis_faces(axis));
+      EXPECT_TRUE(fill.covers.empty());
+    }
+  }
+  const GuardPlan flame = plan_guards(tree, all_faces(3));
+  EXPECT_EQ(flame.guard_zones, 64 * 6 * 1024);
+  EXPECT_TRUE(flame.restricts.empty());
 }
 
 }  // namespace

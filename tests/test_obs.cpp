@@ -391,6 +391,34 @@ TEST(SamplerTest, BackgroundThreadStartsSamplesAndStops) {
   EXPECT_EQ(sampler.taken(), n);  // really stopped
 }
 
+TEST(SamplerTest, OverrunningCapturesSkipTicksOnAbsoluteDeadlines) {
+  // The thread reads the clock as each capture starts and as it ends; a
+  // clock that moves 1.5 cadences per read makes every capture take 3
+  // cadences. Ticks sit on t0 + n * cadence: each capture after the first
+  // finds two ticks already lost and one due, and the achieved period is
+  // 3 cadences — not capture time plus a full cadence of waiting.
+  constexpr std::uint64_t kCadenceNs = 2'000'000;
+  std::atomic<std::uint64_t> now{0};
+  SamplerOptions opts =
+      SamplerOptions::with_procfs_root(fixture_root("kernel-6.6"));
+  opts.cadence = std::chrono::milliseconds(2);
+  opts.clock = [&now] {
+    return now.fetch_add(kCadenceNs * 3 / 2, std::memory_order_relaxed);
+  };
+  Sampler sampler(opts);
+  EXPECT_EQ(sampler.period_ns(), 0u);  // no captures yet
+  sampler.start();
+  while (sampler.taken() < 6) std::this_thread::yield();
+  sampler.stop();
+  const std::uint64_t taken = sampler.taken();
+  EXPECT_EQ(sampler.missed(), 2 * (taken - 1));
+  EXPECT_EQ(sampler.period_ns(), 3 * kCadenceNs);
+  const auto samples = sampler.samples();
+  for (std::size_t n = 1; n < samples.size(); ++n) {
+    EXPECT_EQ(samples[n].t_ns - samples[n - 1].t_ns, 3 * kCadenceNs);
+  }
+}
+
 TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   // The tsan workload: a background sampler reading published counters
   // at 1 ms cadence while parallel lanes hammer their shards and record
@@ -451,6 +479,8 @@ TEST(TimelineTest, ExportContainsSpansMarksCountersAndHistograms) {
   EXPECT_NE(json.find("\"meminfo.AnonHugePages\""), std::string::npos);
   EXPECT_NE(json.find("\"vmstat.thp_fault_alloc\""), std::string::npos);
   EXPECT_NE(json.find("\"flashhpSummary\""), std::string::npos);
+  EXPECT_NE(json.find("\"samplesMissed\": 0"), std::string::npos);
+  EXPECT_NE(json.find("\"samplePeriodNs\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   // ts values are normalized: the earliest event sits at 0.000 µs.
   EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos);

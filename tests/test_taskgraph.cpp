@@ -10,15 +10,20 @@
 ///      missing edge shows up as an ordering violation without needing a
 ///      lucky thread interleaving;
 ///   3. executor equivalence — the Driver's task-graph step must leave
-///      Sedov and supernova end states *and* every published counter bit
-///      for bit where the bulk-synchronous per-unit sequence it stands in
-///      for leaves them, at 1/2/4 lanes across both unk layouts, plus a
-///      tsan workload with the sampler running over Driver steps.
+///      Sedov (2-d, and 3-d with fine-coarse faces), cellular (2-d
+///      fine-coarse faces under the flame stage) and supernova end
+///      states *and* every published counter bit for bit where the
+///      bulk-synchronous per-unit sequence it stands in for leaves them,
+///      at 1/2/4 lanes across both unk layouts; whole steps replayed
+///      under adversarial serial schedules must reach the same end
+///      states; plus a tsan workload with the sampler running over
+///      Driver steps.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -32,6 +37,7 @@
 #include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
+#include "mesh/guard_plan.hpp"
 #include "mesh/layout.hpp"
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
@@ -42,8 +48,10 @@
 #include "perf/region.hpp"
 #include "perf/timers.hpp"
 #include "rt/runtime.hpp"
+#include "sim/cellular.hpp"
 #include "sim/driver.hpp"
 #include "sim/sedov.hpp"
+#include "sim/step_graph.hpp"
 #include "sim/supernova.hpp"
 #include "support/error.hpp"
 #include "tlb/machine.hpp"
@@ -265,6 +273,7 @@ struct Problem {
   tlb::Machine machine{{}, &perf};
   std::unique_ptr<SedovSetup> sedov;
   std::unique_ptr<SupernovaSetup> supernova;
+  std::unique_ptr<CellularSetup> cellular;
   std::unique_ptr<hydro::HydroSolver> hydro;
   perf::Timers timers;
   DriverOptions opts;
@@ -278,7 +287,8 @@ struct Problem {
   }
 
   [[nodiscard]] mesh::AmrMesh& mesh() const {
-    return sedov ? sedov->mesh() : supernova->mesh();
+    if (sedov) return sedov->mesh();
+    return cellular ? cellular->mesh() : supernova->mesh();
   }
 
   [[nodiscard]] RunResult result(double time) {
@@ -319,6 +329,59 @@ std::unique_ptr<Problem> sedov_problem(LayoutKind layout, int lanes) {
   p->opts.nsteps = 12;
   p->opts.refine_vars = {mesh::var::kDens, mesh::var::kPres};
   return p;
+}
+
+/// A small 3-d Sedov whose spike sits off-centre inside one level-2
+/// octant, so only that octant refines and level-3 leaves abut level-2
+/// ones: fine-coarse faces in 3-d, with covers and restricted parents.
+std::unique_ptr<Problem> sedov3d_problem(LayoutKind layout, int lanes) {
+  auto p = std::make_unique<Problem>(lanes);
+  SedovParams params;
+  params.ndim = 3;
+  params.nxb = params.nyb = params.nzb = 8;
+  params.max_level = 3;
+  params.maxblocks = 80;
+  params.center = {0.3, 0.2, 0.25};
+  p->sedov = std::make_unique<SedovSetup>(params, mem::HugePolicy::kNone,
+                                          p->runtime, layout);
+  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), p->sedov->eos());
+  p->opts.nsteps = 8;
+  p->opts.refine_vars = {mesh::var::kDens, mesh::var::kPres};
+  return p;
+}
+
+/// The cellular front refined to level 3 along a periodic transverse
+/// axis: 2-d fine-coarse faces under the flame stage, whose plan gives
+/// every leaf every face.
+std::unique_ptr<Problem> cellular_problem(LayoutKind layout, int lanes) {
+  auto p = std::make_unique<Problem>(lanes);
+  CellularParams params;
+  params.max_level = 3;
+  params.maxblocks = 256;
+  p->cellular = std::make_unique<CellularSetup>(
+      params, mem::HugePolicy::kNone, p->runtime, layout);
+  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(),
+                                                  p->cellular->eos());
+  p->opts.nsteps = 12;
+  p->opts.refine_vars = {mesh::var::kDens,
+                         mesh::var::kFirstScalar + cvar::kPhi};
+  p->units.flame = &p->cellular->flame();
+  return p;
+}
+
+/// True if some leaf face abuts a coarser block.
+bool has_fine_coarse_face(const mesh::AmrMesh& m) {
+  const mesh::BlockTree& tree = m.tree();
+  for (const int b : tree.leaves_morton()) {
+    for (int axis = 0; axis < m.config().ndim; ++axis) {
+      for (int side = 0; side < 2; ++side) {
+        const mesh::NeighborQuery q =
+            tree.neighbor(b, mesh::face_step(axis, side));
+        if (!q.outside_domain && q.id < 0) return true;
+      }
+    }
+  }
+  return false;
 }
 
 constexpr const char* kSupernovaTable = "helm_table_taskgraph.bin";
@@ -435,6 +498,59 @@ RunResult run_bulk(Problem& p) {
   return p.result(time);
 }
 
+/// The Driver's step loop with the step graph run through
+/// par::TaskGraph::run_serial in an adversarial ready order. Physics
+/// only: the replay and its counters are the same serial pass as in the
+/// Driver and have no edges to get wrong.
+std::vector<double> run_serial_schedule(Problem& p,
+                                        par::TaskGraph::Schedule schedule,
+                                        std::uint64_t seed) {
+  mesh::AmrMesh& m = p.mesh();
+  StepGraph graph(m, *p.hydro, p.units.flame);
+  graph.rebuild();
+  double time = 0.0;
+  for (int step = 0; step < p.opts.nsteps; ++step) {
+    const double dt = p.hydro->compute_dt();
+    graph.run_step_serial(dt, schedule, seed);
+    if (p.units.gravity != nullptr) {
+      p.units.gravity->update(m);
+      p.units.gravity->apply_source(m, dt);
+      p.hydro->eos_update();
+    }
+    time += dt;
+    if ((step + 1) % p.opts.remesh_interval == 0 &&
+        m.remesh(p.opts.refine_vars, p.opts.refine_cut,
+                 p.opts.derefine_cut) > 0) {
+      graph.rebuild();
+    }
+  }
+  return p.result(time).state;
+}
+
+/// The bulk reference at one lane against the step graph under the
+/// reverse schedule and three seeded random ones.
+template <typename Build>
+void expect_serial_schedules_match_bulk(Build build) {
+  const std::vector<double> bulk =
+      run_bulk(*build(LayoutKind::kVarMajor, 1)).state;
+  ASSERT_GT(bulk.size(), 1u);
+  const std::pair<par::TaskGraph::Schedule, std::uint64_t> schedules[] = {
+      {par::TaskGraph::Schedule::kReverse, 0},
+      {par::TaskGraph::Schedule::kRandom, 1},
+      {par::TaskGraph::Schedule::kRandom, 0x5eed},
+      {par::TaskGraph::Schedule::kRandom, 20261019}};
+  for (const auto& [schedule, seed] : schedules) {
+    const std::vector<double> serial =
+        run_serial_schedule(*build(LayoutKind::kVarMajor, 1), schedule, seed);
+    ASSERT_EQ(serial.size(), bulk.size());
+    EXPECT_EQ(std::memcmp(serial.data(), bulk.data(),
+                          bulk.size() * sizeof(double)),
+              0)
+        << "schedule " << static_cast<int>(schedule) << " seed " << seed
+        << ": end state differs from the bulk reference";
+  }
+}
+
 void expect_identical(const RunResult& bulk, const RunResult& driver,
                       const std::string& what) {
   ASSERT_EQ(bulk.state.size(), driver.state.size()) << what;
@@ -479,16 +595,46 @@ TEST(TaskGraphPhysics, SedovBitIdenticalAcrossModesLanesAndLayouts) {
   expect_driver_matches_bulk(sedov_problem);
 }
 
+TEST(TaskGraphPhysics, Sedov3dFineCoarseBitIdenticalAcrossLanesAndLayouts) {
+  ASSERT_TRUE(has_fine_coarse_face(
+      sedov3d_problem(LayoutKind::kVarMajor, 1)->mesh()));
+  expect_driver_matches_bulk(sedov3d_problem);
+}
+
+/// Build (or load) the Helm table cache before the first measured run,
+/// so every run loads the identical table file.
+void prepare_supernova_table() {
+  mem::PagePool pool;
+  (void)eos::HelmTable::build_or_load(kSupernovaTableSpec,
+                                      mem::HugePolicy::kNone, pool,
+                                      kSupernovaTable);
+}
+
 TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
-  // Build (or load) the Helm table cache before the first measured run,
-  // so every run below loads the identical table file.
-  {
-    mem::PagePool pool;
-    (void)eos::HelmTable::build_or_load(kSupernovaTableSpec,
-                                        mem::HugePolicy::kNone, pool,
-                                        kSupernovaTable);
-  }
+  prepare_supernova_table();
   expect_driver_matches_bulk(supernova_problem);
+}
+
+// The step graph's edges under adversarial serial schedules: a missing
+// edge lets some ready order read a zone before its write (or after its
+// overwrite), which changes the end state.
+
+TEST(TaskGraphPhysics, Sedov3dSerialSchedulesMatchBulk) {
+  ASSERT_TRUE(has_fine_coarse_face(
+      sedov3d_problem(LayoutKind::kVarMajor, 1)->mesh()));
+  expect_serial_schedules_match_bulk(sedov3d_problem);
+}
+
+TEST(TaskGraphPhysics, CellularFineCoarseFlameMatchesBulk) {
+  ASSERT_TRUE(has_fine_coarse_face(
+      cellular_problem(LayoutKind::kVarMajor, 1)->mesh()));
+  expect_driver_matches_bulk(cellular_problem);
+  expect_serial_schedules_match_bulk(cellular_problem);
+}
+
+TEST(TaskGraphPhysics, SupernovaSerialSchedulesMatchBulk) {
+  prepare_supernova_table();
+  expect_serial_schedules_match_bulk(supernova_problem);
 }
 
 // --------------------------------------------------- tsan workload

@@ -17,7 +17,14 @@ Usage:
       [--min-lanes N]                spans must come from >= N distinct tids
       [--min-spans N]                total span count floor
       [--csv FILE]                   also validate a sampler CSV
+      [--span-totals]                print each span name's count and
+                                     summed duration; invalid if the
+                                     trace dropped any span
       [--self-test]                  validate the validator
+
+Whenever a sampler ran (the summary has "samplesTaken"), the summary
+must also say what it missed: "samplesMissed" (cadence ticks skipped by
+overrunning captures) and "samplePeriodNs" (the achieved mean period).
 
 Exit status: 0 valid, 1 invalid, 2 bad invocation.
 """
@@ -57,7 +64,7 @@ def load(path: pathlib.Path) -> dict:
 def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
     """Validate every event; return (span name -> count, counter track ->
     sample count)."""
-    spans: dict[str, int] = {}
+    spans = {name: count for name, (count, _) in span_totals(doc).items()}
     counters: dict[str, int] = {}
     # Per-tid (name, start, end) triples, nesting-checked after the scan:
     # the trace format carries no ordering guarantee (flashhp emits spans
@@ -85,7 +92,6 @@ def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
             tid = ev.get("tid")
             if not isinstance(tid, int) or tid < 0:
                 fail(f"traceEvents[{idx}] ({name}): bad tid {tid!r}")
-            spans[name] = spans.get(name, 0) + 1
             spans_by_tid.setdefault(tid, []).append(
                 (name, float(ts), float(ts) + float(dur)))
         elif ph == "C":
@@ -116,6 +122,33 @@ def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
     return spans, counters
 
 
+def span_totals(doc: dict) -> dict[str, tuple[int, float]]:
+    """Span name -> (count, summed duration in seconds) over the complete
+    ("X") events; durations are microseconds in the trace format."""
+    totals: dict[str, tuple[int, float]] = {}
+    for ev in doc["traceEvents"]:
+        if not isinstance(ev, dict) or ev.get("ph") != "X":
+            continue
+        dur = ev.get("dur")
+        name = ev.get("name")
+        if isinstance(name, str) and isinstance(dur, (int, float)):
+            count, total = totals.get(name, (0, 0.0))
+            totals[name] = (count + 1, total + float(dur) * 1e-6)
+    return totals
+
+
+def print_span_totals(doc: dict, summary: dict) -> None:
+    if summary["droppedSpans"] > 0:
+        fail(f"{summary['droppedSpans']} span(s) dropped from the lane "
+             f"rings: the totals would undercount (trace fewer steps)")
+    totals = span_totals(doc)
+    width = max([len("span")] + [len(name) for name in totals])
+    print(f"{'span':<{width}}  {'count':>9}  {'total_s':>12}")
+    for name, (count, total) in sorted(totals.items(),
+                                       key=lambda kv: -kv[1][1]):
+        print(f"{name:<{width}}  {count:>9}  {total:>12.6f}")
+
+
 def span_tids(doc: dict) -> set[int]:
     return {ev["tid"] for ev in doc["traceEvents"]
             if isinstance(ev, dict) and ev.get("ph") == "X"}
@@ -137,6 +170,15 @@ def check_summary(doc: dict) -> dict:
                 fail(f"histogram '{name}': missing/non-numeric '{key}'")
         if not (h["p50_ns"] <= h["p90_ns"] <= h["p99_ns"] <= h["max_ns"]):
             fail(f"histogram '{name}': quantiles not monotonic")
+    if "samplesTaken" in summary:
+        for key in ("samplesTaken", "samplesMissed", "samplePeriodNs"):
+            value = summary.get(key)
+            if not isinstance(value, int) or value < 0:
+                fail(f"flashhpSummary: sampler field '{key}' must be a "
+                     f"non-negative integer, got {value!r}")
+        if summary["samplesTaken"] >= 2 and summary["samplePeriodNs"] == 0:
+            fail("flashhpSummary: samplePeriodNs is 0 over "
+                 f"{summary['samplesTaken']} samples")
     return summary
 
 
@@ -191,6 +233,8 @@ def validate(args: argparse.Namespace) -> int:
         fail(f"{total} spans, need >= {args.min_spans}")
 
     rows = check_csv(args.csv) if args.csv else None
+    if args.span_totals:
+        print_span_totals(doc, summary)
     msg = (f"check_trace: OK — {total} spans over {len(lanes)} lane(s), "
            f"{sum(counters.values())} counter samples on "
            f"{len(counters)} track(s), "
@@ -222,6 +266,9 @@ GOOD_TRACE = {
     "flashhpSummary": {
         "totalSpans": 3,
         "droppedSpans": 0,
+        "samplesTaken": 3,
+        "samplesMissed": 1,
+        "samplePeriodNs": 2000000,
         "histograms": {
             "driver.step": {"count": 1, "mean_ns": 100000.0,
                             "p50_ns": 100000, "p90_ns": 100000,
@@ -257,6 +304,7 @@ def self_test() -> int:
                 require_histogram=kwargs.get("require_histogram", []),
                 min_lanes=kwargs.get("min_lanes", 0),
                 min_spans=kwargs.get("min_spans", 0),
+                span_totals=kwargs.get("span_totals", False),
                 csv=None)
             if csv is not None:
                 ns.csv = root / "t.csv"
@@ -304,9 +352,34 @@ def self_test() -> int:
          csv="t_ns,a\n1000,xyz\n")
     case("ragged-csv-row", False, GOOD_TRACE,
          csv="t_ns,a\n1000\n")
+    dropped = copy.deepcopy(GOOD_TRACE)
+    dropped["flashhpSummary"]["droppedSpans"] = 5
+    no_missed = copy.deepcopy(GOOD_TRACE)
+    del no_missed["flashhpSummary"]["samplesMissed"]
+    zero_period = copy.deepcopy(GOOD_TRACE)
+    zero_period["flashhpSummary"]["samplePeriodNs"] = 0
+    no_sampler = copy.deepcopy(GOOD_TRACE)
+    for key in ("samplesTaken", "samplesMissed", "samplePeriodNs"):
+        del no_sampler["flashhpSummary"][key]
+    case("span-totals", True, GOOD_TRACE, span_totals=True)
+    case("span-totals-dropped-spans", False, dropped, span_totals=True)
+    case("dropped-spans-without-totals", True, dropped)
+    case("sampler-without-missed", False, no_missed)
+    case("sampler-zero-period", False, zero_period)
+    case("no-sampler-no-fields", True, no_sampler)
+
+    totals = span_totals(GOOD_TRACE)
+    want = {"driver.step": (1, 1e-4), "hydro.sweep_x": (1, 5e-5),
+            "hydro.sweep_block": (1, 5e-6)}
+    if totals.keys() != want.keys() or any(
+            totals[k][0] != want[k][0]
+            or abs(totals[k][1] - want[k][1]) > 1e-12 for k in want):
+        failures += 1
+        print(f"SELF-TEST FAIL span-totals-values: got {totals}",
+              file=sys.stderr)
 
     if failures == 0:
-        print("check_trace self-test: OK (11 scenarios)")
+        print("check_trace self-test: OK (18 scenarios)")
         return 0
     print(f"check_trace self-test: {failures} scenario(s) failed",
           file=sys.stderr)
@@ -331,6 +404,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--min-spans", type=int, default=0, metavar="N")
     parser.add_argument("--csv", type=pathlib.Path,
                         help="sampler CSV to validate alongside")
+    parser.add_argument("--span-totals", action="store_true",
+                        help="print count and summed seconds per span "
+                             "name (invalid if any span was dropped)")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
 
