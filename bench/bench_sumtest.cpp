@@ -18,8 +18,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "mem/hugeadm.hpp"
-#include "mem/page_size.hpp"
+#include "experiment_common.hpp"
 #include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
 #include "support/string_util.hpp"
@@ -106,7 +105,7 @@ SumResult run(const double* data, std::uint64_t huge_bytes) {
 int main() {
   using namespace fhp;
   std::printf("== Sum test: static vs dynamic allocation (paper SIV) ==\n");
-  mem::ensure_hugetlb_pool(mem::kPage2M, 24);
+  bench::print_inventory();
 
   // Static array: the loader placed it in BSS — no huge pages possible.
   for (auto& row : g_static_array) {

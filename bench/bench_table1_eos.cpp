@@ -8,9 +8,15 @@
 /// huge-page policy of the mesh + EOS table flipped between arms.
 ///
 /// Usage: bench_table1_eos [--nsteps=N] [--max_level=L] [--sample=S]
-///                         [--par.threads=T]
+///                         [--par.threads=T] [--json=PATH]
+///
+/// With --json=PATH the run's modeled ledger lands in PATH. From the repo
+/// root, `./build/bench/bench_table1_eos --json=BENCH_table1.json`
+/// regenerates the committed ledger; at any lane count a plain `diff`
+/// against it must be empty.
 
 #include <cstdio>
+#include <string>
 
 #include "experiment_runners.hpp"
 #include "support/runtime_params.hpp"
@@ -21,38 +27,33 @@ int main(int argc, char** argv) {
   rp.declare_int("nsteps", 50, "time steps per arm (paper: 50)");
   rp.declare_int("max_level", 4, "finest AMR level");
   rp.declare_int("sample", 4, "trace every Nth block");
+  rp.declare_string("json", "", "write the run's modeled ledger to this file");
   par::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  const int nsteps = static_cast<int>(rp.get_int("nsteps"));
-  const int max_level = static_cast<int>(rp.get_int("max_level"));
-  const int sample = static_cast<int>(rp.get_int("sample"));
+  const bench::LedgerConfig config{static_cast<int>(rp.get_int("nsteps")),
+                                   static_cast<int>(rp.get_int("max_level")),
+                                   static_cast<int>(rp.get_int("sample"))};
 
   std::printf(
       "== Table I: EOS problem (2-d supernova, %d steps, EOS instrumented) "
       "==\n",
-      nsteps);
-  bench::prepare_huge_pool(512ull << 20);
+      config.nsteps);
+  bench::print_inventory();
 
   mem::PagePool pool;
   rt::RuntimeOptions context;
   context.lanes = static_cast<int>(rp.get_int("par.threads"));
   context.pool = &pool;
-  const auto without = bench::run_eos_arm(context, mem::HugePolicy::kNone,
-                                          nsteps, max_level, sample);
-  const auto with = bench::run_eos_arm(context, mem::HugePolicy::kHugetlbfs,
-                                       nsteps, max_level, sample);
+  const auto without =
+      bench::run_eos_arm(context, mem::HugePolicy::kNone, config.nsteps,
+                         config.max_level, config.sample);
+  const auto with =
+      bench::run_eos_arm(context, mem::HugePolicy::kHugetlbfs, config.nsteps,
+                         config.max_level, config.sample);
 
   bench::print_paper_table(
       "RESULTS FOR THE EOS PROBLEM (model: A64FX-like core, 1.8 GHz)",
       without, with, bench::kPaperEosWithout, bench::kPaperEosWith);
-
-  const double dtlb_ratio = with.measures.dtlb_misses_per_s /
-                            without.measures.dtlb_misses_per_s;
-  const double time_ratio =
-      with.measures.time_seconds / without.measures.time_seconds;
-  std::printf(
-      "# shape check: DTLB ratio %.3f (paper 0.047), time ratio %.3f "
-      "(paper 0.935)\n",
-      dtlb_ratio, time_ratio);
-  return 0;
+  return bench::write_ledger(rp.get_string("json"), "table1_eos", config,
+                             without, with);
 }

@@ -1,29 +1,30 @@
 /// \file experiment_common.hpp
 /// \brief Shared harness for the paper-reproduction benchmarks.
 ///
-/// Each table/figure benchmark runs the same workload twice — without
-/// huge pages (policy none) and with them (policy hugetlbfs, which falls
-/// back to THP and then to base pages if the system provides no explicit
-/// pool) — and derives the paper's five PAPI measures per instrumented
-/// region plus the FLASH-timer analog. The harness also performs the
-/// paper's §III node preparation (sizing the hugetlb pool, hugeadm-style)
-/// and its verification step (watching /proc/meminfo and smaps).
+/// Each table benchmark runs the same workload twice — without huge
+/// pages (policy none) and with them (policy hugetlbfs, which falls back
+/// to THP and then to base pages when the host grants no explicit pool)
+/// — and derives the paper's five PAPI measures per instrumented region
+/// plus the FLASH-timer analog. Sizing the hugetlb pool is the paper's
+/// §III node preparation, taken before the run (`hugectl pool N`); the
+/// harness only prints the inventory it found and, per arm, the backing
+/// it verified — verification, not assumption, is the paper's
+/// methodological point. With --json=PATH a table bench writes the run's
+/// modeled ledger (write_ledger), which CI diffs against the committed
+/// BENCH_table1.json / BENCH_table2.json.
 
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "mem/hugeadm.hpp"
-#include "mem/huge_policy.hpp"
 #include "mem/meminfo.hpp"
-#include "mem/page_size.hpp"
+#include "mem/thp.hpp"
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
@@ -36,10 +37,14 @@
 
 namespace fhp::bench {
 
-/// Everything a table row needs for one experiment arm.
+/// Everything a table row and the ledger need for one experiment arm.
 struct ArmResult {
+  perf::RegionStats region;    ///< the instrumented region's entries/counters
+  perf::CounterSet totals;     ///< the whole run's counters
   perf::MeasureSet measures;   ///< the instrumented region's five measures
   double flash_timer = 0;      ///< modeled total evolution time [s]
+  /// The page shift the machine model charged, per traced array.
+  std::vector<std::pair<std::string, std::uint8_t>> page_shifts;
   double wall_seconds = 0;     ///< host wall clock (reported, not compared)
   std::string backing;         ///< what actually backed the big arrays
   std::uint64_t resident_huge = 0;  ///< bytes verified on huge pages
@@ -48,27 +53,20 @@ struct ArmResult {
 /// The modeled A64FX clock used to derive "Time (s)" from cycles.
 inline constexpr double kClockHz = 1.8e9;
 
-/// Prepare the node like the paper's §III: try to reserve a 2 MiB-page
-/// pool big enough for \p bytes (plus slack). Returns true if a pool
-/// exists afterwards. Prints what happened — verification, not assumption,
-/// is the paper's methodological point.
-inline bool prepare_huge_pool(std::size_t bytes) {
-  const std::size_t pages = (bytes + mem::kPage2M - 1) / mem::kPage2M + 8;
-  const auto granted = mem::ensure_hugetlb_pool(mem::kPage2M, pages);
-  const auto snap = mem::MeminfoSnapshot::capture();
-  std::printf("# hugetlb pool: requested %zu x 2 MiB pages, %s; %s\n", pages,
-              granted ? (std::to_string(*granted) + " configured").c_str()
-                      : "pool not configurable (not privileged?)",
-              snap.summary().c_str());
-  return granted.has_value() && *granted > 0;
+/// Print the huge-page inventory the host offers: the hugetlb pool and
+/// the THP mode. The benches use what is there and never resize it.
+inline void print_inventory() {
+  std::printf("# inventory: %s; THP %s\n",
+              mem::MeminfoSnapshot::capture().summary().c_str(),
+              std::string(mem::to_string(mem::system_thp_mode())).c_str());
 }
 
 /// One experiment arm's instrumentation bundle: its own rt::Runtime (so
 /// arms cannot leak counters into each other through its perf() and no
 /// reset() hygiene is needed), the machine model wired to that context,
 /// the FLASH-style timers, and the host wall clock started at
-/// construction. All three table/figure benches build their arms on this
-/// so the per-arm boilerplate cannot drift between them.
+/// construction. Both table benches build their arms on this so the
+/// per-arm boilerplate cannot drift between them.
 class ExperimentArm {
  public:
   explicit ExperimentArm(const rt::RuntimeOptions& options)
@@ -93,11 +91,11 @@ class ExperimentArm {
   /// Derive the arm's measures for \p region_name; stamps the wall clock.
   [[nodiscard]] ArmResult finish(const std::string& region_name) const {
     ArmResult arm;
-    const perf::RegionStats stats = perf().regions().get(region_name);
-    arm.measures = perf::derive_measures(stats.totals, kClockHz);
-    const perf::CounterSet totals = perf().snapshot();
+    arm.region = perf().regions().get(region_name);
+    arm.measures = perf::derive_measures(arm.region.totals, kClockHz);
+    arm.totals = perf().snapshot();
     arm.flash_timer =
-        static_cast<double>(totals[perf::Event::kCycles]) / kClockHz;
+        static_cast<double>(arm.totals[perf::Event::kCycles]) / kClockHz;
     arm.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall0_)
@@ -114,18 +112,21 @@ class ExperimentArm {
 };
 
 /// Print the table in the paper's layout, with the published values as a
-/// side-by-side reference, plus the ratio column of Figure 1.
+/// side-by-side reference. The two ratio columns (with ÷ without) are
+/// Figure 1's bars, measured and published.
 inline void print_paper_table(const std::string& title,
                               const ArmResult& without, const ArmResult& with,
                               const double paper_without[6],
                               const double paper_with[6]) {
   TableWriter t(title);
-  t.set_header({"Measure", "Without HPs", "With HPs", "Ratio",
-                "Paper w/o", "Paper w/"});
+  t.set_header({"Measure", "Without HPs", "With HPs", "Ratio", "Paper w/o",
+                "Paper w/", "Paper ratio"});
+  auto ratio = [](double a, double b) {
+    return b != 0 && a != 0 ? format_ratio(b / a) : "-";
+  };
   auto row = [&](const char* name, double a, double b, double pa, double pb) {
-    t.add_row({name, format_measure(a), format_measure(b),
-               b != 0 && a != 0 ? format_ratio(b / a) : "-",
-               format_measure(pa), format_measure(pb)});
+    t.add_row({name, format_measure(a), format_measure(b), ratio(a, b),
+               format_measure(pa), format_measure(pb), ratio(pa, pb)});
   };
   row("Hardware (cycles)", without.measures.hardware_cycles,
       with.measures.hardware_cycles, paper_without[0], paper_with[0]);
@@ -147,8 +148,7 @@ inline void print_paper_table(const std::string& title,
               without.wall_seconds, with.wall_seconds);
 }
 
-/// The published Tables I and II, for side-by-side printing and for the
-/// reproduction-band checks in EXPERIMENTS.md.
+/// The published Tables I and II, for side-by-side printing.
 /// Order: cycles, time, SVE/cycle, GB/s, DTLB/s, FLASH timer.
 inline constexpr double kPaperEosWithout[6] = {1.25e11, 6.97e1, 0.47,
                                                4.19,    2.34e7, 339.032};
@@ -230,47 +230,38 @@ class JsonWriter {
   std::vector<bool> first_;
 };
 
-// ------------------------------------------------------------ thread scan
+// ---------------------------------------------------------------- ledger
 
-/// Shared --json=PATH lane-scan entry. Runs the workload \p run at 1, 2
-/// and 4 lanes — `run(arm)` evolves it once on an arm built from
-/// \p context at that lane count and returns the evolution wall time in
-/// seconds — asserts the modeled counters (everything except wall time)
-/// bit-identical across the three runs, the driver's determinism
-/// contract, and writes the artifact through JsonWriter. \p header emits
-/// bench-specific fields (nsteps, ...) into the top-level object.
-/// Returns 0 iff the counters were identical and the file was written.
-inline int run_thread_scan(const std::string& path, const char* bench,
-                           rt::RuntimeOptions context,
-                           const std::function<double(ExperimentArm&)>& run,
-                           const std::function<void(JsonWriter&)>& header) {
-  constexpr int kLanes[3] = {1, 2, 4};
-  struct Run {
-    double wall = 0;
-    perf::CounterSet totals;
-  };
-  std::array<Run, 3> runs;
-  for (std::size_t t = 0; t < runs.size(); ++t) {
-    context.lanes = kLanes[t];
-    ExperimentArm arm(context);
-    runs[t].wall = run(arm);
-    runs[t].totals = arm.perf().snapshot();
-    std::printf("# lanes=%d wall=%.3f s cycles=%llu dtlb=%llu\n", kLanes[t],
-                runs[t].wall,
-                static_cast<unsigned long long>(
-                    runs[t].totals[perf::Event::kCycles]),
-                static_cast<unsigned long long>(
-                    runs[t].totals[perf::Event::kDtlbMisses]));
+/// What a table run was asked to do; the ledger's "config" object.
+struct LedgerConfig {
+  int nsteps = 0;
+  int max_level = 0;
+  int sample = 0;
+};
+
+/// Write every event except WALL_NS as an integer named by
+/// perf::event_name.
+inline void write_counters(JsonWriter& w, const char* key,
+                           const perf::CounterSet& counters) {
+  w.begin_object(key);
+  for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
+    const auto event = static_cast<perf::Event>(e);
+    if (event == perf::Event::kWallNanos) continue;
+    w.field(std::string(perf::event_name(event)).c_str(), counters[event]);
   }
+  w.end_object();
+}
 
-  bool identical = true;
-  for (const Run& r : runs) {
-    for (std::size_t e = 0; e < perf::kNumEvents; ++e) {
-      if (e == static_cast<std::size_t>(perf::Event::kWallNanos)) continue;
-      identical = identical && r.totals.values[e] == runs[0].totals.values[e];
-    }
-  }
-
+/// Write the run's modeled ledger to \p path (nothing if it is empty):
+/// the config and, per arm, the instrumented region's entries and
+/// counters, the whole run's counters, the modeled page shifts and the
+/// six table measures. Backing names, addresses, wall times, the lane
+/// count and the inventory stay on stdout, so the file is a pure function
+/// of the code. Returns 0, or 1 if the file cannot be written.
+inline int write_ledger(const std::string& path, const char* bench,
+                        const LedgerConfig& config, const ArmResult& without,
+                        const ArmResult& with) {
+  if (path.empty()) return 0;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -279,20 +270,38 @@ inline int run_thread_scan(const std::string& path, const char* bench,
   JsonWriter w(f);
   w.begin_object();
   w.field("bench", bench);
-  header(w);
-  w.begin_object("wall_seconds");
-  for (std::size_t t = 0; t < runs.size(); ++t) {
-    w.field(std::to_string(kLanes[t]).c_str(), runs[t].wall);
+  w.begin_object("config");
+  w.field("nsteps", config.nsteps);
+  w.field("max_level", config.max_level);
+  w.field("sample", config.sample);
+  w.end_object();
+  const std::pair<const char*, const ArmResult*> arms[] = {
+      {"without_hp", &without}, {"with_hp", &with}};
+  for (const auto& [name, arm] : arms) {
+    w.begin_object(name);
+    w.field("entries", arm->region.entries);
+    write_counters(w, "region", arm->region.totals);
+    write_counters(w, "run", arm->totals);
+    w.begin_object("page_shift");
+    for (const auto& [array, shift] : arm->page_shifts) {
+      w.field(array.c_str(), int{shift});
+    }
+    w.end_object();
+    const perf::MeasureSet& m = arm->measures;
+    w.begin_object("measures");
+    w.field("hardware_cycles", m.hardware_cycles);
+    w.field("time_seconds", m.time_seconds);
+    w.field("vector_per_cycle", m.vector_per_cycle);
+    w.field("memory_gbytes_per_s", m.memory_gbytes_per_s);
+    w.field("dtlb_misses_per_s", m.dtlb_misses_per_s);
+    w.field("flash_timer_seconds", arm->flash_timer);
+    w.end_object();
+    w.end_object();
   }
   w.end_object();
-  w.field("speedup_4_over_1",
-          runs[2].wall > 0 ? runs[0].wall / runs[2].wall : 0.0);
-  w.field("modeled_counters_identical", identical);
-  w.end_object();
   std::fclose(f);
-  std::printf("# wrote %s (counters identical across 1/2/4 lanes: %s)\n",
-              path.c_str(), identical ? "yes" : "NO");
-  return identical ? 0 : 1;
+  std::printf("# wrote %s\n", path.c_str());
+  return 0;
 }
 
 }  // namespace fhp::bench

@@ -1,14 +1,14 @@
 /// \file experiment_runners.hpp
 /// \brief The two experiment arms (EOS / 3-d Hydro) as reusable functions.
 ///
-/// bench_table1_eos, bench_table2_hydro and bench_fig1_ratios all run the
-/// same two workloads; this header holds the single implementation. Each
-/// arm builds on ExperimentArm and runs as a tenant: its own rt::Runtime
-/// built from \p context with the arm's huge-page policy, whose lane count
-/// drives the block-parallel step, whose perf() collects the arm's
-/// counters and whose shared pool lets back-to-back arms reuse one
-/// huge-page inventory. Modeled counters are bit-identical across lane
-/// counts because tracing replays serially into the arm's machine model.
+/// bench_table1_eos and bench_table2_hydro each run one of these two
+/// workloads, once per arm. Each arm builds on ExperimentArm and runs as
+/// a tenant: its own rt::Runtime built from \p context with the arm's
+/// huge-page policy, whose lane count drives the block-parallel step,
+/// whose perf() collects the arm's counters and whose shared pool lets
+/// back-to-back arms reuse one huge-page inventory. Modeled counters are
+/// bit-identical across lane counts because tracing replays serially into
+/// the arm's machine model, so the ledger does not depend on the lanes.
 
 #pragma once
 
@@ -60,6 +60,8 @@ inline ArmResult run_eos_arm(rt::RuntimeOptions context,
                    setup.table().region().describe();
   result.resident_huge = mesh.unk().region().resident_huge_bytes() +
                          setup.table().region().resident_huge_bytes();
+  result.page_shifts = {{"unk", mesh.unk().page_shift()},
+                        {"helm_table", setup.table().page_shift()}};
   return result;
 }
 
@@ -99,6 +101,7 @@ inline ArmResult run_hydro_arm(rt::RuntimeOptions context,
   ArmResult result = arm.finish("hydro");
   result.backing = mesh.unk().region().describe();
   result.resident_huge = mesh.unk().region().resident_huge_bytes();
+  result.page_shifts = {{"unk", mesh.unk().page_shift()}};
   return result;
 }
 

@@ -1,8 +1,9 @@
 # Records or checks the host's huge-page configuration around the test
-# suite: HugePages_Total from /proc/meminfo and the THP `enabled` mode.
-# Tests map from the pool the host already provides (provisioning is the
-# administrator's step: CI's hugepages action, or `hugectl pool N`); none
-# may resize the pool or switch the THP mode.
+# suite (and around CI's paper-ledger bench runs): HugePages_Total from
+# /proc/meminfo and the THP `enabled` mode. Tests and benches map from the
+# pool the host already provides (provisioning is the administrator's
+# step: CI's hugepages action, or `hugectl pool N`); none may resize the
+# pool or switch the THP mode.
 #
 #   cmake -DMODE=record -DSTATE=<file> -P HostHugepageState.cmake
 #   cmake -DMODE=check  -DSTATE=<file> -P HostHugepageState.cmake
@@ -41,7 +42,7 @@ elseif(MODE STREQUAL "check")
   file(READ ${STATE} before)
   if(NOT before STREQUAL now)
     message(FATAL_ERROR
-      "the test suite changed the host's huge-page configuration: "
+      "the run changed the host's huge-page configuration: "
       "before [${before}], after [${now}]")
   endif()
   message(STATUS "host huge-page state unchanged: ${now}")

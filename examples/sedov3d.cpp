@@ -5,15 +5,17 @@
 /// position against the analytic similarity solution, and writes the
 /// spherically averaged density/pressure profile to sedov_profile.csv.
 ///
-/// Usage: sedov3d [--nsteps=N] [--max_level=L]
+/// Usage: sedov3d [--nsteps=N] [--max_level=L] [--outfile=PATH]
 ///                [--mem.hpage_type=none|thp|hugetlbfs] [--par.threads=T]
 ///                [--obs.timeline=timeline.json] [--obs.sample_ms=N]
 ///
 /// With --obs.timeline (or FLASHHP_TELEMETRY=timeline.json) the run is
 /// traced: per-lane spans, step marks, and a background memory/THP
 /// sampler, exported as a chrome://tracing JSON plus a sampler CSV next
-/// to it.
+/// to it. An --outfile that resolves to either of those two files exits
+/// 2 before the run starts.
 
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -44,6 +46,23 @@ int main(int argc, char** argv) try {
   rp.apply_command_line(argc, argv);
   const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
+  // The profile may not land on a file the telemetry writes.
+  const std::string outfile = rp.get_string("outfile");
+  const std::string timeline_path = rp.get_string("obs.timeline");
+  if (!timeline_path.empty()) {
+    const auto resolved = [](const std::string& path) {
+      return std::filesystem::weakly_canonical(path);
+    };
+    for (const std::string& written :
+         {timeline_path, obs::csv_path_for(timeline_path)}) {
+      if (resolved(outfile) == resolved(written)) {
+        throw ConfigError("--outfile=" + outfile + " is " + written +
+                          ", which the timeline --obs.timeline=" +
+                          timeline_path + " writes");
+      }
+    }
+  }
+
   // The execution context: its lane count honors --par.threads /
   // FLASHHP_THREADS, its layout --mesh.layout / FLASHHP_LAYOUT and its
   // page policy --mem.hpage_type / FLASHHP_HPAGE_TYPE.
@@ -70,7 +89,6 @@ int main(int argc, char** argv) try {
 
   // Telemetry: span tracer + background memory/THP sampler, exported as
   // a chrome://tracing timeline when a path is configured.
-  const std::string timeline_path = rp.get_string("obs.timeline");
   std::unique_ptr<obs::Telemetry> telemetry;
   std::unique_ptr<obs::Sampler> sampler;
   if (!timeline_path.empty()) {
@@ -115,7 +133,6 @@ int main(int argc, char** argv) try {
             << " (strong-shock limit " << (params.gamma + 1) / (params.gamma - 1)
             << ")\n";
 
-  const std::string outfile = rp.get_string("outfile");
   std::ofstream out(outfile);
   profile.write_csv(out);
   std::cout << "profile written to " << outfile << "\n";

@@ -242,13 +242,15 @@ bool BlockTree::is_balanced() const {
                 const auto dd = static_cast<std::size_t>(d);
                 const std::int32_t lo2 = 2 * b.coord[dd] - 1;
                 const std::int32_t hi2 = 2 * b.coord[dd] + 2;
-                // Compare in unwrapped space: shift the child coordinate
-                // by the step taken, handling periodic wrap via the
-                // neighbor's own coordinates.
+                // Compare in unwrapped space: along a periodic axis, shift
+                // the child coordinate across the wrap the step took. A
+                // non-periodic axis has no wrap to take.
                 std::int32_t cc = grand.coord[dd];
-                const std::int32_t extent2 = level_extent(b.level + 1, d);
-                if (cc < lo2) cc += extent2;
-                if (cc > hi2 && cc - extent2 >= lo2) cc -= extent2;
+                if (config_.bc[dd][0] == Bc::kPeriodic) {
+                  const std::int32_t extent2 = level_extent(b.level + 1, d);
+                  if (cc < lo2) cc += extent2;
+                  if (cc > hi2 && cc - extent2 >= lo2) cc -= extent2;
+                }
                 if (cc < lo2 || cc > hi2) {
                   adjacent = false;
                   break;

@@ -20,27 +20,4 @@ MeasureSet derive_measures(const CounterSet& delta, double clock_hz) noexcept {
   return m;
 }
 
-namespace {
-double safe_ratio(double num, double den) noexcept {
-  return den != 0.0 ? num / den : 0.0;
-}
-}  // namespace
-
-MeasureRatios ratios(const MeasureSet& with_hp, double with_hp_flash_timer,
-                     const MeasureSet& without_hp,
-                     double without_hp_flash_timer) noexcept {
-  MeasureRatios r;
-  r.hardware_cycles =
-      safe_ratio(with_hp.hardware_cycles, without_hp.hardware_cycles);
-  r.time_seconds = safe_ratio(with_hp.time_seconds, without_hp.time_seconds);
-  r.vector_per_cycle =
-      safe_ratio(with_hp.vector_per_cycle, without_hp.vector_per_cycle);
-  r.memory_gbytes_per_s =
-      safe_ratio(with_hp.memory_gbytes_per_s, without_hp.memory_gbytes_per_s);
-  r.dtlb_misses_per_s =
-      safe_ratio(with_hp.dtlb_misses_per_s, without_hp.dtlb_misses_per_s);
-  r.flash_timer = safe_ratio(with_hp_flash_timer, without_hp_flash_timer);
-  return r;
-}
-
 }  // namespace fhp::perf

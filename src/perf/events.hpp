@@ -35,19 +35,4 @@ struct MeasureSet {
 [[nodiscard]] MeasureSet derive_measures(const CounterSet& delta,
                                          double clock_hz) noexcept;
 
-/// Ratio of each measure (with/without), Figure 1 style.
-struct MeasureRatios {
-  double hardware_cycles = 0;
-  double time_seconds = 0;
-  double vector_per_cycle = 0;
-  double memory_gbytes_per_s = 0;
-  double dtlb_misses_per_s = 0;
-  double flash_timer = 0;
-};
-
-[[nodiscard]] MeasureRatios ratios(const MeasureSet& with_hp,
-                                   double with_hp_flash_timer,
-                                   const MeasureSet& without_hp,
-                                   double without_hp_flash_timer) noexcept;
-
 }  // namespace fhp::perf

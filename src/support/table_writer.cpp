@@ -100,11 +100,4 @@ std::string format_ratio(double value) {
   return buf;
 }
 
-std::string ascii_bar(double value, double scale, int max_width) {
-  if (!(scale > 0.0) || value < 0.0 || max_width <= 0) return {};
-  const double frac = std::min(value / scale, 1.0);
-  const int n = static_cast<int>(std::lround(frac * max_width));
-  return std::string(static_cast<size_t>(n), '#');
-}
-
 }  // namespace fhp

@@ -47,8 +47,4 @@ class TableWriter {
 /// Format a ratio with 3 decimal places (Figure 1 style).
 [[nodiscard]] std::string format_ratio(double value);
 
-/// Render a horizontal ASCII bar of width proportional to value/scale,
-/// capped at \p max_width characters. Used for the Figure 1 bar chart.
-[[nodiscard]] std::string ascii_bar(double value, double scale, int max_width);
-
 }  // namespace fhp

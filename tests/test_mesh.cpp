@@ -254,9 +254,46 @@ TEST(TreeTest, BalanceDetection) {
   const int c00 = tree.find(2, {0, 0, 0});
   tree.refine(c00);
   EXPECT_TRUE(tree.is_balanced());  // L3 next to L2: legal
-  const int c000 = tree.find(3, {0, 0, 0});
-  tree.refine(c000);
+  // L4 in the domain corner touches only L3 leaves: the L2 leaves lie
+  // beyond it only across the (outflow) domain edge, which does not wrap.
+  tree.refine(tree.find(3, {0, 0, 0}));
+  EXPECT_TRUE(tree.is_balanced());
+  tree.refine(tree.find(3, {1, 1, 0}));
   EXPECT_FALSE(tree.is_balanced());  // L4 next to L2: violation
+}
+
+// Two 2x2-root trees refined at the lower-left corner: root (0,0), then
+// its level-2 child (0,0). The level-3 blocks sit against x = 0 and
+// y = 0, so they touch the level-1 leaves (1,0) and (0,1) only across a
+// periodic wrap.
+BlockTree corner_refined(const MeshConfig& c) {
+  BlockTree tree(c);
+  tree.create_roots();
+  tree.refine(tree.find(1, {0, 0, 0}));
+  tree.refine(tree.find(2, {0, 0, 0}));
+  return tree;
+}
+
+TEST(TreeTest, BalanceIgnoresWrapAlongNonPeriodicAxes) {
+  MeshConfig c = small_2d();
+  c.nroot = {2, 2, 1};
+  c.bc[0] = {Bc::kOutflow, Bc::kReflect};
+  c.bc[1] = {Bc::kReflect, Bc::kOutflow};
+  EXPECT_TRUE(corner_refined(c).is_balanced());
+}
+
+TEST(TreeTest, BalanceSeesLevelJumpsAcrossAPeriodicWrap) {
+  MeshConfig x = small_2d();
+  x.nroot = {2, 2, 1};
+  x.bc[0] = {Bc::kPeriodic, Bc::kPeriodic};
+  // Root (1,0) touches the level-3 blocks across the x wrap.
+  EXPECT_FALSE(corner_refined(x).is_balanced());
+
+  MeshConfig y = small_2d();
+  y.nroot = {2, 2, 1};
+  y.bc[1] = {Bc::kPeriodic, Bc::kPeriodic};
+  // Root (0,1) touches them across the y wrap.
+  EXPECT_FALSE(corner_refined(y).is_balanced());
 }
 
 // --------------------------------------------------------------- AMR mesh

@@ -69,18 +69,6 @@ TEST(Events, DeriveMeasuresZeroSafe) {
   EXPECT_EQ(m.dtlb_misses_per_s, 0.0);
 }
 
-TEST(Events, RatiosMatchFigureOneDefinition) {
-  MeasureSet with, without;
-  with.dtlb_misses_per_s = 1.10e6;
-  without.dtlb_misses_per_s = 2.34e7;
-  with.time_seconds = 65.2;
-  without.time_seconds = 69.7;
-  const MeasureRatios r = ratios(with, 333.150, without, 339.032);
-  EXPECT_NEAR(r.dtlb_misses_per_s, 0.047, 0.001);
-  EXPECT_NEAR(r.time_seconds, 0.935, 0.001);
-  EXPECT_NEAR(r.flash_timer, 0.9826, 0.001);
-}
-
 // ----------------------------------------------------------- perf context
 
 TEST_F(PerfTest, ContextCountersAccumulate) {

@@ -357,11 +357,5 @@ TEST(TableWriter, FormatMeasureMatchesPaperStyle) {
   EXPECT_EQ(format_measure(2.34e7), "2.34e+07");
 }
 
-TEST(TableWriter, AsciiBarScalesAndCaps) {
-  EXPECT_EQ(ascii_bar(0.5, 1.0, 10).size(), 5u);
-  EXPECT_EQ(ascii_bar(2.0, 1.0, 10).size(), 10u);  // capped
-  EXPECT_EQ(ascii_bar(0.0, 1.0, 10).size(), 0u);
-}
-
 }  // namespace
 }  // namespace fhp
