@@ -91,8 +91,7 @@ std::shared_ptr<const eos::HelmTable> micro_table() {
   static mem::PagePool pool;  // constructed first, so it outlives the table
   static auto table = std::make_shared<eos::HelmTable>(
       eos::HelmTable::build_or_load(eos::HelmTableSpec{},
-                                    mem::HugePolicy::kNone, pool,
-                                    "helm_table.bin"));
+                                    mem::HugePolicy::kNone, pool));
   return table;
 }
 

@@ -71,7 +71,6 @@ svc::JobSpec supernova_spec() {
   spec.supernova.max_level = 3;
   spec.supernova.maxblocks = 400;
   spec.supernova.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  spec.supernova.table_cache = "helm_table_bench_service.bin";
   return spec;
 }
 
@@ -125,9 +124,8 @@ int main(int argc, char** argv) {
   // supernova tenants load it instead of each paying the table build.
   {
     mem::PagePool pool;
-    (void)eos::HelmTable::build_or_load(
-        matrix[2].spec.supernova.table_spec, mem::HugePolicy::kNone, pool,
-        matrix[2].spec.supernova.table_cache);
+    (void)eos::HelmTable::build_or_load(matrix[2].spec.supernova.table_spec,
+                                        mem::HugePolicy::kNone, pool);
   }
 
   std::printf("== Service under Poisson load: %d jobs/scan, %.0f jobs/s ==\n",

@@ -28,12 +28,9 @@
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
 #include "support/string_util.hpp"
 #include "support/table_writer.hpp"
-#include "tlb/machine.hpp"
 
 namespace fhp::bench {
 
@@ -61,39 +58,23 @@ inline void print_inventory() {
               std::string(mem::to_string(mem::system_thp_mode())).c_str());
 }
 
-/// One experiment arm's instrumentation bundle: its own rt::Runtime (so
-/// arms cannot leak counters into each other through its perf() and no
-/// reset() hygiene is needed), the machine model wired to that context,
-/// the FLASH-style timers, and the host wall clock started at
-/// construction. Both table benches build their arms on this so the
-/// per-arm boilerplate cannot drift between them.
+/// One experiment arm's context: its own rt::Runtime (so arms cannot
+/// leak counters into each other through its perf() and no reset()
+/// hygiene is needed) and the host wall clock started at construction.
+/// The arm's sim::Simulation builds the machine model and the timers.
 class ExperimentArm {
  public:
   explicit ExperimentArm(const rt::RuntimeOptions& options)
-      : runtime_(options), machine_({}, &runtime_.perf()) {}
+      : runtime_(options) {}
 
   [[nodiscard]] rt::Runtime& runtime() noexcept { return runtime_; }
-  [[nodiscard]] perf::PerfContext& perf() const noexcept {
-    return runtime_.perf();
-  }
-  [[nodiscard]] tlb::Machine& machine() noexcept { return machine_; }
-  [[nodiscard]] perf::Timers& timers() noexcept { return timers_; }
-
-  /// DriverUnits with the runtime and machine pre-wired; callers add
-  /// flame/gravity/eos_trace as the workload needs.
-  [[nodiscard]] sim::DriverUnits units() noexcept {
-    sim::DriverUnits u;
-    u.machine = &machine_;
-    u.runtime = &runtime_;
-    return u;
-  }
 
   /// Derive the arm's measures for \p region_name; stamps the wall clock.
   [[nodiscard]] ArmResult finish(const std::string& region_name) const {
     ArmResult arm;
-    arm.region = perf().regions().get(region_name);
+    arm.region = runtime_.perf().regions().get(region_name);
     arm.measures = perf::derive_measures(arm.region.totals, kClockHz);
-    arm.totals = perf().snapshot();
+    arm.totals = runtime_.perf().snapshot();
     arm.flash_timer =
         static_cast<double>(arm.totals[perf::Event::kCycles]) / kClockHz;
     arm.wall_seconds =
@@ -105,8 +86,6 @@ class ExperimentArm {
 
  private:
   rt::Runtime runtime_;
-  tlb::Machine machine_;
-  perf::Timers timers_;
   std::chrono::steady_clock::time_point wall0_ =
       std::chrono::steady_clock::now();
 };

@@ -12,12 +12,9 @@
 
 #include <iostream>
 
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/cellular.hpp"
-#include "sim/driver.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
@@ -32,38 +29,28 @@ int main(int argc, char** argv) try {
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
-  sim::CellularSetup setup(params, runtime.huge_policy(), runtime);
-
-  const mem::MappedRegion& unk = setup.mesh().unk().region();
-  std::cout << "unk: " << unk.describe() << " requested "
-            << mem::to_string(unk.requested_policy()) << "\n";
-
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
-
-  perf::Timers timers;
   sim::DriverOptions opts;
   opts.nsteps = static_cast<int>(rp.get_int("nsteps"));
   opts.trace_sample = 0;
-  opts.refine_vars = {mesh::var::kDens,
-                      mesh::var::kFirstScalar + sim::cvar::kPhi};
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
+  sim::Simulation simulation(params, runtime, opts);
+  mesh::AmrMesh& m = simulation.mesh();
+
+  const mem::MappedRegion& unk = m.unk().region();
+  std::cout << "unk: " << unk.describe() << " requested "
+            << mem::to_string(unk.requested_policy()) << "\n";
 
   const int vphi = mesh::var::kFirstScalar + sim::cvar::kPhi;
-  const double burned0 =
-      setup.mesh().integrate_product(mesh::var::kDens, vphi);
+  const double burned0 = m.integrate_product(mesh::var::kDens, vphi);
+  sim::Driver& driver = simulation.driver();
   driver.evolve();
-  const double burned1 =
-      setup.mesh().integrate_product(mesh::var::kDens, vphi);
+  const double burned1 = m.integrate_product(mesh::var::kDens, vphi);
 
   std::cout << "\nt = " << driver.sim_time() << " s after " << driver.steps()
             << " steps\n";
   std::cout << "burned mass: " << burned0 << " -> " << burned1 << " g\n";
-  std::cout << "nuclear energy released: " << setup.flame().energy_released()
-            << " erg\n";
-  timers.summary(std::cout);
+  std::cout << "nuclear energy released: "
+            << simulation.flame()->energy_released() << " erg\n";
+  simulation.timers().summary(std::cout);
   return 0;
 } catch (const fhp::ConfigError& e) {
   std::cerr << "cellular2d: " << e.what() << "\n";

@@ -15,13 +15,10 @@
 
 #include <iostream>
 
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "mem/meminfo.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
-#include "sim/sedov.hpp"
+#include "sim/simulation.hpp"
 
 int main() {
   using namespace fhp;
@@ -35,16 +32,21 @@ int main() {
   std::cout << "huge-page policy: " << mem::to_string(runtime.huge_policy())
             << "\n";
 
-  // 2. A small 2-d Sedov problem; the mesh's unk container lives on the
-  //    runtime's policy, carved from the runtime's pool.
+  // 2. A small 2-d Sedov problem, wired into a Driver by one
+  //    sim::Simulation; the mesh's unk container lives on the runtime's
+  //    policy, carved from the runtime's pool.
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
+  sim::DriverOptions opts;
+  opts.nsteps = 30;
+  opts.trace_sample = 0;  // no machine model in the quickstart
+  opts.verbose = false;
+  sim::Simulation simulation(params, runtime, opts);
 
-  const mem::MappedRegion& region = setup.mesh().unk().region();
+  const mem::MappedRegion& region = simulation.mesh().unk().region();
   std::cout << "unk: " << region.describe() << " requested "
             << mem::to_string(region.requested_policy()) << "\n";
   std::cout << "verified on huge pages: "
@@ -57,21 +59,13 @@ int main() {
   std::cout << "sweep threads: " << runtime.lanes() << "\n";
 
   // 3. Evolve 30 steps and report.
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
-  perf::Timers timers;
-  sim::DriverOptions opts;
-  opts.nsteps = 30;
-  opts.trace_sample = 0;  // no machine model in the quickstart
-  opts.verbose = false;
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
+  sim::Driver& driver = simulation.driver();
   driver.evolve();
 
   std::cout << "\nran " << driver.steps() << " steps to t = "
             << driver.sim_time() << "; "
-            << setup.mesh().tree().leaves_morton().size()
+            << simulation.mesh().tree().leaves_morton().size()
             << " leaf blocks\n\n";
-  timers.summary(std::cout);
+  simulation.timers().summary(std::cout);
   return 0;
 }

@@ -20,17 +20,14 @@
 #include <iostream>
 #include <memory>
 
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
 #include "perf/report.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
 #include "sim/profiles.hpp"
-#include "sim/sedov.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
@@ -71,21 +68,14 @@ int main(int argc, char** argv) try {
   sim::SedovParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 700;
-  sim::SedovSetup setup(params, runtime.huge_policy(), runtime);
-  const mem::MappedRegion& unk = setup.mesh().unk().region();
-  std::cout << "unk: " << unk.describe() << " requested "
-            << mem::to_string(unk.requested_policy()) << "\n";
-
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
-  perf::Timers timers;
-  tlb::Machine machine({}, &runtime.perf());
   sim::DriverOptions opts;
   opts.nsteps = static_cast<int>(rp.get_int("nsteps"));
   const bool trace = rp.get_bool("trace");
   opts.trace_sample = trace ? 4 : 0;
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  if (trace) units.machine = &machine;
+  sim::Simulation simulation(params, runtime, opts);
+  const mem::MappedRegion& unk = simulation.mesh().unk().region();
+  std::cout << "unk: " << unk.describe() << " requested "
+            << mem::to_string(unk.requested_policy()) << "\n";
 
   // Telemetry: span tracer + background memory/THP sampler, exported as
   // a chrome://tracing timeline when a path is configured.
@@ -104,7 +94,7 @@ int main(int argc, char** argv) try {
     sampler->start();
   }
 
-  sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
+  sim::Driver& driver = simulation.driver();
   driver.evolve();
   if (trace) perf::RegionReport(runtime.perf(), 1.8e9).render(std::cout);
 
@@ -121,7 +111,7 @@ int main(int argc, char** argv) try {
   }
 
   // Validate against the similarity solution.
-  sim::RadialProfile profile(setup.mesh(), {0.5, 0.5, 0.5}, 120,
+  sim::RadialProfile profile(simulation.mesh(), {0.5, 0.5, 0.5}, 120,
                              {mesh::var::kDens, mesh::var::kPres});
   const double r_measured = profile.peak_radius(0);
   const double r_exact = sim::SedovSetup::shock_radius(
@@ -136,7 +126,7 @@ int main(int argc, char** argv) try {
   std::ofstream out(outfile);
   profile.write_csv(out);
   std::cout << "profile written to " << outfile << "\n";
-  timers.summary(std::cout);
+  simulation.timers().summary(std::cout);
   return 0;
 } catch (const fhp::ConfigError& e) {
   std::cerr << "sedov3d: " << e.what() << "\n";

@@ -9,37 +9,47 @@
 /// its published counters, and its slice of the pool's decisions.
 ///
 /// Usage: service_batch [--jobs=N] [--svc.lanes=W] [--svc.quantum=Q]
-///                      [--policy=none|thp|hugetlbfs]
+///                      [--mem.hpage_type=none|thp|hugetlbfs]
+///                      [--mem.page_pool=SPEC] [--mem.placement=P]
+///
+/// Every tenant requests the page policy of `--mem.hpage_type` (else
+/// FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE, else none); the service's
+/// shared pool is configured from `--mem.page_pool` / `--mem.placement`
+/// (else their environment variables).
 
 #include <cstdio>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "svc/service.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("jobs", 6, "jobs to submit");
-  rp.declare_string("policy", "none", "huge-page policy for every tenant");
+  mem::declare_runtime_params(rp);
   svc::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
-  const svc::ServiceOptions options = svc::apply_runtime_params(rp);
-
-  const auto policy = mem::parse_huge_policy(rp.get_string("policy"));
-  if (!policy) {
-    std::fprintf(stderr, "bad --policy value\n");
-    return 2;
-  }
+  svc::ServiceOptions options = svc::apply_runtime_params(rp);
+  options.pool_config = mem::pool_config_from_params(rp);
+  const std::optional<mem::HugePolicy> requested = mem::policy_from_params(rp);
+  const mem::HugePolicy policy =
+      requested ? *requested : mem::policy_from_environment();
   const int njobs = static_cast<int>(rp.get_int("jobs"));
+  std::printf("tenants request %s pages\n",
+              std::string(mem::to_string(policy)).c_str());
 
   svc::Service service(options);  // workers: --svc.lanes / FLASHHP_SVC_LANES
 
   std::vector<svc::JobId> ids;
   for (int j = 0; j < njobs; ++j) {
     svc::JobSpec spec;
-    spec.policy = *policy;
+    spec.policy = policy;
     if (j % 2 == 0) {
       spec.kind = svc::JobKind::kSedov;
       spec.deadline = svc::DeadlineClass::kInteractive;
@@ -87,4 +97,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.failed),
               service.workers(), service.quantum_steps());
   return stats.failed == 0 ? 0 : 1;
+} catch (const fhp::ConfigError& e) {
+  std::fprintf(stderr, "service_batch: %s\n", e.what());
+  return 2;
 }

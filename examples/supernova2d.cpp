@@ -13,13 +13,10 @@
 #include <fstream>
 #include <iostream>
 
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
 #include "sim/profiles.hpp"
-#include "sim/supernova.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
 
@@ -43,56 +40,44 @@ int main(int argc, char** argv) try {
   params.central_density = rp.get_real("rho_c");
   params.max_level = static_cast<int>(rp.get_int("max_level"));
   params.maxblocks = 1500;
-  params.table_cache = "helm_table.bin";
-  sim::SupernovaSetup setup(params, runtime.huge_policy(), runtime);
+  sim::DriverOptions opts;
+  opts.nsteps = static_cast<int>(rp.get_int("nsteps"));
+  opts.trace_sample = 0;
+  sim::Simulation simulation(params, runtime, opts);
+  const sim::SupernovaSetup& setup =
+      simulation.setup<sim::SupernovaSetup>();
+  mesh::AmrMesh& m = simulation.mesh();
 
   std::cout << "white dwarf: R = " << setup.wd().radius() / 1e5
             << " km, M = " << setup.wd().mass() / 1.98847e33 << " Msun\n";
-  const mem::MappedRegion& unk = setup.mesh().unk().region();
+  const mem::MappedRegion& unk = m.unk().region();
   std::cout << "unk: " << unk.describe() << " requested "
             << mem::to_string(unk.requested_policy()) << "\n";
   std::cout << "helm table: " << setup.table().region().describe() << "\n";
 
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos(), hopt);
-  hydro.set_composition_fn(setup.composition_fn());
-
-  perf::Timers timers;
-  sim::DriverOptions opts;
-  opts.nsteps = static_cast<int>(rp.get_int("nsteps"));
-  opts.trace_sample = 0;
-  opts.refine_vars = {mesh::var::kDens,
-                      mesh::var::kFirstScalar + sim::snvar::kPhi};
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  units.gravity = &setup.gravity();
-  sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
-
-  const double mass0 = setup.mesh().integrate(mesh::var::kDens);
+  const double mass0 = m.integrate(mesh::var::kDens);
+  sim::Driver& driver = simulation.driver();
   driver.evolve();
-  const double mass1 = setup.mesh().integrate(mesh::var::kDens);
+  const double mass1 = m.integrate(mesh::var::kDens);
 
   const int vphi = mesh::var::kFirstScalar + sim::snvar::kPhi;
-  const double burned_mass =
-      setup.mesh().integrate_product(mesh::var::kDens, vphi);
+  const double burned_mass = m.integrate_product(mesh::var::kDens, vphi);
   std::cout << "\nt = " << driver.sim_time() << " s after " << driver.steps()
             << " steps\n";
   std::cout << "burned mass: " << burned_mass / 1.98847e33 << " Msun\n";
   std::cout << "nuclear energy released: "
-            << setup.flame().energy_released() << " erg\n";
+            << simulation.flame()->energy_released() << " erg\n";
   std::cout << "mass conservation drift: " << (mass1 - mass0) / mass0
             << "\n";
 
   sim::RadialProfile profile(
-      setup.mesh(), {0.0, 0.0, 0.0}, 200,
+      m, {0.0, 0.0, 0.0}, 200,
       {mesh::var::kDens, mesh::var::kTemp, mesh::var::kPres, vphi});
   const std::string outfile = rp.get_string("outfile");
   std::ofstream out(outfile);
   profile.write_csv(out);
   std::cout << "profile written to " << outfile << "\n";
-  timers.summary(std::cout);
+  simulation.timers().summary(std::cout);
   return 0;
 } catch (const fhp::ConfigError& e) {
   std::cerr << "supernova2d: " << e.what() << "\n";

@@ -1,8 +1,13 @@
 #include "eos/eos_table.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "eos/stellar_terms.hpp"
@@ -119,16 +124,23 @@ HelmTable HelmTable::build(const HelmTableSpec& spec, mem::HugePolicy policy,
 }
 
 void HelmTable::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw SystemError("cannot open '" + path + "' for writing", errno);
-  }
+  // Unique per process and call: concurrent savers never share the file.
+  static std::atomic<unsigned> serial{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   out.write(kMagic, sizeof kMagic);
   out.write(reinterpret_cast<const char*>(&spec_), sizeof spec_);
   out.write(reinterpret_cast<const char*>(storage_.data()),
             static_cast<std::streamsize>(storage_.size() * sizeof(double)));
-  if (!out) {
-    throw SystemError("write to '" + path + "' failed", errno);
+  out.close();
+  std::error_code ec;
+  if (out) std::filesystem::rename(tmp, path, ec);
+  if (!out || ec) {
+    const int error = ec ? ec.value() : errno;
+    std::filesystem::remove(tmp, ec);
+    throw SystemError("cannot write '" + path + "' (via '" + tmp + "')",
+                      error);
   }
 }
 
@@ -175,6 +187,22 @@ HelmTable HelmTable::build_or_load(const HelmTableSpec& spec,
     }
   }
   return table;
+}
+
+HelmTable HelmTable::build_or_load(const HelmTableSpec& spec,
+                                   mem::HugePolicy policy,
+                                   mem::PagePool& pool) {
+  return build_or_load(spec, policy, pool, cache_path(spec));
+}
+
+std::string HelmTable::cache_path(const HelmTableSpec& spec) {
+  // %.17g round-trips every double, so two grids never share a name.
+  char name[192];
+  std::snprintf(name, sizeof name,
+                "helm_table_rho%.17g_%.17g_%d_T%.17g_%.17g_%d.bin",
+                spec.log_rho_min, spec.log_rho_max, spec.nrho,
+                spec.log_temp_min, spec.log_temp_max, spec.ntemp);
+  return std::string(FHP_HELM_CACHE_DIR) + "/" + name;
 }
 
 HelmTable::Cell HelmTable::locate(double rho_ye, double temp) const {

@@ -15,7 +15,8 @@
 /// interpolate() touches into the machine model.
 ///
 /// Building the table evaluates the direct HelmholtzEos at every node
-/// (tens of seconds); build_or_load() caches the result in a binary file.
+/// (tens of seconds); build_or_load() caches the result in a binary file,
+/// by default one per grid in the build tree (cache_path()).
 
 #pragma once
 
@@ -71,13 +72,27 @@ class HelmTable {
                                  mem::HugePolicy policy, mem::PagePool& pool,
                                  const std::string& path);
 
+  /// build_or_load() through the spec's own cache file, cache_path(spec).
+  static HelmTable build_or_load(const HelmTableSpec& spec,
+                                 mem::HugePolicy policy, mem::PagePool& pool);
+
+  /// The cache file of \p spec: named after the grid, in the directory
+  /// fixed when the library was configured (its build tree). Every
+  /// program that asks for one grid shares one file, whatever its working
+  /// directory.
+  [[nodiscard]] static std::string cache_path(const HelmTableSpec& spec);
+
   /// Load only; nullopt if the file is missing or spec/version mismatch.
   static std::optional<HelmTable> load(const HelmTableSpec& spec,
                                        mem::HugePolicy policy,
                                        mem::PagePool& pool,
                                        const std::string& path);
 
-  /// Persist to a binary cache file. Throws fhp::SystemError on IO error.
+  /// Persist to a binary cache file. The bytes go to a temporary file in
+  /// the same directory, which is then renamed over \p path: a concurrent
+  /// load() sees the old file or the new one, never a torn mix, and a
+  /// reader that already has the file open keeps reading the old one.
+  /// Throws fhp::SystemError on IO error (the temporary file is removed).
   void save(const std::string& path) const;
 
   /// Bicubic-Hermite interpolation at (rho_ye, temp). Out-of-range inputs

@@ -19,8 +19,7 @@ using mesh::var::kVely;
 using mesh::var::kVelz;
 
 CellularSetup::CellularSetup(const CellularParams& params,
-                             mem::HugePolicy policy, rt::Runtime& runtime,
-                             std::optional<mesh::LayoutKind> layout)
+                             mem::HugePolicy policy, rt::Runtime& runtime)
     : params_(params),
       eos_(params.gamma),
       flame_speeds_(6.0, 10.0, 81, 0.2, 0.8, 25, 0.0) {
@@ -46,9 +45,9 @@ CellularSetup::CellularSetup(const CellularParams& params,
   config.bc[0][1] = mesh::Bc::kOutflow;
   config.bc[1][0] = mesh::Bc::kPeriodic;
   config.bc[1][1] = mesh::Bc::kPeriodic;
-  mesh_ = std::make_unique<mesh::AmrMesh>(
-      config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), runtime.arena());
+  mesh_ = std::make_unique<mesh::AmrMesh>(config, policy, runtime.layout(),
+                                          runtime.page_pool(),
+                                          runtime.arena());
 
   flame::AdrOptions fopt;
   fopt.phi_scalar = cvar::kPhi;

@@ -13,14 +13,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "eos/gamma_eos.hpp"
 #include "flame/adr.hpp"
 #include "flame/flame_speed.hpp"
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "mesh/layout.hpp"
 #include "rt/runtime.hpp"
 
 namespace fhp::sim {
@@ -59,13 +57,10 @@ class CellularSetup {
  public:
   /// \param runtime the execution context the problem lives in: mesh
   ///        storage comes from `runtime.page_pool()`, block loops run on
-  ///        `runtime.arena()`, and the mesh layout defaults to
+  ///        `runtime.arena()`, and the mesh is laid out as
   ///        `runtime.layout()`. The runtime must outlive the setup.
-  /// \param layout overrides the runtime's layout (layout-ablation
-  ///        benches sweep this without building a runtime per point).
   CellularSetup(const CellularParams& params, mem::HugePolicy policy,
-                rt::Runtime& runtime,
-                std::optional<mesh::LayoutKind> layout = std::nullopt);
+                rt::Runtime& runtime);
 
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] const eos::GammaEos& eos() const noexcept { return eos_; }

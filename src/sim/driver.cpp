@@ -33,7 +33,7 @@ Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
       runtime_(required_runtime(units_)),
       step_graph_(mesh_, hydro_, units_.flame) {
   if (options_.refine_vars.empty()) {
-    options_.refine_vars = {mesh::var::kDens, mesh::var::kPres};
+    throw ConfigError("sim::Driver: DriverOptions::refine_vars is empty");
   }
   step_graph_.rebuild();
 }

@@ -48,7 +48,7 @@ struct DriverOptions {
   int remesh_interval = 4;        ///< steps between Grid_updateRefinement
   double refine_cut = 0.8;        ///< Löhner refine threshold
   double derefine_cut = 0.2;      ///< Löhner derefine threshold
-  std::vector<int> refine_vars;   ///< variables driving refinement
+  std::vector<int> refine_vars;   ///< variables driving refinement (required)
   int trace_sample = 4;           ///< replay every Nth leaf block (0 = off)
   bool verbose = true;            ///< log step lines
 };
@@ -60,16 +60,11 @@ struct DriverOptions {
 using EosTraceFn = std::function<void(tlb::Tracer&, int block)>;
 
 /// The optional units wired into a Driver, passed at construction so a
-/// driver is fully wired the moment it exists (this replaced the old
-/// post-construction `set_flame`/`set_gravity`/`set_machine`/
-/// `set_eos_trace` mutators, which allowed half-wired drivers to run).
-/// All pointers are non-owning; every one but `runtime` may be null.
-///
-/// `runtime` is the context this driver executes in and is required
-/// (the Driver constructor throws ConfigError without it). The mesh must
-/// have been built from the same runtime's `page_pool()` and `arena()` —
-/// the setup classes do both. A wired `machine` should sink into the
-/// runtime's `perf()`, where the driver's regions commit.
+/// driver is fully wired the moment it exists. All pointers are
+/// non-owning; every one but `runtime`, the context the driver executes
+/// in, may be null (the constructor throws ConfigError without it).
+/// sim::Simulation fills these the way each problem runs: the mesh from
+/// the runtime's pool and arena, a machine sinking into its `perf()`.
 struct DriverUnits {
   flame::AdrFlame* flame = nullptr;          ///< operator-split burning
   gravity::MonopoleGravity* gravity = nullptr;  ///< monopole gravity
@@ -81,8 +76,8 @@ struct DriverUnits {
   // the obs layer.
 };
 
-/// The driver. Non-owning references; the setup wires everything through
-/// DriverUnits at construction.
+/// The driver. Non-owning references, wired through DriverUnits at
+/// construction; sim::Simulation is the one place that wires a problem.
 class Driver {
  public:
   Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
@@ -101,6 +96,9 @@ class Driver {
   /// same physics and published counters as each driver running solo.
   bool step_once();
 
+  [[nodiscard]] const DriverOptions& options() const noexcept {
+    return options_;
+  }
   [[nodiscard]] double sim_time() const noexcept { return time_; }
   [[nodiscard]] int steps() const noexcept { return step_; }
   [[nodiscard]] double last_dt() const noexcept { return dt_; }

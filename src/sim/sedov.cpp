@@ -1,6 +1,7 @@
 #include "sim/sedov.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "sim/sedov_exact.hpp"
 
@@ -22,8 +23,7 @@ using mesh::var::kVely;
 using mesh::var::kVelz;
 
 SedovSetup::SedovSetup(const SedovParams& params, mem::HugePolicy policy,
-                       rt::Runtime& runtime,
-                       std::optional<mesh::LayoutKind> layout)
+                       rt::Runtime& runtime)
     : params_(params), eos_(params.gamma) {
   mesh::MeshConfig config;
   config.ndim = params.ndim;
@@ -39,9 +39,9 @@ SedovSetup::SedovSetup(const SedovParams& params, mem::HugePolicy policy,
   config.nroot = {1, 1, 1};
   config.geometry = mesh::Geometry::kCartesian;
   // FLASH's sedov.par uses outflow on every face.
-  mesh_ = std::make_unique<mesh::AmrMesh>(
-      config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), runtime.arena());
+  mesh_ = std::make_unique<mesh::AmrMesh>(config, policy, runtime.layout(),
+                                          runtime.page_pool(),
+                                          runtime.arena());
   initialize();
 }
 
@@ -99,6 +99,13 @@ void SedovSetup::initialize() {
   FHP_LOG(kInfo) << "Sedov initialized: " << m.tree().leaves_morton().size()
                  << " leaf blocks, finest level " << m.tree().finest_level()
                  << ", spike radius " << r0;
+}
+
+void SedovSetup::trace_eos_block(tlb::Tracer& tracer, int b) const {
+  const mesh::MeshConfig& c = mesh_->config();
+  mesh_->unk().trace_sweep(tracer, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
+                           c.klo(), c.khi(), 8, 6);
+  tracer.compute(static_cast<std::uint64_t>(c.nxb * c.nyb * c.nzb) * 40, 0);
 }
 
 double SedovSetup::shock_radius(double energy, double rho, double time,

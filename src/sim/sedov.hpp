@@ -11,13 +11,12 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 
 #include "eos/gamma_eos.hpp"
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "mesh/layout.hpp"
 #include "rt/runtime.hpp"
+#include "tlb/trace.hpp"
 
 namespace fhp::sim {
 
@@ -41,17 +40,19 @@ class SedovSetup {
  public:
   /// \param runtime the execution context the problem lives in: mesh
   ///        storage comes from `runtime.page_pool()`, block loops run on
-  ///        `runtime.arena()`, and the mesh layout defaults to
+  ///        `runtime.arena()`, and the mesh is laid out as
   ///        `runtime.layout()`. The runtime must outlive the setup.
-  /// \param layout overrides the runtime's layout (layout-ablation
-  ///        benches sweep this without building a runtime per point).
   SedovSetup(const SedovParams& params, mem::HugePolicy policy,
-             rt::Runtime& runtime,
-             std::optional<mesh::LayoutKind> layout = std::nullopt);
+             rt::Runtime& runtime);
 
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] const eos::GammaEos& eos() const noexcept { return eos_; }
   [[nodiscard]] const SedovParams& params() const noexcept { return params_; }
+
+  /// Per-block EOS trace hook for the Driver: one gamma-law Eos_wrapped
+  /// pass over block \p b reads 8 variables and writes 6 per zone, plus
+  /// 40 operations of arithmetic per zone.
+  void trace_eos_block(tlb::Tracer& tracer, int b) const;
 
   /// Analytic shock radius at time t (self-similar solution):
   /// R = (E t^2 / (alpha rho))^(1/5) with the standard alpha(gamma).

@@ -34,13 +34,15 @@ void mixture_composition(double xc, double xo, double xne, double xash,
 }
 
 SupernovaSetup::SupernovaSetup(const SupernovaParams& params,
-                               mem::HugePolicy policy, rt::Runtime& runtime,
-                               std::optional<mesh::LayoutKind> layout)
+                               mem::HugePolicy policy, rt::Runtime& runtime)
     : params_(params),
       flame_speeds_(6.0, 10.0, 81, 0.2, 0.8, 25, params.x_ne22) {
   // --- EOS table (lives on the policy under test, like unk) -------------
   table_ = std::make_shared<eos::HelmTable>(eos::HelmTable::build_or_load(
-      params_.table_spec, policy, runtime.page_pool(), params_.table_cache));
+      params_.table_spec, policy, runtime.page_pool(),
+      params_.table_cache.empty()
+          ? eos::HelmTable::cache_path(params_.table_spec)
+          : params_.table_cache));
   table_->refresh_page_shift();
   eos_ = std::make_unique<eos::HelmTableEos>(table_);
 
@@ -72,9 +74,9 @@ SupernovaSetup::SupernovaSetup(const SupernovaParams& params,
   config.bc[0][1] = mesh::Bc::kOutflow;
   config.bc[1][0] = mesh::Bc::kOutflow;
   config.bc[1][1] = mesh::Bc::kOutflow;
-  mesh_ = std::make_unique<mesh::AmrMesh>(
-      config, policy, layout.has_value() ? *layout : runtime.layout(),
-      runtime.page_pool(), runtime.arena());
+  mesh_ = std::make_unique<mesh::AmrMesh>(config, policy, runtime.layout(),
+                                          runtime.page_pool(),
+                                          runtime.arena());
 
   // --- physics units -------------------------------------------------------
   flame::AdrOptions fopt;

@@ -11,7 +11,7 @@
 #pragma once
 
 #include <memory>
-#include <optional>
+#include <string>
 
 #include "eos/eos_table.hpp"
 #include "flame/adr.hpp"
@@ -21,7 +21,6 @@
 #include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "mesh/layout.hpp"
 #include "rt/runtime.hpp"
 
 namespace fhp::sim {
@@ -42,8 +41,9 @@ struct SupernovaParams {
   int nxb = 16, nyb = 16;
   int maxblocks = 1200;
   int nguard = 4;
-  /// Helm table cache path ("" disables caching).
-  std::string table_cache = "helm_table.bin";
+  /// Helm table cache file; empty = eos::HelmTable::cache_path(table_spec),
+  /// the build tree's file for this grid.
+  std::string table_cache;
   /// Table grid; tests shrink it for speed (defaults are FLASH-sized).
   eos::HelmTableSpec table_spec{};
 };
@@ -63,13 +63,10 @@ class SupernovaSetup {
  public:
   /// \param runtime the execution context the problem lives in: mesh and
   ///        Helm-table storage come from `runtime.page_pool()`, block
-  ///        loops run on `runtime.arena()`, and the mesh layout defaults
-  ///        to `runtime.layout()`. The runtime must outlive the setup.
-  /// \param layout overrides the runtime's layout (layout-ablation
-  ///        benches sweep this without building a runtime per point).
+  ///        loops run on `runtime.arena()`, and the mesh is laid out as
+  ///        `runtime.layout()`. The runtime must outlive the setup.
   SupernovaSetup(const SupernovaParams& params, mem::HugePolicy policy,
-                 rt::Runtime& runtime,
-                 std::optional<mesh::LayoutKind> layout = std::nullopt);
+                 rt::Runtime& runtime);
 
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] const eos::HelmTableEos& eos() const noexcept { return *eos_; }

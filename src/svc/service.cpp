@@ -10,22 +10,19 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "flame/adr.hpp"
-#include "hydro/hydro.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/timeline.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/runtime_params.hpp"
-#include "tlb/machine.hpp"
 
 namespace fhp::svc {
 
@@ -51,32 +48,25 @@ PoolSummary counter_delta(const mem::PoolCounters& before,
 
 /// Everything one admitted job owns while it runs: its Runtime (private
 /// perf context, arena, layout snapshot; block storage carved from the
-/// service's shared pool), its setup, solver and driver. Declaration
-/// order is the destruction contract: the runtime outlives the setup,
-/// mesh and driver built on it, and the telemetry (installed on the
-/// runtime) uninstalls before the runtime dies.
+/// service's shared pool) and the Simulation built on it. Declaration
+/// order is the destruction contract: the runtime outlives the
+/// simulation built on it, and the telemetry (installed on the runtime)
+/// uninstalls before the runtime dies.
 struct Tenant {
   std::unique_ptr<rt::Runtime> runtime;
   std::unique_ptr<obs::Telemetry> telemetry;
-  std::unique_ptr<sim::SedovSetup> sedov;
-  std::unique_ptr<sim::CellularSetup> cellular;
-  std::unique_ptr<sim::SupernovaSetup> supernova;
-  std::unique_ptr<hydro::HydroSolver> hydro;
-  std::unique_ptr<tlb::Machine> machine;
-  perf::Timers timers;
-  std::unique_ptr<sim::Driver> driver;
-
-  [[nodiscard]] mesh::AmrMesh& mesh() {
-    if (sedov) return sedov->mesh();
-    if (cellular) return cellular->mesh();
-    return supernova->mesh();
-  }
-  [[nodiscard]] flame::AdrFlame* flame() {
-    if (cellular) return &cellular->flame();
-    if (supernova) return &supernova->flame();
-    return nullptr;
-  }
+  std::optional<sim::Simulation> simulation;
 };
+
+/// The problem a job instantiates: the params struct matching its kind.
+sim::ProblemParams problem_of(const JobSpec& spec) {
+  switch (spec.kind) {
+    case JobKind::kSedov: return spec.sedov;
+    case JobKind::kCellular: return spec.cellular;
+    case JobKind::kSupernova: return spec.supernova;
+  }
+  throw ConfigError("svc: unknown job kind");
+}
 
 /// One admitted job's record. The atomics are the streaming face:
 /// progress() reads them (and the tenant runtime's published counter
@@ -233,9 +223,9 @@ struct Service::Impl {
   int active_tenants = 0;
   ServiceStats stats;
 
-  /// Serializes tenant construction: the shared pool hands out arenas
-  /// one at a time anyway (setup-time work), and the Helm-table disk
-  /// cache is not concurrent-build safe.
+  /// Serializes tenant construction, so the pool counter deltas around
+  /// one setup are that tenant's alone (the shared pool hands out arenas
+  /// one at a time anyway).
   std::mutex setup_mutex;
 
   std::mutex join_mutex;
@@ -277,8 +267,10 @@ struct Service::Impl {
       Tenant& t = *job->tenant;
       r.counters = t.runtime->perf().published();
       if (status == JobStatus::kDone && job->spec.capture_state) {
-        r.final_state = canonical_state(t.mesh(), t.driver->sim_time());
-        if (flame::AdrFlame* f = t.flame()) {
+        sim::Simulation& simulation = *t.simulation;
+        r.final_state = canonical_state(simulation.mesh(),
+                                        simulation.driver().sim_time());
+        if (const flame::AdrFlame* f = simulation.flame()) {
           r.final_state.push_back(f->energy_released());
         }
       }
@@ -341,57 +333,7 @@ struct Service::Impl {
     dopts.nsteps = spec.nsteps;
     dopts.trace_sample = spec.trace_sample;
     dopts.verbose = false;
-
-    sim::DriverUnits units;
-    units.runtime = &runtime;
-    if (spec.trace_sample > 0) {
-      tenant->machine =
-          std::make_unique<tlb::Machine>(tlb::MachineParams{},
-                                         &runtime.perf());
-      units.machine = tenant->machine.get();
-    }
-
-    switch (spec.kind) {
-      case JobKind::kSedov: {
-        tenant->sedov = std::make_unique<sim::SedovSetup>(
-            spec.sedov, runtime.huge_policy(), runtime);
-        tenant->hydro = std::make_unique<hydro::HydroSolver>(
-            tenant->sedov->mesh(), tenant->sedov->eos());
-        break;
-      }
-      case JobKind::kCellular: {
-        tenant->cellular = std::make_unique<sim::CellularSetup>(
-            spec.cellular, runtime.huge_policy(), runtime);
-        tenant->hydro = std::make_unique<hydro::HydroSolver>(
-            tenant->cellular->mesh(), tenant->cellular->eos());
-        units.flame = &tenant->cellular->flame();
-        dopts.refine_vars = {mesh::var::kDens,
-                             mesh::var::kFirstScalar + sim::cvar::kPhi};
-        break;
-      }
-      case JobKind::kSupernova: {
-        tenant->supernova = std::make_unique<sim::SupernovaSetup>(
-            spec.supernova, runtime.huge_policy(), runtime);
-        hydro::HydroOptions hopts;
-        hopts.cfl = 0.6;
-        tenant->hydro = std::make_unique<hydro::HydroSolver>(
-            tenant->supernova->mesh(), tenant->supernova->eos(), hopts);
-        tenant->hydro->set_composition_fn(
-            tenant->supernova->composition_fn());
-        units.flame = &tenant->supernova->flame();
-        units.gravity = &tenant->supernova->gravity();
-        units.eos_trace = [setup = tenant->supernova.get()](tlb::Tracer& t,
-                                                           int b) {
-          setup->trace_eos_block(t, b);
-        };
-        dopts.refine_vars = {mesh::var::kDens,
-                             mesh::var::kFirstScalar + sim::snvar::kPhi};
-        break;
-      }
-    }
-
-    tenant->driver = std::make_unique<sim::Driver>(
-        tenant->mesh(), *tenant->hydro, tenant->timers, dopts, units);
+    tenant->simulation.emplace(problem_of(spec), runtime, dopts);
     return tenant;
   }
 
@@ -439,7 +381,7 @@ struct Service::Impl {
       }
     }
 
-    sim::Driver& driver = *job->tenant->driver;
+    sim::Driver& driver = job->tenant->simulation->driver();
     lock.unlock();
     bool finished = false;
     std::string error;

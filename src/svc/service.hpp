@@ -21,14 +21,16 @@
 ///   - a shared huge-page pool: every tenant's Runtime carves block
 ///     and table storage from one mem::PagePool, under the runtime's
 ///     huge_policy() (the job's JobSpec::policy). Tenant setups are
-///     serialized under one mutex (PagePool serializes allocations
-///     anyway, and the Helm-table disk cache is not concurrent-build
-///     safe), and the pool counter deltas across each setup become the
-///     tenant's PoolSummary — per-tenant accounting over a shared
-///     inventory. Exhaustion degrades (hugetlbfs -> THP -> base), it
+///     serialized under one mutex so that the pool counter deltas
+///     across each setup are that tenant's alone: they become its
+///     PoolSummary — per-tenant accounting over a shared inventory.
+///     (PagePool serializes allocations anyway, and the Helm-table disk
+///     cache is safe to share: HelmTable::save renames a finished file
+///     into place.) Exhaustion degrades (hugetlbfs -> THP -> base), it
 ///     never fails a job;
-///   - per-tenant counters: each tenant's Driver and machine model count
-///     into its runtime's perf(), which progress() and JobResult read;
+///   - per-tenant counters: each tenant is one sim::Simulation, whose
+///     Driver and machine model count into its runtime's perf(), which
+///     progress() and JobResult read;
 ///   - result streaming: progress() reads the tenant's last published
 ///     counter snapshot from any thread mid-flight; completed jobs
 ///     resolve to a JobResult via wait(); per-tenant span timelines

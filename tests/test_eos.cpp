@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "eos/eos_table.hpp"
 #include "eos/fermi_dirac.hpp"
@@ -309,7 +313,7 @@ const HelmTable& test_table() {
   static mem::PagePool pool;  // constructed first, so it outlives the table
   static HelmTable table = HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      pool, "helm_table_test.bin");
+      pool);
   return table;
 }
 
@@ -381,6 +385,68 @@ TEST(HelmTableTest, SaveLoadRoundTrip) {
           .has_value());
 }
 
+/// The whole content of the file at \p path.
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// save() replaces the file instead of rewriting it in place: a reader
+/// that opened the old file reads it to the end, untorn, and the path
+/// then holds the new table.
+TEST(HelmTableTest, SaveLeavesAnOpenReaderTheOldFile) {
+  rt::Runtime runtime;
+  const HelmTableSpec spec_a{-2.0, 8.0, 21, 6.0, 9.0, 11};
+  const HelmTableSpec spec_b{-2.0, 8.0, 25, 6.0, 9.0, 13};
+  const std::string path = "helm_save_replace.bin";
+  HelmTable::build(spec_a, mem::HugePolicy::kNone, runtime.page_pool())
+      .save(path);
+  const std::string a_bytes = file_bytes(path);
+  ASSERT_FALSE(a_bytes.empty());
+
+  std::ifstream reader(path, std::ios::binary);
+  ASSERT_TRUE(reader);
+  HelmTable::build(spec_b, mem::HugePolicy::kNone, runtime.page_pool())
+      .save(path);
+  const std::string read{std::istreambuf_iterator<char>(reader),
+                         std::istreambuf_iterator<char>()};
+  EXPECT_EQ(read, a_bytes);
+  EXPECT_TRUE(HelmTable::load(spec_b, mem::HugePolicy::kNone,
+                              runtime.page_pool(), path)
+                  .has_value());
+}
+
+/// A save that cannot complete throws and leaves no temporary file.
+TEST(HelmTableTest, FailedSaveLeavesNoTemporaryFile) {
+  rt::Runtime runtime;
+  const std::filesystem::path dir = "helm_save_failure";
+  std::filesystem::remove_all(dir);
+  // The target is a directory, so the final rename fails.
+  std::filesystem::create_directories(dir / "cache.bin");
+  EXPECT_THROW(HelmTable::build(HelmTableSpec{-2.0, 8.0, 21, 6.0, 9.0, 11},
+                                mem::HugePolicy::kNone, runtime.page_pool())
+                   .save((dir / "cache.bin").string()),
+               SystemError);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
+  std::filesystem::remove_all(dir);
+}
+
+/// One cache file per grid, at an absolute path in an existing directory
+/// (the build tree), so the working directory does not choose it.
+TEST(HelmTableTest, CachePathIsPerSpecAndAbsolute) {
+  const HelmTableSpec a{-4.0, 10.0, 141, 5.0, 10.0, 51};
+  HelmTableSpec b = a;
+  b.log_temp_max = 10.5;
+  const std::filesystem::path path_a = HelmTable::cache_path(a);
+  EXPECT_TRUE(path_a.is_absolute()) << path_a;
+  EXPECT_TRUE(std::filesystem::is_directory(path_a.parent_path())) << path_a;
+  EXPECT_EQ(HelmTable::cache_path(a), path_a.string());
+  EXPECT_NE(HelmTable::cache_path(b), path_a.string());
+  EXPECT_NE(HelmTable::cache_path(HelmTableSpec{}), path_a.string());
+}
+
 TEST(HelmTableTest, TraceTouchesTableBytes) {
   const HelmTable& table = test_table();
   tlb::Machine machine;
@@ -395,7 +461,7 @@ TEST(HelmTableEosTest, MatchesDirectEosThroughAssembly) {
   rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+      runtime.page_pool()));
   const HelmTableEos tabulated(table);
   const HelmholtzEos direct;
 
@@ -416,7 +482,7 @@ TEST(HelmTableEosTest, InversionRoundTripThroughTable) {
   rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+      runtime.page_pool()));
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;
@@ -434,7 +500,7 @@ TEST(HelmTableEosTest, TemperatureFloorClampsInsteadOfThrowing) {
   rt::Runtime runtime;
   auto table = std::make_shared<HelmTable>(HelmTable::build_or_load(
       HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51}, mem::HugePolicy::kNone,
-      runtime.page_pool(), "helm_table_test.bin"));
+      runtime.page_pool()));
   const HelmTableEos eos(table);
   State s;
   s.abar = 13.714;

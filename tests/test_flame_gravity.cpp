@@ -341,7 +341,7 @@ const eos::HelmTableEos& wd_eos() {
   static auto table = std::make_shared<eos::HelmTable>(
       eos::HelmTable::build_or_load(
           eos::HelmTableSpec{-4.0, 10.0, 141, 5.0, 10.0, 51},
-          mem::HugePolicy::kNone, pool, "helm_table_test.bin"));
+          mem::HugePolicy::kNone, pool));
   static eos::HelmTableEos eos(table);
   return eos;
 }

@@ -19,21 +19,18 @@
 #include <string>
 #include <vector>
 
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/config.hpp"
 #include "mesh/layout.hpp"
 #include "mesh/unk.hpp"
 #include "par/parallel.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/driver.hpp"
-#include "sim/sedov.hpp"
-#include "sim/supernova.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
+#include "svc/service.hpp"
 #include "tlb/machine.hpp"
 #include "tlb/trace.hpp"
 
@@ -334,26 +331,6 @@ TEST(LayoutTrace, ZoneMajorSingleVarSweepCutsModeled4kMisses) {
 
 // ------------------------------------------- cross-layout physics
 
-/// Canonical end state of a run: every leaf interior zone vector in
-/// Morton order, plus the final time — bit-comparable across layouts.
-std::vector<double> canonical_state(const mesh::AmrMesh& m, double time) {
-  const MeshConfig& c = m.config();
-  std::vector<double> out;
-  std::vector<double> zone(static_cast<std::size_t>(c.nvar()));
-  for (int b : m.tree().leaves_morton()) {
-    for (int k = c.klo(); k < c.khi(); ++k) {
-      for (int j = c.jlo(); j < c.jhi(); ++j) {
-        for (int i = c.ilo(); i < c.ihi(); ++i) {
-          m.unk().gather_zone(0, c.nvar(), i, j, k, b, zone.data());
-          out.insert(out.end(), zone.begin(), zone.end());
-        }
-      }
-    }
-  }
-  out.push_back(time);
-  return out;
-}
-
 void expect_bit_identical(const std::vector<double>& a,
                           const std::vector<double>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -361,24 +338,28 @@ void expect_bit_identical(const std::vector<double>& a,
       << what;
 }
 
+/// Canonical end state of a run (svc::canonical_state) on a runtime of
+/// \p layout and \p threads lanes: bit-comparable across layouts.
+std::vector<double> run(const sim::ProblemParams& problem, int nsteps,
+                        LayoutKind layout, int threads) {
+  rt::Runtime runtime({.lanes = threads, .layout = layout});
+  sim::DriverOptions opts;
+  opts.nsteps = nsteps;
+  opts.trace_sample = 0;
+  opts.verbose = false;
+  sim::Simulation simulation(problem, runtime, opts);
+  simulation.driver().evolve();
+  return svc::canonical_state(simulation.mesh(),
+                              simulation.driver().sim_time());
+}
+
 std::vector<double> run_sedov(LayoutKind layout, int threads) {
-  rt::Runtime runtime({.lanes = threads});
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime, layout);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroSolver hydro(m, setup.eos());
-  perf::Timers timers;
-  sim::DriverOptions opts;
-  opts.nsteps = 12;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  sim::Driver driver(m, hydro, timers, opts, {.runtime = &runtime});
-  driver.evolve();
-  return canonical_state(m, driver.sim_time());
+  return run(params, 12, layout, threads);
 }
 
 TEST(LayoutPhysics, SedovEndStateBitIdenticalAcrossLayoutsAndThreads) {
@@ -398,32 +379,11 @@ TEST(LayoutPhysics, SedovEndStateBitIdenticalAcrossLayoutsAndThreads) {
 }
 
 std::vector<double> run_supernova(LayoutKind layout, int threads) {
-  rt::Runtime runtime({.lanes = threads});
   sim::SupernovaParams p;
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  p.table_cache = "helm_table_layout.bin";
-  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime, layout);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  hydro::HydroSolver hydro(m, setup.eos(), hopt);
-  hydro.set_composition_fn(setup.composition_fn());
-  perf::Timers timers;
-  sim::DriverOptions opts;
-  opts.nsteps = 4;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  opts.refine_vars = {mesh::var::kDens,
-                      mesh::var::kFirstScalar + sim::snvar::kPhi};
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  units.gravity = &setup.gravity();
-  sim::Driver driver(m, hydro, timers, opts, units);
-  driver.evolve();
-  return canonical_state(m, driver.sim_time());
+  return run(p, 4, layout, threads);
 }
 
 TEST(LayoutPhysics, SupernovaEndStateBitIdenticalAcrossLayoutsAndThreads) {

@@ -21,17 +21,12 @@
 #include <utility>
 #include <vector>
 
-#include "hydro/hydro.hpp"
 #include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
-#include "sim/sedov.hpp"
-#include "sim/supernova.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
-#include "tlb/machine.hpp"
 
 namespace fhp::par {
 namespace {
@@ -212,32 +207,20 @@ struct SedovRun {
 /// machine model fed so counter totals are part of the contract.
 SedovRun run_sedov(int nthreads) {
   rt::Runtime runtime({.lanes = nthreads});
-  tlb::Machine machine({}, &runtime.perf());
   sim::SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  sim::SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
-  perf::Timers timers;
   sim::DriverOptions opts;
   opts.nsteps = 12;
   opts.trace_sample = 2;
   opts.verbose = false;
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  units.machine = &machine;
-  units.eos_trace = [&setup](tlb::Tracer& t, int b) {
-    const mesh::MeshConfig& c = setup.mesh().config();
-    setup.mesh().unk().trace_sweep(t, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
-                                   c.klo(), c.khi(), 8, 6);
-  };
-  sim::Driver driver(setup.mesh(), hydro, timers, opts, units);
-  driver.evolve();
+  sim::Simulation simulation(params, runtime, opts);
+  simulation.driver().evolve();
   SedovRun r;
-  r.state = unk_fingerprint(setup.mesh());
-  r.sim_time = driver.sim_time();
+  r.state = unk_fingerprint(simulation.mesh());
+  r.sim_time = simulation.driver().sim_time();
   r.counters = runtime.perf().snapshot();
   return r;
 }
@@ -267,28 +250,14 @@ std::pair<std::uint64_t, std::uint64_t> run_supernova(int nthreads) {
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  p.table_cache = "helm_table_test.bin";
-  sim::SupernovaSetup setup(p, mem::HugePolicy::kNone, runtime);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  hydro::HydroSolver hydro(m, setup.eos(), hopt);
-  hydro.set_composition_fn(setup.composition_fn());
-  perf::Timers timers;
   sim::DriverOptions opts;
   opts.nsteps = 6;
   opts.trace_sample = 0;
   opts.verbose = false;
-  opts.refine_vars = {mesh::var::kDens,
-                      mesh::var::kFirstScalar + sim::snvar::kPhi};
-  sim::DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  units.gravity = &setup.gravity();
-  sim::Driver driver(m, hydro, timers, opts, units);
-  driver.evolve();
-  return {unk_fingerprint(m),
-          std::bit_cast<std::uint64_t>(setup.flame().energy_released())};
+  sim::Simulation simulation(p, runtime, opts);
+  simulation.driver().evolve();
+  return {unk_fingerprint(simulation.mesh()),
+          std::bit_cast<std::uint64_t>(simulation.flame()->energy_released())};
 }
 
 TEST(ParTest, SupernovaIsBitIdenticalAcrossThreadCounts) {

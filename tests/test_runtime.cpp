@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "eos/eos_table.hpp"
-#include "hydro/hydro.hpp"
 #include "mem/huge_policy.hpp"
 #include "mem/page_pool.hpp"
 #include "mesh/amr_mesh.hpp"
@@ -41,16 +40,13 @@
 #include "obs/telemetry.hpp"
 #include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/driver.hpp"
-#include "sim/sedov.hpp"
-#include "sim/supernova.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 #include "support/log.hpp"
 #include "support/runtime_params.hpp"
 #include "support/trace.hpp"
-#include "tlb/machine.hpp"
+#include "svc/service.hpp"
 
 #include "scoped_env.hpp"
 
@@ -334,23 +330,6 @@ struct RunResult {
   perf::CounterSet counters;
 };
 
-void append_canonical_state(const mesh::AmrMesh& m, double time,
-                            std::vector<double>& out) {
-  const mesh::MeshConfig& c = m.config();
-  std::vector<double> zone(static_cast<std::size_t>(c.nvar()));
-  for (int b : m.tree().leaves_morton()) {
-    for (int k = c.klo(); k < c.khi(); ++k) {
-      for (int j = c.jlo(); j < c.jhi(); ++j) {
-        for (int i = c.ilo(); i < c.ihi(); ++i) {
-          m.unk().gather_zone(0, c.nvar(), i, j, k, b, zone.data());
-          out.insert(out.end(), zone.begin(), zone.end());
-        }
-      }
-    }
-  }
-  out.push_back(time);
-}
-
 void expect_identical(const RunResult& a, const RunResult& b,
                       const std::string& what) {
   ASSERT_EQ(a.state.size(), b.state.size()) << what;
@@ -363,16 +342,6 @@ void expect_identical(const RunResult& a, const RunResult& b,
     EXPECT_EQ(a.counters.values[e], b.counters.values[e])
         << what << ": counter " << e << " differs";
   }
-}
-
-rt::RuntimeOptions tenant_options(int lanes, LayoutKind layout,
-                                  const char* tag) {
-  rt::RuntimeOptions opts;
-  opts.lanes = lanes;
-  opts.layout = layout;
-  opts.policy = mem::HugePolicy::kNone;
-  opts.log_tag = tag;
-  return opts;
 }
 
 SedovParams sedov_params() {
@@ -389,87 +358,46 @@ SupernovaParams snova_params() {
   params.max_level = 3;
   params.maxblocks = 400;
   params.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  params.table_cache = "helm_table_runtime.bin";
   return params;
 }
 
-/// One Sedov tenant: its own Runtime (private pool, private perf,
-/// private arena, zone-major layout), setup, solver and driver.
-struct SedovTenant {
-  explicit SedovTenant(int lanes)
-      : runtime(tenant_options(lanes, LayoutKind::kZoneMajor, "sedov")),
-        setup(sedov_params(), mem::HugePolicy::kNone, runtime),
-        hydro(setup.mesh(), setup.eos()),
-        machine({}, &runtime.perf()) {
-    DriverOptions opts;
-    opts.nsteps = 12;
-    opts.trace_sample = 2;  // exercise the modeled counters too
-    opts.verbose = false;
-    DriverUnits units;
-    units.machine = &machine;
-    units.runtime = &runtime;
-    driver.emplace(setup.mesh(), hydro, timers, opts, units);
-  }
+/// One tenant: its own Runtime (private pool, private perf, private
+/// arena, its own layout and log tag) and a Simulation with modeled
+/// counters on.
+struct Tenant {
+  Tenant(const ProblemParams& problem, int nsteps, int lanes,
+         LayoutKind layout, const char* tag)
+      : runtime({.lanes = lanes,
+                 .layout = layout,
+                 .policy = mem::HugePolicy::kNone,
+                 .log_tag = tag}),
+        simulation(problem, runtime,
+                   DriverOptions{.nsteps = nsteps, .trace_sample = 2,
+                                 .verbose = false}) {}
   RunResult result() {
     RunResult r;
-    append_canonical_state(setup.mesh(), driver->sim_time(), r.state);
-    r.counters = runtime.perf().snapshot();
-    return r;
-  }
-  rt::Runtime runtime;
-  SedovSetup setup;
-  hydro::HydroSolver hydro;
-  perf::Timers timers;
-  tlb::Machine machine;
-  std::optional<Driver> driver;
-};
-
-hydro::HydroOptions snova_hydro_options() {
-  hydro::HydroOptions opts;
-  opts.cfl = 0.6;
-  return opts;
-}
-
-/// One supernova tenant on a different layout, with flame + gravity +
-/// the Helmholtz-table EOS trace hook wired in.
-struct SupernovaTenant {
-  explicit SupernovaTenant(int lanes)
-      : runtime(tenant_options(lanes, LayoutKind::kVarMajor, "snova")),
-        setup(snova_params(), mem::HugePolicy::kNone, runtime),
-        hydro(setup.mesh(), setup.eos(), snova_hydro_options()),
-        machine({}, &runtime.perf()) {
-    hydro.set_composition_fn(setup.composition_fn());
-    DriverOptions opts;
-    opts.nsteps = 4;
-    opts.trace_sample = 2;
-    opts.verbose = false;
-    opts.refine_vars = {mesh::var::kDens,
-                        mesh::var::kFirstScalar + snvar::kPhi};
-    DriverUnits units;
-    units.flame = &setup.flame();
-    units.gravity = &setup.gravity();
-    units.machine = &machine;
-    units.eos_trace = [this](tlb::Tracer& t, int b) {
-      setup.trace_eos_block(t, b);
-    };
-    units.runtime = &runtime;
-    driver.emplace(setup.mesh(), hydro, timers, opts, units);
-  }
-  RunResult result() {
-    RunResult r;
-    append_canonical_state(setup.mesh(), driver->sim_time(), r.state);
-    r.counters = runtime.perf().snapshot();
+    r.state = svc::canonical_state(simulation.mesh(),
+                                   simulation.driver().sim_time());
     // The flame's serial leaf-order energy reduction is part of the
     // bit-identity contract; fold it into the comparable state.
-    r.state.push_back(setup.flame().energy_released());
+    if (const flame::AdrFlame* flame = simulation.flame()) {
+      r.state.push_back(flame->energy_released());
+    }
+    r.counters = runtime.perf().snapshot();
     return r;
   }
   rt::Runtime runtime;
-  SupernovaSetup setup;
-  hydro::HydroSolver hydro;
-  perf::Timers timers;
-  tlb::Machine machine;
-  std::optional<Driver> driver;
+  Simulation simulation;
+};
+
+/// The Sedov tenant (zone-major) next to the supernova tenant (var-major,
+/// with flame + gravity + the Helmholtz-table EOS trace hook).
+struct TenantPair {
+  explicit TenantPair(int lanes)
+      : sedov(sedov_params(), 12, lanes, LayoutKind::kZoneMajor, "sedov"),
+        snova(snova_params(), 4, lanes, LayoutKind::kVarMajor, "snova") {}
+  Tenant sedov;
+  Tenant snova;
 };
 
 struct PairResult {
@@ -484,15 +412,16 @@ struct PairResult {
 /// on the calling thread.
 PairResult run_pair_interleaved(int lanes, bool step_sedov,
                                 bool step_snova) {
-  SedovTenant a(lanes);
-  SupernovaTenant b(lanes);
+  TenantPair t(lanes);
   bool more = true;
   while (more) {
-    const bool advanced_a = step_sedov && a.driver->step_once();
-    const bool advanced_b = step_snova && b.driver->step_once();
+    const bool advanced_a =
+        step_sedov && t.sedov.simulation.driver().step_once();
+    const bool advanced_b =
+        step_snova && t.snova.simulation.driver().step_once();
     more = advanced_a || advanced_b;
   }
-  return {a.result(), b.result()};
+  return {t.sedov.result(), t.snova.result()};
 }
 
 /// Same contract, but each driver evolves on its own thread, with both
@@ -502,27 +431,24 @@ PairResult run_pair_interleaved(int lanes, bool step_sedov,
 /// stacks, pools or tables happened to land.
 PairResult run_pair_concurrent(int lanes, bool step_sedov,
                                bool step_snova) {
-  SedovTenant a(lanes);
-  SupernovaTenant b(lanes);
+  TenantPair t(lanes);
   std::thread snova_thread([&] {
-    if (step_snova) b.driver->evolve();
+    if (step_snova) t.snova.simulation.driver().evolve();
   });
   std::thread sedov_thread([&] {
-    if (step_sedov) a.driver->evolve();
+    if (step_sedov) t.sedov.simulation.driver().evolve();
   });
   sedov_thread.join();
   snova_thread.join();
-  return {a.result(), b.result()};
+  return {t.sedov.result(), t.snova.result()};
 }
 
 void warm_process() {
   // Build (or load) the Helm table cache once, so every tenant below
   // loads the identical table file instead of each paying the build.
-  const SupernovaParams params = snova_params();
   mem::PagePool pool;
-  (void)eos::HelmTable::build_or_load(params.table_spec,
-                                      mem::HugePolicy::kNone, pool,
-                                      params.table_cache);
+  (void)eos::HelmTable::build_or_load(snova_params().table_spec,
+                                      mem::HugePolicy::kNone, pool);
 }
 
 TEST(RuntimePhysics, InterleavedTenantsBitIdenticalToSolo) {

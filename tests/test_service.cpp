@@ -104,18 +104,15 @@ JobSpec supernova_spec(int nsteps = 3) {
   spec.supernova.max_level = 3;
   spec.supernova.maxblocks = 400;
   spec.supernova.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  spec.supernova.table_cache = "helm_table_service.bin";
   return spec;
 }
 
 /// Build (or load) the Helm table cache once so no tenant pays the
 /// build (mirrors test_runtime's warm_process).
 void warm_process() {
-  const JobSpec spec = supernova_spec();
   mem::PagePool pool;
-  (void)eos::HelmTable::build_or_load(spec.supernova.table_spec,
-                                      mem::HugePolicy::kNone, pool,
-                                      spec.supernova.table_cache);
+  (void)eos::HelmTable::build_or_load(supernova_spec().supernova.table_spec,
+                                      mem::HugePolicy::kNone, pool);
 }
 
 void expect_counters_identical(const perf::PublishedCounters& a,

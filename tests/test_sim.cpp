@@ -1,21 +1,25 @@
 /// \file test_sim.cpp
-/// \brief Integration tests: setups, driver, profiles, and the paper's
-/// headline reproduction invariants.
+/// \brief Integration tests: setups, the Simulation's wiring of each
+/// problem, driver, profiles, and the paper's headline reproduction
+/// invariants.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <variant>
+#include <vector>
 
 #include "hydro/hydro.hpp"
 #include "mem/meminfo.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/cellular.hpp"
 #include "sim/driver.hpp"
 #include "sim/profiles.hpp"
 #include "sim/sedov.hpp"
+#include "sim/simulation.hpp"
 #include "sim/supernova.hpp"
 #include "tlb/machine.hpp"
 
@@ -70,6 +74,15 @@ TEST(SedovSetupTest, ShockRadiusFormula) {
               std::pow(2.0, 0.2), 1e-12);
 }
 
+/// Driver options for an untraced, quiet run of \p nsteps.
+DriverOptions quiet(int nsteps, int trace_sample = 0) {
+  DriverOptions opts;
+  opts.nsteps = nsteps;
+  opts.trace_sample = trace_sample;
+  opts.verbose = false;
+  return opts;
+}
+
 TEST(SedovEvolution, TwoDConservesAndExpands) {
   rt::Runtime runtime;
   SedovParams params;
@@ -77,15 +90,9 @@ TEST(SedovEvolution, TwoDConservesAndExpands) {
   params.nzb = 1;
   params.max_level = 3;
   params.maxblocks = 300;
-  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroSolver hydro(m, setup.eos());
-  perf::Timers timers;
-  DriverOptions opts;
-  opts.nsteps = 30;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  Driver driver(m, hydro, timers, opts, {.runtime = &runtime});
+  Simulation simulation(params, runtime, quiet(30));
+  mesh::AmrMesh& m = simulation.mesh();
+  Driver& driver = simulation.driver();
 
   const double mass0 = m.integrate(kDens);
   const double ener0 = m.integrate_product(kDens, kEner);
@@ -105,18 +112,11 @@ TEST(SedovEvolution, ThreeDShockTracksSimilaritySolution) {
   SedovParams params;  // 3-d defaults
   params.max_level = 2;
   params.maxblocks = 100;
-  SedovSetup setup(params, mem::HugePolicy::kNone, runtime);
-  hydro::HydroSolver hydro(setup.mesh(), setup.eos());
-  perf::Timers timers;
-  DriverOptions opts;
-  opts.nsteps = 60;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  Driver driver(setup.mesh(), hydro, timers, opts,
-                {.runtime = &runtime});
+  Simulation simulation(params, runtime, quiet(60));
+  Driver& driver = simulation.driver();
   driver.evolve();
 
-  RadialProfile profile(setup.mesh(), {0.5, 0.5, 0.5}, 100, {kDens});
+  RadialProfile profile(simulation.mesh(), {0.5, 0.5, 0.5}, 100, {kDens});
   const double r_exact = SedovSetup::shock_radius(
       params.energy, params.rho_ambient, driver.sim_time(), params.gamma);
   // Coarse grid (level 2): expect the shock within ~12% of analytic.
@@ -176,7 +176,6 @@ SupernovaParams small_supernova() {
   p.max_level = 3;
   p.maxblocks = 400;
   p.table_spec = {-4.0, 10.0, 141, 5.0, 10.0, 51};
-  p.table_cache = "helm_table_test.bin";
   return p;
 }
 
@@ -212,28 +211,14 @@ TEST(SupernovaSetupTest, CompositionFunctionMapsMixtures) {
 
 TEST(SupernovaEvolution, FiftyStepFlameReleasesEnergy) {
   rt::Runtime runtime;
-  SupernovaSetup setup(small_supernova(), mem::HugePolicy::kNone, runtime);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  hydro::HydroSolver hydro(m, setup.eos(), hopt);
-  hydro.set_composition_fn(setup.composition_fn());
-  perf::Timers timers;
-  DriverOptions opts;
-  opts.nsteps = 15;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  opts.refine_vars = {kDens, mesh::var::kFirstScalar + snvar::kPhi};
-  DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  units.gravity = &setup.gravity();
-  Driver driver(m, hydro, timers, opts, units);
+  Simulation simulation(small_supernova(), runtime, quiet(15));
+  mesh::AmrMesh& m = simulation.mesh();
+  Driver& driver = simulation.driver();
 
   const double mass0 = m.integrate(kDens);
   driver.evolve();
   EXPECT_EQ(driver.steps(), 15);
-  EXPECT_GT(setup.flame().energy_released(), 1e45);  // burning happened
+  EXPECT_GT(simulation.flame()->energy_released(), 1e45);  // burning happened
   EXPECT_NEAR(m.integrate(kDens) / mass0, 1.0, 1e-6);
   // The star did not explode numerically: central density stays WD-like.
   double rho_max = 0.0;
@@ -293,19 +278,9 @@ TEST(CellularEvolution, FlameAdvancesConservingMass) {
   CellularParams params;
   params.max_level = 2;
   params.maxblocks = 128;
-  CellularSetup setup(params, mem::HugePolicy::kNone, runtime);
-  mesh::AmrMesh& m = setup.mesh();
-  hydro::HydroSolver hydro(m, setup.eos());
-  perf::Timers timers;
-  DriverOptions opts;
-  opts.nsteps = 10;
-  opts.trace_sample = 0;
-  opts.verbose = false;
-  opts.refine_vars = {kDens, mesh::var::kFirstScalar + cvar::kPhi};
-  DriverUnits units;
-  units.runtime = &runtime;
-  units.flame = &setup.flame();
-  Driver driver(m, hydro, timers, opts, units);
+  Simulation simulation(params, runtime, quiet(10));
+  mesh::AmrMesh& m = simulation.mesh();
+  Driver& driver = simulation.driver();
 
   const int vphi = mesh::var::kFirstScalar + cvar::kPhi;
   const double mass0 = m.integrate(kDens);
@@ -316,7 +291,107 @@ TEST(CellularEvolution, FlameAdvancesConservingMass) {
   EXPECT_NEAR(m.integrate(kDens) / mass0, 1.0, 1e-9);
   // The ADR front advanced into the fuel and released nuclear energy.
   EXPECT_GT(m.integrate_product(kDens, vphi), burned0);
-  EXPECT_GT(setup.flame().energy_released(), 0.0);
+  EXPECT_GT(simulation.flame()->energy_released(), 0.0);
+}
+
+// ------------------------------------------------- simulation wiring
+
+/// What a Simulation wired for one problem, read back after one step.
+struct Wiring {
+  bool has_flame = false;
+  bool has_gravity = false;
+  bool has_eos_hook = false;
+  std::vector<int> refine_vars;
+  double cfl = 0.0;
+  bool machine_untraced = false;  ///< a machine at trace_sample = 0
+  bool machine_traced = false;    ///< a machine at trace_sample = 2
+  std::uint64_t eos_entries = 0;  ///< "eos" region entries, traced step
+};
+
+Wiring wiring_of(const ProblemParams& problem) {
+  Wiring w;
+  {
+    rt::Runtime runtime;
+    Simulation untraced(problem, runtime, quiet(1));
+    w.machine_untraced = untraced.units().machine != nullptr;
+  }
+  rt::Runtime runtime;
+  Simulation simulation(problem, runtime, quiet(1, 2));
+  const DriverUnits& units = simulation.units();
+  w.has_flame = units.flame != nullptr;
+  w.has_gravity = units.gravity != nullptr;
+  w.has_eos_hook = static_cast<bool>(units.eos_trace);
+  w.refine_vars = simulation.driver().options().refine_vars;
+  w.cfl = simulation.hydro().options().cfl;
+  w.machine_traced = units.machine != nullptr;
+  simulation.driver().evolve();
+  w.eos_entries = runtime.perf().regions().get("eos").entries;
+  return w;
+}
+
+TEST(SimulationWiring, SedovIsHydroWithAGammaLawEosReplay) {
+  SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 2;
+  params.maxblocks = 64;
+  const Wiring w = wiring_of(params);
+  EXPECT_FALSE(w.has_flame);
+  EXPECT_FALSE(w.has_gravity);
+  EXPECT_TRUE(w.has_eos_hook);
+  EXPECT_EQ(w.refine_vars, (std::vector<int>{kDens, kPres}));
+  EXPECT_EQ(w.cfl, 0.8);
+  EXPECT_FALSE(w.machine_untraced);
+  EXPECT_TRUE(w.machine_traced);
+  EXPECT_GT(w.eos_entries, 0u);
+}
+
+TEST(SimulationWiring, CellularBurnsWithoutGravityOrEosReplay) {
+  CellularParams params;
+  params.max_level = 2;
+  params.maxblocks = 128;
+  const Wiring w = wiring_of(params);
+  EXPECT_TRUE(w.has_flame);
+  EXPECT_FALSE(w.has_gravity);
+  EXPECT_FALSE(w.has_eos_hook);
+  EXPECT_EQ(w.refine_vars,
+            (std::vector<int>{kDens, mesh::var::kFirstScalar + cvar::kPhi}));
+  EXPECT_EQ(w.cfl, 0.8);
+  EXPECT_FALSE(w.machine_untraced);
+  EXPECT_TRUE(w.machine_traced);
+  EXPECT_EQ(w.eos_entries, 0u);
+}
+
+TEST(SimulationWiring, SupernovaHasEveryUnitAndRunsAtCfl06) {
+  const Wiring w = wiring_of(small_supernova());
+  EXPECT_TRUE(w.has_flame);
+  EXPECT_TRUE(w.has_gravity);
+  EXPECT_TRUE(w.has_eos_hook);
+  EXPECT_EQ(w.refine_vars,
+            (std::vector<int>{kDens, mesh::var::kFirstScalar + snvar::kPhi}));
+  EXPECT_EQ(w.cfl, 0.6);
+  EXPECT_FALSE(w.machine_untraced);
+  EXPECT_TRUE(w.machine_traced);
+  EXPECT_GT(w.eos_entries, 0u);
+}
+
+TEST(SimulationWiring, CallerOptionsOverrideTheProblemDefaults) {
+  rt::Runtime runtime;
+  DriverOptions opts = quiet(1);
+  opts.refine_vars = {kPres};
+  SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 2;
+  params.maxblocks = 64;
+  Simulation simulation(params, runtime, opts,
+                        hydro::HydroOptions{.cfl = 0.6});
+  EXPECT_EQ(simulation.driver().options().refine_vars,
+            (std::vector<int>{kPres}));
+  EXPECT_EQ(simulation.hydro().options().cfl, 0.6);
+  EXPECT_NO_THROW((void)simulation.setup<SedovSetup>());
+  EXPECT_THROW((void)simulation.setup<SupernovaSetup>(),
+               std::bad_variant_access);
 }
 
 // --------------------------------------------- reproduction invariants
@@ -332,28 +407,8 @@ TEST(ReproductionShape, HugePagesCutEosDtlbMissesButNotTime) {
     // nrho must stay FLASH-sized (rows > one 4 KiB page) for the gather
     // pattern to be faithful; the T range is trimmed for build speed.
     p.table_spec = {-4.0, 10.0, 541, 5.0, 10.0, 41};
-    p.table_cache = "helm_table_shape.bin";
-    SupernovaSetup setup(p, runtime.huge_policy(), runtime);
-    mesh::AmrMesh& m = setup.mesh();
-    hydro::HydroOptions hopt;
-    hopt.cfl = 0.6;
-    hydro::HydroSolver hydro(m, setup.eos(), hopt);
-    hydro.set_composition_fn(setup.composition_fn());
-    perf::Timers timers;
-    tlb::Machine machine({}, &runtime.perf());
-    DriverOptions opts;
-    opts.nsteps = 8;
-    opts.trace_sample = 2;
-    opts.verbose = false;
-    DriverUnits units;
-    units.runtime = &runtime;
-    units.flame = &setup.flame();
-    units.gravity = &setup.gravity();
-    units.machine = &machine;
-    units.eos_trace =
-        [&setup](tlb::Tracer& t, int b) { setup.trace_eos_block(t, b); };
-    Driver driver(m, hydro, timers, opts, units);
-    driver.evolve();
+    Simulation simulation(p, runtime, quiet(8, 2));
+    simulation.driver().evolve();
     return perf::derive_measures(
         runtime.perf().regions().get("eos").totals, 1.8e9);
   };

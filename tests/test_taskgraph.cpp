@@ -46,14 +46,11 @@
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
-#include "sim/cellular.hpp"
-#include "sim/driver.hpp"
-#include "sim/sedov.hpp"
+#include "sim/simulation.hpp"
 #include "sim/step_graph.hpp"
-#include "sim/supernova.hpp"
 #include "support/error.hpp"
+#include "svc/service.hpp"
 #include "tlb/machine.hpp"
 
 namespace fhp::par {
@@ -264,51 +261,27 @@ struct RunResult {
   perf::CounterSet published;
 };
 
-/// One problem on its own runtime, wired the way a Driver expects.
-/// Declaration order is the destruction contract: the runtime outlives
-/// the setup, which outlives the solver built on its mesh.
+/// One problem on its own runtime (\p layout, \p lanes), as a Simulation
+/// wires it with modeled counters on. The bulk reference below replays
+/// the same solver, units and flame without stepping the Simulation's
+/// Driver.
 struct Problem {
   rt::Runtime runtime;
   perf::PerfContext& perf = runtime.perf();
-  tlb::Machine machine{{}, &perf};
-  std::unique_ptr<SedovSetup> sedov;
-  std::unique_ptr<SupernovaSetup> supernova;
-  std::unique_ptr<CellularSetup> cellular;
-  std::unique_ptr<hydro::HydroSolver> hydro;
-  perf::Timers timers;
-  DriverOptions opts;
-  DriverUnits units;
+  Simulation sim;
 
-  explicit Problem(int lanes) : runtime({.lanes = lanes}) {
-    opts.trace_sample = 2;  // exercise the modeled counters too
-    opts.verbose = false;
-    units.machine = &machine;
-    units.runtime = &runtime;
-  }
-
-  [[nodiscard]] mesh::AmrMesh& mesh() const {
-    if (sedov) return sedov->mesh();
-    return cellular ? cellular->mesh() : supernova->mesh();
-  }
+  Problem(const ProblemParams& params, int nsteps, LayoutKind layout,
+          int lanes)
+      : runtime({.lanes = lanes, .layout = layout}),
+        sim(params, runtime,
+            DriverOptions{.nsteps = nsteps, .trace_sample = 2,
+                          .verbose = false}) {}
 
   [[nodiscard]] RunResult result(double time) {
     RunResult r;
-    const mesh::AmrMesh& m = mesh();
-    const mesh::MeshConfig& c = m.config();
-    std::vector<double> zone(static_cast<std::size_t>(c.nvar()));
-    for (int b : m.tree().leaves_morton()) {
-      for (int k = c.klo(); k < c.khi(); ++k) {
-        for (int j = c.jlo(); j < c.jhi(); ++j) {
-          for (int i = c.ilo(); i < c.ihi(); ++i) {
-            m.unk().gather_zone(0, c.nvar(), i, j, k, b, zone.data());
-            r.state.insert(r.state.end(), zone.begin(), zone.end());
-          }
-        }
-      }
-    }
-    r.state.push_back(time);
-    if (units.flame != nullptr) {
-      r.state.push_back(units.flame->energy_released());
+    r.state = svc::canonical_state(sim.mesh(), time);
+    if (sim.flame() != nullptr) {
+      r.state.push_back(sim.flame()->energy_released());
     }
     r.counters = perf.snapshot();
     r.published = perf.published().counters;
@@ -317,56 +290,35 @@ struct Problem {
 };
 
 std::unique_ptr<Problem> sedov_problem(LayoutKind layout, int lanes) {
-  auto p = std::make_unique<Problem>(lanes);
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  p->sedov = std::make_unique<SedovSetup>(params, mem::HugePolicy::kNone,
-                                          p->runtime, layout);
-  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), p->sedov->eos());
-  p->opts.nsteps = 12;
-  p->opts.refine_vars = {mesh::var::kDens, mesh::var::kPres};
-  return p;
+  return std::make_unique<Problem>(params, 12, layout, lanes);
 }
 
 /// A small 3-d Sedov whose spike sits off-centre inside one level-2
 /// octant, so only that octant refines and level-3 leaves abut level-2
 /// ones: fine-coarse faces in 3-d, with covers and restricted parents.
 std::unique_ptr<Problem> sedov3d_problem(LayoutKind layout, int lanes) {
-  auto p = std::make_unique<Problem>(lanes);
   SedovParams params;
   params.ndim = 3;
   params.nxb = params.nyb = params.nzb = 8;
   params.max_level = 3;
   params.maxblocks = 80;
   params.center = {0.3, 0.2, 0.25};
-  p->sedov = std::make_unique<SedovSetup>(params, mem::HugePolicy::kNone,
-                                          p->runtime, layout);
-  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), p->sedov->eos());
-  p->opts.nsteps = 8;
-  p->opts.refine_vars = {mesh::var::kDens, mesh::var::kPres};
-  return p;
+  return std::make_unique<Problem>(params, 8, layout, lanes);
 }
 
 /// The cellular front refined to level 3 along a periodic transverse
 /// axis: 2-d fine-coarse faces under the flame stage, whose plan gives
 /// every leaf every face.
 std::unique_ptr<Problem> cellular_problem(LayoutKind layout, int lanes) {
-  auto p = std::make_unique<Problem>(lanes);
   CellularParams params;
   params.max_level = 3;
   params.maxblocks = 256;
-  p->cellular = std::make_unique<CellularSetup>(
-      params, mem::HugePolicy::kNone, p->runtime, layout);
-  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(),
-                                                  p->cellular->eos());
-  p->opts.nsteps = 12;
-  p->opts.refine_vars = {mesh::var::kDens,
-                         mesh::var::kFirstScalar + cvar::kPhi};
-  p->units.flame = &p->cellular->flame();
-  return p;
+  return std::make_unique<Problem>(params, 12, layout, lanes);
 }
 
 /// True if some leaf face abuts a coarser block.
@@ -384,39 +336,20 @@ bool has_fine_coarse_face(const mesh::AmrMesh& m) {
   return false;
 }
 
-constexpr const char* kSupernovaTable = "helm_table_taskgraph.bin";
 constexpr eos::HelmTableSpec kSupernovaTableSpec{-4.0, 10.0, 141,
                                                  5.0, 10.0, 51};
 
 std::unique_ptr<Problem> supernova_problem(LayoutKind layout, int lanes) {
-  auto p = std::make_unique<Problem>(lanes);
   SupernovaParams params;
   params.max_level = 3;
   params.maxblocks = 400;
   params.table_spec = kSupernovaTableSpec;
-  params.table_cache = kSupernovaTable;
-  p->supernova = std::make_unique<SupernovaSetup>(
-      params, mem::HugePolicy::kNone, p->runtime, layout);
-  SupernovaSetup& setup = *p->supernova;
-  hydro::HydroOptions hopt;
-  hopt.cfl = 0.6;
-  p->hydro = std::make_unique<hydro::HydroSolver>(p->mesh(), setup.eos(),
-                                                  hopt);
-  p->hydro->set_composition_fn(setup.composition_fn());
-  p->opts.nsteps = 4;
-  p->opts.refine_vars = {mesh::var::kDens,
-                         mesh::var::kFirstScalar + snvar::kPhi};
-  p->units.flame = &setup.flame();
-  p->units.gravity = &setup.gravity();
-  p->units.eos_trace = [&setup](tlb::Tracer& t, int b) {
-    setup.trace_eos_block(t, b);
-  };
-  return p;
+  return std::make_unique<Problem>(params, 4, layout, lanes);
 }
 
 /// The Driver under test: its task-graph step, to the step budget.
 RunResult run_driver(Problem& p, int lanes) {
-  Driver driver(p.mesh(), *p.hydro, p.timers, p.opts, p.units);
+  Driver& driver = p.sim.driver();
   driver.evolve();
   if (lanes > 1) {
     // Sanity: the DAG actually executed tasks on the lanes.
@@ -429,9 +362,11 @@ RunResult run_driver(Problem& p, int lanes) {
 /// every trace_sample-th leaf (round-robin offset per step) into the
 /// machine model, one PerfRegion and one scaled commit per unit.
 void replay_step(Problem& p, int step) {
-  const mesh::AmrMesh& m = p.mesh();
-  tlb::Tracer tracer(&p.machine);
-  const auto sample = static_cast<std::size_t>(p.opts.trace_sample);
+  const mesh::AmrMesh& m = p.sim.mesh();
+  const DriverUnits& units = p.sim.units();
+  tlb::Tracer tracer(units.machine);
+  const auto sample =
+      static_cast<std::size_t>(p.sim.driver().options().trace_sample);
   const std::vector<int> leaves = m.tree().leaves_morton();
   const auto each_sampled = [&](const std::function<void(int)>& fn) {
     for (std::size_t n = static_cast<std::size_t>(step) % sample;
@@ -441,20 +376,20 @@ void replay_step(Problem& p, int step) {
   };
   {
     perf::PerfRegion region(p.perf, "hydro");
-    each_sampled([&](int b) { p.hydro->trace_step_block(tracer, b); });
-    p.machine.commit(sample);
+    each_sampled([&](int b) { p.sim.hydro().trace_step_block(tracer, b); });
+    units.machine->commit(sample);
   }
-  if (p.units.eos_trace) {
+  if (units.eos_trace) {
     perf::PerfRegion region(p.perf, "eos");
     for (int s = 0; s < m.config().ndim; ++s) {
-      each_sampled([&](int b) { p.units.eos_trace(tracer, b); });
+      each_sampled([&](int b) { units.eos_trace(tracer, b); });
     }
-    p.machine.commit(sample);
+    units.machine->commit(sample);
   }
-  if (p.units.flame != nullptr) {
+  if (units.flame != nullptr) {
     perf::PerfRegion region(p.perf, "flame");
-    each_sampled([&](int b) { p.units.flame->trace_advance_block(tracer, b); });
-    p.machine.commit(sample);
+    each_sampled([&](int b) { units.flame->trace_advance_block(tracer, b); });
+    units.machine->commit(sample);
   }
   {
     perf::PerfRegion region(p.perf, "grid");
@@ -463,7 +398,7 @@ void replay_step(Problem& p, int step) {
       m.unk().trace_sweep(tracer, b, c.ilo(), c.ihi(), c.jlo(), c.jhi(),
                           c.klo(), c.khi(), c.nvar(), c.nvar());
     });
-    p.machine.commit(sample);
+    units.machine->commit(sample);
   }
 }
 
@@ -472,27 +407,29 @@ void replay_step(Problem& p, int step) {
 /// a flame is wired — wrapped in the same dt, gravity, replay, publish
 /// and remesh steps as Driver::step_once.
 RunResult run_bulk(Problem& p) {
-  mesh::AmrMesh& m = p.mesh();
+  mesh::AmrMesh& m = p.sim.mesh();
+  hydro::HydroSolver& hydro = p.sim.hydro();
+  const DriverUnits& units = p.sim.units();
+  const DriverOptions& opts = p.sim.driver().options();
   double time = 0.0;
-  for (int step = 0; step < p.opts.nsteps; ++step) {
-    const double dt = p.hydro->compute_dt();
-    p.hydro->step(dt);
-    if (p.units.flame != nullptr) {
+  for (int step = 0; step < opts.nsteps; ++step) {
+    const double dt = hydro.compute_dt();
+    hydro.step(dt);
+    if (units.flame != nullptr) {
       m.fill_guardcells();
-      p.units.flame->advance(dt);
-      p.hydro->eos_update();
+      units.flame->advance(dt);
+      hydro.eos_update();
     }
-    if (p.units.gravity != nullptr) {
-      p.units.gravity->update(m);
-      p.units.gravity->apply_source(m, dt);
-      p.hydro->eos_update();
+    if (units.gravity != nullptr) {
+      units.gravity->update(m);
+      units.gravity->apply_source(m, dt);
+      hydro.eos_update();
     }
     replay_step(p, step);
     time += dt;
     p.perf.publish();
-    if ((step + 1) % p.opts.remesh_interval == 0) {
-      (void)m.remesh(p.opts.refine_vars, p.opts.refine_cut,
-                     p.opts.derefine_cut);
+    if ((step + 1) % opts.remesh_interval == 0) {
+      (void)m.remesh(opts.refine_vars, opts.refine_cut, opts.derefine_cut);
     }
   }
   return p.result(time);
@@ -505,22 +442,24 @@ RunResult run_bulk(Problem& p) {
 std::vector<double> run_serial_schedule(Problem& p,
                                         par::TaskGraph::Schedule schedule,
                                         std::uint64_t seed) {
-  mesh::AmrMesh& m = p.mesh();
-  StepGraph graph(m, *p.hydro, p.units.flame);
+  mesh::AmrMesh& m = p.sim.mesh();
+  hydro::HydroSolver& hydro = p.sim.hydro();
+  const DriverUnits& units = p.sim.units();
+  const DriverOptions& opts = p.sim.driver().options();
+  StepGraph graph(m, hydro, units.flame);
   graph.rebuild();
   double time = 0.0;
-  for (int step = 0; step < p.opts.nsteps; ++step) {
-    const double dt = p.hydro->compute_dt();
+  for (int step = 0; step < opts.nsteps; ++step) {
+    const double dt = hydro.compute_dt();
     graph.run_step_serial(dt, schedule, seed);
-    if (p.units.gravity != nullptr) {
-      p.units.gravity->update(m);
-      p.units.gravity->apply_source(m, dt);
-      p.hydro->eos_update();
+    if (units.gravity != nullptr) {
+      units.gravity->update(m);
+      units.gravity->apply_source(m, dt);
+      hydro.eos_update();
     }
     time += dt;
-    if ((step + 1) % p.opts.remesh_interval == 0 &&
-        m.remesh(p.opts.refine_vars, p.opts.refine_cut,
-                 p.opts.derefine_cut) > 0) {
+    if ((step + 1) % opts.remesh_interval == 0 &&
+        m.remesh(opts.refine_vars, opts.refine_cut, opts.derefine_cut) > 0) {
       graph.rebuild();
     }
   }
@@ -597,7 +536,7 @@ TEST(TaskGraphPhysics, SedovBitIdenticalAcrossModesLanesAndLayouts) {
 
 TEST(TaskGraphPhysics, Sedov3dFineCoarseBitIdenticalAcrossLanesAndLayouts) {
   ASSERT_TRUE(has_fine_coarse_face(
-      sedov3d_problem(LayoutKind::kVarMajor, 1)->mesh()));
+      sedov3d_problem(LayoutKind::kVarMajor, 1)->sim.mesh()));
   expect_driver_matches_bulk(sedov3d_problem);
 }
 
@@ -606,8 +545,7 @@ TEST(TaskGraphPhysics, Sedov3dFineCoarseBitIdenticalAcrossLanesAndLayouts) {
 void prepare_supernova_table() {
   mem::PagePool pool;
   (void)eos::HelmTable::build_or_load(kSupernovaTableSpec,
-                                      mem::HugePolicy::kNone, pool,
-                                      kSupernovaTable);
+                                      mem::HugePolicy::kNone, pool);
 }
 
 TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
@@ -621,13 +559,13 @@ TEST(TaskGraphPhysics, SupernovaBitIdenticalAcrossModesLanesAndLayouts) {
 
 TEST(TaskGraphPhysics, Sedov3dSerialSchedulesMatchBulk) {
   ASSERT_TRUE(has_fine_coarse_face(
-      sedov3d_problem(LayoutKind::kVarMajor, 1)->mesh()));
+      sedov3d_problem(LayoutKind::kVarMajor, 1)->sim.mesh()));
   expect_serial_schedules_match_bulk(sedov3d_problem);
 }
 
 TEST(TaskGraphPhysics, CellularFineCoarseFlameMatchesBulk) {
   ASSERT_TRUE(has_fine_coarse_face(
-      cellular_problem(LayoutKind::kVarMajor, 1)->mesh()));
+      cellular_problem(LayoutKind::kVarMajor, 1)->sim.mesh()));
   expect_driver_matches_bulk(cellular_problem);
   expect_serial_schedules_match_bulk(cellular_problem);
 }
@@ -644,20 +582,24 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   // published counters at 1 ms cadence while work-stealing lanes run a
   // full Driver Sedov evolution with spans enabled. Any read of
   // unsynchronized scheduler or shard state is a tsan report.
-  const std::unique_ptr<Problem> p = sedov_problem(LayoutKind::kVarMajor, 2);
-  p->opts.nsteps = 10;
+  SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 2;
+  params.maxblocks = 128;
+  Problem p(params, 10, LayoutKind::kVarMajor, 2);
   obs::TelemetryOptions topts;
-  topts.lanes = p->runtime.lanes();
+  topts.lanes = p.runtime.lanes();
   obs::Telemetry telemetry(topts);
-  telemetry.install(p->runtime);
+  telemetry.install(p.runtime);
   obs::SamplerOptions sopts = obs::SamplerOptions::with_procfs_root(
       std::string(FHP_TEST_FIXTURE_DIR) + "/procfs/kernel-6.6");
   sopts.cadence = std::chrono::milliseconds(1);
-  sopts.perf = &p->perf;
+  sopts.perf = &p.perf;
   obs::Sampler sampler(sopts);
   sampler.start();
 
-  Driver driver(p->mesh(), *p->hydro, p->timers, p->opts, p->units);
+  Driver& driver = p.sim.driver();
   driver.evolve();
 
   sampler.stop();
@@ -665,7 +607,7 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   EXPECT_EQ(driver.steps(), 10);
   EXPECT_GT(telemetry.total_spans(), 0u);
   EXPECT_GE(sampler.taken(), 1u);
-  EXPECT_GT(p->perf.published().seq, 0u);
+  EXPECT_GT(p.perf.published().seq, 0u);
 }
 
 }  // namespace
