@@ -4,12 +4,13 @@
 /// Covers the allocator (A3), the machine model's per-access cost and
 /// its replay of the benchmark workloads' address streams, the EOS paths
 /// (direct Fermi-Dirac vs table interpolation — the ~10^3 gap that makes
-/// the table the production path), the Riemann solvers, and mesh
-/// guard-cell filling.
+/// the table the production path), the Riemann solvers, mesh
+/// guard-cell filling, and the cost of one span.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "eos/eos_table.hpp"
@@ -21,6 +22,7 @@
 #include "mem/meminfo.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/unk.hpp"
+#include "obs/recording.hpp"
 #include "rt/runtime.hpp"
 #include "tlb/machine.hpp"
 #include "tlb/trace.hpp"
@@ -233,6 +235,24 @@ void BM_GuardcellFill(benchmark::State& state) {
       static_cast<std::int64_t>(mesh.tree().leaves_morton().size()));
 }
 BENCHMARK(BM_GuardcellFill);
+
+/// One FHP_TRACE_SPAN opened and closed: on a thread bound to no runtime,
+/// under a runtime (its span reduction), and with a telemetry installed
+/// downstream of the reduction (a recording that is never finished
+/// writes no file).
+void BM_Span(benchmark::State& state, int bound) {
+  rt::Runtime runtime({.lanes = 1});
+  const obs::Recording recording(runtime, bound == 2 ? "bm_span.json" : "");
+  std::optional<rt::Runtime::BindScope> scope;
+  if (bound > 0) scope.emplace(runtime);
+  for (auto _ : state) {
+    FHP_TRACE_SPAN("bench.span");
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_Span, unbound, 0);
+BENCHMARK_CAPTURE(BM_Span, runtime, 1);
+BENCHMARK_CAPTURE(BM_Span, runtime_telemetry, 2);
 
 }  // namespace
 

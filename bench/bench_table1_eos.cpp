@@ -9,11 +9,17 @@
 ///
 /// Usage: bench_table1_eos [--nsteps=N] [--max_level=L] [--sample=S]
 ///                         [--par.threads=T] [--json=PATH]
+///                         [--obs.timeline=PATH] [--obs.sample_ms=N]
 ///
 /// With --json=PATH the run's modeled ledger lands in PATH. From the repo
 /// root, `./build/bench/bench_table1_eos --json=BENCH_table1.json`
 /// regenerates the committed ledger; at any lane count a plain `diff`
 /// against it must be empty.
+///
+/// With --obs.timeline=t.json (or FLASHHP_TELEMETRY) each arm is traced
+/// on its own runtime into its own timeline, t.without_hp.json and
+/// t.with_hp.json, each with its sampler CSV (t.without_hp.csv,
+/// t.with_hp.csv).
 
 #include <cstdio>
 #include <string>
@@ -29,6 +35,7 @@ int main(int argc, char** argv) {
   rp.declare_int("sample", 4, "trace every Nth block");
   rp.declare_string("json", "", "write the run's modeled ledger to this file");
   par::declare_runtime_params(rp);
+  obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   const bench::LedgerConfig config{static_cast<int>(rp.get_int("nsteps")),
                                    static_cast<int>(rp.get_int("max_level")),
@@ -45,11 +52,9 @@ int main(int argc, char** argv) {
   context.lanes = static_cast<int>(rp.get_int("par.threads"));
   context.pool = &pool;
   const auto without =
-      bench::run_eos_arm(context, mem::HugePolicy::kNone, config.nsteps,
-                         config.max_level, config.sample);
+      bench::run_eos_arm(context, mem::HugePolicy::kNone, config, rp);
   const auto with =
-      bench::run_eos_arm(context, mem::HugePolicy::kHugetlbfs, config.nsteps,
-                         config.max_level, config.sample);
+      bench::run_eos_arm(context, mem::HugePolicy::kHugetlbfs, config, rp);
 
   bench::print_paper_table(
       "RESULTS FOR THE EOS PROBLEM (model: A64FX-like core, 1.8 GHz)",

@@ -13,20 +13,17 @@
 /// --json=BENCH_table2.json` from the repo root regenerates the committed
 /// ledger, and the lane count may not change a byte of it.
 ///
-/// With --obs.timeline=PATH (or FLASHHP_TELEMETRY) the whole bench is
-/// traced — per-lane spans plus a background memory/THP sampler — and
-/// exported as a chrome://tracing JSON, so a wall-time gap between the
-/// arms can be read span by span instead of as one number.
+/// With --obs.timeline=t.json (or FLASHHP_TELEMETRY) each arm is traced
+/// — per-lane spans plus a background memory/THP sampler — on its own
+/// runtime into its own chrome://tracing JSON, t.without_hp.json and
+/// t.with_hp.json, each with its sampler CSV (t.without_hp.csv,
+/// t.with_hp.csv), so a wall-time gap between the arms can be read span
+/// by span instead of as one number.
 
-#include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "experiment_runners.hpp"
-#include "obs/sampler.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/timeline.hpp"
 #include "rt/runtime.hpp"
 #include "support/runtime_params.hpp"
 
@@ -45,30 +42,11 @@ int main(int argc, char** argv) {
                                    static_cast<int>(rp.get_int("sample"))};
 
   // Every arm runs on its own runtime built from this context: one pool
-  // shared by the arms, and the optional telemetry as each runtime's
-  // trace sink.
+  // shared by the arms.
   mem::PagePool pool;
   rt::RuntimeOptions context;
   context.lanes = static_cast<int>(rp.get_int("par.threads"));
   context.pool = &pool;
-
-  // Optional run tracing. Each arm counts into its own runtime's perf(),
-  // so the sampler records memory/THP state only (its perf columns stay
-  // empty).
-  const std::string timeline_path = rp.get_string("obs.timeline");
-  std::unique_ptr<obs::Telemetry> telemetry;
-  std::unique_ptr<obs::Sampler> sampler;
-  if (!timeline_path.empty()) {
-    obs::TelemetryOptions topts;
-    topts.lanes = context.lanes;
-    telemetry = std::make_unique<obs::Telemetry>(topts);
-    context.trace_sink = telemetry.get();
-    obs::SamplerOptions sopts;
-    sopts.cadence =
-        std::chrono::milliseconds(rp.get_int("obs.sample_ms"));
-    sampler = std::make_unique<obs::Sampler>(sopts);
-    sampler->start();
-  }
 
   std::printf(
       "== Table II: 3-d Hydro problem (Sedov, %d steps, hydro instrumented) "
@@ -77,24 +55,14 @@ int main(int argc, char** argv) {
   bench::print_inventory();
 
   const auto without =
-      bench::run_hydro_arm(context, mem::HugePolicy::kNone, config.nsteps,
-                           config.max_level, config.sample);
+      bench::run_hydro_arm(context, mem::HugePolicy::kNone, config, rp);
   const auto with =
-      bench::run_hydro_arm(context, mem::HugePolicy::kHugetlbfs,
-                           config.nsteps, config.max_level, config.sample);
+      bench::run_hydro_arm(context, mem::HugePolicy::kHugetlbfs, config, rp);
 
   bench::print_paper_table(
       "RESULTS FOR THE 3-D HYDRO PROBLEM (model: A64FX-like core, 1.8 GHz)",
       without, with, bench::kPaperHydroWithout, bench::kPaperHydroWith);
 
-  if (telemetry != nullptr) {
-    sampler->stop();
-    obs::write_timeline_file(timeline_path, *telemetry, sampler.get());
-    std::printf("# wrote %s (%llu spans, %llu samples)\n",
-                timeline_path.c_str(),
-                static_cast<unsigned long long>(telemetry->total_spans()),
-                static_cast<unsigned long long>(sampler->taken()));
-  }
   return bench::write_ledger(rp.get_string("json"), "table2_hydro", config,
                              without, with);
 }

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -25,10 +26,12 @@
 
 #include "mem/meminfo.hpp"
 #include "mem/thp.hpp"
+#include "obs/recording.hpp"
 #include "perf/events.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/region.hpp"
 #include "rt/runtime.hpp"
+#include "support/runtime_params.hpp"
 #include "support/string_util.hpp"
 #include "support/table_writer.hpp"
 
@@ -58,19 +61,42 @@ inline void print_inventory() {
               std::string(mem::to_string(mem::system_thp_mode())).c_str());
 }
 
+/// The timeline an arm writes under --obs.timeline=PATH: PATH with
+/// ".without_hp" (policy none) or ".with_hp" before its ".json", e.g.
+/// t.json -> t.without_hp.json and t.with_hp.json ("" stays off).
+inline std::string arm_timeline(const std::string& path,
+                                mem::HugePolicy policy) {
+  if (path.empty()) return path;
+  std::filesystem::path arm(path);
+  return arm
+      .replace_filename(
+          arm.stem().string() +
+          (policy == mem::HugePolicy::kNone ? ".without_hp" : ".with_hp") +
+          arm.extension().string())
+      .string();
+}
+
 /// One experiment arm's context: its own rt::Runtime (so arms cannot
 /// leak counters into each other through its perf() and no reset()
-/// hygiene is needed) and the host wall clock started at construction.
-/// The arm's sim::Simulation builds the machine model and the timers.
+/// hygiene is needed), the arm's obs::Recording when --obs.timeline is
+/// set, and the host wall clock started at construction. The arm's
+/// sim::Simulation builds the machine model.
 class ExperimentArm {
  public:
-  explicit ExperimentArm(const rt::RuntimeOptions& options)
-      : runtime_(options) {}
+  /// \p params carries `obs.timeline` / `obs.sample_ms`.
+  ExperimentArm(const rt::RuntimeOptions& options,
+                const RuntimeParams& params)
+      : runtime_(options),
+        recording_(runtime_,
+                   arm_timeline(params.get_string("obs.timeline"),
+                                runtime_.huge_policy()),
+                   static_cast<int>(params.get_int("obs.sample_ms"))) {}
 
   [[nodiscard]] rt::Runtime& runtime() noexcept { return runtime_; }
 
-  /// Derive the arm's measures for \p region_name; stamps the wall clock.
-  [[nodiscard]] ArmResult finish(const std::string& region_name) const {
+  /// Derive the arm's measures for \p region_name; stamps the wall clock
+  /// and writes the arm's timeline.
+  [[nodiscard]] ArmResult finish(const std::string& region_name) {
     ArmResult arm;
     arm.region = runtime_.perf().regions().get(region_name);
     arm.measures = perf::derive_measures(arm.region.totals, kClockHz);
@@ -81,11 +107,15 @@ class ExperimentArm {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall0_)
             .count();
+    if (recording_.active()) {
+      std::printf("# %s\n", recording_.finish().c_str());
+    }
     return arm;
   }
 
  private:
   rt::Runtime runtime_;
+  obs::Recording recording_;
   std::chrono::steady_clock::time_point wall0_ =
       std::chrono::steady_clock::now();
 };

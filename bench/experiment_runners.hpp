@@ -21,18 +21,21 @@
 namespace fhp::bench {
 
 /// One arm of the EOS experiment (2-d supernova, EOS instrumented).
+/// \p params carries the obs.* parameters (see ExperimentArm).
 inline ArmResult run_eos_arm(rt::RuntimeOptions context,
-                             mem::HugePolicy policy, int nsteps,
-                             int max_level, int sample) {
+                             mem::HugePolicy policy,
+                             const LedgerConfig& config,
+                             const RuntimeParams& params) {
   context.policy = policy;
-  ExperimentArm arm(context);
+  ExperimentArm arm(context, params);
 
-  sim::SupernovaParams params;
-  params.max_level = max_level;
-  params.maxblocks = 1500;
-  sim::Simulation simulation(
-      params, arm.runtime(),
-      {.nsteps = nsteps, .trace_sample = sample, .verbose = false});
+  sim::SupernovaParams problem;
+  problem.max_level = config.max_level;
+  problem.maxblocks = 1500;
+  sim::Simulation simulation(problem, arm.runtime(),
+                             {.nsteps = config.nsteps,
+                              .trace_sample = config.sample,
+                              .verbose = false});
   simulation.driver().evolve();
 
   ArmResult result = arm.finish("eos");
@@ -49,19 +52,22 @@ inline ArmResult run_eos_arm(rt::RuntimeOptions context,
 }
 
 /// One arm of the 3-d Hydro experiment (Sedov, hydro instrumented).
+/// \p params carries the obs.* parameters (see ExperimentArm).
 inline ArmResult run_hydro_arm(rt::RuntimeOptions context,
-                               mem::HugePolicy policy, int nsteps,
-                               int max_level, int sample) {
+                               mem::HugePolicy policy,
+                               const LedgerConfig& config,
+                               const RuntimeParams& params) {
   context.policy = policy;
-  ExperimentArm arm(context);
+  ExperimentArm arm(context, params);
 
-  sim::SedovParams params;
-  params.max_level = max_level;
-  params.maxblocks = 700;
-  sim::Simulation simulation(
-      params, arm.runtime(),
-      {.nsteps = nsteps, .trace_sample = sample, .verbose = false},
-      hydro::HydroOptions{.cfl = 0.6});
+  sim::SedovParams problem;
+  problem.max_level = config.max_level;
+  problem.maxblocks = 700;
+  sim::Simulation simulation(problem, arm.runtime(),
+                             {.nsteps = config.nsteps,
+                              .trace_sample = config.sample,
+                              .verbose = false},
+                             hydro::HydroOptions{.cfl = 0.6});
   simulation.driver().evolve();
 
   ArmResult result = arm.finish("hydro");

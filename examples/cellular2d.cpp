@@ -9,10 +9,15 @@
 ///
 /// Usage: cellular2d [--nsteps=N] [--max_level=L]
 ///                   [--mem.hpage_type=none|thp|hugetlbfs] [--par.threads=T]
+///                   [--obs.timeline=timeline.json] [--obs.sample_ms=N]
+///
+/// With --obs.timeline (or FLASHHP_TELEMETRY) the run is traced, as in
+/// sedov3d: a chrome://tracing JSON plus a sampler CSV next to it.
 
 #include <iostream>
 
 #include "mem/huge_policy.hpp"
+#include "obs/recording.hpp"
 #include "rt/runtime.hpp"
 #include "sim/simulation.hpp"
 #include "support/error.hpp"
@@ -24,8 +29,10 @@ int main(int argc, char** argv) try {
   rp.declare_int("nsteps", 24, "number of time steps");
   rp.declare_int("max_level", 2, "finest AMR level");
   rt::declare_runtime_params(rp);
+  obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   rt::Runtime runtime(rt::apply_runtime_params(rp));
+  obs::Recording recording(runtime, rp);
 
   sim::CellularParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
@@ -43,6 +50,7 @@ int main(int argc, char** argv) try {
   const double burned0 = m.integrate_product(mesh::var::kDens, vphi);
   sim::Driver& driver = simulation.driver();
   driver.evolve();
+  if (recording.active()) std::cout << recording.finish() << "\n";
   const double burned1 = m.integrate_product(mesh::var::kDens, vphi);
 
   std::cout << "\nt = " << driver.sim_time() << " s after " << driver.steps()

@@ -18,12 +18,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "mem/huge_policy.hpp"
-#include "obs/sampler.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/timeline.hpp"
+#include "obs/recording.hpp"
 #include "perf/report.hpp"
 #include "rt/runtime.hpp"
 #include "sim/profiles.hpp"
@@ -43,27 +40,27 @@ int main(int argc, char** argv) try {
   rp.apply_command_line(argc, argv);
   const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
-  // The profile may not land on a file the telemetry writes.
-  const std::string outfile = rp.get_string("outfile");
-  const std::string timeline_path = rp.get_string("obs.timeline");
-  if (!timeline_path.empty()) {
-    const auto resolved = [](const std::string& path) {
-      return std::filesystem::weakly_canonical(path);
-    };
-    for (const std::string& written :
-         {timeline_path, obs::csv_path_for(timeline_path)}) {
-      if (resolved(outfile) == resolved(written)) {
-        throw ConfigError("--outfile=" + outfile + " is " + written +
-                          ", which the timeline --obs.timeline=" +
-                          timeline_path + " writes");
-      }
-    }
-  }
-
   // The execution context: its lane count honors --par.threads /
   // FLASHHP_THREADS, its layout --mesh.layout / FLASHHP_LAYOUT and its
   // page policy --mem.hpage_type / FLASHHP_HPAGE_TYPE.
   rt::Runtime runtime(runtime_options);
+  // Span timeline + background memory/THP sampler when --obs.timeline /
+  // FLASHHP_TELEMETRY names a path.
+  obs::Recording recording(runtime, rp);
+
+  // The profile may not land on a file the recording writes.
+  const std::string outfile = rp.get_string("outfile");
+  const auto resolved = [](const std::string& path) {
+    return std::filesystem::weakly_canonical(path);
+  };
+  for (const std::string& written :
+       {recording.timeline_path(), recording.csv_path()}) {
+    if (!written.empty() && resolved(outfile) == resolved(written)) {
+      throw ConfigError("--outfile=" + outfile + " is " + written +
+                        ", which the timeline --obs.timeline=" +
+                        recording.timeline_path() + " writes");
+    }
+  }
 
   sim::SedovParams params;
   params.max_level = static_cast<int>(rp.get_int("max_level"));
@@ -77,38 +74,10 @@ int main(int argc, char** argv) try {
   std::cout << "unk: " << unk.describe() << " requested "
             << mem::to_string(unk.requested_policy()) << "\n";
 
-  // Telemetry: span tracer + background memory/THP sampler, exported as
-  // a chrome://tracing timeline when a path is configured.
-  std::unique_ptr<obs::Telemetry> telemetry;
-  std::unique_ptr<obs::Sampler> sampler;
-  if (!timeline_path.empty()) {
-    obs::TelemetryOptions topts;
-    topts.lanes = runtime.lanes();
-    telemetry = std::make_unique<obs::Telemetry>(topts);
-    telemetry->install(runtime);  // per-runtime: steps + lanes route here
-    obs::SamplerOptions sopts;
-    sopts.cadence =
-        std::chrono::milliseconds(rp.get_int("obs.sample_ms"));
-    sopts.perf = &runtime.perf();
-    sampler = std::make_unique<obs::Sampler>(sopts);
-    sampler->start();
-  }
-
   sim::Driver& driver = simulation.driver();
   driver.evolve();
   if (trace) perf::RegionReport(runtime.perf(), 1.8e9).render(std::cout);
-
-  if (telemetry) {
-    sampler->stop();
-    telemetry->uninstall();
-    obs::write_timeline_file(timeline_path, *telemetry, sampler.get());
-    const std::string csv_path = obs::csv_path_for(timeline_path);
-    std::ofstream csv(csv_path);
-    sampler->write_csv(csv);
-    std::cout << "timeline written to " << timeline_path << " (sampler CSV: "
-              << csv_path << ", " << telemetry->total_spans() << " spans, "
-              << sampler->taken() << " samples)\n";
-  }
+  if (recording.active()) std::cout << recording.finish() << "\n";
 
   // Validate against the similarity solution.
   sim::RadialProfile profile(simulation.mesh(), {0.5, 0.5, 0.5}, 120,

@@ -11,11 +11,14 @@
 /// Usage: service_batch [--jobs=N] [--svc.lanes=W] [--svc.quantum=Q]
 ///                      [--mem.hpage_type=none|thp|hugetlbfs]
 ///                      [--mem.page_pool=SPEC] [--mem.placement=P]
+///                      [--obs.timeline=PATH]
 ///
 /// Every tenant requests the page policy of `--mem.hpage_type` (else
 /// FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE, else none); the service's
 /// shared pool is configured from `--mem.page_pool` / `--mem.placement`
-/// (else their environment variables).
+/// (else their environment variables). With --obs.timeline (or
+/// FLASHHP_TELEMETRY) the first job writes its span timeline to PATH
+/// (JobSpec::timeline_path; tenants run no sampler).
 
 #include <cstdio>
 #include <optional>
@@ -24,6 +27,7 @@
 
 #include "mem/huge_policy.hpp"
 #include "mem/page_pool.hpp"
+#include "obs/telemetry.hpp"
 #include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "svc/service.hpp"
@@ -34,6 +38,7 @@ int main(int argc, char** argv) try {
   rp.declare_int("jobs", 6, "jobs to submit");
   mem::declare_runtime_params(rp);
   svc::declare_runtime_params(rp);
+  obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   svc::ServiceOptions options = svc::apply_runtime_params(rp);
   options.pool_config = mem::pool_config_from_params(rp);
@@ -50,6 +55,7 @@ int main(int argc, char** argv) try {
   for (int j = 0; j < njobs; ++j) {
     svc::JobSpec spec;
     spec.policy = policy;
+    if (j == 0) spec.timeline_path = rp.get_string("obs.timeline");
     if (j % 2 == 0) {
       spec.kind = svc::JobKind::kSedov;
       spec.deadline = svc::DeadlineClass::kInteractive;

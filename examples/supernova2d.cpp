@@ -9,11 +9,16 @@
 /// Usage: supernova2d [--nsteps=N] [--max_level=L]
 ///                    [--mem.hpage_type=none|thp|hugetlbfs] [--rho_c=2e9]
 ///                    [--par.threads=T]
+///                    [--obs.timeline=timeline.json] [--obs.sample_ms=N]
+///
+/// With --obs.timeline (or FLASHHP_TELEMETRY) the run is traced, as in
+/// sedov3d: a chrome://tracing JSON plus a sampler CSV next to it.
 
 #include <fstream>
 #include <iostream>
 
 #include "mem/huge_policy.hpp"
+#include "obs/recording.hpp"
 #include "rt/runtime.hpp"
 #include "sim/profiles.hpp"
 #include "sim/simulation.hpp"
@@ -28,6 +33,7 @@ int main(int argc, char** argv) try {
   rp.declare_real("rho_c", 2.0e9, "central density [g/cc]");
   rp.declare_string("outfile", "wd_profile.csv", "profile output path");
   rt::declare_runtime_params(rp);
+  obs::declare_runtime_params(rp);
   rp.apply_command_line(argc, argv);
   const rt::RuntimeOptions runtime_options = rt::apply_runtime_params(rp);
 
@@ -35,6 +41,7 @@ int main(int argc, char** argv) try {
   // FLASHHP_THREADS, its layout --mesh.layout / FLASHHP_LAYOUT and its
   // page policy --mem.hpage_type / FLASHHP_HPAGE_TYPE.
   rt::Runtime runtime(runtime_options);
+  obs::Recording recording(runtime, rp);
 
   sim::SupernovaParams params;
   params.central_density = rp.get_real("rho_c");
@@ -58,6 +65,7 @@ int main(int argc, char** argv) try {
   const double mass0 = m.integrate(mesh::var::kDens);
   sim::Driver& driver = simulation.driver();
   driver.evolve();
+  if (recording.active()) std::cout << recording.finish() << "\n";
   const double mass1 = m.integrate(mesh::var::kDens);
 
   const int vphi = mesh::var::kFirstScalar + sim::snvar::kPhi;

@@ -103,12 +103,10 @@ void HydroSolver::ensure_lane_scratch() {
 }
 
 void HydroSolver::sweep_block_task(int axis, double dt, int b, int lane) {
-  FHP_TRACE_SPAN("hydro.sweep_block");
   sweep_block(axis, dt, b, lane_bufs_[static_cast<std::size_t>(lane)]);
 }
 
 void HydroSolver::eos_update_block_task(int b, int lane) {
-  FHP_TRACE_SPAN("eos.block");
   eos_update_block(b, lane_rows_[static_cast<std::size_t>(lane)],
                    lane_scalars_[static_cast<std::size_t>(lane)]);
 }
@@ -159,7 +157,6 @@ double HydroSolver::block_dt(int b) const {
 }
 
 double HydroSolver::compute_dt() const {
-  FHP_TRACE_SPAN("hydro.compute_dt");
   const std::vector<int> leaves = mesh_.tree().leaves_morton();
   // Per-lane partial minima; min is exact and commutative, so the
   // lane-then-serial combine equals the serial scan bit for bit.

@@ -73,7 +73,10 @@ BlockLayout::BlockLayout(LayoutKind kind, int nvar, int ni, int nj, int nk)
       ni_(ni),
       nj_(nj),
       nk_(nk),
-      block_stride_(static_cast<std::size_t>(nvar) * ni * nj * nk) {
+      block_stride_(static_cast<std::size_t>(nvar) *
+                    static_cast<std::size_t>(ni) *
+                    static_cast<std::size_t>(nj) *
+                    static_cast<std::size_t>(nk)) {
   FHP_PRECONDITION(nvar > 0 && ni > 0 && nj > 0 && nk > 0,
                    "layout extents must be positive");
   const auto niz = static_cast<std::size_t>(ni);

@@ -9,8 +9,8 @@
 /// hot path is an unsynchronized slot store plus a counter increment —
 /// no atomics, no locks, and never a block: when the ring is full the
 /// oldest record is overwritten and the drop is visible as
-/// `pushed() - capacity()`. Readers (the timeline exporter, histogram
-/// builder) run on the driver thread after the lanes have quiesced; the
+/// `pushed() - capacity()`. The reader (the timeline exporter) runs on
+/// the driver thread after the lanes have quiesced; the
 /// worker pool's completion handshake provides the happens-before edge,
 /// exactly as for perf::PerfContext's counter shards.
 

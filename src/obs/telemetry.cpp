@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -22,8 +23,7 @@ std::uint64_t steady_now_ns() {
 
 Telemetry::Telemetry(TelemetryOptions options)
     : clock_(options.clock ? std::move(options.clock) : steady_now_ns) {
-  const int lanes =
-      options.lanes > 0 ? options.lanes : par::threads_from_environment(1);
+  const int lanes = std::max(options.lanes, 1);
   rings_.reserve(static_cast<std::size_t>(lanes));
   for (int l = 0; l < lanes; ++l) rings_.emplace_back(options.ring_capacity);
 }
@@ -46,15 +46,21 @@ void Telemetry::uninstall() noexcept {
   }
 }
 
-void Telemetry::record_span(int lane, const char* name,
-                            std::uint64_t begin_ns, std::uint64_t end_ns,
-                            std::uint16_t depth) noexcept {
+FHP_NO_ALLOC void Telemetry::record_span(int lane, const char* name,
+                                         std::uint64_t begin_ns,
+                                         std::uint64_t end_ns,
+                                         std::uint16_t depth) noexcept {
   // Writer-role witness: a SpanScope destructs on the thread that opened
   // it and passes that thread's own lane_id(), so the caller is by
   // construction the single writer of lane's ring — whether it is a pool
   // lane inside a region or the driver thread (lane 0) between regions.
   RegionWitness witness;
-  record(lane, {name, begin_ns, end_ns, depth});
+  if (lane >= 0 && lane < lanes()) {
+    rings_[static_cast<std::size_t>(lane)].push(
+        {name, begin_ns, end_ns, depth});
+  } else {
+    overflow_drops_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void Telemetry::mark_step(int step, double sim_time, double dt) {
@@ -78,19 +84,6 @@ std::uint64_t Telemetry::dropped_spans() const noexcept {
   std::uint64_t n = overflow_drops_.load(std::memory_order_relaxed);
   for (const SpanRing& ring : rings_) n += ring.dropped();
   return n;
-}
-
-std::map<std::string, Histogram, std::less<>> Telemetry::latency_histograms()
-    const {
-  FHP_REQUIRE(!par::region_active(),
-              "Telemetry::latency_histograms: lanes must be quiescent");
-  std::map<std::string, Histogram, std::less<>> out;
-  for (const SpanRing& ring : rings_) {
-    for (const SpanRecord& rec : ring.in_order()) {
-      out[rec.name].add(rec.end_ns - rec.begin_ns);
-    }
-  }
-  return out;
 }
 
 std::string timeline_from_environment() {

@@ -1,24 +1,14 @@
 /// \file telemetry.hpp
-/// \brief The obs::Telemetry context and the FHP_TRACE_SPAN macro.
+/// \brief obs::Telemetry: the span rings and step marks a timeline draws.
 ///
-/// Telemetry is to observability what perf::PerfContext is to counters:
-/// an explicit object you construct alongside the PerfContext, thread
-/// through sim::DriverUnits, and read results from — per-lane span rings,
-/// per-name latency histograms, step marks — before exporting the whole
-/// run as a chrome://tracing / Perfetto timeline (obs/timeline.hpp).
-///
-/// A Telemetry is *installed* on one rt::Runtime and receives the spans
-/// recorded on that runtime's driver thread and arena lanes. The binding
-/// slot itself lives one layer down, in support/trace.hpp —
-/// FHP_TRACE_SPAN and the SpanScope that physics kernels use consult the
-/// support-layer facade, so mesh/hydro/sim never include this module
-/// (the module DAG puts obs on top; tools/fhp_analyze.py enforces it).
-/// Telemetry is the facade's in-tree trace::Sink implementation. The
-/// disabled path is the design's contract: with no sink bound a span
-/// scope is one thread-local load and a branch — no clock read, no
-/// allocation, no syscall — so an untraced run pays nothing on the
-/// block-sweep hot path (tests/test_obs.cpp holds this with an
-/// allocation-counting guard).
+/// Every span closed on an rt::Runtime's driver thread or arena lanes is
+/// reduced exactly into the runtime's perf::Timers, which is what the
+/// FLASH table and a timeline's histograms read. A Telemetry *installed*
+/// on the runtime is that reduction's downstream sink: it keeps the same
+/// spans in per-lane rings (oldest dropped when full) and the step marks,
+/// which obs/timeline.hpp draws as a chrome://tracing / Perfetto
+/// timeline, and its clock times the runtime's spans while installed.
+/// obs::Recording is the one owner that installs one for a program.
 ///
 /// Threading contract (mirrors perf_context.hpp): spans may be recorded
 /// by the driver thread and by pool lanes inside a parallel region —
@@ -32,12 +22,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/histogram.hpp"
 #include "obs/span.hpp"
 #include "par/parallel.hpp"
 #include "support/trace.hpp"
@@ -52,23 +39,22 @@ class Runtime;  // rt/runtime.hpp — per-runtime install target
 
 namespace fhp::obs {
 
-/// Construction-time knobs. The defaults trace a full Sedov run (~1e5
-/// spans) in ~512 KiB per lane.
+/// Construction-time knobs. By default each lane's ring keeps its latest
+/// 16 Ki span records in 512 KiB.
 struct TelemetryOptions {
   /// Span records retained per lane before oldest-dropped kicks in.
   std::size_t ring_capacity = std::size_t{1} << 14;
-  /// Lane rings to allocate; 0 means `par::threads_from_environment()`,
-  /// the lane count a default-constructed rt::Runtime resolves. Spans
-  /// from lanes beyond this count are counted, not stored.
-  int lanes = 0;
+  /// Lane rings to allocate (at least one): the lane count of the
+  /// runtime it is installed on. Spans from lanes beyond it are counted,
+  /// not stored.
+  int lanes = 1;
   /// Timestamp source in nanoseconds; null = steady_clock. Injectable so
   /// tests drive deterministic timelines.
   std::function<std::uint64_t()> clock;
 };
 
-/// The observability context: owns the per-lane span rings and the step
-/// marks, builds per-name latency histograms, and (while installed on a
-/// runtime) is the trace::Sink behind that runtime's FHP_TRACE_SPANs.
+/// The timeline context: owns the per-lane span rings and the step marks
+/// and, while installed on a runtime, receives that runtime's spans.
 class Telemetry final : public trace::Sink {
  public:
   explicit Telemetry(TelemetryOptions options = {});
@@ -76,13 +62,14 @@ class Telemetry final : public trace::Sink {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  /// Publish this context as \p runtime's span sink: spans recorded on
-  /// the runtime's arena lanes — and on the driver thread inside a
-  /// Driver step or a Runtime::BindScope — route here, so interleaved
-  /// runtimes keep separate timelines. Size `TelemetryOptions::lanes`
-  /// to the runtime's lane count. Throws fhp::ConfigError if \p runtime
-  /// already has a sink. The runtime must outlive this Telemetry (or
-  /// uninstall() first).
+  /// Become \p runtime's downstream span sink: spans recorded on the
+  /// runtime's arena lanes — and on the driver thread inside a Driver
+  /// step or a Runtime::BindScope — route here after the runtime's
+  /// timers, so interleaved runtimes keep separate timelines. Size
+  /// `TelemetryOptions::lanes` to the runtime's lane count. Setup-time:
+  /// no span of the runtime may be open. Throws fhp::ConfigError if
+  /// \p runtime already has one. The runtime must outlive this Telemetry
+  /// (or uninstall() first).
   void install(rt::Runtime& runtime) FHP_EXCLUDES_REGION;
 
   /// Withdraw from the bound runtime (idempotent; the destructor calls
@@ -92,21 +79,10 @@ class Telemetry final : public trace::Sink {
   /// Current timestamp from the injected clock.
   [[nodiscard]] std::uint64_t now_ns() const override { return clock_(); }
 
-  /// Record one closed span against \p lane's ring (hot path; requires
-  /// the per-lane writer role — the caller must be the thread running as
-  /// that lane). Lanes beyond the ring count are tallied as dropped.
-  FHP_NO_ALLOC void record(int lane, const SpanRecord& rec) noexcept
-      FHP_REQUIRES_REGION {
-    if (lane >= 0 && lane < static_cast<int>(rings_.size())) {
-      rings_[static_cast<std::size_t>(lane)].push(rec);
-    } else {
-      overflow_drops_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// trace::Sink hot path: a SpanScope closed on lane \p lane. Defined
-  /// out of line — it asserts the writer role before forwarding to
-  /// record() (the recording thread *is* that lane, by construction).
+  /// trace::Sink hot path: one closed span, pushed onto \p lane's ring
+  /// by the thread running as that lane (a SpanScope's own thread, via
+  /// the runtime's timers). Lanes beyond the ring count are tallied as
+  /// dropped.
   void record_span(int lane, const char* name, std::uint64_t begin_ns,
                    std::uint64_t end_ns, std::uint16_t depth) noexcept
       override;
@@ -134,14 +110,11 @@ class Telemetry final : public trace::Sink {
   [[nodiscard]] std::uint64_t total_spans() const noexcept
       FHP_EXCLUDES_REGION;
 
-  /// Spans lost to ring overwrite or out-of-range lanes.
+  /// Spans the rings no longer hold (overwritten, or from out-of-range
+  /// lanes): the timeline does not draw them, though the runtime's
+  /// timers counted them.
   [[nodiscard]] std::uint64_t dropped_spans() const noexcept
       FHP_EXCLUDES_REGION;
-
-  /// Per-span-name latency histograms (end - begin, ns), merged across
-  /// every lane's retained records.
-  [[nodiscard]] std::map<std::string, Histogram, std::less<>>
-  latency_histograms() const FHP_EXCLUDES_REGION;
 
  private:
   std::vector<SpanRing> rings_;

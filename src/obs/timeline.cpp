@@ -9,6 +9,7 @@
 
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
+#include "perf/timers.hpp"
 #include "support/error.hpp"
 
 namespace fhp::obs {
@@ -139,11 +140,12 @@ std::uint64_t find_epoch(const Telemetry& telemetry, const Sampler* sampler) {
   return epoch == std::numeric_limits<std::uint64_t>::max() ? 0 : epoch;
 }
 
-void write_histograms(std::ostream& os, const Telemetry& telemetry) {
+void write_histograms(std::ostream& os, const perf::Timers& timers) {
   bool first = true;
-  for (const auto& [name, hist] : telemetry.latency_histograms()) {
+  for (const auto& [name, hist] : timers.histograms()) {
     os << (first ? "\n      " : ",\n      ") << '"' << json_escape(name)
        << "\": {\"count\":" << hist.count()
+       << ",\"total_ns\":" << hist.sum()
        << ",\"mean_ns\":" << json_double(hist.mean())
        << ",\"p50_ns\":" << json_double(hist.quantile(0.5))
        << ",\"p90_ns\":" << json_double(hist.quantile(0.9))
@@ -158,7 +160,7 @@ void write_histograms(std::ostream& os, const Telemetry& telemetry) {
 }  // namespace
 
 void write_timeline(std::ostream& os, const Telemetry& telemetry,
-                    const Sampler* sampler) {
+                    const perf::Timers& timers, const Sampler* sampler) {
   EventWriter w(os, find_epoch(telemetry, sampler));
 
   os << "{\"traceEvents\": [";
@@ -212,6 +214,7 @@ void write_timeline(std::ostream& os, const Telemetry& telemetry,
   os << "\n],\n\"displayTimeUnit\": \"ms\",\n\"flashhpSummary\": {"
      << "\n    \"totalSpans\": " << telemetry.total_spans()
      << ",\n    \"droppedSpans\": " << telemetry.dropped_spans()
+     << ",\n    \"spanOverflow\": " << timers.overflow()
      << ",\n    \"lanes\": " << telemetry.lanes();
   if (sampler != nullptr) {
     os << ",\n    \"samples\": " << sampler->samples().size()
@@ -222,17 +225,17 @@ void write_timeline(std::ostream& os, const Telemetry& telemetry,
        << ",\n    \"samplePeriodNs\": " << sampler->period_ns();
   }
   os << ",\n    \"histograms\": {";
-  write_histograms(os, telemetry);
+  write_histograms(os, timers);
   os << "}\n  }\n}\n";
 }
 
 void write_timeline_file(const std::string& path, const Telemetry& telemetry,
-                         const Sampler* sampler) {
+                         const perf::Timers& timers, const Sampler* sampler) {
   std::ofstream out(path);
   if (!out) {
     throw SystemError("cannot write timeline '" + path + "'", errno);
   }
-  write_timeline(out, telemetry, sampler);
+  write_timeline(out, telemetry, timers, sampler);
 }
 
 std::string csv_path_for(const std::string& timeline_path) {

@@ -1,8 +1,8 @@
-#include "obs/histogram.hpp"
+#include "perf/histogram.hpp"
 
 #include <cstdio>
 
-namespace fhp::obs {
+namespace fhp::perf {
 
 namespace {
 
@@ -64,4 +64,4 @@ std::string Histogram::summary() const {
   return buf;
 }
 
-}  // namespace fhp::obs
+}  // namespace fhp::perf

@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <string>
 
-namespace fhp::obs {
+namespace fhp::perf {
 
 /// A log2-bucketed histogram of non-negative 64-bit samples (span
-/// latencies in nanoseconds, in this subsystem). Plain value type: copy,
+/// latencies in nanoseconds, in perf::Timers). Plain value type: copy,
 /// merge, compare freely. Not internally synchronized — each lane owns
 /// one, and merges happen on the reader thread after the lanes quiesce.
 class Histogram {
@@ -79,4 +79,4 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-}  // namespace fhp::obs
+}  // namespace fhp::perf

@@ -28,6 +28,7 @@ RuntimeOptions apply_runtime_params(const RuntimeParams& params) {
 Runtime::Runtime(RuntimeOptions options)
     : perf_(std::make_unique<perf::PerfContext>()),
       arena_(std::make_unique<par::ExecArena>(options.lanes, &env_)),
+      timers_(arena_->lanes()),
       // Snapshot the configuration once: explicit option, else the
       // environment, so later env mutations cannot skew a constructed
       // tenant.
@@ -44,19 +45,11 @@ Runtime::Runtime(RuntimeOptions options)
     pool_ = owned_pool_.get();
   }
   env_.log_tag = log_tag_.empty() ? nullptr : log_tag_.c_str();
-  env_.trace_sink = options.trace_sink;
+  env_.trace_sink = &timers_;
 }
 
-void Runtime::set_trace_sink(trace::Sink* sink) noexcept {
-  env_.trace_sink = sink;
-}
-
-trace::Sink* Runtime::trace_sink() const noexcept { return env_.trace_sink; }
-
-Runtime::BindScope::BindScope(const Runtime& runtime) {
-  if (runtime.env_.trace_sink != nullptr) {
-    sink_.emplace(runtime.env_.trace_sink);
-  }
+Runtime::BindScope::BindScope(const Runtime& runtime)
+    : sink_(runtime.env_.trace_sink) {
   if (!runtime.log_tag_.empty()) tag_.emplace(runtime.log_tag_.c_str());
 }
 

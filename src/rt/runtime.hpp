@@ -24,8 +24,10 @@
 ///     snapshot (explicit option, else the environment, else the
 ///     built-in default); setups built on the runtime allocate with its
 ///     huge_policy(),
-///   - the trace sink and log tag its driver thread and pool lanes bind
-///     while working (see trace::SinkBinding and fhp::LogTagScope).
+///   - a perf::Timers, the exact reduction of every span closed on its
+///     driver thread and pool lanes — the sink they bind while working
+///     (see trace::SinkBinding) — and the log tag they bind with it
+///     (fhp::LogTagScope).
 ///
 /// There is no process-default runtime: every entry point (example,
 /// bench, test, service tenant) constructs one. What stays process-wide,
@@ -45,6 +47,7 @@
 #include "mesh/layout.hpp"
 #include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
+#include "perf/timers.hpp"
 #include "support/log.hpp"
 #include "support/trace.hpp"
 
@@ -79,9 +82,6 @@ struct RuntimeOptions {
   /// (ignored when `pool` is set); nullopt = initialize it from the
   /// environment on first allocation.
   std::optional<mem::PagePoolConfig> pool_config;
-  /// Initial trace sink (see set_trace_sink); usually installed later,
-  /// after the obs::Telemetry for this runtime exists.
-  trace::Sink* trace_sink = nullptr;
   /// Non-empty: log lines from this runtime's driver thread and lanes
   /// are prefixed "[tag]" so interleaved-sim logs stay attributable.
   std::string log_tag;
@@ -126,19 +126,31 @@ class Runtime {
     return policy_;
   }
 
-  /// Install (or clear, with null) the sink receiving this runtime's
-  /// spans and step marks. Setup-time, driver thread, outside evolve():
-  /// the driver binds it per step and the arena applies it on every
-  /// lane per region. Two runtimes trace to two sinks concurrently.
-  void set_trace_sink(trace::Sink* sink) noexcept;
-  [[nodiscard]] trace::Sink* trace_sink() const noexcept;
+  /// The exact reduction of this runtime's spans: the FLASH timer table.
+  /// Sized to lanes() at construction.
+  [[nodiscard]] perf::Timers& timers() noexcept { return timers_; }
+  [[nodiscard]] const perf::Timers& timers() const noexcept {
+    return timers_;
+  }
+
+  /// Install (or clear, with null) the sink that also receives this
+  /// runtime's spans and step marks, downstream of timers() (see
+  /// perf::Timers::set_downstream). Setup-time, driver thread, outside
+  /// evolve(), no span open. Two runtimes trace to two sinks
+  /// concurrently.
+  void set_trace_sink(trace::Sink* sink) noexcept {
+    timers_.set_downstream(sink);
+  }
+  [[nodiscard]] trace::Sink* trace_sink() const noexcept {
+    return timers_.downstream();
+  }
 
   /// The tag prefixing this runtime's log lines ("" = untagged).
   [[nodiscard]] const std::string& log_tag() const noexcept {
     return log_tag_;
   }
 
-  /// RAII: binds the runtime's trace sink (when one is set) and log tag
+  /// RAII: binds the runtime's timers() as the span sink and its log tag
   /// (when non-empty) to the calling thread. The driver opens one over
   /// each step; anything else running work for a runtime on its own
   /// thread (setup, checkpointing, report rendering) can do the same.
@@ -150,7 +162,7 @@ class Runtime {
     BindScope& operator=(const BindScope&) = delete;
 
    private:
-    std::optional<trace::SinkBinding> sink_;
+    trace::SinkBinding sink_;
     std::optional<LogTagScope> tag_;
   };
 
@@ -159,6 +171,7 @@ class Runtime {
   std::unique_ptr<mem::PagePool> owned_pool_;  ///< null when shared
   mem::PagePool* pool_ = nullptr;              ///< never null
   std::unique_ptr<par::ExecArena> arena_;
+  perf::Timers timers_;  ///< sized by arena_, so declared after it
 
   mesh::LayoutKind layout_;
   mem::HugePolicy policy_;

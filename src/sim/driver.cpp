@@ -24,10 +24,10 @@ rt::Runtime& required_runtime(const DriverUnits& units) {
 }  // namespace
 
 Driver::Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
-               perf::Timers& timers, DriverOptions options, DriverUnits units)
+               perf::Timers& /*unused*/, DriverOptions options,
+               DriverUnits units)
     : mesh_(mesh),
       hydro_(hydro),
-      timers_(timers),
       options_(std::move(options)),
       units_(std::move(units)),
       runtime_(required_runtime(units_)),
@@ -103,7 +103,6 @@ void Driver::trace_regions() {
 }
 
 void Driver::evolve() {
-  perf::Timers::Scope total(timers_, "evolution");
   while (step_once()) {
   }
 }
@@ -117,7 +116,6 @@ bool Driver::step_once() {
   {
     FHP_TRACE_SPAN("driver.step");
     {
-      perf::Timers::Scope t(timers_, "compute_dt");
       FHP_TRACE_SPAN("driver.compute_dt");
       dt_ = hydro_.compute_dt();
     }
@@ -126,13 +124,11 @@ bool Driver::step_once() {
     {
       // Fused step: every sweep plus the flame stage as one block-task
       // DAG — no barriers between guard fill, sweep, flux fixup and EOS.
-      perf::Timers::Scope t(timers_, "step_graph");
       FHP_TRACE_SPAN("driver.step_graph");
       step_graph_.run_step(dt_);
     }
 
     if (units_.gravity != nullptr) {
-      perf::Timers::Scope t(timers_, "gravity");
       FHP_TRACE_SPAN("driver.gravity");
       units_.gravity->update(mesh_);
       units_.gravity->apply_source(mesh_, dt_);
@@ -140,7 +136,6 @@ bool Driver::step_once() {
     }
 
     {
-      perf::Timers::Scope t(timers_, "trace");
       FHP_TRACE_SPAN("driver.trace");
       trace_regions();
     }
@@ -163,7 +158,6 @@ bool Driver::step_once() {
 
     if (options_.remesh_interval > 0 &&
         step_ % options_.remesh_interval == 0) {
-      perf::Timers::Scope t(timers_, "remesh");
       FHP_TRACE_SPAN("driver.remesh");
       const int changes = mesh_.remesh(options_.refine_vars,
                                        options_.refine_cut,

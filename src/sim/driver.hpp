@@ -4,9 +4,11 @@
 /// Runs the time loop: CFL time step, hydro sweeps, flame and gravity
 /// operator-split sources, periodic re-gridding, and the instrumentation
 /// the paper describes: named PerfRegions around each physics unit fed by
-/// the machine model through sampled address-stream replays, plus the
-/// FLASH-style wall-clock Timers. The regions and the step-boundary
-/// publish() always land in the runtime's PerfContext, `runtime.perf()`.
+/// the machine model through sampled address-stream replays, and one span
+/// per phase (driver.step, .compute_dt, .step_graph, .gravity, .trace,
+/// .remesh), which the runtime reduces into its FLASH-style timer table,
+/// `runtime.timers()`. The regions and the step-boundary publish() always
+/// land in the runtime's PerfContext, `runtime.perf()`.
 ///
 /// The sweeps and the flame stage of every step run as one block-task
 /// DAG (sim::StepGraph on par::TaskGraph). It reproduces the bulk
@@ -31,9 +33,12 @@
 #include "hydro/hydro.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "par/task_graph.hpp"
-#include "perf/timers.hpp"
 #include "sim/step_graph.hpp"
 #include "tlb/machine.hpp"
+
+namespace fhp::perf {
+class Timers;  // perf/timers.hpp — the unused constructor parameter
+}
 
 namespace fhp::rt {
 class Runtime;  // rt/runtime.hpp — non-owning pointer only
@@ -71,15 +76,18 @@ struct DriverUnits {
   tlb::Machine* machine = nullptr;  ///< machine model (enables tracing)
   EosTraceFn eos_trace;             ///< per-block EOS replay hook
   rt::Runtime* runtime = nullptr;   ///< execution context (required)
-  // Span tracing needs no wiring beyond the runtime: the driver binds
-  // the runtime's trace sink around each step — sim does not depend on
-  // the obs layer.
+  // Timing needs no wiring beyond the runtime: the driver binds the
+  // runtime's span sink around each step — sim does not depend on the
+  // obs layer.
 };
 
 /// The driver. Non-owning references, wired through DriverUnits at
 /// construction; sim::Simulation is the one place that wires a problem.
 class Driver {
  public:
+  /// The perf::Timers parameter is unused — the phases are spans, which
+  /// land in `units.runtime->timers()` — and remains only for callers
+  /// that still wire a Driver by hand and pass one.
   Driver(mesh::AmrMesh& mesh, hydro::HydroSolver& hydro,
          perf::Timers& timers, DriverOptions options,
          DriverUnits units = {});
@@ -90,7 +98,7 @@ class Driver {
   /// Advance exactly one time step; returns false (and does nothing)
   /// once the step or simulated-time budget is spent. This is the unit
   /// multi-tenant schedulers interleave: each call binds the runtime's
-  /// trace sink and log tag, runs entirely on the runtime's arena, and
+  /// span sink and log tag, runs entirely on the runtime's arena, and
   /// leaves the lanes quiescent, so calls on different Drivers (even
   /// concurrently from two threads, one thread per driver) produce the
   /// same physics and published counters as each driver running solo.
@@ -115,7 +123,6 @@ class Driver {
 
   mesh::AmrMesh& mesh_;
   hydro::HydroSolver& hydro_;
-  perf::Timers& timers_;
   DriverOptions options_;
   DriverUnits units_;
   rt::Runtime& runtime_;

@@ -47,7 +47,8 @@ Simulation::Simulation(const ProblemParams& problem, rt::Runtime& runtime,
     refine_vars = {kDens, kFirstScalar + snvar::kPhi};
   }
   if (options.refine_vars.empty()) options.refine_vars = std::move(refine_vars);
-  driver_.emplace(*mesh_, *hydro_, timers_, std::move(options), units_);
+  driver_.emplace(*mesh_, *hydro_, runtime.timers(), std::move(options),
+                  units_);
 }
 
 }  // namespace fhp::sim

@@ -15,7 +15,6 @@
 #include "flame/adr.hpp"
 #include "hydro/hydro.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "perf/timers.hpp"
 #include "rt/runtime.hpp"
 #include "sim/cellular.hpp"
 #include "sim/driver.hpp"
@@ -30,8 +29,8 @@ using ProblemParams =
     std::variant<SedovParams, CellularParams, SupernovaParams>;
 
 /// One run: it owns the setup (built under the runtime's page policy and
-/// layout), the HydroSolver, the machine model when tracing, the timers
-/// and the Driver. Member order is the destruction contract: the Driver
+/// layout), the HydroSolver, the machine model when tracing, and the
+/// Driver. Member order is the destruction contract: the Driver
 /// goes before the units, solver and setup it borrows.
 class Simulation {
  public:
@@ -53,7 +52,10 @@ class Simulation {
   [[nodiscard]] Driver& driver() noexcept { return *driver_; }
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] hydro::HydroSolver& hydro() noexcept { return *hydro_; }
-  [[nodiscard]] perf::Timers& timers() noexcept { return timers_; }
+  /// The FLASH timer table: the runtime's span reduction.
+  [[nodiscard]] perf::Timers& timers() noexcept {
+    return units_.runtime->timers();
+  }
   /// The flame; null for Sedov.
   [[nodiscard]] flame::AdrFlame* flame() const noexcept {
     return units_.flame;
@@ -72,7 +74,6 @@ class Simulation {
       setup_;
   mesh::AmrMesh* mesh_ = nullptr;
   std::optional<hydro::HydroSolver> hydro_;
-  perf::Timers timers_;
   DriverUnits units_;
   std::optional<Driver> driver_;
 };

@@ -2,22 +2,23 @@
 /// \brief The thread-bound span-tracing facade behind FHP_TRACE_SPAN.
 ///
 /// Physics kernels (mesh, hydro, flame) and the driver mark timed scopes
-/// with FHP_TRACE_SPAN, but the timeline machinery that stores and
-/// exports those spans lives in fhp::obs — the *top* layer of the module
-/// DAG, above sim. The layers in between may not include it (the
-/// layering rule in tools/fhp_analyze.py makes that an error), so this
-/// facade inverts the dependency: support defines the abstract Sink and
-/// a thread-local binding slot, obs::Telemetry implements the Sink and
-/// installs itself on an rt::Runtime, and everything in between depends
-/// only on support. There is no process-wide sink: a span reaches a
-/// sink only on a thread that has one bound (SinkBinding) — a runtime's
-/// driver thread during a step and its arena's lanes during a region.
+/// with FHP_TRACE_SPAN, but what records those spans lives higher in the
+/// module DAG: perf::Timers reduces them and obs::Telemetry keeps their
+/// timeline. The layers in between may not include obs (the layering
+/// rule in tools/fhp_analyze.py makes that an error), so this facade
+/// inverts the dependency: support defines the abstract Sink and a
+/// thread-local binding slot, and everything in between depends only on
+/// support. There is no process-wide sink: a span reaches a sink only on
+/// a thread that has one bound (SinkBinding). Every rt::Runtime binds its
+/// perf::Timers on its driver thread during a step (Runtime::BindScope)
+/// and on its arena's lanes during a region; an installed obs::Telemetry
+/// receives the spans downstream of it.
 ///
-/// The disabled path is the design's contract: with no sink bound a
-/// SpanScope is one thread-local load and a branch — no clock read, no
-/// allocation, no virtual call — so an untraced run pays nothing on the
-/// block-sweep hot path (tests/test_obs.cpp holds this with an
-/// allocation-counting guard).
+/// The cost contract: on a thread with no sink bound a SpanScope is one
+/// thread-local load and a branch — no clock read, no allocation, no
+/// virtual call. Under a runtime it is two clock reads and one table
+/// update, still with no allocation (tests/test_obs.cpp holds both with
+/// an allocation-counting guard).
 ///
 /// Threading contract: spans may close on the driver thread and on pool
 /// lanes inside a parallel region — each records only against its own
@@ -32,10 +33,11 @@
 
 namespace fhp::trace {
 
-/// Abstract span sink. Implemented by obs::Telemetry; the virtual calls
-/// are intentionally unannotated for the thread-safety analysis — the
-/// implementation asserts its own writer-role invariants (per-lane
-/// single-writer rings) where it touches lane-private storage.
+/// Abstract span sink. Implemented by perf::Timers and obs::Telemetry;
+/// the virtual calls are intentionally unannotated for the thread-safety
+/// analysis — each implementation asserts its own writer-role invariants
+/// (per-lane single-writer tables and rings) where it touches
+/// lane-private storage.
 class Sink {
  public:
   Sink() = default;
@@ -74,10 +76,10 @@ void exit_span() noexcept;
 
 /// RAII thread-local sink binding: while alive, this thread's spans,
 /// step marks and SpanScopes resolve to \p s (null disables them). This
-/// is how an rt::Runtime scopes its telemetry to its own driver thread
-/// and pool lanes: the driver binds over each step, and par applies the
-/// owning arena's LaneEnv on every worker lane for the duration of a
-/// region. Bindings nest (save/restore), and each binds only the
+/// is how an rt::Runtime scopes its span reduction to its own driver
+/// thread and pool lanes: the driver binds over each step, and par
+/// applies the owning arena's LaneEnv on every worker lane for the
+/// duration of a region. Bindings nest (save/restore), and each binds only the
 /// constructing thread.
 class SinkBinding {
  public:

@@ -16,8 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/telemetry.hpp"
-#include "obs/timeline.hpp"
+#include "obs/recording.hpp"
 #include "rt/runtime.hpp"
 #include "sim/simulation.hpp"
 #include "support/error.hpp"
@@ -50,11 +49,11 @@ PoolSummary counter_delta(const mem::PoolCounters& before,
 /// perf context, arena, layout snapshot; block storage carved from the
 /// service's shared pool) and the Simulation built on it. Declaration
 /// order is the destruction contract: the runtime outlives the
-/// simulation built on it, and the telemetry (installed on the runtime)
+/// simulation built on it, and the recording (installed on the runtime)
 /// uninstalls before the runtime dies.
 struct Tenant {
   std::unique_ptr<rt::Runtime> runtime;
-  std::unique_ptr<obs::Telemetry> telemetry;
+  std::optional<obs::Recording> recording;
   std::optional<sim::Simulation> simulation;
 };
 
@@ -274,10 +273,9 @@ struct Service::Impl {
           r.final_state.push_back(f->energy_released());
         }
       }
-      if (status == JobStatus::kDone && !job->spec.timeline_path.empty() &&
-          t.telemetry) {
+      if (status == JobStatus::kDone) {
         try {
-          obs::write_timeline_file(job->spec.timeline_path, *t.telemetry);
+          static_cast<void>(t.recording->finish());
         } catch (const std::exception& e) {
           FHP_LOG(kWarn) << "job " << job->id << ": timeline export to '"
                          << job->spec.timeline_path << "' failed: "
@@ -322,12 +320,7 @@ struct Service::Impl {
     tenant->runtime = std::make_unique<rt::Runtime>(ropts);
     rt::Runtime& runtime = *tenant->runtime;
 
-    if (!spec.timeline_path.empty()) {
-      obs::TelemetryOptions topts;
-      topts.lanes = runtime.lanes();
-      tenant->telemetry = std::make_unique<obs::Telemetry>(topts);
-      tenant->telemetry->install(runtime);
-    }
+    tenant->recording.emplace(runtime, spec.timeline_path);
 
     sim::DriverOptions dopts;
     dopts.nsteps = spec.nsteps;

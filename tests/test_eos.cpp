@@ -84,8 +84,8 @@ TEST(FermiDirac, FusedEvaluationMatchesScalar) {
 }
 
 TEST(FermiDirac, RejectsBadArguments) {
-  EXPECT_THROW(fd_integral(-1.5, 0.0, 0.0), ConfigError);
-  EXPECT_THROW(fd_integral(0.5, 0.0, -1.0), ConfigError);
+  EXPECT_THROW(static_cast<void>(fd_integral(-1.5, 0.0, 0.0)), ConfigError);
+  EXPECT_THROW(static_cast<void>(fd_integral(0.5, 0.0, -1.0)), ConfigError);
 }
 
 // -------------------------------------------------------------- gamma EOS
@@ -360,9 +360,12 @@ TEST(HelmTableTest, ExactOnNodes) {
 
 TEST(HelmTableTest, OutOfRangeThrows) {
   const HelmTable& table = test_table();
-  EXPECT_THROW(table.interpolate(1.0e-30, 1.0e8), NumericsError);
-  EXPECT_THROW(table.interpolate(1.0e5, 1.0e30), NumericsError);
-  EXPECT_THROW(table.interpolate(-1.0, 1.0e8), NumericsError);
+  EXPECT_THROW(static_cast<void>(table.interpolate(1.0e-30, 1.0e8)),
+               NumericsError);
+  EXPECT_THROW(static_cast<void>(table.interpolate(1.0e5, 1.0e30)),
+               NumericsError);
+  EXPECT_THROW(static_cast<void>(table.interpolate(-1.0, 1.0e8)),
+               NumericsError);
 }
 
 TEST(HelmTableTest, SaveLoadRoundTrip) {

@@ -75,8 +75,10 @@ TEST(FlameSpeed, EnhancedSpeedTakesTheMax) {
 }
 
 TEST(FlameSpeed, RejectsBadInputs) {
-  EXPECT_THROW(flame::laminar_speed_fit(-1.0, 0.5), ConfigError);
-  EXPECT_THROW(flame::laminar_speed_fit(1.0e9, 1.5), ConfigError);
+  EXPECT_THROW(static_cast<void>(flame::laminar_speed_fit(-1.0, 0.5)),
+               ConfigError);
+  EXPECT_THROW(static_cast<void>(flame::laminar_speed_fit(1.0e9, 1.5)),
+               ConfigError);
 }
 
 // -------------------------------------------------------------- ADR flame

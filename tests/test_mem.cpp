@@ -103,7 +103,7 @@ TEST(HugePolicy, FujitsuVariableHonoured) {
 
 TEST(HugePolicy, BadEnvironmentValueThrows) {
   ::setenv(kPolicyEnvVar, "gibberish", 1);
-  EXPECT_THROW(policy_from_environment(), ConfigError);
+  EXPECT_THROW(static_cast<void>(policy_from_environment()), ConfigError);
   ::unsetenv(kPolicyEnvVar);
 }
 
@@ -194,7 +194,7 @@ TEST(ProcFieldTest, DistinguishesZeroFromAbsent) {
   EXPECT_EQ(absent, ProcField{});
   EXPECT_EQ(absent.value_or(7), 7u);
   EXPECT_EQ(zero.value_or(7), 0u);
-  EXPECT_THROW(absent.value(), ConfigError);
+  EXPECT_THROW(static_cast<void>(absent.value()), ConfigError);
 }
 
 TEST(Meminfo, MissingFileThrows) {

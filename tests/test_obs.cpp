@@ -6,7 +6,8 @@
 /// fixture trees (tests/fixtures/procfs), and the background-thread
 /// tests assert only thread-safe invariants. The one global side effect
 /// is the operator-new override at the bottom of this file, which backs
-/// the disabled-path zero-allocation guard.
+/// the zero-allocation guards on the unbound and runtime-bound span
+/// paths.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/histogram.hpp"
 #include "obs/sampler.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -27,6 +27,7 @@
 #include "par/parallel.hpp"
 #include "perf/perf_context.hpp"
 #include "rt/runtime.hpp"
+#include "sim/simulation.hpp"
 #include "support/error.hpp"
 
 // Allocation counter fed by the global operator-new override below.
@@ -51,73 +52,6 @@ class FakeClock {
  private:
   std::atomic<std::uint64_t> next_{1000};
 };
-
-// ---------------------------------------------------------------- histogram
-
-TEST(HistogramTest, BucketMapping) {
-  Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(4);
-  EXPECT_EQ(h.bucket_count(0), 1u);  // v == 0
-  EXPECT_EQ(h.bucket_count(1), 1u);  // v == 1
-  EXPECT_EQ(h.bucket_count(2), 2u);  // v in [2, 4)
-  EXPECT_EQ(h.bucket_count(3), 1u);  // v in [4, 8)
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.sum(), 10u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 4u);
-  EXPECT_EQ(Histogram::bucket_floor(0), 0u);
-  EXPECT_EQ(Histogram::bucket_floor(1), 1u);
-  EXPECT_EQ(Histogram::bucket_floor(10), 512u);
-}
-
-TEST(HistogramTest, QuantilesAreMonotonicAndBounded) {
-  Histogram h;
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v * 17);
-  const double p50 = h.quantile(0.5);
-  const double p90 = h.quantile(0.9);
-  const double p99 = h.quantile(0.99);
-  EXPECT_LE(h.quantile(0.0), p50);
-  EXPECT_LE(p50, p90);
-  EXPECT_LE(p90, p99);
-  EXPECT_LE(p99, static_cast<double>(h.max()));
-  // Log2 buckets are good to a factor of 2 around the true quantile.
-  EXPECT_GT(p50, 0.25 * 500 * 17);
-  EXPECT_LT(p50, 4.0 * 500 * 17);
-  EXPECT_FALSE(h.summary().empty());
-}
-
-TEST(HistogramTest, EmptyHistogramIsWellDefined) {
-  const Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(HistogramTest, MergeEqualsBulkAdd) {
-  // Merging per-lane histograms must be exact: bucket-wise addition is
-  // order-independent, so the merged result matches the single-histogram
-  // scan bit for bit.
-  Histogram lane0, lane1, all;
-  for (std::uint64_t v = 1; v < 500; ++v) {
-    const std::uint64_t sample = v * v + 3;
-    ((v % 2 == 0) ? lane0 : lane1).add(sample);
-    all.add(sample);
-  }
-  Histogram merged = lane0;
-  merged.merge(lane1);
-  EXPECT_EQ(merged.count(), all.count());
-  EXPECT_EQ(merged.sum(), all.sum());
-  EXPECT_EQ(merged.min(), all.min());
-  EXPECT_EQ(merged.max(), all.max());
-  for (int i = 0; i < Histogram::kBuckets; ++i) {
-    EXPECT_EQ(merged.bucket_count(i), all.bucket_count(i)) << "bucket " << i;
-  }
-  EXPECT_EQ(merged.quantile(0.9), all.quantile(0.9));
-}
 
 // ----------------------------------------------------------------- ring
 
@@ -189,26 +123,33 @@ TEST(TelemetryTest, OutOfRangeLaneIsCountedNotStored) {
   TelemetryOptions opts;
   opts.lanes = 1;
   Telemetry telemetry(opts);
-  telemetry.record(0, {"ok", 1, 2, 0});
-  telemetry.record(7, {"lost", 1, 2, 0});
+  telemetry.record_span(0, "ok", 1, 2, 0);
+  telemetry.record_span(7, "lost", 1, 2, 0);
   EXPECT_EQ(telemetry.ring(0).pushed(), 1u);
   EXPECT_EQ(telemetry.total_spans(), 2u);
   EXPECT_EQ(telemetry.dropped_spans(), 1u);
 }
 
 TEST(TelemetryTest, CrossLaneHistogramMerge) {
+  rt::Runtime runtime({.lanes = 2});
   TelemetryOptions opts;
   opts.lanes = 2;
   Telemetry telemetry(opts);
+  telemetry.install(runtime);
   // Lane 0: three 100 ns spans; lane 1: two 100 ns and one 7000 ns span,
-  // all under one name, plus a differently named span.
-  for (int i = 0; i < 3; ++i) telemetry.record(0, {"kernel", 0, 100, 0});
-  for (int i = 0; i < 2; ++i) telemetry.record(1, {"kernel", 0, 100, 0});
-  telemetry.record(1, {"kernel", 0, 7000, 0});
-  telemetry.record(1, {"other", 0, 50, 0});
-  const auto histograms = telemetry.latency_histograms();
+  // all under one name, plus a differently named span. The runtime's
+  // reduction merges them; the telemetry receives every one downstream.
+  perf::Timers& timers = runtime.timers();
+  for (int i = 0; i < 3; ++i) timers.record_span(0, "kernel", 0, 100, 0);
+  for (int i = 0; i < 2; ++i) timers.record_span(1, "kernel", 0, 100, 0);
+  timers.record_span(1, "kernel", 0, 7000, 0);
+  timers.record_span(1, "other", 0, 50, 0);
+  telemetry.uninstall();
+  EXPECT_EQ(telemetry.ring(0).pushed(), 3u);
+  EXPECT_EQ(telemetry.ring(1).pushed(), 4u);
+  const auto histograms = timers.histograms();
   ASSERT_EQ(histograms.size(), 2u);
-  const Histogram& kernel = histograms.at("kernel");
+  const perf::Histogram& kernel = histograms.at("kernel");
   EXPECT_EQ(kernel.count(), 6u);
   EXPECT_EQ(kernel.min(), 100u);
   EXPECT_EQ(kernel.max(), 7000u);
@@ -232,7 +173,41 @@ TEST(TelemetryTest, SpansFromParallelLanesLandInTheirRings) {
   EXPECT_EQ(telemetry.ring(0).pushed(), 32u);
   EXPECT_EQ(telemetry.ring(1).pushed(), 32u);
   EXPECT_EQ(telemetry.total_spans(), 64u);
-  EXPECT_EQ(telemetry.latency_histograms().at("par.item").count(), 64u);
+  EXPECT_EQ(runtime.timers().calls("par.item"), 64u);
+}
+
+TEST(TelemetryTest, TracedSedovStepTimesEachScopeOnce) {
+  // A task, the driver phase around it and the kernel inside it are
+  // timed once: no span duplicates task.sweep_*, task.eos or
+  // driver.compute_dt.
+  rt::Runtime runtime({.lanes = 2});
+  TelemetryOptions opts;
+  opts.lanes = runtime.lanes();
+  Telemetry telemetry(opts);
+  telemetry.install(runtime);
+  sim::SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 2;
+  params.maxblocks = 64;
+  sim::Simulation simulation(
+      params, runtime, {.nsteps = 1, .trace_sample = 2, .verbose = false});
+  simulation.driver().evolve();
+  telemetry.uninstall();
+  const auto histograms = runtime.timers().histograms();
+  for (const char* timed :
+       {"driver.step", "driver.compute_dt", "task.sweep_x", "task.eos"}) {
+    EXPECT_EQ(histograms.count(timed), 1u) << timed;
+  }
+  for (const char* duplicate :
+       {"hydro.sweep_block", "eos.block", "hydro.compute_dt"}) {
+    EXPECT_EQ(histograms.count(duplicate), 0u) << duplicate;
+    for (int lane = 0; lane < telemetry.lanes(); ++lane) {
+      for (const SpanRecord& rec : telemetry.ring(lane).in_order()) {
+        EXPECT_STRNE(rec.name, duplicate);
+      }
+    }
+  }
 }
 
 TEST(TelemetryTest, StepMarksCarryTheFakeClock) {
@@ -250,7 +225,7 @@ TEST(TelemetryTest, StepMarksCarryTheFakeClock) {
   EXPECT_EQ(telemetry.step_marks()[1].sim_time, 0.50);
 }
 
-// ---------------------------------------------------- disabled-path guard
+// ---------------------------------------------------- hot-path guards
 
 TEST(TelemetryDisabledPath, RecordsNothingAndAllocatesNothing) {
   // The acceptance contract: with no sink bound, FHP_TRACE_SPAN is one
@@ -264,6 +239,34 @@ TEST(TelemetryDisabledPath, RecordsNothingAndAllocatesNothing) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before);
+}
+
+TEST(TelemetryBoundPath, RecordsIntoTheRuntimeWithoutAllocating) {
+  // Bound to a runtime, a span is two clock reads and one table update
+  // (plus a ring push with a telemetry installed): once each name has
+  // its table slot, 1e5 spans of three names add no allocation.
+  static constexpr const char* kNames[3] = {"bound.a", "bound.b", "bound.c"};
+  rt::Runtime runtime({.lanes = 1});
+  Telemetry telemetry;
+  const auto record = [](int spans) {
+    for (int i = 0; i < spans; ++i) {
+      const trace::SpanScope span(kNames[i % 3]);
+    }
+  };
+  const rt::Runtime::BindScope bound(runtime);
+  for (const bool installed : {false, true}) {
+    if (installed) telemetry.install(runtime);
+    record(3);  // each name's first record
+    const std::uint64_t before =
+        g_allocations.load(std::memory_order_relaxed);
+    record(100000);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
+        << (installed ? "with" : "without") << " a telemetry";
+  }
+  telemetry.uninstall();
+  EXPECT_EQ(telemetry.total_spans(), 100003u);
+  EXPECT_EQ(runtime.timers().calls("bound.a"), 2u * 33335u);
+  EXPECT_EQ(runtime.timers().calls("bound.c"), 2u * 33334u);
 }
 
 // ----------------------------------------------------------------- sampler
@@ -458,10 +461,12 @@ TEST(TimelineTest, ExportContainsSpansMarksCountersAndHistograms) {
   topts.lanes = 2;
   topts.clock = clock.fn();
   Telemetry telemetry(topts);
-  telemetry.record(0, {"driver.step", 1000, 9000, 0});
-  telemetry.record(0, {"hydro.sweep_x", 2000, 5000, 1});
-  telemetry.record(1, {"hydro.sweep_block", 2500, 2600, 0});
-  telemetry.mark_step(1, 0.125, 0.125);
+  perf::Timers timers(2);
+  timers.set_downstream(&telemetry);
+  timers.record_span(0, "driver.step", 1000, 9000, 0);
+  timers.record_span(0, "hydro.sweep_x", 2000, 5000, 1);
+  timers.record_span(1, "task.sweep_x", 2500, 2600, 0);
+  timers.mark_step(1, 0.125, 0.125);
 
   SamplerOptions sopts =
       SamplerOptions::with_procfs_root(fixture_root("kernel-6.6"));
@@ -470,11 +475,11 @@ TEST(TimelineTest, ExportContainsSpansMarksCountersAndHistograms) {
   sampler.sample_once();
 
   std::ostringstream os;
-  write_timeline(os, telemetry, &sampler);
+  write_timeline(os, telemetry, timers, &sampler);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"driver.step\""), std::string::npos);
-  EXPECT_NE(json.find("\"hydro.sweep_block\""), std::string::npos);
+  EXPECT_NE(json.find("\"task.sweep_x\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);  // step mark
   EXPECT_NE(json.find("\"meminfo.AnonHugePages\""), std::string::npos);
   EXPECT_NE(json.find("\"vmstat.thp_fault_alloc\""), std::string::npos);
@@ -482,12 +487,36 @@ TEST(TimelineTest, ExportContainsSpansMarksCountersAndHistograms) {
   EXPECT_NE(json.find("\"samplesMissed\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"samplePeriodNs\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+  EXPECT_NE(json.find("\"driver.step\": {\"count\":1,\"total_ns\":8000,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"spanOverflow\": 0"), std::string::npos);
   // ts values are normalized: the earliest event sits at 0.000 µs.
   EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos);
   // A deterministic export: same inputs, same bytes.
   std::ostringstream os2;
-  write_timeline(os2, telemetry, &sampler);
+  write_timeline(os2, telemetry, timers, &sampler);
   EXPECT_EQ(json, os2.str());
+}
+
+TEST(TimelineTest, TotalsAreExactPastRingOverflow) {
+  // The rings keep each lane's latest 64 records; the runtime's
+  // reduction times every span, and the timeline's histograms read it.
+  rt::Runtime runtime({.lanes = 2});
+  TelemetryOptions opts;
+  opts.lanes = runtime.lanes();
+  opts.ring_capacity = 64;
+  Telemetry telemetry(opts);
+  telemetry.install(runtime);
+  runtime.arena().parallel_for(10000, [](int /*lane*/, std::size_t /*i*/) {
+    FHP_TRACE_SPAN("exact.item");
+  });
+  telemetry.uninstall();
+  EXPECT_GT(telemetry.dropped_spans(), 0u);
+  EXPECT_EQ(runtime.timers().calls("exact.item"), 10000u);
+  std::ostringstream os;
+  write_timeline(os, telemetry, runtime.timers());
+  EXPECT_NE(os.str().find("\"exact.item\": {\"count\":10000,"),
+            std::string::npos);
 }
 
 TEST(TimelineTest, CsvPathDerivation) {
@@ -498,8 +527,10 @@ TEST(TimelineTest, CsvPathDerivation) {
 
 TEST(TimelineTest, WriteFileThrowsOnUnwritablePath) {
   Telemetry telemetry;
-  EXPECT_THROW(write_timeline_file("/nonexistent/dir/t.json", telemetry),
-               SystemError);
+  const perf::Timers timers;
+  EXPECT_THROW(
+      write_timeline_file("/nonexistent/dir/t.json", telemetry, timers),
+      SystemError);
 }
 
 // ------------------------------------------------------------- environment
@@ -533,8 +564,8 @@ TEST(ObsEnvironment, TimelinePathDefaultsToDisabled) {
 // ------------------------------------------------- allocation instrumentation
 //
 // Global operator-new override counting every allocation in the test
-// binary; the disabled-path guard above asserts the count stays flat
-// across 1e5 disabled span scopes.
+// binary; the hot-path guards above assert the count stays flat across
+// 1e5 span scopes, unbound and bound to a runtime.
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);

@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "par/parallel.hpp"
 #include "perf/events.hpp"
+#include "perf/histogram.hpp"
 #include "perf/perf_context.hpp"
 #include "perf/perf_event_backend.hpp"
 #include "perf/region.hpp"
 #include "perf/report.hpp"
 #include "perf/timers.hpp"
 #include "support/error.hpp"
+#include "support/trace.hpp"
 
 namespace fhp::perf {
 namespace {
@@ -198,51 +203,121 @@ TEST(PerfEventBackendTest, HardwareCaptureDegradesGracefully) {
   EXPECT_FALSE(hardware_capture_active());
 }
 
+// ---------------------------------------------------------------- histogram
+
+TEST(HistogramTest, BucketMapping) {
+  Histogram h;
+  h.add(0);
+  h.add(1);
+  h.add(2);
+  h.add(3);
+  h.add(4);
+  EXPECT_EQ(h.bucket_count(0), 1u);  // v == 0
+  EXPECT_EQ(h.bucket_count(1), 1u);  // v == 1
+  EXPECT_EQ(h.bucket_count(2), 2u);  // v in [2, 4)
+  EXPECT_EQ(h.bucket_count(3), 1u);  // v in [4, 8)
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.sum(), 10u);
+  EXPECT_EQ(h.min(), 0u);
+  EXPECT_EQ(h.max(), 4u);
+  EXPECT_EQ(Histogram::bucket_floor(0), 0u);
+  EXPECT_EQ(Histogram::bucket_floor(1), 1u);
+  EXPECT_EQ(Histogram::bucket_floor(10), 512u);
+}
+
+TEST(HistogramTest, QuantilesAreMonotonicAndBounded) {
+  Histogram h;
+  for (std::uint64_t v = 1; v <= 1000; ++v) h.add(v * 17);
+  const double p50 = h.quantile(0.5);
+  const double p90 = h.quantile(0.9);
+  const double p99 = h.quantile(0.99);
+  EXPECT_LE(h.quantile(0.0), p50);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  EXPECT_LE(p99, static_cast<double>(h.max()));
+  // Log2 buckets are good to a factor of 2 around the true quantile.
+  EXPECT_GT(p50, 0.25 * 500 * 17);
+  EXPECT_LT(p50, 4.0 * 500 * 17);
+  EXPECT_FALSE(h.summary().empty());
+}
+
+TEST(HistogramTest, EmptyHistogramIsWellDefined) {
+  const Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(h.mean(), 0.0);
+}
+
+TEST(HistogramTest, MergeEqualsBulkAdd) {
+  // Merging per-lane histograms must be exact: bucket-wise addition is
+  // order-independent, so the merged result matches the single-histogram
+  // scan bit for bit.
+  Histogram lane0, lane1, all;
+  for (std::uint64_t v = 1; v < 500; ++v) {
+    const std::uint64_t sample = v * v + 3;
+    ((v % 2 == 0) ? lane0 : lane1).add(sample);
+    all.add(sample);
+  }
+  Histogram merged = lane0;
+  merged.merge(lane1);
+  EXPECT_EQ(merged.count(), all.count());
+  EXPECT_EQ(merged.sum(), all.sum());
+  EXPECT_EQ(merged.min(), all.min());
+  EXPECT_EQ(merged.max(), all.max());
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    EXPECT_EQ(merged.bucket_count(i), all.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(merged.quantile(0.9), all.quantile(0.9));
+}
+
 // ------------------------------------------------------------------ timers
+//
+// Timers is the exact reduction of the spans closed on the threads that
+// bind it (a runtime binds its own on its driver thread and lanes); here
+// each test binds one directly.
 
 TEST(TimersTest, AccumulatesNamedScopes) {
   Timers timers;
-  timers.start("evolution");
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  timers.stop("evolution");
+  {
+    const trace::SinkBinding bound(&timers);
+    FHP_TRACE_SPAN("evolution");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
   EXPECT_GT(timers.seconds("evolution"), 0.001);
   EXPECT_EQ(timers.calls("evolution"), 1u);
 }
 
 TEST(TimersTest, NestedTimersFormDistinctNodes) {
+  // One row per name: a name timed nested and at the root sums both.
   Timers timers;
-  timers.start("hydro");
-  timers.start("riemann");
-  timers.stop("riemann");
-  timers.stop("hydro");
-  timers.start("riemann");  // same name at root level: separate node
-  timers.stop("riemann");
+  const trace::SinkBinding bound(&timers);
+  {
+    FHP_TRACE_SPAN("hydro");
+    FHP_TRACE_SPAN("riemann");
+  }
+  {
+    FHP_TRACE_SPAN("riemann");
+  }
   EXPECT_EQ(timers.calls("riemann"), 2u);
   EXPECT_EQ(timers.calls("hydro"), 1u);
 }
 
-TEST(TimersTest, MismatchedStopThrows) {
-  Timers timers;
-  timers.start("a");
-  EXPECT_THROW(timers.stop("b"), ConfigError);
-  timers.stop("a");
-  EXPECT_THROW(timers.stop("a"), ConfigError);  // nothing running
-}
-
 TEST(TimersTest, SameNameNestsAsDistinctNode) {
-  // FLASH allows recursive timers: a "y" inside "y" is a separate node.
+  // FLASH allows recursive timers: a "y" inside "y" is counted twice.
   Timers timers;
-  timers.start("y");
-  timers.start("y");
-  timers.stop("y");
-  timers.stop("y");
+  const trace::SinkBinding bound(&timers);
+  {
+    FHP_TRACE_SPAN("y");
+    FHP_TRACE_SPAN("y");
+  }
   EXPECT_EQ(timers.calls("y"), 2u);
 }
 
 TEST(TimersTest, ScopeIsExceptionSafe) {
   Timers timers;
+  const trace::SinkBinding bound(&timers);
   try {
-    Timers::Scope scope(timers, "guarded");
+    FHP_TRACE_SPAN("guarded");
     throw std::runtime_error("boom");
   } catch (const std::runtime_error&) {
   }
@@ -252,25 +327,80 @@ TEST(TimersTest, ScopeIsExceptionSafe) {
 TEST(TimersTest, SummaryListsTimers) {
   Timers timers;
   {
-    Timers::Scope a(timers, "evolution");
-    Timers::Scope b(timers, "hydro");
+    const trace::SinkBinding bound(&timers);
+    FHP_TRACE_SPAN("evolution");
+    FHP_TRACE_SPAN("hydro");
   }
   std::ostringstream os;
   timers.summary(os);
-  EXPECT_NE(os.str().find("evolution"), std::string::npos);
-  EXPECT_NE(os.str().find("hydro"), std::string::npos);
-  EXPECT_NE(os.str().find("elapsed"), std::string::npos);
+  const std::string table = os.str();
+  // Parent before child, the child indented by its depth.
+  EXPECT_LT(table.find("evolution"), table.find("  hydro"));
+  EXPECT_NE(table.find("elapsed"), std::string::npos);
 }
 
-TEST(TimersTest, ResetClearsEverything) {
+TEST(TimersTest, LanesMergeByNameText) {
+  // Entries are keyed by the literal's address; two literals with the
+  // same text, on two lanes, read back as one name.
+  const std::string text = "kernel";
+  Timers timers(2);
+  timers.record_span(0, "kernel", 0, 100, 0);
+  timers.record_span(1, text.c_str(), 0, 300, 0);
+  timers.record_span(1, "other", 0, 50, 0);
+  EXPECT_EQ(timers.calls("kernel"), 2u);
+  EXPECT_DOUBLE_EQ(timers.seconds("kernel"), 400e-9);
+  const auto histograms = timers.histograms();
+  ASSERT_EQ(histograms.size(), 2u);
+  EXPECT_EQ(histograms.at("kernel").max(), 300u);
+}
+
+TEST(TimersTest, OverflowIsCountedNotDropped) {
+  // Names beyond a lane's capacity and lanes beyond the table count are
+  // counted, and the summary says so.
+  std::vector<std::string> names;
+  for (int i = 0; i <= Timers::kNameCapacity; ++i) {
+    names.push_back("name" + std::to_string(i));
+  }
+  Timers timers(1);
+  for (const std::string& name : names) {
+    timers.record_span(0, name.c_str(), 0, 1, 0);
+  }
+  timers.record_span(3, "far lane", 0, 1, 0);
+  EXPECT_EQ(timers.overflow(), 2u);
+  EXPECT_EQ(timers.calls(names.back()), 0u);
+  std::ostringstream os;
+  timers.summary(os);
+  EXPECT_NE(os.str().find("untimed spans (name or lane overflow): 2"),
+            std::string::npos);
+}
+
+TEST(TimersTest, DownstreamSinkReceivesSpansAndTimesThem) {
+  // An installed downstream sink sees every span and step mark, and its
+  // clock times the reduction's spans.
+  struct Downstream final : trace::Sink {
+    std::uint64_t now_ns() const override { return ++ticks * 1000; }
+    void record_span(int, const char*, std::uint64_t, std::uint64_t,
+                     std::uint16_t) noexcept override {
+      ++spans;
+    }
+    void mark_step(int, double, double) override { ++marks; }
+    mutable std::uint64_t ticks = 0;
+    int spans = 0;
+    int marks = 0;
+  } downstream;
   Timers timers;
-  timers.start("t");
-  timers.stop("t");
-  timers.reset();
-  EXPECT_EQ(timers.calls("t"), 0u);
-  EXPECT_EQ(timers.seconds("t"), 0.0);
+  timers.set_downstream(&downstream);
+  {
+    const trace::SinkBinding bound(&timers);
+    {
+      FHP_TRACE_SPAN("timed");
+    }
+    trace::step_mark(1, 0.5, 0.5);
+  }
+  EXPECT_EQ(downstream.spans, 1);
+  EXPECT_EQ(downstream.marks, 1);
+  EXPECT_DOUBLE_EQ(timers.seconds("timed"), 1e-6);
 }
-
 
 // ------------------------------------------------------------------ report
 

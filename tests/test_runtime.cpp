@@ -264,10 +264,10 @@ TEST(RuntimeTelemetry, PerRuntimeSinksKeepSeparateTimelines) {
 
   EXPECT_EQ(tel_a.total_spans(), 64u);
   EXPECT_EQ(tel_b.total_spans(), 64u);
-  const auto hist_a = tel_a.latency_histograms();
+  const auto hist_a = tenant_a.timers().histograms();
   EXPECT_EQ(hist_a.count("tenant_a.work"), 1u);
   EXPECT_EQ(hist_a.count("tenant_b.work"), 0u);
-  const auto hist_b = tel_b.latency_histograms();
+  const auto hist_b = tenant_b.timers().histograms();
   EXPECT_EQ(hist_b.count("tenant_b.work"), 1u);
   EXPECT_EQ(hist_b.count("tenant_a.work"), 0u);
 

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -227,6 +229,33 @@ TEST(SupernovaEvolution, FiftyStepFlameReleasesEnergy) {
   });
   EXPECT_GT(rho_max, 1.0e8);
   EXPECT_LT(rho_max, 1.0e10);
+}
+
+// ------------------------------------------------- the FLASH timer table
+
+TEST(DriverTimers, FlashTableNeedsNoTelemetry) {
+  // Each driver phase is one span, reduced into the runtime's timers with
+  // no telemetry installed.
+  rt::Runtime runtime({.lanes = 2});
+  DriverOptions opts = quiet(8, 4);
+  opts.remesh_interval = 4;
+  Simulation simulation(small_supernova(), runtime, opts);
+  simulation.driver().evolve();
+  ASSERT_EQ(runtime.trace_sink(), nullptr);
+  const perf::Timers& timers = simulation.timers();
+  EXPECT_EQ(timers.calls("driver.step"), 8u);
+  EXPECT_EQ(timers.calls("driver.remesh"), 8u / 4u);
+  EXPECT_EQ(timers.overflow(), 0u);
+  const char* const phases[] = {"driver.step",    "driver.compute_dt",
+                                "driver.step_graph", "driver.gravity",
+                                "driver.trace",   "driver.remesh"};
+  std::ostringstream table;
+  timers.summary(table);
+  for (const char* phase : phases) {
+    EXPECT_GT(timers.calls(phase), 0u) << phase;
+    EXPECT_NE(table.str().find(phase), std::string::npos) << phase;
+  }
+  EXPECT_NE(table.str().find("elapsed:"), std::string::npos);
 }
 
 // ------------------------------------------------- cellular detonation

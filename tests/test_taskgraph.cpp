@@ -579,15 +579,16 @@ TEST(TaskGraphPhysics, SupernovaSerialSchedulesMatchBulk) {
 
 TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   // The tsan preset's task-graph workload: a background sampler reading
-  // published counters at 1 ms cadence while work-stealing lanes run a
-  // full Driver Sedov evolution with spans enabled. Any read of
-  // unsynchronized scheduler or shard state is a tsan report.
+  // published counters at 1 ms cadence while four work-stealing lanes run
+  // a full Driver Sedov evolution, closing spans into the runtime's
+  // reduction and the installed telemetry. Any read of unsynchronized
+  // scheduler, shard or reduction state is a tsan report.
   SedovParams params;
   params.ndim = 2;
   params.nzb = 1;
   params.max_level = 2;
   params.maxblocks = 128;
-  Problem p(params, 10, LayoutKind::kVarMajor, 2);
+  Problem p(params, 10, LayoutKind::kVarMajor, 4);
   obs::TelemetryOptions topts;
   topts.lanes = p.runtime.lanes();
   obs::Telemetry telemetry(topts);
@@ -606,6 +607,8 @@ TEST(TaskGraphSampler, SamplerOverTaskGraphStepsIsRaceFree) {
   telemetry.uninstall();
   EXPECT_EQ(driver.steps(), 10);
   EXPECT_GT(telemetry.total_spans(), 0u);
+  EXPECT_EQ(p.runtime.timers().calls("driver.step"), 10u);
+  EXPECT_EQ(p.runtime.timers().overflow(), 0u);
   EXPECT_GE(sampler.taken(), 1u);
   EXPECT_GT(p.perf.published().seq, 0u);
 }

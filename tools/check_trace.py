@@ -18,13 +18,19 @@ Usage:
       [--min-spans N]                total span count floor
       [--csv FILE]                   also validate a sampler CSV
       [--span-totals]                print each span name's count and
-                                     summed duration; invalid if the
-                                     trace dropped any span
+                                     busy seconds from the summary's
+                                     exact histograms; invalid if one
+                                     lacks "total_ns" or the reduction
+                                     overflowed ("spanOverflow" > 0)
       [--self-test]                  validate the validator
 
 Whenever a sampler ran (the summary has "samplesTaken"), the summary
 must also say what it missed: "samplesMissed" (cadence ticks skipped by
 overrunning captures) and "samplePeriodNs" (the achieved mean period).
+
+The summary's histograms come from the runtime's exact span reduction,
+so --span-totals holds at any run length; "droppedSpans" counts only the
+ring records the timeline no longer draws.
 
 Exit status: 0 valid, 1 invalid, 2 bad invocation.
 """
@@ -64,7 +70,7 @@ def load(path: pathlib.Path) -> dict:
 def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
     """Validate every event; return (span name -> count, counter track ->
     sample count)."""
-    spans = {name: count for name, (count, _) in span_totals(doc).items()}
+    spans: dict[str, int] = {}
     counters: dict[str, int] = {}
     # Per-tid (name, start, end) triples, nesting-checked after the scan:
     # the trace format carries no ordering guarantee (flashhp emits spans
@@ -94,6 +100,7 @@ def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
                 fail(f"traceEvents[{idx}] ({name}): bad tid {tid!r}")
             spans_by_tid.setdefault(tid, []).append(
                 (name, float(ts), float(ts) + float(dur)))
+            spans[name] = spans.get(name, 0) + 1
         elif ph == "C":
             args = ev.get("args")
             if not isinstance(args, dict) or not args:
@@ -122,26 +129,25 @@ def check_events(doc: dict) -> tuple[dict[str, int], dict[str, int]]:
     return spans, counters
 
 
-def span_totals(doc: dict) -> dict[str, tuple[int, float]]:
-    """Span name -> (count, summed duration in seconds) over the complete
-    ("X") events; durations are microseconds in the trace format."""
+def span_totals(summary: dict) -> dict[str, tuple[int, float]]:
+    """Span name -> (count, busy seconds) from the summary's exact
+    histograms."""
+    overflow = summary.get("spanOverflow")
+    if not isinstance(overflow, int):
+        fail("flashhpSummary is missing 'spanOverflow'")
+    if overflow > 0:
+        fail(f"{overflow} span(s) overflowed the runtime's reduction: "
+             f"the totals would undercount")
     totals: dict[str, tuple[int, float]] = {}
-    for ev in doc["traceEvents"]:
-        if not isinstance(ev, dict) or ev.get("ph") != "X":
-            continue
-        dur = ev.get("dur")
-        name = ev.get("name")
-        if isinstance(name, str) and isinstance(dur, (int, float)):
-            count, total = totals.get(name, (0, 0.0))
-            totals[name] = (count + 1, total + float(dur) * 1e-6)
+    for name, h in summary["histograms"].items():
+        if not isinstance(h.get("total_ns"), int):
+            fail(f"histogram '{name}': missing/non-integer 'total_ns'")
+        totals[name] = (h["count"], h["total_ns"] * 1e-9)
     return totals
 
 
-def print_span_totals(doc: dict, summary: dict) -> None:
-    if summary["droppedSpans"] > 0:
-        fail(f"{summary['droppedSpans']} span(s) dropped from the lane "
-             f"rings: the totals would undercount (trace fewer steps)")
-    totals = span_totals(doc)
+def print_span_totals(summary: dict) -> None:
+    totals = span_totals(summary)
     width = max([len("span")] + [len(name) for name in totals])
     print(f"{'span':<{width}}  {'count':>9}  {'total_s':>12}")
     for name, (count, total) in sorted(totals.items(),
@@ -234,7 +240,7 @@ def validate(args: argparse.Namespace) -> int:
 
     rows = check_csv(args.csv) if args.csv else None
     if args.span_totals:
-        print_span_totals(doc, summary)
+        print_span_totals(summary)
     msg = (f"check_trace: OK — {total} spans over {len(lanes)} lane(s), "
            f"{sum(counters.values())} counter samples on "
            f"{len(counters)} track(s), "
@@ -266,14 +272,19 @@ GOOD_TRACE = {
     "flashhpSummary": {
         "totalSpans": 3,
         "droppedSpans": 0,
+        "spanOverflow": 0,
         "samplesTaken": 3,
         "samplesMissed": 1,
         "samplePeriodNs": 2000000,
         "histograms": {
-            "driver.step": {"count": 1, "mean_ns": 100000.0,
-                            "p50_ns": 100000, "p90_ns": 100000,
-                            "p99_ns": 100000, "min_ns": 100000,
-                            "max_ns": 100000},
+            "driver.step": {"count": 1, "total_ns": 100000,
+                            "mean_ns": 100000.0, "p50_ns": 100000,
+                            "p90_ns": 100000, "p99_ns": 100000,
+                            "min_ns": 100000, "max_ns": 100000},
+            "task.sweep_x": {"count": 4, "total_ns": 20000,
+                             "mean_ns": 5000.0, "p50_ns": 5000,
+                             "p90_ns": 5000, "p99_ns": 5000,
+                             "min_ns": 5000, "max_ns": 5000},
         },
     },
 }
@@ -354,6 +365,10 @@ def self_test() -> int:
          csv="t_ns,a\n1000\n")
     dropped = copy.deepcopy(GOOD_TRACE)
     dropped["flashhpSummary"]["droppedSpans"] = 5
+    overflowed = copy.deepcopy(GOOD_TRACE)
+    overflowed["flashhpSummary"]["spanOverflow"] = 2
+    no_total = copy.deepcopy(GOOD_TRACE)
+    del no_total["flashhpSummary"]["histograms"]["task.sweep_x"]["total_ns"]
     no_missed = copy.deepcopy(GOOD_TRACE)
     del no_missed["flashhpSummary"]["samplesMissed"]
     zero_period = copy.deepcopy(GOOD_TRACE)
@@ -362,15 +377,18 @@ def self_test() -> int:
     for key in ("samplesTaken", "samplesMissed", "samplePeriodNs"):
         del no_sampler["flashhpSummary"][key]
     case("span-totals", True, GOOD_TRACE, span_totals=True)
-    case("span-totals-dropped-spans", False, dropped, span_totals=True)
+    # Ring drops do not touch the exact totals; a reduction that could not
+    # time a span, or a histogram without its busy total, does.
+    case("span-totals-dropped-spans", True, dropped, span_totals=True)
+    case("span-totals-overflow", False, overflowed, span_totals=True)
+    case("span-totals-missing-total-ns", False, no_total, span_totals=True)
     case("dropped-spans-without-totals", True, dropped)
     case("sampler-without-missed", False, no_missed)
     case("sampler-zero-period", False, zero_period)
     case("no-sampler-no-fields", True, no_sampler)
 
-    totals = span_totals(GOOD_TRACE)
-    want = {"driver.step": (1, 1e-4), "hydro.sweep_x": (1, 5e-5),
-            "hydro.sweep_block": (1, 5e-6)}
+    totals = span_totals(GOOD_TRACE["flashhpSummary"])
+    want = {"driver.step": (1, 1e-4), "task.sweep_x": (4, 2e-5)}
     if totals.keys() != want.keys() or any(
             totals[k][0] != want[k][0]
             or abs(totals[k][1] - want[k][1]) > 1e-12 for k in want):
@@ -379,7 +397,7 @@ def self_test() -> int:
               file=sys.stderr)
 
     if failures == 0:
-        print("check_trace self-test: OK (18 scenarios)")
+        print("check_trace self-test: OK (20 scenarios)")
         return 0
     print(f"check_trace self-test: {failures} scenario(s) failed",
           file=sys.stderr)
@@ -405,8 +423,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--csv", type=pathlib.Path,
                         help="sampler CSV to validate alongside")
     parser.add_argument("--span-totals", action="store_true",
-                        help="print count and summed seconds per span "
-                             "name (invalid if any span was dropped)")
+                        help="print count and busy seconds per span name "
+                             "from the exact summary histograms")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args(argv)
 
