@@ -22,9 +22,11 @@ AdrFlame::AdrFlame(mesh::AmrMesh& mesh, const FlameSpeedTable& speeds,
   FHP_REQUIRE(options_.fuel_scalar < c.nscalars &&
                   options_.ash_scalar < c.nscalars,
               "fuel/ash scalar slots outside nscalars");
-  scratch_size_ = static_cast<std::size_t>(c.ni()) *
-                  static_cast<std::size_t>(c.nj()) *
-                  static_cast<std::size_t>(c.nk());
+  const std::size_t zones = static_cast<std::size_t>(c.ni()) *
+                            static_cast<std::size_t>(c.nj()) *
+                            static_cast<std::size_t>(c.nk());
+  lane_scratch_.assign(static_cast<std::size_t>(mesh_.arena().lanes()),
+                       std::vector<double>(zones));
 }
 
 void AdrFlame::advance(double dt) {
@@ -38,15 +40,9 @@ void AdrFlame::advance(double dt) {
 }
 
 void AdrFlame::begin_advance(std::size_t nleaves) {
-  // Per-lane phi scratch, plus a per-block slot for the energy partial:
-  // the serial leaf-order sum in finish_advance makes the total
-  // independent of the lane/timing in which blocks completed. Both
-  // buffers persist across timesteps; the scratch is rebuilt only when
-  // the lane count changes.
-  const auto lanes = static_cast<std::size_t>(mesh_.arena().lanes());
-  if (lane_scratch_.size() != lanes) {
-    lane_scratch_.assign(lanes, std::vector<double>(scratch_size_));
-  }
+  // A per-block slot for the energy partial: the serial leaf-order sum in
+  // finish_advance makes the total independent of the lane/timing in
+  // which blocks completed.
   block_energy_.assign(nleaves, 0.0);
 }
 

@@ -59,9 +59,8 @@ class AdrFlame {
   // per-block piece as task bodies instead, calling begin/finish on the
   // driver thread around the graph run.
 
-  /// Size the per-lane scratch and zero the per-block energy partials for
-  /// \p nleaves leaf blocks. Driver-thread, setup-time (allocates only on
-  /// lane-count or leaf-count change).
+  /// Zero the per-block energy partials for \p nleaves leaf blocks.
+  /// Driver-thread (allocates only when the leaf count grows).
   void begin_advance(std::size_t nleaves);
 
   /// ADR update of one leaf: \p leaf_index is the block's position in
@@ -95,11 +94,11 @@ class AdrFlame {
   const FlameSpeedTable& speeds_;
   AdrOptions options_;
   double energy_released_ = 0.0;
-  std::size_t scratch_size_ = 0;  ///< zones (incl. guards) per block
 
-  /// Per-lane phi scratch and per-block energy partials, cached across
-  /// advance() calls (re-sized only when the arena lane count changes) so a
-  /// timestep costs no steady-state allocations.
+  /// Per-lane phi scratch (one block's zones, guards included), sized at
+  /// construction for the arena's fixed lane count, and per-block energy
+  /// partials, kept across advance() calls so a timestep costs no
+  /// steady-state allocations.
   std::vector<std::vector<double>> lane_scratch_;
   std::vector<double> block_energy_;
 };

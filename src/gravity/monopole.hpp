@@ -41,7 +41,6 @@ class MonopoleGravity {
   [[nodiscard]] double g_at(double radius) const;
 
   [[nodiscard]] double total_mass() const noexcept { return total_mass_; }
-  [[nodiscard]] double max_radius() const noexcept { return rmax_; }
 
   /// Apply the gravitational source term to every leaf (momentum and
   /// energy), operator-split: u += g dt, ener += u_new . g dt.

@@ -83,24 +83,16 @@ HydroSolver::HydroSolver(mesh::AmrMesh& mesh, const eos::Eos& eos,
   flux_store_.resize(static_cast<std::size_t>(c.maxblocks) * 2 *
                      static_cast<std::size_t>(ncons()) *
                      static_cast<std::size_t>(max_tan_));
+  const auto lanes = static_cast<std::size_t>(mesh_.arena().lanes());
+  lane_bufs_.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) lane_bufs_.emplace_back(c);
+  lane_rows_.assign(lanes,
+                    std::vector<eos::State>(static_cast<std::size_t>(c.nxb)));
+  lane_scalars_.assign(
+      lanes, std::vector<double>(static_cast<std::size_t>(c.nscalars)));
 }
 
 HydroSolver::~HydroSolver() = default;
-
-void HydroSolver::ensure_lane_scratch() {
-  const int lanes = mesh_.arena().lanes();
-  if (scratch_lanes_ == lanes) return;
-  const mesh::MeshConfig& c = mesh_.config();
-  lane_bufs_.clear();
-  lane_bufs_.reserve(static_cast<std::size_t>(lanes));
-  for (int l = 0; l < lanes; ++l) lane_bufs_.emplace_back(c);
-  lane_rows_.assign(static_cast<std::size_t>(lanes),
-                    std::vector<eos::State>(static_cast<std::size_t>(c.nxb)));
-  lane_scalars_.assign(
-      static_cast<std::size_t>(lanes),
-      std::vector<double>(static_cast<std::size_t>(c.nscalars)));
-  scratch_lanes_ = lanes;
-}
 
 void HydroSolver::sweep_block_task(int axis, double dt, int b, int lane) {
   sweep_block(axis, dt, b, lane_bufs_[static_cast<std::size_t>(lane)]);
@@ -196,9 +188,8 @@ void HydroSolver::sweep(int axis, double dt) {
       "hydro.sweep_x", "hydro.sweep_y", "hydro.sweep_z"};
   trace::SpanScope sweep_span(kSweepSpanNames[axis]);
   const std::vector<int> leaves = mesh_.tree().leaves_morton();
-  // Cached per-lane scratch; sweep_block touches only block b's storage
-  // and b's own flux-register slots, so blocks are independent.
-  ensure_lane_scratch();
+  // Per-lane scratch; sweep_block touches only block b's storage and b's
+  // own flux-register slots, so blocks are independent.
   mesh_.arena().parallel_for_blocks(leaves, [&](int lane, int b) {
     RegionWitness witness;  // region lambda body: lane writer role
     sweep_block_task(axis, dt, b, lane);
@@ -642,9 +633,8 @@ void HydroSolver::apply_flux_correction_block(int axis, double dt, int b) {
 void HydroSolver::eos_update() {
   FHP_TRACE_SPAN("eos.update");
   const std::vector<int> leaves = mesh_.tree().leaves_morton();
-  // Cached per-lane row scratch; Eos::eval is const (pure per-zone), so
-  // the block pass is embarrassingly parallel.
-  ensure_lane_scratch();
+  // Per-lane row scratch; Eos::eval is const (pure per-zone), so the
+  // block pass is embarrassingly parallel.
   mesh_.arena().parallel_for_blocks(leaves, [&](int lane, int b) {
     RegionWitness witness;  // region lambda body: lane writer role
     eos_update_block_task(b, lane);

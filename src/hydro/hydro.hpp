@@ -77,12 +77,6 @@ class HydroSolver {
   // slots), so execution order between distinct blocks cannot change
   // results bit for bit.
 
-  /// Size per-lane scratch (pencil buffers, EOS rows) for the current
-  /// arena lane count. Driver-thread, setup-time: allocates on lane-count
-  /// change, no-op otherwise. The per-unit methods call it on entry;
-  /// sim::StepGraph calls it before running a step graph.
-  void ensure_lane_scratch();
-
   /// One block's directional sweep using lane \p lane's cached scratch.
   void sweep_block_task(int axis, double dt, int b, int lane)
       FHP_REQUIRES_REGION;
@@ -117,7 +111,6 @@ class HydroSolver {
   [[nodiscard]] const HydroOptions& options() const noexcept {
     return options_;
   }
-  [[nodiscard]] int steps_taken() const noexcept { return step_count_; }
 
   /// Replay the memory/compute behaviour of one step of block \p b into
   /// the machine model: the unk pencil gathers/scatters for each sweep
@@ -160,10 +153,8 @@ class HydroSolver {
   int max_tan_ = 0;                ///< max tangential cells per face
   std::vector<double> flux_store_; ///< [block][side][v][t2][t1]
 
-  // Per-lane scratch, cached across steps (rebuilt by ensure_lane_scratch
-  // only when the arena lane count changes) so sweep/EOS task bodies stay
-  // allocation-free on the hot path.
-  int scratch_lanes_ = 0;
+  // Per-lane scratch, sized at construction for the arena's fixed lane
+  // count, so sweep/EOS task bodies stay allocation-free.
   std::vector<PencilBuffers> lane_bufs_;
   std::vector<std::vector<eos::State>> lane_rows_;
   std::vector<std::vector<double>> lane_scalars_;

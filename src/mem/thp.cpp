@@ -6,10 +6,6 @@
 
 #include "support/string_util.hpp"
 
-#ifndef MADV_COLLAPSE
-#define MADV_COLLAPSE 25  // since Linux 6.1; harmless EINVAL on older kernels
-#endif
-
 namespace fhp::mem {
 
 std::string_view to_string(ThpMode mode) noexcept {
@@ -55,10 +51,6 @@ bool advise_huge(void* addr, std::size_t len) noexcept {
 
 bool advise_no_huge(void* addr, std::size_t len) noexcept {
   return ::madvise(addr, len, MADV_NOHUGEPAGE) == 0;
-}
-
-bool collapse_range(void* addr, std::size_t len) noexcept {
-  return ::madvise(addr, len, MADV_COLLAPSE) == 0;
 }
 
 }  // namespace fhp::mem

@@ -42,8 +42,4 @@ bool advise_huge(void* addr, std::size_t len) noexcept;
 /// system policy is `always`.
 bool advise_no_huge(void* addr, std::size_t len) noexcept;
 
-/// madvise(MADV_COLLAPSE) if the kernel supports it: synchronously collapse
-/// the range into huge pages. Returns false if unsupported or failed.
-bool collapse_range(void* addr, std::size_t len) noexcept;
-
 }  // namespace fhp::mem

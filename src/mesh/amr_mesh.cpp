@@ -260,27 +260,6 @@ void AmrMesh::apply_boundaries(int b, unsigned axes) {
   }
 }
 
-void AmrMesh::fill_block_guards(int b) {
-  const int zlo = config_.ndim >= 3 ? -1 : 0;
-  const int zhi = config_.ndim >= 3 ? 1 : 0;
-  for (int dz = zlo; dz <= zhi; ++dz) {
-    for (int dy = -1; dy <= 1; ++dy) {
-      for (int dx_ = -1; dx_ <= 1; ++dx_) {
-        if (dx_ == 0 && dy == 0 && dz == 0) continue;
-        const std::array<int, 3> step{dx_, dy, dz};
-        const NeighborQuery q = tree_.neighbor(b, step);
-        if (q.outside_domain) continue;  // physical BC pass below
-        if (q.id >= 0) {
-          copy_same_level(b, q.id, step);
-        } else {
-          fill_from_coarse(b, step);
-        }
-      }
-    }
-  }
-  apply_boundaries(b, ~0u);
-}
-
 void AmrMesh::fill_block_faces(int b, FaceMask faces) {
   unsigned axes = 0;
   for (int axis = 0; axis < config_.ndim; ++axis) {
@@ -302,17 +281,23 @@ void AmrMesh::fill_block_faces(int b, FaceMask faces) {
 
 void AmrMesh::fill_guardcells() {
   FHP_TRACE_SPAN("grid.fill_guardcells");
-  restrict_all();  // serial: parent interiors feed fill_from_coarse below
-  const int finest = tree_.finest_level();
-  for (int level = 1; level <= finest; ++level) {
-    // Within one level the exchange is block-parallel: fill_block_guards
-    // writes only block b's guard zones and reads neighbor *interiors*
-    // (same level, never written in this pass) or coarser-level data
-    // (finalized by earlier level iterations).
-    const std::vector<int>& blocks = tree_.blocks_at_level(level);
-    arena_.parallel_for_blocks(blocks, [&](int /*lane*/, int b) {
+  const GuardPlan plan = plan_guards(tree_, all_faces(config_.ndim));
+  restrict_parents(plan.restricts);  // serial: parents feed the fills
+  // The fills come coarse to fine. Within one level they run
+  // block-parallel: fill_block_faces writes only block b's guard zones
+  // and reads same-level interiors (never written in this pass) or a
+  // coarser cover's interior and face guards (filled by an earlier
+  // level).
+  const std::vector<GuardFill>& fills = plan.fills;
+  for (std::size_t begin = 0, end = 0; begin < fills.size(); begin = end) {
+    const int level = tree_.info(fills[begin].block).level;
+    while (end < fills.size() && tree_.info(fills[end].block).level == level) {
+      ++end;
+    }
+    arena_.parallel_for(end - begin, [&](int /*lane*/, std::size_t n) {
       RegionWitness witness;  // region lambda body: lane writer role
-      fill_block_guards(b);
+      const GuardFill& fill = fills[begin + n];
+      fill_block_faces(fill.block, fill.faces);
     });
   }
 }
@@ -349,16 +334,6 @@ void AmrMesh::restrict_child(int parent, int child) {
           unk_.at(v, pi, pj, pk, parent) = sum / wsum;
         }
       }
-    }
-  }
-}
-
-void AmrMesh::restrict_all() {
-  const int finest = tree_.finest_level();
-  for (int level = finest; level >= 2; --level) {
-    for (int b : tree_.blocks_at_level(level)) {
-      const int parent = tree_.info(b).parent;
-      if (parent >= 0) restrict_child(parent, b);
     }
   }
 }
@@ -594,8 +569,6 @@ int AmrMesh::remesh(std::span<const int> est_vars, double refine_cut,
     refine_block(b);
     ++changes;
   }
-
-  if (changes > 0) fill_guardcells();
   return changes;
 }
 

@@ -4,11 +4,13 @@
 /// AmrMesh combines the `unk` container and the block tree and implements
 /// the PARAMESH operations FLASH relies on:
 ///   - guard-cell filling (same-level exchange, coarse-to-fine
-///     interpolation, physical boundary conditions): the full fill, level
-///     by level over every allocated block, and the face-mask fill of one
-///     leaf that a per-stage GuardPlan (guard_plan.hpp) schedules;
-///   - restriction (children -> parents, volume-weighted), so interior
-///     blocks always carry valid data;
+///     interpolation, physical boundary conditions) of the leaf faces a
+///     GuardPlan (guard_plan.hpp) lists: every face of every leaf for
+///     fill_guardcells(), a stage's faces in the step graph. Edge and
+///     corner guard zones and non-leaf blocks are never filled, because
+///     nothing reads them;
+///   - restriction (children -> parents, volume-weighted) of the parents
+///     a plan copies from;
 ///   - prolongation on refinement (minmod-limited linear, conservative);
 ///   - a Löhner (1987) error estimator and a remesh driver that enforces
 ///     2:1 balance, as FLASH's Grid_updateRefinement does.
@@ -76,21 +78,22 @@ class AmrMesh {
   [[nodiscard]] double face_area(int b, int axis, int i, int j, int k) const;
 
   // --- mesh operations ---------------------------------------------------
-  /// Fill every guard cell of every allocated block (restriction first,
-  /// then level-ordered exchange/interpolation, then physical BCs).
-  /// Within each level the per-block exchange runs block-parallel on
-  /// this mesh's arena. Remesh, checkpoint restore, the setups and the
-  /// bulk per-unit path (HydroSolver::step) use this full fill; the
-  /// driver's step graph fills only what each stage reads (guard_plan.hpp).
+  /// Fill every guard face of every leaf: run the all-faces GuardPlan
+  /// (restrict the parents it lists, then its fills level by level, each
+  /// level block-parallel on this mesh's arena). Remesh and the bulk
+  /// per-unit path (HydroSolver::step) call it before they read guard
+  /// zones; the driver's step graph runs each stage's own plan instead.
+  /// Setup-time: compiling the plan allocates.
   void fill_guardcells();
 
   /// Fill the guard faces in \p faces of leaf \p b. Same-level copies
   /// read the neighbor's interior, coarse interpolation reads the cover's
   /// interior and face guards, and the physical boundary of each planned
   /// axis reads b's own zones (it also rewrites that axis's edge and
-  /// corner zones, which no stage reads). Each face slab comes out
-  /// bit-identical to fill_guardcells()'s once its sources are current —
-  /// a GuardPlan orders the fills and restrictions that make them so.
+  /// corner zones, which nothing reads). A face slab's bits depend only
+  /// on its sources, so every plan that fills it writes the same bits
+  /// once they are current — a GuardPlan orders the fills and
+  /// restrictions that make them so.
   /// Runs as a task body on a pool lane, hence FHP_REQUIRES_REGION.
   void fill_block_faces(int b, FaceMask faces) FHP_REQUIRES_REGION;
 
@@ -100,7 +103,8 @@ class AmrMesh {
   void restrict_parents(std::span<const int> parents);
 
   /// Refine one leaf: allocate children and prolong data into them.
-  /// Guard cells of \p id must be current (call fill_guardcells first).
+  /// The face guards of \p id must be current (call fill_guardcells
+  /// first); its children's guards are left unfilled.
   std::array<int, 8> refine_block(int id);
 
   /// Derefine: restrict children into \p id and free them.
@@ -112,8 +116,9 @@ class AmrMesh {
 
   /// One full refinement pass: estimate on \p est_vars (max over vars),
   /// refine leaves above \p refine_cut (up to max_level), derefine sibling
-  /// groups below \p derefine_cut, enforce 2:1 balance. Guard cells are
-  /// refreshed internally. Returns the number of blocks changed.
+  /// groups below \p derefine_cut, enforce 2:1 balance. Fills the guard
+  /// faces it reads first and leaves the new mesh's guards unfilled for
+  /// the next reader. Returns the number of blocks changed.
   int remesh(std::span<const int> est_vars, double refine_cut,
              double derefine_cut);
 
@@ -146,13 +151,6 @@ class AmrMesh {
   /// Fill the guards of one block in one direction by interpolating from
   /// the underlying coarse block.
   void fill_from_coarse(int dst, const std::array<int, 3>& step);
-  /// Fill every guard zone of one block (same-level copies, coarse
-  /// interpolation, physical BCs) — fill_guardcells()'s per-block body,
-  /// run level by level on the arena. Reads same-level neighbor
-  /// interiors and coarse-block interiors plus guards.
-  void fill_block_guards(int b) FHP_REQUIRES_REGION;
-  /// Restrict leaf data into all ancestors (volume-weighted).
-  void restrict_all();
   /// Apply physical boundary conditions on the domain-facing guard slabs
   /// of the axes in \p axes (bit per axis).
   void apply_boundaries(int b, unsigned axes);

@@ -1,16 +1,16 @@
 /// \file guard_plan.hpp
-/// \brief Per-stage guard plans: fill only the guard faces a stage reads.
+/// \brief Guard plans: fill only the guard faces a reader reads.
 ///
-/// AmrMesh::fill_guardcells() fills every guard zone of every allocated
-/// block: the full 26-direction shell, parents included, after restricting
-/// every parent. A directional sweep reads far less — the two face slabs
-/// along its own axis, inside the transverse interior — and the flame
-/// reads the ±1 face zones of φ. A GuardPlan lists exactly what one stage
-/// must fill, the cut PARAMESH's `amr_guardcell` makes with its
-/// `idir`/`idiag` arguments:
+/// A directional sweep reads the two face slabs along its own axis,
+/// inside the transverse interior; the flame, the Löhner estimator and
+/// prolongation read the ±1 face zones along each axis. Nothing reads an
+/// edge or corner guard zone, or the guards of a non-leaf block. A
+/// GuardPlan lists exactly what one reader must fill, the cut PARAMESH's
+/// `amr_guardcell` makes with its `idir`/`idiag` arguments:
 ///
-///   - **Leaf faces.** Every leaf gets the stage's face mask (the sweep
-///     axis's two faces, or every face for the flame stage).
+///   - **Leaf faces.** Every leaf gets the reader's face mask (the sweep
+///     axis's two faces, or every face for the flame stage and
+///     fill_guardcells()).
 ///   - **Closure at fine–coarse faces.** A planned face filled from a
 ///     coarser block reads that cover's interior plus its *face* guards
 ///     (fill_from_coarse's stencil offsets one axis at a time, so never an
@@ -20,13 +20,13 @@
 ///     restricted, each after its non-leaf descendants. A uniform mesh
 ///     restricts nothing and fills no parent.
 ///
-/// Every face slab is written by exactly one operation in both the full
-/// fill and the plan (a same-level copy, a coarse interpolation or a
-/// physical boundary), from the same inputs, so each cell a stage reads
-/// is bit-identical to the full fill's. Edges and corners are left as
-/// they were: nothing in a stage reads them. The plan's source lists are
-/// the dependency edges of sim::StepGraph; remesh, checkpoint restore, the
-/// setups and the bulk per-unit path keep the full fill.
+/// Every face slab is written by exactly one operation (a same-level
+/// copy, a coarse interpolation or a physical boundary) from the same
+/// inputs in every plan, so each zone a reader reads holds the same bits
+/// whichever plan filled it. Edges, corners and non-leaf guards are left
+/// as they were. The all-faces plan is AmrMesh::fill_guardcells(), the
+/// fill of remesh and of the bulk per-unit path; the per-stage plans'
+/// source lists are the dependency edges of sim::StepGraph.
 
 #pragma once
 
@@ -73,11 +73,11 @@ struct GuardFill {
   std::vector<int> covers;
 };
 
-/// What one stage fills.
+/// What one reader fills.
 struct GuardPlan {
   /// Parents to restrict, finest first: exactly those some planned face
   /// copies from, closed under their non-leaf descendants, so that each
-  /// one ends up holding the full fill's interior.
+  /// one ends up holding the restriction of current leaf data.
   std::vector<int> restricts;
   /// Planned fills, coarse to fine (every cover precedes its readers).
   std::vector<GuardFill> fills;

@@ -118,13 +118,6 @@ class UnkContainer {
     return data_.region();
   }
 
-  /// The pool placement decision behind the solution array (tier, node,
-  /// degradation reason) — feed to tlb::Machine::apply_placement when
-  /// modeling NUMA placement.
-  [[nodiscard]] const mem::PoolDecision& pool_decision() const noexcept {
-    return data_.allocation().decision();
-  }
-
   /// Cache the effective translation page size (scans smaps once); call
   /// after the container is resident, before tracing.
   void refresh_page_shift() {

@@ -79,11 +79,15 @@ std::uint64_t Sampler::capture() {
   if (failed) ++errors_;
   if (taken_ == 0) first_t_ns_ = s.t_ns;
   last_t_ns_ = s.t_ns;
-  if (ring_.size() >= options_.ring_capacity) {
-    ring_.pop_front();
-    ++dropped_;
+  if (head_.size() < options_.ring_capacity / 2) {
+    head_.push_back(std::move(s));
+  } else {
+    if (head_.size() + ring_.size() >= options_.ring_capacity) {
+      ring_.pop_front();
+      ++dropped_;
+    }
+    ring_.push_back(std::move(s));
   }
-  ring_.push_back(std::move(s));
   ++taken_;
   return t_ns;
 }
@@ -149,7 +153,9 @@ void Sampler::thread_main() {
 
 std::vector<Sample> Sampler::samples() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  std::vector<Sample> all(head_);
+  all.insert(all.end(), ring_.begin(), ring_.end());
+  return all;
 }
 
 std::uint64_t Sampler::taken() const {

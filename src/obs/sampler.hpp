@@ -9,8 +9,11 @@
 /// huge-page state of the system, of this process, and of the THP event
 /// machinery on a fixed cadence, timestamped on the same clock as the
 /// span tracer so "when did THP kick in" lines up with "what was the
-/// solver doing". Samples land in a bounded ring (oldest dropped, drops
-/// counted) and export as counter tracks in the timeline JSON plus a CSV.
+/// solver doing". Samples land in a bounded buffer and export as counter
+/// tracks in the timeline JSON plus a CSV. A full buffer keeps its first
+/// half — the set-up, where `unk` is faulted in and THP adoption shows —
+/// and drops the oldest sample after it, so a long run keeps its start
+/// and its latest samples (drops counted).
 /// The thread ticks on absolute deadlines; captures that overrun later
 /// ticks skip them, and the skipped ticks and the achieved mean period
 /// are reported next to the samples, so a reader knows the resolution it
@@ -53,6 +56,7 @@ namespace fhp::obs {
 /// clock mirrors TelemetryOptions::clock so both series share a timebase.
 struct SamplerOptions {
   std::chrono::milliseconds cadence{10};
+  /// Samples kept: the first ring_capacity / 2, then the latest.
   std::size_t ring_capacity = 4096;  // samples, not bytes — fhp-lint: allow(page-size-literal)
   std::string meminfo_path = "/proc/meminfo";
   std::string smaps_path = "/proc/self/smaps_rollup";
@@ -108,7 +112,8 @@ class Sampler {
   /// Total samples ever captured (retained + dropped).
   [[nodiscard]] std::uint64_t taken() const;
 
-  /// Samples lost to ring overwrite (oldest-dropped, reported).
+  /// Samples dropped from the gap between the kept first half and the
+  /// latest samples.
   [[nodiscard]] std::uint64_t dropped() const;
 
   /// Procfs captures that failed (missing file, parse trouble).
@@ -140,9 +145,10 @@ class Sampler {
   SamplerOptions options_;
   std::function<std::uint64_t()> clock_;
 
-  mutable std::mutex mutex_;  // guards ring_ + counts; cv waits on it
+  mutable std::mutex mutex_;  // guards head_, ring_ + counts; cv waits on it
   std::condition_variable cv_;
-  std::deque<Sample> ring_;
+  std::vector<Sample> head_;  ///< the first ring_capacity / 2 samples
+  std::deque<Sample> ring_;   ///< the latest samples after them
   std::uint64_t taken_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t errors_ = 0;

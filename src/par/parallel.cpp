@@ -100,10 +100,8 @@ namespace detail {
 /// generation number plus a task body, and completion is counted back
 /// under the same mutex. std::mutex (not fhp::Mutex) because
 /// std::condition_variable requires it; the lock discipline here is
-/// local to this file. Lifetime is managed by shared_ptr leases handed
-/// out by ExecArena::acquire_pool(): a region in flight keeps its pool
-/// alive even if the owning arena is reconfigured underneath it, and the
-/// workers join when the last lease drops.
+/// local to this file. The owning arena starts it at its first pooled
+/// region; the workers join when the arena is destroyed.
 class ThreadPool {
  public:
   explicit ThreadPool(int lanes) : lanes_(lanes) {
@@ -124,8 +122,6 @@ class ThreadPool {
     start_cv_.notify_all();
     for (std::thread& worker : workers_) worker.join();
   }
-
-  [[nodiscard]] int lanes() const { return lanes_; }
 
   /// Runs `fn(lane, i)` for i in [0, n), lane l covering the static
   /// chunk [l*n/L, (l+1)*n/L), with \p env applied on every lane for the
@@ -240,36 +236,20 @@ ExecArena::ExecArena(int lanes, const LaneEnv* env)
 
 ExecArena::~ExecArena() = default;
 
-void ExecArena::set_lanes(int n) {
-  const int lanes = clamp_lanes(n);
-  lanes_.store(lanes, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(lease_mutex_);
-  // Drop our reference to a stale pool now; a region in flight keeps its
-  // own lease, so the workers join only when that region finishes.
-  if (pool_ && pool_->lanes() != lanes) pool_.reset();
-}
-
-std::shared_ptr<detail::ThreadPool> ExecArena::acquire_pool() {
-  const int lanes = this->lanes();
-  if (lanes <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(lease_mutex_);
-  if (!pool_ || pool_->lanes() != lanes) {
-    pool_.reset();  // join the old workers (if unleased) before respawning
-    pool_ = std::make_shared<detail::ThreadPool>(lanes);
-  }
-  return pool_;
+detail::ThreadPool& ExecArena::pool() {
+  if (pool_ == nullptr) pool_ = std::make_unique<detail::ThreadPool>(lanes_);
+  return *pool_;
 }
 
 void ExecArena::parallel_for(
     std::size_t n, const std::function<void(int lane, std::size_t i)>& fn) {
-  const std::shared_ptr<detail::ThreadPool> lease = acquire_pool();
-  if (lease == nullptr || n < 2) {
+  if (lanes_ == 1 || n < 2) {
     EnvBinding binding(env_);
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
   RegionGuard guard(active_);
-  lease->run(n, fn, env_);
+  pool().run(n, fn, env_);
 }
 
 void ExecArena::parallel_for_blocks(
@@ -280,8 +260,7 @@ void ExecArena::parallel_for_blocks(
 }
 
 void ExecArena::run_region(const std::function<void(int lane)>& body) {
-  const std::shared_ptr<detail::ThreadPool> lease = acquire_pool();
-  if (lease == nullptr) {
+  if (lanes_ == 1) {
     EnvBinding binding(env_);
     body(0);
     return;
@@ -289,8 +268,7 @@ void ExecArena::run_region(const std::function<void(int lane)>& body) {
   RegionGuard guard(active_);
   // With n == lanes the static chunk of lane l is exactly {l}, so the
   // pool's run() degenerates to "each lane executes the body once".
-  const int lanes = lease->lanes();
-  lease->run(static_cast<std::size_t>(lanes),
+  pool().run(static_cast<std::size_t>(lanes_),
              [&body](int lane, std::size_t /*i*/) { body(lane); }, env_);
 }
 

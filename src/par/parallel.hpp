@@ -25,22 +25,18 @@
 /// Execution arenas. The pool, its region guard and the lane count belong
 /// to an `ExecArena`; there is no process-wide arena. Each rt::Runtime
 /// owns one, so two runtimes can run regions concurrently without
-/// tripping each other's nested-region `ConfigError`. An arena pins its
-/// lane count at construction (0 = `FLASHHP_THREADS`, else 1) until
-/// `set_lanes()`.
+/// tripping each other's nested-region `ConfigError`. An arena's lane
+/// count is fixed at construction (0 = `FLASHHP_THREADS`, else 1), so
+/// everything sized per lane (solver scratch, span reductions, counter
+/// shards) can be sized once.
 ///
 /// With one lane every entry point degenerates to a plain serial loop on
 /// the calling thread — no pool is created, no locks are taken — so
 /// single-threaded builds pay nothing for this module's existence.
-///
-/// An arena is configured at setup time: calling `set_lanes()` while one
-/// of its regions is in flight reconfigures *later* regions — the
-/// in-flight region keeps a refcounted lease on its pool, so its workers
-/// are never yanked mid-chunk. Within a parallel region the caller
-/// participates as lane 0 and workers are lanes `1..L-1`; `lane()`
-/// returns the executing thread's lane so per-lane scratch (pencil
-/// buffers, EOS rows, counter shards) can be indexed without
-/// synchronization.
+/// Within a parallel region the caller participates as lane 0 and
+/// workers are lanes `1..L-1`; `lane()` returns the executing thread's
+/// lane so per-lane scratch (pencil buffers, EOS rows, counter shards)
+/// can be indexed without synchronization.
 
 #pragma once
 
@@ -48,7 +44,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 
 #include "support/lane.hpp"
@@ -111,9 +106,9 @@ namespace detail {
 class ThreadPool;
 }  // namespace detail
 
-/// One execution arena: a lane pool lease plus its own single-region
-/// guard. Static chunking makes results bit-identical for a given lane
-/// count regardless of which arena runs them. Construction is cheap (the pool
+/// One execution arena: a lane pool plus its own single-region guard.
+/// Static chunking makes results bit-identical for a given lane count
+/// regardless of which arena runs them. Construction is cheap (the pool
 /// itself spins up lazily at the first multi-lane region). Regions on
 /// *one* arena must not be nested or issued concurrently from two
 /// threads (ConfigError, and a `-Wthread-safety` error first); regions
@@ -131,15 +126,8 @@ class ExecArena {
   ExecArena(const ExecArena&) = delete;
   ExecArena& operator=(const ExecArena&) = delete;
 
-  /// Lane count the next region will use.
-  [[nodiscard]] int lanes() const noexcept {
-    return lanes_.load(std::memory_order_acquire);
-  }
-
-  /// Reconfigures the lane count for subsequent regions. A region in
-  /// flight on another thread keeps its leased pool until it finishes;
-  /// its workers join when the last lease drops.
-  void set_lanes(int n);
+  /// The arena's lane count, fixed at construction.
+  [[nodiscard]] int lanes() const noexcept { return lanes_; }
 
   /// Runs `fn(lane, i)` for every `i` in `[0, n)`, statically chunked
   /// across `lanes()` lanes. Blocks until all lanes finish. The first
@@ -166,13 +154,12 @@ class ExecArena {
       FHP_EXCLUDES_REGION;
 
  private:
-  /// Leases the pool sized for the current lane count, rebuilding it if
-  /// the count changed since the last region. Null when serial.
-  [[nodiscard]] std::shared_ptr<detail::ThreadPool> acquire_pool();
+  /// The pool, started at the first call. Called only under the region
+  /// guard, which makes regions on one arena exclusive.
+  [[nodiscard]] detail::ThreadPool& pool() FHP_REQUIRES_REGION;
 
-  mutable std::mutex lease_mutex_;
-  std::shared_ptr<detail::ThreadPool> pool_;  // guarded by lease_mutex_
-  std::atomic<int> lanes_;
+  const int lanes_;
+  std::unique_ptr<detail::ThreadPool> pool_;  // touched under active_
   std::atomic<bool> active_{false};
   const LaneEnv* const env_;
 };

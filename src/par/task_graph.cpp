@@ -123,14 +123,14 @@ void TaskGraph::freeze() {
                       cycle + "}");
   }
 
-  lanes_ = arena_.lanes();
+  const auto lanes = static_cast<std::size_t>(arena_.lanes());
   remaining_ = std::vector<std::atomic<int>>(n);
-  deques_ = std::vector<Deque>(static_cast<std::size_t>(lanes_));
+  deques_ = std::vector<Deque>(lanes);
   for (auto& d : deques_) {
     d.slots = std::make_unique<std::atomic<TaskId>[]>(std::max<std::size_t>(
         n, 1));
   }
-  stats_ = std::vector<LaneStats>(static_cast<std::size_t>(lanes_));
+  stats_ = std::vector<LaneStats>(lanes);
   ready_scratch_.assign(n, -1);
   frozen_ = true;
 }
@@ -143,7 +143,6 @@ void TaskGraph::clear() {
   stats_ = std::vector<LaneStats>();
   ready_scratch_.clear();
   edge_count_ = 0;
-  lanes_ = 0;
   frozen_ = false;
   first_error_ = nullptr;
 }
@@ -193,15 +192,16 @@ FHP_NO_ALLOC void TaskGraph::execute_task(TaskId t, int lane) noexcept {
 void TaskGraph::scheduler_loop(int lane) noexcept {
   Deque& own = deques_[static_cast<std::size_t>(lane)];
   LaneStats& stats = stats_[static_cast<std::size_t>(lane)];
+  const int lanes = arena_.lanes();
   while (unfinished_.load(std::memory_order_acquire) > 0) {
     TaskId t = own.take();
     if (t < 0) {
       // Deterministic victim order (round robin from the next lane); the
       // *outcome* of each probe is timing-dependent, which is exactly why
       // these numbers stay out of the bit-identical counter contract.
-      for (int k = 1; k < lanes_ && t < 0; ++k) {
+      for (int k = 1; k < lanes && t < 0; ++k) {
         ++stats.steal_attempts;
-        t = deques_[static_cast<std::size_t>((lane + k) % lanes_)].steal();
+        t = deques_[static_cast<std::size_t>((lane + k) % lanes)].steal();
       }
       if (t >= 0) ++stats.steals;
     }
@@ -223,17 +223,6 @@ void TaskGraph::finish_run() {
 void TaskGraph::run() {
   if (!frozen_) throw ConfigError("TaskGraph::run: freeze() the graph first");
   if (nodes_.empty()) return;
-  // Lane-count changes between freeze and run are a documented setup-time
-  // event: re-size the per-lane state once, here, so run() itself stays
-  // allocation-free in the steady state.
-  if (lanes_ != arena_.lanes()) {
-    lanes_ = arena_.lanes();
-    deques_ = std::vector<Deque>(static_cast<std::size_t>(lanes_));
-    for (auto& d : deques_) {
-      d.slots = std::make_unique<std::atomic<TaskId>[]>(nodes_.size());
-    }
-    stats_ = std::vector<LaneStats>(static_cast<std::size_t>(lanes_));
-  }
   reset_run_state();
   // Seed the roots round-robin across the lane deques (single-threaded
   // here; the pool handshake inside run_region publishes these writes).
@@ -242,7 +231,7 @@ void TaskGraph::run() {
     if (nodes_[i].indegree == 0) {
       deques_[static_cast<std::size_t>(next_lane)].push(
           static_cast<TaskId>(i));
-      next_lane = (next_lane + 1) % lanes_;
+      next_lane = (next_lane + 1) % arena_.lanes();
     }
   }
   arena_.run_region([this](int lane) { scheduler_loop(lane); });

@@ -27,9 +27,8 @@
 ///     -Wthread-safety.
 ///   - **Allocation freedom.** Construction (`add_task`, `add_edge`,
 ///     `freeze`) allocates; `run()` is allocation-free on the hot path —
-///     fixed-capacity deques and counters are sized at `freeze()`. (The
-///     documented exception: changing the arena's lane count between
-///     freeze and run re-sizes lane state once, a setup-time event.)
+///     fixed-capacity deques and counters are sized at `freeze()` for
+///     the arena's lane count, which is fixed at its construction.
 ///   - **Determinism.** Physics and published counters must be
 ///     bit-identical regardless of steal order and lane count. The graph
 ///     guarantees *ordering* (a task runs after its dependencies); the
@@ -102,8 +101,8 @@ class TaskGraph {
   void add_edge(TaskId before, TaskId after);
 
   /// Validate the graph (cycle -> fhp::ConfigError, reported with the
-  /// names of the tasks on the cycle), capture the current lane count
-  /// and size all runtime state. Must be called once after construction;
+  /// names of the tasks on the cycle) and size all runtime state for the
+  /// arena's lanes. Must be called once after construction;
   /// add_task/add_edge after freeze() throw.
   void freeze() FHP_EXCLUDES_REGION;
 
@@ -178,7 +177,6 @@ class TaskGraph {
   std::uint64_t edge_count_ = 0;
 
   // --- runtime state, sized at freeze() --------------------------------
-  int lanes_ = 0;                       ///< lane count captured at freeze
   std::vector<TaskId> topo_;            ///< Kahn order (cycle check + serial)
   std::vector<std::atomic<int>> remaining_;  ///< unmet deps per task
   std::vector<Deque> deques_;           ///< one per lane

@@ -117,12 +117,6 @@ class PerfContext final : public CounterSink {
     return regions_;
   }
 
-  /// Zero counters and clear all region stats.
-  void reset_all() FHP_EXCLUDES_REGION {
-    reset();
-    regions_.reset();
-  }
-
   /// Copy snapshot() into the published slot. Same legality rule as
   /// snapshot() — call outside parallel regions (the driver publishes at
   /// step boundaries). This is the one bridge between the unsynchronized

@@ -61,11 +61,6 @@ std::vector<std::string> RegionRegistry::names() const {
   return out;
 }
 
-void RegionRegistry::reset() {
-  fhp::MutexLock lock(mutex_);
-  stats_.clear();
-}
-
 PerfRegion::PerfRegion(PerfContext& context, std::string_view name)
     : context_(context),
       name_(name),

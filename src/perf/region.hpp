@@ -58,9 +58,6 @@ class RegionRegistry {
   /// All region names with data, sorted.
   [[nodiscard]] std::vector<std::string> names() const FHP_EXCLUDES(mutex_);
 
-  /// Clear everything (between experiment arms).
-  void reset() FHP_EXCLUDES(mutex_);
-
  private:
   mutable fhp::Mutex mutex_;
   std::map<std::string, RegionStats, std::less<>> stats_

@@ -17,7 +17,7 @@
 ///     RuntimeOptions::pool_config, else from the environment), or a
 ///     shared pool injected via RuntimeOptions::pool (tenants sharing one
 ///     reserved hugetlb inventory),
-///   - a par::ExecArena — its own lane pool lease and region guard, so
+///   - a par::ExecArena — its own lane pool and region guard, so
 ///     concurrent runtimes never trip each other's nested-region
 ///     ConfigError,
 ///   - the resolved mesh::LayoutKind / mem::HugePolicy configuration

@@ -114,7 +114,6 @@ void CellularSetup::initialize() {
     m.for_leaf_cells(apply);
     if (changes == 0) break;
   }
-  m.fill_guardcells();
   FHP_LOG(kInfo) << "cellular detonation initialized: "
                  << m.tree().leaves_morton().size()
                  << " leaf blocks, finest level " << m.tree().finest_level();

@@ -203,8 +203,6 @@ CheckpointInfo read_checkpoint(const std::string& path,
     }
   }
   FHP_REQUIRE(static_cast<bool>(in), "checkpoint '" + path + "' truncated");
-
-  mesh.fill_guardcells();
   FHP_LOG(kInfo) << "checkpoint restored: " << path << " (" << nleaves
                  << " leaves, t=" << info.sim_time << ")";
   return info;

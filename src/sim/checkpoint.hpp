@@ -4,8 +4,9 @@
 /// FLASH writes HDF5 checkpoints from which a run can restart bit-exactly.
 /// flashhp uses a self-describing little-endian binary format (no HDF5
 /// dependency): header + tree topology + per-leaf interior data. Restoring
-/// rebuilds the tree by replaying refinements coarse-to-fine and then
-/// fills guard cells, so a restarted run continues identically.
+/// rebuilds the tree by replaying refinements coarse-to-fine and scatters
+/// the leaf interiors back; every reader of guard cells fills the faces
+/// it reads first, so a restarted run continues identically.
 
 #pragma once
 

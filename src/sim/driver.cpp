@@ -115,23 +115,24 @@ bool Driver::step_once() {
   const rt::Runtime::BindScope bound(runtime_);
   {
     FHP_TRACE_SPAN("driver.step");
+    double dt = 0.0;
     {
       FHP_TRACE_SPAN("driver.compute_dt");
-      dt_ = hydro_.compute_dt();
+      dt = hydro_.compute_dt();
     }
-    if (time_ + dt_ > options_.tmax) dt_ = options_.tmax - time_;
+    if (time_ + dt > options_.tmax) dt = options_.tmax - time_;
 
     {
       // Fused step: every sweep plus the flame stage as one block-task
       // DAG — no barriers between guard fill, sweep, flux fixup and EOS.
       FHP_TRACE_SPAN("driver.step_graph");
-      step_graph_.run_step(dt_);
+      step_graph_.run_step(dt);
     }
 
     if (units_.gravity != nullptr) {
       FHP_TRACE_SPAN("driver.gravity");
       units_.gravity->update(mesh_);
-      units_.gravity->apply_source(mesh_, dt_);
+      units_.gravity->apply_source(mesh_, dt);
       hydro_.eos_update();
     }
 
@@ -140,7 +141,7 @@ bool Driver::step_once() {
       trace_regions();
     }
 
-    time_ += dt_;
+    time_ += dt;
     ++step_;
 
     // Step boundary: lanes are quiescent, so this is the legal moment to
@@ -154,7 +155,7 @@ bool Driver::step_once() {
     sched_stats_.steals += s.steals;
     sched_stats_.steal_attempts += s.steal_attempts;
     sched_stats_.yields += s.yields;
-    trace::step_mark(step_, time_, dt_);
+    trace::step_mark(step_, time_, dt);
 
     if (options_.remesh_interval > 0 &&
         step_ % options_.remesh_interval == 0) {
@@ -176,7 +177,7 @@ bool Driver::step_once() {
     }
 
     if (options_.verbose && (step_ % 10 == 0 || step_ == 1)) {
-      FHP_LOG(kInfo) << "step " << step_ << "  t=" << time_ << "  dt=" << dt_
+      FHP_LOG(kInfo) << "step " << step_ << "  t=" << time_ << "  dt=" << dt
                      << "  leaves=" << mesh_.tree().leaves_morton().size();
     }
   }

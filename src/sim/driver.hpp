@@ -109,7 +109,6 @@ class Driver {
   }
   [[nodiscard]] double sim_time() const noexcept { return time_; }
   [[nodiscard]] int steps() const noexcept { return step_; }
-  [[nodiscard]] double last_dt() const noexcept { return dt_; }
 
   /// Accumulated task-graph scheduler statistics (executed/steals/yields
   /// summed over all steps so far). Snapshotted at step boundaries;
@@ -130,7 +129,6 @@ class Driver {
   par::TaskGraph::Stats sched_stats_;
 
   double time_ = 0.0;
-  double dt_ = 0.0;
   int step_ = 0;
 };
 

@@ -95,7 +95,6 @@ void SedovSetup::initialize() {
     m.for_leaf_cells(apply);
     if (changes == 0) break;
   }
-  m.fill_guardcells();
   FHP_LOG(kInfo) << "Sedov initialized: " << m.tree().leaves_morton().size()
                  << " leaf blocks, finest level " << m.tree().finest_level()
                  << ", spike radius " << r0;

@@ -38,11 +38,6 @@ class SedovExact {
   [[nodiscard]] double shock_radius(double energy, double rho_ambient,
                                     double time) const;
 
-  /// Post-shock (strong-shock limit) density jump (gamma+1)/(gamma-1).
-  [[nodiscard]] double density_jump() const noexcept {
-    return (gamma_ + 1.0) / (gamma_ - 1.0);
-  }
-
   /// Interior profiles relative to the immediate post-shock values, as a
   /// function of xi = r/R in [0, 1]: returns {rho/rho2, u/u2, p/p2}.
   [[nodiscard]] std::array<double, 3> profile(double xi) const;

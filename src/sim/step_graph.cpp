@@ -191,9 +191,6 @@ void StepGraph::run_step_serial(double dt, par::TaskGraph::Schedule schedule,
 
 par::TaskGraph& StepGraph::begin_step(double dt) {
   dt_ = dt;
-  // Setup-time sizing on the driver thread so the task bodies themselves
-  // stay allocation-free.
-  hydro_.ensure_lane_scratch();
   if (flame_ != nullptr) flame_->begin_advance(leaves_.size());
   return hydro_.forward_order() ? forward_ : backward_;
 }

@@ -37,13 +37,14 @@
 ///
 /// Determinism: every zone a stage reads — the sweep axis's face slabs
 /// inside the transverse interior, or every face for the flame — gets
-/// the full fill's bits from the same sources, and the edges above order
-/// every such read after the same writes as in the barrier version.
+/// fill_guardcells()'s bits from the same sources, and the edges above
+/// order every such read after the same writes as in the barrier
+/// version.
 /// Every task writes only its own block (plus its own flux-register
 /// slots), so physics is bit-identical to the bulk sequence at any lane
 /// count and steal order. Parents' interiors and the edge and corner
-/// guards the graph leaves stale are read by nothing until the next full
-/// fill (remesh, checkpoint restore, the bulk path). Modeled counters
+/// guards the graph leaves stale are read by nothing: every other reader
+/// of guard zones (remesh, the bulk path) fills first. Modeled counters
 /// stay out of the graph entirely (the driver's serial trace_regions
 /// pass); steal/idle statistics are read from last_stats() and never
 /// published as counters.

@@ -147,7 +147,6 @@ void SupernovaSetup::initialize() {
     m.for_leaf_cells(apply);
     if (changes == 0) break;
   }
-  m.fill_guardcells();
   gravity_->update(m);
   FHP_LOG(kInfo) << "supernova initialized: "
                  << m.tree().leaves_morton().size()

@@ -107,11 +107,6 @@ std::string RuntimeParams::get_string(std::string_view name) const {
                     type_name(e.value) + ", not string");
 }
 
-void RuntimeParams::set_bool(std::string_view n, bool v) {
-  Entry& e = find(n);
-  FHP_REQUIRE(std::holds_alternative<bool>(e.value), "type mismatch: bool");
-  e.value = v;
-}
 void RuntimeParams::set_int(std::string_view n, long long v) {
   Entry& e = find(n);
   FHP_REQUIRE(std::holds_alternative<long long>(e.value), "type mismatch: int");
@@ -121,12 +116,6 @@ void RuntimeParams::set_real(std::string_view n, double v) {
   Entry& e = find(n);
   FHP_REQUIRE(std::holds_alternative<double>(e.value), "type mismatch: real");
   e.value = v;
-}
-void RuntimeParams::set_string(std::string_view n, std::string_view v) {
-  Entry& e = find(n);
-  FHP_REQUIRE(std::holds_alternative<std::string>(e.value),
-              "type mismatch: string");
-  e.value = std::string(v);
 }
 
 void RuntimeParams::set_from_string(std::string_view name,

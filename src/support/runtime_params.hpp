@@ -41,10 +41,8 @@ class RuntimeParams {
   [[nodiscard]] std::string get_string(std::string_view name) const;
 
   /// Typed setters; the parameter must have been declared.
-  void set_bool(std::string_view name, bool value);
   void set_int(std::string_view name, long long value);
   void set_real(std::string_view name, double value);
-  void set_string(std::string_view name, std::string_view value);
 
   /// Assign from a textual value, inferring conversion from the declared
   /// type. Used by the file parser and --name=value command lines.

@@ -32,8 +32,6 @@ class TableWriter {
   /// Render as CSV (no alignment, fields quoted only when needed).
   void render_csv(std::ostream& os) const;
 
-  [[nodiscard]] size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

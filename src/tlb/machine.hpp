@@ -121,12 +121,6 @@ class Machine {
   FHP_NO_ALLOC void touch(const void* addr, std::size_t bytes, bool write,
                           std::uint8_t page_shift) noexcept;
 
-  /// Set the NUMA node subsequent touches are charged against; a node
-  /// different from params().numa.local_node makes them remote. Negative
-  /// means "unbound" (treated as local).
-  void set_access_node(int node) noexcept { access_node_ = node; }
-  [[nodiscard]] int access_node() const noexcept { return access_node_; }
-
   /// True if the current access node is a bound, non-local node.
   [[nodiscard]] bool remote() const noexcept {
     return access_node_ >= 0 && access_node_ != params_.numa.local_node;
@@ -134,9 +128,11 @@ class Machine {
 
   /// The mem→tlb placement seam: charge subsequent touches to the node a
   /// PagePool decision placed the data on (unbound if the decision did
-  /// not model a node, e.g. a THP/base fallback).
+  /// not model a node, e.g. a THP/base fallback). A node other than
+  /// params().numa.local_node makes them remote; negative means unbound,
+  /// treated as local.
   void apply_placement(const mem::PoolDecision& decision) noexcept {
-    set_access_node(decision.node);
+    access_node_ = decision.node;
   }
 
   /// Account pure compute work (operation counts, not cycles).

@@ -597,13 +597,16 @@ TEST(AmrMeshTest, ThreeDRefinementProducesEightChildren) {
 
 // ------------------------------------------------------------- guard plan
 //
-// A stage's GuardPlan must write the full fill's bits into every zone the
-// stage reads: for a sweep, both face slabs along its axis, nguard deep,
-// inside the transverse interior, every variable; for the flame stage,
-// every face. Each case runs fill_guardcells() on one mesh and the plan
-// on an identical copy whose non-interior zones hold different garbage,
-// so a zone the plan forgets to fill (or fills from a stale source)
-// shows up as a bit mismatch.
+// A stage's GuardPlan must write fill_guardcells()'s bits into every zone
+// the stage reads: for a sweep, both face slabs along its axis, nguard
+// deep, inside the transverse interior, every variable; for the flame
+// stage, every face. Each case runs fill_guardcells() — the all-faces
+// plan, level-parallel on the arena — on one mesh, and the stage's plan,
+// serially in its own order, on an identical copy whose non-interior
+// zones hold different garbage. A sweep stage's plan differs from the
+// all-faces one in its closure and in the parents it restricts; the
+// flame stage's is the same plan, so its row shows any zone both forget
+// to fill (or fill from a stale source) as a bit mismatch.
 
 struct PlanCase {
   const char* name;
@@ -797,8 +800,8 @@ TEST(GuardPlan, WritesTheFullFillsBitsIntoEveryZoneEachStageReads) {
     SCOPED_TRACE(pc.name);
     const std::unique_ptr<AmrMesh> full = build_plan_case(pc, runtime, 1);
     ASSERT_TRUE(has_fine_coarse_face(full->tree()));
-    // The full fill also checks 2:1 balance: every guard direction of a
-    // leaf without a same-level neighbor must find a coarse cover.
+    // fill_guardcells() also checks 2:1 balance: every face of a leaf
+    // without a same-level neighbor must find a coarse cover.
     full->fill_guardcells();
 
     const int ndim = pc.config.ndim;
@@ -819,7 +822,8 @@ TEST(GuardPlan, WritesTheFullFillsBitsIntoEveryZoneEachStageReads) {
           compare_stage_reads(*full, *planned, faces);
       EXPECT_GT(compared, 0);
       EXPECT_EQ(mismatches, 0) << "of " << compared << " zones read";
-      // A parent the plan restricts holds exactly the full fill's data.
+      // A parent the plan restricts holds exactly fill_guardcells()'s
+      // data.
       for (const int parent : plan.restricts) {
         EXPECT_EQ(interior_mismatches(*full, *planned, parent), 0)
             << "restricted parent " << parent;
@@ -847,7 +851,7 @@ TEST(GuardPlan, UniformSedovMeshFillsOnlySweepFacesAndRestrictsNothing) {
                                  c.nk() -
                              static_cast<std::int64_t>(c.nxb) * c.nyb * c.nzb;
   EXPECT_EQ(shell, 9728);
-  EXPECT_EQ(tree.num_allocated() * shell, 710144);  // the full fill
+  EXPECT_EQ(tree.num_allocated() * shell, 710144);  // every block's shell
 
   for (int axis = 0; axis < 3; ++axis) {
     const GuardPlan plan = plan_guards(tree, axis_faces(axis));

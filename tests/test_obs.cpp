@@ -319,7 +319,7 @@ TEST(SamplerTest, MissingProcFileIsCountedNotThrown) {
   EXPECT_FALSE(samples[0].vmstat.thp_split_page.present());  // "thp_split"
 }
 
-TEST(SamplerTest, RingOverflowDropsOldest) {
+TEST(SamplerTest, FullRingKeepsTheFirstHalfAndTheLatest) {
   FakeClock clock;
   SamplerOptions opts =
       SamplerOptions::with_procfs_root(fixture_root("kernel-6.6"));
@@ -331,8 +331,11 @@ TEST(SamplerTest, RingOverflowDropsOldest) {
   EXPECT_EQ(sampler.dropped(), 3u);
   const auto samples = sampler.samples();
   ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(samples.front().t_ns, 4000u);  // samples 1..3 were dropped
-  EXPECT_EQ(samples.back().t_ns, 7000u);
+  // The set-up (samples 1 and 2) stays; samples 3..5 were dropped.
+  EXPECT_EQ(samples[0].t_ns, 1000u);
+  EXPECT_EQ(samples[1].t_ns, 2000u);
+  EXPECT_EQ(samples[2].t_ns, 6000u);
+  EXPECT_EQ(samples[3].t_ns, 7000u);
 }
 
 TEST(SamplerTest, PublishedPerfCountersFlowIntoSamples) {

@@ -38,9 +38,6 @@ TEST(ParTest, SerialDefaultAndClamping) {
   EXPECT_EQ(ExecArena().lanes(), 1);  // 0 = FLASHHP_THREADS, unset = 1
   EXPECT_EQ(ExecArena(-3).lanes(), 1);  // clamped up
   EXPECT_EQ(ExecArena(kMaxLanes + 100).lanes(), kMaxLanes);  // clamped down
-  ExecArena arena(2);
-  arena.set_lanes(0);  // clamped up
-  EXPECT_EQ(arena.lanes(), 1);
 }
 
 TEST(ParTest, ThreadsFromEnvironmentParsesAndRejects) {

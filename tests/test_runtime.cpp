@@ -5,9 +5,7 @@
 ///   1. context plumbing — construction-time config snapshots, private
 ///      vs injected page pools, runtime parameters feeding the options;
 ///   2. execution arenas — per-arena region guards (two arenas mid-region
-///      at once), lane-count reconfiguration between regions, and the
-///      pool_for() regression: set_lanes() while a region is in flight on
-///      another thread must leave that region's leased pool alone;
+///      at once);
 ///   3. per-runtime observability — two Telemetry sinks installed on two
 ///      runtimes trace separate timelines, and the runtime log tag
 ///      prefixes driver and lane lines;
@@ -155,62 +153,6 @@ TEST(RuntimeContext, PoolParamsConfigureOnlyTheirRuntimesPool) {
 }
 
 // ----------------------------------------------------- execution arenas
-
-TEST(ExecArenaRegions, LaneCountChangeBetweenRegionsTakesEffect) {
-  par::ExecArena arena(2);
-  auto lanes_in_region = [&arena] {
-    std::atomic<int> seen{0};
-    arena.run_region(
-        [&seen](int) { seen.fetch_add(1, std::memory_order_relaxed); });
-    return seen.load(std::memory_order_relaxed);
-  };
-  EXPECT_EQ(arena.lanes(), 2);
-  EXPECT_EQ(lanes_in_region(), 2);
-
-  // The pool_for() regression: reconfiguring between regions must take
-  // effect on the next region (the old code rebuilt a process-global
-  // pool out from under whatever lane count it was built for).
-  arena.set_lanes(4);
-  EXPECT_EQ(arena.lanes(), 4);
-  EXPECT_EQ(lanes_in_region(), 4);
-
-  arena.set_lanes(1);
-  EXPECT_EQ(lanes_in_region(), 1);
-}
-
-TEST(ExecArenaRegions, SetLanesWhileRegionInFlightKeepsTheLease) {
-  par::ExecArena arena(2);
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> first_region_lanes{0};
-  std::thread worker([&] {
-    arena.run_region([&](int lane) {
-      first_region_lanes.fetch_add(1, std::memory_order_relaxed);
-      if (lane == 0) {
-        entered.store(true, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  });
-  while (!entered.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  // Reconfigure while the region is mid-flight on another thread. The
-  // in-flight region holds a refcounted lease on its pool, so its
-  // workers must not be torn down (the old pool_for() deleted the pool
-  // under the running region).
-  arena.set_lanes(4);
-  release.store(true, std::memory_order_release);
-  worker.join();
-  EXPECT_EQ(first_region_lanes.load(), 2);
-
-  std::atomic<int> second_region_lanes{0};
-  arena.run_region([&second_region_lanes](int) {
-    second_region_lanes.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(second_region_lanes.load(), 4);
-}
 
 TEST(ExecArenaRegions, TwoArenasRunRegionsConcurrently) {
   // Each lane-0 blocks until the other arena's region is also in

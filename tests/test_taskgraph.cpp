@@ -16,8 +16,9 @@
 ///      bulk-synchronous per-unit sequence it stands in for leaves them,
 ///      at 1/2/4 lanes across both unk layouts; whole steps replayed
 ///      under adversarial serial schedules must reach the same end
-///      states; plus a tsan workload with the sampler running over
-///      Driver steps.
+///      states; nothing may read the edge and corner guard zones or the
+///      non-leaf blocks the fills leave stale; plus a tsan workload with
+///      the sampler running over Driver steps.
 
 #include <gtest/gtest.h>
 
@@ -573,6 +574,96 @@ TEST(TaskGraphPhysics, CellularFineCoarseFlameMatchesBulk) {
 TEST(TaskGraphPhysics, SupernovaSerialSchedulesMatchBulk) {
   prepare_supernova_table();
   expect_serial_schedules_match_bulk(supernova_problem);
+}
+
+// ------------------------------------------------ stale guard zones
+//
+// Every fill — each step-graph stage's plan and fill_guardcells() —
+// writes leaf faces only, so edge and corner guard zones and non-leaf
+// blocks stay stale. Nothing may read them: a run whose stale zones are
+// poisoned before every step must end where a clean run does, state and
+// counters bit for bit. The poison is finite because a NaN can hide
+// behind std::max / std::min.
+
+/// Overwrite every edge and corner guard zone (outside the interior
+/// along two or more axes) of every block and every zone of every
+/// non-leaf block with \p poison.
+void poison_stale_zones(mesh::AmrMesh& m, double poison) {
+  const mesh::MeshConfig& c = m.config();
+  const mesh::BlockTree& tree = m.tree();
+  for (int level = 1; level <= tree.finest_level(); ++level) {
+    for (const int b : tree.blocks_at_level(level)) {
+      const bool leaf = tree.info(b).is_leaf;
+      for (int k = 0; k < c.nk(); ++k) {
+        for (int j = 0; j < c.nj(); ++j) {
+          for (int i = 0; i < c.ni(); ++i) {
+            int outside = 0;
+            if (i < c.ilo() || i >= c.ihi()) ++outside;
+            if (j < c.jlo() || j >= c.jhi()) ++outside;
+            if (k < c.klo() || k >= c.khi()) ++outside;
+            if (leaf && outside < 2) continue;
+            for (int v = 0; v < c.nvar(); ++v) {
+              m.unk().at(v, i, j, k, b) = poison;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A 2-d Sedov whose wide spike refines to level 5 and keeps refining
+/// as the blast grows (40 -> 88 leaves over 40 steps).
+std::unique_ptr<Problem> refining_sedov_problem(LayoutKind layout,
+                                                int lanes) {
+  SedovParams params;
+  params.ndim = 2;
+  params.nzb = 1;
+  params.max_level = 5;
+  params.maxblocks = 400;
+  params.spike_radius = 0.1;
+  return std::make_unique<Problem>(params, 40, layout, lanes);
+}
+
+/// The cellular front over 24 steps, whose remeshes change the mesh
+/// under the flame stage (22 -> 25 leaves).
+std::unique_ptr<Problem> remeshing_cellular_problem(LayoutKind layout,
+                                                    int lanes) {
+  CellularParams params;
+  params.max_level = 3;
+  params.maxblocks = 256;
+  return std::make_unique<Problem>(params, 24, layout, lanes);
+}
+
+/// At 1 and 2 lanes: the Driver on a clean copy and on a copy poisoned
+/// before every step_once().
+template <typename Build>
+void expect_stale_zones_unread(Build build) {
+  for (const int lanes : {1, 2}) {
+    const std::unique_ptr<Problem> clean = build(LayoutKind::kVarMajor, lanes);
+    const std::unique_ptr<Problem> poisoned =
+        build(LayoutKind::kVarMajor, lanes);
+    Driver& reference = clean->sim.driver();
+    Driver& driver = poisoned->sim.driver();
+    while (reference.step_once()) {
+      poison_stale_zones(poisoned->sim.mesh(), 1e30);
+      ASSERT_TRUE(driver.step_once());
+    }
+    EXPECT_FALSE(driver.step_once());
+    expect_identical(clean->result(reference.sim_time()),
+                     poisoned->result(driver.sim_time()),
+                     "poisoned x " + std::to_string(lanes) + " lanes");
+  }
+}
+
+TEST(GuardReads, NoStepReadsEdgesCornersOrNonLeafBlocks) {
+  ASSERT_TRUE(has_fine_coarse_face(
+      remeshing_cellular_problem(LayoutKind::kVarMajor, 1)->sim.mesh()));
+  expect_stale_zones_unread(remeshing_cellular_problem);
+  expect_stale_zones_unread(sedov3d_problem);
+  expect_stale_zones_unread(refining_sedov_problem);
+  prepare_supernova_table();
+  expect_stale_zones_unread(supernova_problem);
 }
 
 // --------------------------------------------------- tsan workload
