@@ -10,8 +10,8 @@
 /// counter but wall time. unk is pinned to base pages, because the
 /// replay's counters follow its page size, so the output does not depend
 /// on the host's huge-page settings or the lane count. STATE_HASH.txt is
-/// the committed output; ctest's state_hash_ledger compares a 2-lane run
-/// with it.
+/// the committed output; ctest compares runs at 1, 2 and 3 lanes with it
+/// (state_hash_ledger_lanes1, state_hash_ledger, state_hash_ledger_lanes3).
 ///
 /// Usage: state_hash [--par.threads=T]
 /// Exits 1 if the two layouts' state hashes of a problem differ.

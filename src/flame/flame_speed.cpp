@@ -67,11 +67,4 @@ double FlameSpeedTable::speed(double rho, double x_carbon) const {
          (1 - ur) * uc * at(ic + 1, ir) + ur * uc * at(ic + 1, ir + 1);
 }
 
-double enhanced_speed(double s_laminar, double atwood, double gravity,
-                      double length, double c_b) {
-  const double s_buoy =
-      c_b * std::sqrt(std::max(0.0, atwood * gravity * length));
-  return std::max(s_laminar, s_buoy);
-}
-
 }  // namespace fhp::flame

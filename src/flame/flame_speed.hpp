@@ -48,11 +48,4 @@ class FlameSpeedTable {
   std::vector<double> table_;  // [ixc][irho]
 };
 
-/// Buoyancy-compensated effective speed (Townsley et al. 2007):
-/// s_eff = max(s_lam, c_b sqrt(A g L)). Atwood number A ~ 0.2 DeltaRho/Rho
-/// for CO ash; c_b = 0.5 is the calibrated constant.
-[[nodiscard]] double enhanced_speed(double s_laminar, double atwood,
-                                    double gravity, double length,
-                                    double c_b = 0.5);
-
 }  // namespace fhp::flame

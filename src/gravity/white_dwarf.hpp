@@ -51,9 +51,6 @@ class WhiteDwarfModel {
   [[nodiscard]] double enclosed_mass_at(double radius) const;
 
   /// Raw profile access for tests.
-  [[nodiscard]] const std::vector<double>& radii() const noexcept {
-    return r_;
-  }
   [[nodiscard]] const std::vector<double>& densities() const noexcept {
     return rho_;
   }

@@ -79,10 +79,14 @@ HydroSolver::HydroSolver(mesh::AmrMesh& mesh, const eos::Eos& eos,
     : mesh_(mesh), eos_(eos), options_(options) {
   const mesh::MeshConfig& c = mesh_.config();
   FHP_REQUIRE(ncons() <= 16, "hydro supports at most 11 mass scalars");
-  max_tan_ = std::max({c.nyb * c.nzb, c.nxb * c.nzb, c.nxb * c.nyb});
+  // flux_entry's face index is t2 * max(nxb, nyb) + t1: t1 runs over j
+  // on x faces and over i on y and z faces, t2 over k on x and y faces
+  // and over j on z faces (always 0 in 2-d).
+  face_slot_ = std::max(c.nxb, c.nyb) *
+               (c.ndim == 3 ? std::max(c.nyb, c.nzb) : 1);
   flux_store_.resize(static_cast<std::size_t>(c.maxblocks) * 2 *
                      static_cast<std::size_t>(ncons()) *
-                     static_cast<std::size_t>(max_tan_));
+                     static_cast<std::size_t>(face_slot_));
   const auto lanes = static_cast<std::size_t>(mesh_.arena().lanes());
   lane_bufs_.reserve(lanes);
   for (std::size_t l = 0; l < lanes; ++l) lane_bufs_.emplace_back(c);
@@ -106,19 +110,17 @@ void HydroSolver::eos_update_block_task(int b, int lane) {
 std::size_t HydroSolver::flux_slot(int block, int side) const noexcept {
   return (static_cast<std::size_t>(block) * 2 +
           static_cast<std::size_t>(side)) *
-         static_cast<std::size_t>(ncons()) * static_cast<std::size_t>(max_tan_);
+         static_cast<std::size_t>(ncons()) *
+         static_cast<std::size_t>(face_slot_);
 }
 
 double* HydroSolver::flux_entry(int block, int side, int v, int t1,
                                 int t2) noexcept {
   const mesh::MeshConfig& c = mesh_.config();
-  const int tan1 = c.nxb;  // upper bound for any axis' first tangential dim
-  (void)tan1;
   return flux_store_.data() + flux_slot(block, side) +
-         static_cast<std::size_t>(v) * static_cast<std::size_t>(max_tan_) +
-         static_cast<std::size_t>(t2) * static_cast<std::size_t>(c.nxb > c.nyb
-                                                                     ? c.nxb
-                                                                     : c.nyb) +
+         static_cast<std::size_t>(v) * static_cast<std::size_t>(face_slot_) +
+         static_cast<std::size_t>(t2) *
+             static_cast<std::size_t>(std::max(c.nxb, c.nyb)) +
          static_cast<std::size_t>(t1);
 }
 

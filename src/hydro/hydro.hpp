@@ -150,7 +150,7 @@ class HydroSolver {
   HydroOptions options_;
   CompositionFn composition_;
   int step_count_ = 0;
-  int max_tan_ = 0;                ///< max tangential cells per face
+  int face_slot_ = 0;              ///< register entries per face and variable
   std::vector<double> flux_store_; ///< [block][side][v][t2][t1]
 
   // Per-lane scratch, sized at construction for the arena's fixed lane

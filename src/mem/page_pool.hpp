@@ -98,6 +98,16 @@ struct PoolCounters {
   std::uint64_t exhausted_events = 0;    ///< no pool could satisfy a request
   /// Decisions the kernel did not honour (decided tier != actual backing).
   std::uint64_t backing_shortfalls = 0;
+
+  /// Field-wise this - earlier: the decisions made since \p earlier.
+  [[nodiscard]] PoolCounters since(const PoolCounters& earlier) const noexcept {
+    return {huge_allocs - earlier.huge_allocs,
+            remote_huge_allocs - earlier.remote_huge_allocs,
+            thp_fallbacks - earlier.thp_fallbacks,
+            base_fallbacks - earlier.base_fallbacks,
+            exhausted_events - earlier.exhausted_events,
+            backing_shortfalls - earlier.backing_shortfalls};
+  }
 };
 
 /// Snapshot returned by PagePool::status().

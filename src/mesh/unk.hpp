@@ -66,7 +66,7 @@ class UnkContainer {
   }
   /// Address of one element. Note: only under a vars_contiguous() layout
   /// may the result be read past element v; use gather_zone()/
-  /// scalar_span() for whole-zone vectors.
+  /// zone_span() for whole-zone vectors.
   [[nodiscard]] const double* ptr(int v, int i, int j, int k,
                                   int b) const noexcept {
     return data_.data() + layout_.offset(v, i, j, k, b);

@@ -27,10 +27,10 @@
 ///
 /// Thread safety: the sampler thread touches only procfs, its own ring
 /// (mutex-guarded) and PerfContext::published() — the mutex-guarded
-/// snapshot the driver publishes at step boundaries. It never reads the
-/// per-lane counter shards or span rings, so it is race-free against
-/// running lanes (the tsan preset runs a sampler-over-parallel-sweep
-/// workload to hold this).
+/// copy the driver publishes at step boundaries. It never reads the
+/// counter totals the replay writes or the lanes' span rings, so it is
+/// race-free against the running step (the tsan preset runs a sampler
+/// over parallel span-recording regions to hold this).
 
 #pragma once
 
@@ -93,8 +93,8 @@ class Sampler {
 
   /// Capture one sample now, on the calling thread. Procfs read errors
   /// are counted (errors()), never thrown — a sampler must not take the
-  /// simulation down. Drains published() only — never the lane shards —
-  /// so it must not run as a region lane (FHP_EXCLUDES_REGION).
+  /// simulation down. Drains published() only — never the counter
+  /// totals — so it must not run as a region lane (FHP_EXCLUDES_REGION).
   void sample_once() FHP_EXCLUDES_REGION;
 
   /// Launch the background thread (no-op if already running).

@@ -12,7 +12,7 @@
 /// `pushed() - capacity()`. The reader (the timeline exporter) runs on
 /// the driver thread after the lanes have quiesced; the
 /// worker pool's completion handshake provides the happens-before edge,
-/// exactly as for perf::PerfContext's counter shards.
+/// exactly as for the per-lane tables of perf::Timers.
 
 #pragma once
 

@@ -27,16 +27,16 @@
 /// owns one, so two runtimes can run regions concurrently without
 /// tripping each other's nested-region `ConfigError`. An arena's lane
 /// count is fixed at construction (0 = `FLASHHP_THREADS`, else 1), so
-/// everything sized per lane (solver scratch, span reductions, counter
-/// shards) can be sized once.
+/// everything sized per lane (solver scratch, span reductions, span
+/// rings) can be sized once.
 ///
 /// With one lane every entry point degenerates to a plain serial loop on
 /// the calling thread — no pool is created, no locks are taken — so
 /// single-threaded builds pay nothing for this module's existence.
 /// Within a parallel region the caller participates as lane 0 and
 /// workers are lanes `1..L-1`; `lane()` returns the executing thread's
-/// lane so per-lane scratch (pencil buffers, EOS rows, counter shards)
-/// can be indexed without synchronization.
+/// lane so per-lane scratch (pencil buffers, EOS rows, span rings) can be
+/// indexed without synchronization.
 
 #pragma once
 
@@ -61,9 +61,9 @@ namespace fhp::par {
 /// Environment variable consulted by `threads_from_environment`.
 inline constexpr const char* kThreadsEnvVar = "FLASHHP_THREADS";
 
-/// Hard ceiling on the number of lanes (and thus counter shards).
-/// Aliases the support-layer constant so bottom-layer consumers (counter
-/// shards, span rings) need not depend on this module.
+/// Hard ceiling on the number of lanes. Aliases the support-layer
+/// constant so bottom-layer consumers (span reductions, span rings) need
+/// not depend on this module.
 inline constexpr int kMaxLanes = ::fhp::kMaxLanes;
 
 /// Parses `FLASHHP_THREADS`; returns `fallback` when unset. Throws
@@ -79,7 +79,7 @@ inline constexpr int kMaxLanes = ::fhp::kMaxLanes;
 
 /// True while the *calling thread* is participating in a pooled parallel
 /// region (any arena). Read-side telemetry helpers assert on this:
-/// per-lane rings and counter shards may only be drained from a thread
+/// per-lane rings and span tables may only be drained from a thread
 /// that is outside the region whose lanes wrote them (the pool handshake
 /// is the happens-before edge that makes those reads safe). Thread-local
 /// by design — runtime A draining its telemetry must not be blinded by

@@ -88,29 +88,27 @@ void TaskGraph::add_edge(TaskId before, TaskId after) {
   }
   succ.push_back(after);
   ++nodes_[static_cast<std::size_t>(after)].indegree;
-  ++edge_count_;
 }
 
 void TaskGraph::freeze() {
   require_building("freeze");
   const auto n = nodes_.size();
 
-  // Kahn's algorithm: a complete topological order proves acyclicity and
-  // doubles as the deterministic serial execution order.
-  topo_.clear();
-  topo_.reserve(n);
+  // Kahn's algorithm: a complete topological order proves acyclicity.
+  std::vector<TaskId> topo;
+  topo.reserve(n);
   std::vector<int> unmet(n);
   for (std::size_t i = 0; i < n; ++i) unmet[i] = nodes_[i].indegree;
   for (std::size_t i = 0; i < n; ++i) {
-    if (unmet[i] == 0) topo_.push_back(static_cast<TaskId>(i));
+    if (unmet[i] == 0) topo.push_back(static_cast<TaskId>(i));
   }
-  for (std::size_t head = 0; head < topo_.size(); ++head) {
-    for (const TaskId s : nodes_[static_cast<std::size_t>(topo_[head])]
+  for (std::size_t head = 0; head < topo.size(); ++head) {
+    for (const TaskId s : nodes_[static_cast<std::size_t>(topo[head])]
                               .successors) {
-      if (--unmet[static_cast<std::size_t>(s)] == 0) topo_.push_back(s);
+      if (--unmet[static_cast<std::size_t>(s)] == 0) topo.push_back(s);
     }
   }
-  if (topo_.size() != n) {
+  if (topo.size() != n) {
     std::string cycle;
     int listed = 0;
     for (std::size_t i = 0; i < n && listed < 4; ++i) {
@@ -130,19 +128,15 @@ void TaskGraph::freeze() {
     d.slots = std::make_unique<std::atomic<TaskId>[]>(std::max<std::size_t>(
         n, 1));
   }
-  stats_ = std::vector<LaneStats>(lanes);
   ready_scratch_.assign(n, -1);
   frozen_ = true;
 }
 
 void TaskGraph::clear() {
   nodes_.clear();
-  topo_.clear();
   remaining_ = std::vector<std::atomic<int>>();
   deques_ = std::vector<Deque>();
-  stats_ = std::vector<LaneStats>();
   ready_scratch_.clear();
-  edge_count_ = 0;
   frozen_ = false;
   first_error_ = nullptr;
 }
@@ -158,7 +152,6 @@ void TaskGraph::reset_run_state() noexcept {
     d.top.store(0, std::memory_order_relaxed);
     d.bottom.store(0, std::memory_order_relaxed);
   }
-  for (auto& s : stats_) s = LaneStats{};
   unfinished_.store(static_cast<std::int64_t>(n),
                     std::memory_order_relaxed);
   abort_.store(false, std::memory_order_relaxed);
@@ -185,28 +178,23 @@ FHP_NO_ALLOC void TaskGraph::execute_task(TaskId t, int lane) noexcept {
       deques_[static_cast<std::size_t>(lane)].push(s);
     }
   }
-  ++stats_[static_cast<std::size_t>(lane)].executed;
   unfinished_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void TaskGraph::scheduler_loop(int lane) noexcept {
   Deque& own = deques_[static_cast<std::size_t>(lane)];
-  LaneStats& stats = stats_[static_cast<std::size_t>(lane)];
   const int lanes = arena_.lanes();
   while (unfinished_.load(std::memory_order_acquire) > 0) {
     TaskId t = own.take();
     if (t < 0) {
       // Deterministic victim order (round robin from the next lane); the
-      // *outcome* of each probe is timing-dependent, which is exactly why
-      // these numbers stay out of the bit-identical counter contract.
+      // outcome of each probe is timing-dependent, and nothing the graph
+      // computes depends on it.
       for (int k = 1; k < lanes && t < 0; ++k) {
-        ++stats.steal_attempts;
         t = deques_[static_cast<std::size_t>((lane + k) % lanes)].steal();
       }
-      if (t >= 0) ++stats.steals;
     }
     if (t < 0) {
-      ++stats.yields;
       std::this_thread::yield();
       continue;
     }
@@ -296,17 +284,6 @@ void TaskGraph::run_serial(Schedule mode, std::uint64_t seed) {
   }
   FHP_CHECK(executed == nodes_.size(),
             "TaskGraph::run_serial left tasks unexecuted");
-}
-
-TaskGraph::Stats TaskGraph::last_stats() const noexcept {
-  Stats total;
-  for (const LaneStats& s : stats_) {
-    total.executed += s.executed;
-    total.steals += s.steals;
-    total.steal_attempts += s.steal_attempts;
-    total.yields += s.yields;
-  }
-  return total;
 }
 
 }  // namespace fhp::par

@@ -20,24 +20,23 @@
 ///     `parallel_for` (a nested run is a ConfigError and, under clang,
 ///     a -Wthread-safety error via FHP_EXCLUDES_REGION).
 ///   - **Region capability.** Task bodies execute on pool lanes holding
-///     the per-lane writer role: a body that writes lane-private shards
-///     or block data asserts it with a `RegionWitness`, exactly like a
-///     `parallel_for` lambda. The compile_fail suite pins that a shard
-///     write inside a task body without a witness still fails
-///     -Wthread-safety.
+///     the per-lane writer role: a body that writes lane-private state
+///     (span rings, scratch) or block data asserts it with a
+///     `RegionWitness`, exactly like a `parallel_for` lambda. The
+///     compile_fail suite pins that a lane-private write inside a task
+///     body without a witness still fails -Wthread-safety.
 ///   - **Allocation freedom.** Construction (`add_task`, `add_edge`,
 ///     `freeze`) allocates; `run()` is allocation-free on the hot path —
-///     fixed-capacity deques and counters are sized at `freeze()` for
-///     the arena's lane count, which is fixed at its construction.
+///     fixed-capacity deques are sized at `freeze()` for the arena's
+///     lane count, which is fixed at its construction.
 ///   - **Determinism.** Physics and published counters must be
 ///     bit-identical regardless of steal order and lane count. The graph
 ///     guarantees *ordering* (a task runs after its dependencies); the
 ///     submitted bodies guarantee *commutativity* (per-block writes
-///     only, integer counter shards, serial leaf-order FP reductions
-///     outside the graph). Steal/idle statistics are intentionally kept
-///     out of the PerfContext counters — they are timing-dependent and
-///     would break the bit-identity contract; read them from
-///     `last_stats()` instead.
+///     only, serial leaf-order FP reductions outside the graph). Task
+///     bodies write no counter: the machine-model replay, serial on the
+///     driver thread, is the counters' one writer. Per-task spans time
+///     every lane.
 ///
 /// `run_serial(Schedule::kReverse / kRandom, seed)` executes the graph
 /// on the calling thread in an adversarial-but-legal ready order; tests
@@ -71,16 +70,6 @@ class TaskGraph {
     kFifo,     ///< submission order among ready tasks
     kReverse,  ///< always the most recently readied task
     kRandom,   ///< seeded xorshift pick among ready tasks
-  };
-
-  /// Scheduler statistics of the last run(). Timing-dependent by nature
-  /// (steal counts vary run to run), which is why they live here and
-  /// never in the PerfContext counters.
-  struct Stats {
-    std::uint64_t executed = 0;       ///< task bodies run
-    std::uint64_t steals = 0;         ///< tasks obtained from another lane
-    std::uint64_t steal_attempts = 0; ///< steal probes (hit or miss)
-    std::uint64_t yields = 0;         ///< empty scheduler iterations
   };
 
   /// \param arena the execution arena run() schedules on; it must
@@ -118,10 +107,6 @@ class TaskGraph {
   void run_serial(Schedule mode, std::uint64_t seed = 0)
       FHP_EXCLUDES_REGION;
 
-  /// Statistics of the most recent run() (zeros before the first, and
-  /// after run_serial, which schedules nothing).
-  [[nodiscard]] Stats last_stats() const noexcept;
-
   /// Number of submitted tasks.
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
@@ -158,13 +143,6 @@ class TaskGraph {
     FHP_NO_ALLOC TaskId steal() noexcept;
   };
 
-  struct alignas(64) LaneStats {
-    std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t steal_attempts = 0;
-    std::uint64_t yields = 0;
-  };
-
   void require_building(const char* what) const;
   void reset_run_state() noexcept;
   void scheduler_loop(int lane) noexcept;
@@ -174,13 +152,10 @@ class TaskGraph {
   ExecArena& arena_;
   std::vector<Node> nodes_;
   bool frozen_ = false;
-  std::uint64_t edge_count_ = 0;
 
   // --- runtime state, sized at freeze() --------------------------------
-  std::vector<TaskId> topo_;            ///< Kahn order (cycle check + serial)
   std::vector<std::atomic<int>> remaining_;  ///< unmet deps per task
   std::vector<Deque> deques_;           ///< one per lane
-  std::vector<LaneStats> stats_;        ///< one per lane
   std::atomic<std::int64_t> unfinished_{0};
   std::atomic<bool> abort_{false};
   std::exception_ptr first_error_;

@@ -11,9 +11,10 @@
 /// accumulates the delta into a named slot of that context's
 /// RegionRegistry on exit.
 ///
-/// Regions start and stop outside parallel regions, on one thread; only
-/// the counter *increments* between start and stop may come from pool
-/// lanes (they land in per-lane shards, see perf_context.hpp).
+/// Regions start and stop outside parallel regions, on the thread that
+/// commits the counters (the replay's, see perf_context.hpp), so a
+/// region's delta is exactly what was committed between its start and
+/// stop.
 
 #pragma once
 
@@ -69,9 +70,9 @@ class RegionRegistry {
 /// clock read.
 class PerfRegion {
  public:
-  /// Regions snapshot the context's shards on entry and exit, so they
-  /// start and stop only while the lanes are quiescent (see file
-  /// comment) — FHP_EXCLUDES_REGION enforces it statically.
+  /// Regions snapshot the context's counters on entry and exit, so they
+  /// start and stop only outside parallel regions (see file comment) —
+  /// FHP_EXCLUDES_REGION enforces it statically.
   PerfRegion(PerfContext& context, std::string_view name)
       FHP_EXCLUDES_REGION;
 

@@ -19,7 +19,7 @@
 /// step marks, and its clock times them; without one, spans are timed on
 /// steady_clock.
 ///
-/// Threading contract (as for the span rings and counter shards): lane
+/// Threading contract (as for the span rings): lane
 /// l's table is written only by the thread running as lane l, so a span
 /// closes into an unsynchronized table update — no lock, no atomic, no
 /// allocation. Entries are keyed by the name literal's address and merged

@@ -65,9 +65,6 @@ class CellularSetup {
   [[nodiscard]] mesh::AmrMesh& mesh() noexcept { return *mesh_; }
   [[nodiscard]] const eos::GammaEos& eos() const noexcept { return eos_; }
   [[nodiscard]] flame::AdrFlame& flame() noexcept { return *flame_; }
-  [[nodiscard]] const flame::FlameSpeedTable& flame_speeds() const noexcept {
-    return flame_speeds_;
-  }
   [[nodiscard]] const CellularParams& params() const noexcept {
     return params_;
   }

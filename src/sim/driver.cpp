@@ -144,17 +144,11 @@ bool Driver::step_once() {
     time_ += dt;
     ++step_;
 
-    // Step boundary: lanes are quiescent, so this is the legal moment to
-    // snapshot the counter shards for asynchronous observers (the
-    // sampler thread only ever reads this published copy), accumulate
-    // the scheduler statistics (kept out of the counters — they are
-    // timing-dependent) and stamp the step mark onto the timeline.
+    // Step boundary: the replay has committed this step's counters, so
+    // publish them for asynchronous observers (the sampler thread only
+    // ever reads this published copy) and stamp the step mark onto the
+    // timeline.
     runtime_.perf().publish();
-    const par::TaskGraph::Stats s = step_graph_.last_stats();
-    sched_stats_.executed += s.executed;
-    sched_stats_.steals += s.steals;
-    sched_stats_.steal_attempts += s.steal_attempts;
-    sched_stats_.yields += s.yields;
     trace::step_mark(step_, time_, dt);
 
     if (options_.remesh_interval > 0 &&

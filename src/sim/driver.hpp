@@ -32,7 +32,6 @@
 #include "gravity/monopole.hpp"
 #include "hydro/hydro.hpp"
 #include "mesh/amr_mesh.hpp"
-#include "par/task_graph.hpp"
 #include "sim/step_graph.hpp"
 #include "tlb/machine.hpp"
 
@@ -110,13 +109,6 @@ class Driver {
   [[nodiscard]] double sim_time() const noexcept { return time_; }
   [[nodiscard]] int steps() const noexcept { return step_; }
 
-  /// Accumulated task-graph scheduler statistics (executed/steals/yields
-  /// summed over all steps so far). Snapshotted at step boundaries;
-  /// timing-dependent, hence never PerfContext counters.
-  [[nodiscard]] par::TaskGraph::Stats scheduler_stats() const noexcept {
-    return sched_stats_;
-  }
-
  private:
   void trace_regions();
 
@@ -126,7 +118,6 @@ class Driver {
   DriverUnits units_;
   rt::Runtime& runtime_;
   StepGraph step_graph_;
-  par::TaskGraph::Stats sched_stats_;
 
   double time_ = 0.0;
   int step_ = 0;

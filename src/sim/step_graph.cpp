@@ -179,14 +179,14 @@ void StepGraph::build(par::TaskGraph& graph, bool forward) {
 void StepGraph::run_step(double dt) {
   par::TaskGraph& graph = begin_step(dt);
   graph.run();
-  end_step(graph);
+  end_step();
 }
 
 void StepGraph::run_step_serial(double dt, par::TaskGraph::Schedule schedule,
                                 std::uint64_t seed) {
   par::TaskGraph& graph = begin_step(dt);
   graph.run_serial(schedule, seed);
-  end_step(graph);
+  end_step();
 }
 
 par::TaskGraph& StepGraph::begin_step(double dt) {
@@ -195,10 +195,9 @@ par::TaskGraph& StepGraph::begin_step(double dt) {
   return hydro_.forward_order() ? forward_ : backward_;
 }
 
-void StepGraph::end_step(const par::TaskGraph& graph) {
+void StepGraph::end_step() {
   if (flame_ != nullptr) flame_->finish_advance();
   hydro_.advance_step_count();
-  stats_ = graph.last_stats();
 }
 
 }  // namespace fhp::sim

@@ -46,8 +46,7 @@
 /// guards the graph leaves stale are read by nothing: every other reader
 /// of guard zones (remesh, the bulk path) fills first. Modeled counters
 /// stay out of the graph entirely (the driver's serial trace_regions
-/// pass); steal/idle statistics are read from last_stats() and never
-/// published as counters.
+/// pass); the per-task spans time every lane.
 ///
 /// Two graphs are kept — forward (axes 0..ndim-1) and backward — and
 /// selected per step by the Strang parity. Graphs are rebuilt only when
@@ -90,21 +89,12 @@ class StepGraph {
   void run_step_serial(double dt, par::TaskGraph::Schedule schedule,
                        std::uint64_t seed = 0) FHP_EXCLUDES_REGION;
 
-  /// Scheduler statistics of the last run_step (timing-dependent; see
-  /// par::TaskGraph::Stats — intentionally not PerfContext counters).
-  [[nodiscard]] par::TaskGraph::Stats last_stats() const noexcept {
-    return stats_;
-  }
-
-  /// Tasks per step graph (both parities have the same size).
-  [[nodiscard]] std::size_t size() const noexcept { return forward_.size(); }
-
  private:
   void build(par::TaskGraph& graph, bool forward);
   /// Shared by run_step/run_step_serial: publish dt, size the lane
   /// scratch, pick the Strang-parity graph; then finish the step.
   par::TaskGraph& begin_step(double dt);
-  void end_step(const par::TaskGraph& graph);
+  void end_step();
 
   mesh::AmrMesh& mesh_;
   hydro::HydroSolver& hydro_;
@@ -122,7 +112,6 @@ class StepGraph {
   /// runtime's region slot.
   par::TaskGraph forward_{mesh_.arena()};   ///< sweep order 0..ndim-1
   par::TaskGraph backward_{mesh_.arena()};  ///< sweep order ndim-1..0
-  par::TaskGraph::Stats stats_;
 };
 
 }  // namespace fhp::sim

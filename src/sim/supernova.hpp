@@ -78,9 +78,6 @@ class SupernovaSetup {
   [[nodiscard]] gravity::MonopoleGravity& gravity() noexcept {
     return *gravity_;
   }
-  [[nodiscard]] const flame::FlameSpeedTable& flame_speeds() const noexcept {
-    return flame_speeds_;
-  }
   [[nodiscard]] const SupernovaParams& params() const noexcept {
     return params_;
   }

@@ -81,9 +81,8 @@ struct CounterSet {
 /// perf layer (the tlb machine model) publish through this interface;
 /// perf::PerfContext is the in-tree implementation. sink_counters is
 /// FHP_EXCLUDES_REGION because in-tree producers commit from exactly one
-/// serial thread (the tracing thread, between parallel regions) — an
-/// implementation that forwards to lane-sharded storage asserts the
-/// single-writer role internally.
+/// serial thread (the tracing thread, between parallel regions): that
+/// thread is the counters' one writer.
 class CounterSink {
  public:
   CounterSink() = default;

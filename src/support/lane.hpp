@@ -2,7 +2,7 @@
 /// \brief Lane identity and the parallel-region capability model.
 ///
 /// Two primitives live here, at the bottom of the layering DAG, so that
-/// every layer above — perf counter shards, obs span rings, the worker
+/// every layer above — the span reduction, obs span rings, the worker
 /// pool itself — can share one notion of "which lane am I" and one
 /// statically checkable notion of "am I allowed to write lane-private
 /// data right now":
@@ -14,11 +14,12 @@
 ///
 ///   2. The *region capability* (`region_cap`): a phantom capability for
 ///      Clang's `-Wthread-safety` analysis that models the per-lane
-///      writer role. Functions that write lane-private shards — counter
-///      increments, span-ring pushes, block kernels — are annotated
-///      FHP_REQUIRES_REGION; cross-lane readers that are only safe when
-///      the lanes are quiescent — snapshot sums, publish(), timeline
-///      export, sampler drains — are annotated FHP_EXCLUDES_REGION.
+///      writer role. Functions that write lane-private state — span-ring
+///      pushes, block kernels — are annotated FHP_REQUIRES_REGION;
+///      readers that are only safe when the lanes are quiescent, and the
+///      counters, which only the serial replay writes — snapshot(),
+///      publish(), timeline export, sampler drains — are annotated
+///      FHP_EXCLUDES_REGION.
 ///      `par::parallel_for` itself is FHP_EXCLUDES_REGION, which turns a
 ///      nested region into a compile-time error instead of a runtime
 ///      ConfigError.
@@ -29,10 +30,10 @@
 ///   - pool lanes inside a `parallel_for` region (the pool's RegionGuard
 ///     acquires the capability for the region's lambda bodies);
 ///   - the single driver thread *between* regions — it is lane 0 and the
-///     only thread running, so serial single-writer sites (the machine
-///     model's commit, a SpanScope closing on the driver thread) assert
-///     the role with a local RegionWitness plus a comment justifying the
-///     claim. A witness without such a justification is a bug.
+///     only thread running, so serial single-writer sites (a SpanScope
+///     closing on the driver thread, the serial flux-correction loop)
+///     assert the role with a local RegionWitness plus a comment
+///     justifying the claim. A witness without such a justification is a bug.
 ///
 /// See DESIGN.md "Static analysis model" for the full capability table.
 
@@ -42,8 +43,8 @@
 
 namespace fhp {
 
-/// Hard ceiling on the number of lanes (and thus counter shards and span
-/// rings). `par::kMaxLanes` aliases this.
+/// Hard ceiling on the number of lanes (and thus span rings and per-lane
+/// scratch). `par::kMaxLanes` aliases this.
 inline constexpr int kMaxLanes = 64;
 
 namespace detail {

@@ -170,11 +170,6 @@ bool RuntimeParams::contains(std::string_view name) const {
   return entries_.count(to_lower(name)) != 0;
 }
 
-bool RuntimeParams::is_overridden(std::string_view name) const {
-  const Entry& e = find(name);
-  return e.value != e.default_value;
-}
-
 void RuntimeParams::read_string(std::string_view text, bool allow_unknown,
                                 std::string_view origin) {
   std::istringstream in{std::string(text)};

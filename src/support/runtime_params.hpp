@@ -51,9 +51,6 @@ class RuntimeParams {
   /// True if \p name has been declared.
   [[nodiscard]] bool contains(std::string_view name) const;
 
-  /// True if the value differs from the declared default (i.e. was set).
-  [[nodiscard]] bool is_overridden(std::string_view name) const;
-
   /// Parse a flash.par-style file: `name = value` lines, `#` comments,
   /// quoted strings. Unknown names throw ConfigError (FLASH warns; we are
   /// stricter) unless \p allow_unknown, in which case they are declared as

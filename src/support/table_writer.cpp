@@ -59,29 +59,6 @@ void TableWriter::render(std::ostream& os) const {
   os << rule << '\n';
 }
 
-void TableWriter::render_csv(std::ostream& os) const {
-  auto emit = [&os](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      const std::string& cell = row[i];
-      const bool quote = cell.find_first_of(",\"\n") != std::string::npos;
-      if (quote) {
-        os << '"';
-        for (char c : cell) {
-          if (c == '"') os << '"';
-          os << c;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-      if (i + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 std::string format_measure(double value) {
   char buf[48];
   const double a = std::fabs(value);

@@ -29,9 +29,6 @@ class TableWriter {
   /// Render as an aligned ASCII table.
   void render(std::ostream& os) const;
 
-  /// Render as CSV (no alignment, fields quoted only when needed).
-  void render_csv(std::ostream& os) const;
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -15,10 +15,11 @@
 ///   - use fhp::Mutex / fhp::MutexLock (support/mutex.hpp) instead of raw
 ///     std::mutex / std::lock_guard — libstdc++'s std::mutex is not an
 ///     annotated capability, so the analysis cannot see through it;
-///   - intentionally unsynchronized hot-path code (e.g. the per-lane
-///     counter shards of perf::PerfContext) is marked
-///     FHP_NO_THREAD_SAFETY_ANALYSIS with a comment explaining the
-///     single-writer execution model.
+///   - intentionally unsynchronized per-lane state (e.g. the span rings
+///     of obs/span.hpp) sits under the region capability of
+///     support/lane.hpp instead of a mutex; FHP_NO_THREAD_SAFETY_ANALYSIS
+///     is the last resort, with a comment explaining the single-writer
+///     execution model.
 
 #pragma once
 

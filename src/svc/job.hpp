@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "mem/huge_policy.hpp"
+#include "mem/page_pool.hpp"
 #include "mesh/layout.hpp"
 #include "perf/perf_context.hpp"
 #include "sim/cellular.hpp"
@@ -68,19 +69,6 @@ enum class JobStatus : std::uint8_t {
 
 /// Monotonic per-service job handle; 0 is never issued.
 using JobId = std::uint64_t;
-
-/// Per-tenant slice of the shared pool's decision counters: the deltas
-/// accrued while this tenant's setup carved its blocks and tables from
-/// the arena. The degradation contract shows up here — a pool-dry
-/// tenant reports thp/base fallbacks instead of failing.
-struct PoolSummary {
-  std::uint64_t huge_allocs = 0;
-  std::uint64_t remote_huge_allocs = 0;
-  std::uint64_t thp_fallbacks = 0;
-  std::uint64_t base_fallbacks = 0;
-  std::uint64_t exhausted_events = 0;
-  std::uint64_t backing_shortfalls = 0;
-};
 
 /// What a client submits. Exactly one of the params structs is read —
 /// the one matching `kind`; the others keep their defaults.
@@ -141,8 +129,11 @@ struct JobResult {
 
   /// The tenant's final published counter set (seq 0 if it never ran).
   perf::PublishedCounters counters;
-  /// This tenant's slice of the shared pool's decisions.
-  PoolSummary pool;
+  /// This tenant's slice of the shared pool's decision counters: the
+  /// deltas accrued while its setup carved its blocks and tables from
+  /// the pool. The degradation contract shows up here — a pool-dry
+  /// tenant reports thp/base fallbacks instead of failing.
+  mem::PoolCounters pool;
   /// Canonical end state when JobSpec::capture_state was set.
   std::vector<double> final_state;
 };

@@ -33,18 +33,6 @@ double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-PoolSummary counter_delta(const mem::PoolCounters& before,
-                          const mem::PoolCounters& after) {
-  PoolSummary d;
-  d.huge_allocs = after.huge_allocs - before.huge_allocs;
-  d.remote_huge_allocs = after.remote_huge_allocs - before.remote_huge_allocs;
-  d.thp_fallbacks = after.thp_fallbacks - before.thp_fallbacks;
-  d.base_fallbacks = after.base_fallbacks - before.base_fallbacks;
-  d.exhausted_events = after.exhausted_events - before.exhausted_events;
-  d.backing_shortfalls = after.backing_shortfalls - before.backing_shortfalls;
-  return d;
-}
-
 /// Everything one admitted job owns while it runs: its Runtime (private
 /// perf context, arena, layout snapshot; block storage carved from the
 /// service's shared pool) and the Simulation built on it. Declaration
@@ -344,7 +332,7 @@ struct Service::Impl {
       ++active_tenants;  // reserve the slot before dropping the lock
       lock.unlock();
       std::unique_ptr<Tenant> tenant;
-      PoolSummary delta;
+      mem::PoolCounters delta;
       std::string error;
       {
         std::lock_guard<std::mutex> setup(setup_mutex);
@@ -354,7 +342,7 @@ struct Service::Impl {
         } catch (const std::exception& e) {
           error = e.what();
         }
-        delta = counter_delta(before, pool->counters());
+        delta = pool->counters().since(before);
       }
       lock.lock();
       job->result.pool = delta;
@@ -515,7 +503,8 @@ std::optional<JobProgress> Service::progress(JobId id) const {
   p.sim_time = job->load_sim_time();
   if (job->tenant) {
     // The tenant may be mid-step on its worker right now: published()
-    // only touches the mutex-guarded snapshot, never the lane shards.
+    // only touches the mutex-guarded copy, never the totals its replay
+    // is writing.
     p.counters = job->tenant->runtime->perf().published();
   } else if (job->done) {
     p.counters = job->result.counters;

@@ -23,7 +23,7 @@
 ///     huge_policy() (the job's JobSpec::policy). Tenant setups are
 ///     serialized under one mutex so that the pool counter deltas
 ///     across each setup are that tenant's alone: they become its
-///     PoolSummary — per-tenant accounting over a shared inventory.
+///     JobResult::pool — per-tenant accounting over a shared inventory.
 ///     (PagePool serializes allocations anyway, and the Helm-table disk
 ///     cache is safe to share: HelmTable::save renames a finished file
 ///     into place.) Exhaustion degrades (hugetlbfs -> THP -> base), it

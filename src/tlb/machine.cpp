@@ -136,7 +136,6 @@ double Machine::commit(std::uint64_t scale) noexcept {
     sink_->sink_counters(delta);
   }
 
-  total_cycles_ += final_cycles;
   quantum_ = QuantumStats{};
   return cycles;
 }
@@ -147,7 +146,6 @@ void Machine::reset() noexcept {
   l1d_.flush();
   l2_.flush();
   quantum_ = QuantumStats{};
-  total_cycles_ = 0;
 }
 
 }  // namespace fhp::tlb

@@ -110,9 +110,8 @@ class Machine {
  public:
   /// \param sink where commit() publishes each quantum's scaled counter
   ///        deltas (typically the experiment arm's perf::PerfContext);
-  ///        null means model-only — cycles still accumulate in
-  ///        `total_cycles()`, counters are dropped. The old null-means-
-  ///        global-context fallback is gone: publishing is explicit.
+  ///        null means model-only — commit() still returns each
+  ///        quantum's cycles, counters are dropped.
   explicit Machine(const MachineParams& params = {},
                    perf::CounterSink* sink = nullptr);
 
@@ -156,9 +155,6 @@ class Machine {
   }
   [[nodiscard]] const MachineParams& params() const noexcept { return params_; }
 
-  /// Total modeled cycles committed so far (unscaled sum of quanta x scale).
-  [[nodiscard]] double total_cycles() const noexcept { return total_cycles_; }
-
   /// Reset everything — structures and statistics.
   void reset() noexcept;
 
@@ -171,7 +167,6 @@ class Machine {
   CacheModel l2_;
   QuantumStats quantum_;
   int access_node_ = -1;  // survives reset(): placement outlives quanta
-  double total_cycles_ = 0;
 };
 
 }  // namespace fhp::tlb

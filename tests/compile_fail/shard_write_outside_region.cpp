@@ -1,14 +1,15 @@
 /// \file shard_write_outside_region.cpp
 /// \brief MUST NOT COMPILE under clang -Wthread-safety -Werror.
 ///
-/// A lane-sharded counter write (PerfContext::add) outside a parallel
-/// region: nothing holds the region capability, so two threads doing
-/// this could race on the same shard. Expected diagnostic:
+/// A write to lane-private storage (obs::SpanRing::push, one ring per
+/// lane) outside a parallel region: nothing holds the region capability,
+/// so two threads doing this could race on the same ring. Expected
+/// diagnostic:
 ///   ... requires holding mutex 'region_cap' ...
 /// (asserted by PASS_REGULAR_EXPRESSION in CMakeLists.txt).
 
-#include "perf/perf_context.hpp"
+#include "obs/span.hpp"
 
-void leak_counter_write(fhp::perf::PerfContext& ctx) {
-  ctx.add(fhp::perf::Event::kCycles, 1);  // no RegionGuard/RegionWitness
+void leak_ring_write(fhp::obs::SpanRing& ring) {
+  ring.push({"leak", 0, 1, 0});  // no RegionGuard/RegionWitness
 }

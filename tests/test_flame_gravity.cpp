@@ -68,12 +68,6 @@ TEST(FlameSpeed, TableClampsOutOfRangeInputs) {
   EXPECT_DOUBLE_EQ(table.speed(2.0e9, 0.05), table.speed(2.0e9, 0.2));
 }
 
-TEST(FlameSpeed, EnhancedSpeedTakesTheMax) {
-  EXPECT_DOUBLE_EQ(flame::enhanced_speed(100.0, 0.0, 1.0e9, 1.0e6), 100.0);
-  const double buoyant = flame::enhanced_speed(1.0, 0.2, 1.0e9, 1.0e6);
-  EXPECT_NEAR(buoyant, 0.5 * std::sqrt(0.2 * 1.0e9 * 1.0e6), 1e-6);
-}
-
 TEST(FlameSpeed, RejectsBadInputs) {
   EXPECT_THROW(static_cast<void>(flame::laminar_speed_fit(-1.0, 0.5)),
                ConfigError);

@@ -363,6 +363,60 @@ TEST(AmrConservation, WithoutCorrectionTotalsDrift) {
   EXPECT_GT(drift_uncorrected, drift_corrected * 100.0);
 }
 
+TEST(AmrConservation, NonCubic3dBlocksKeepTotalsExact) {
+  rt::Runtime runtime;
+  // 8x16x8 blocks: a z face records its fluxes at t2 * max(nxb, nyb) + t1,
+  // up to 15 * 16 + 7 = 247, past the 128 zones of the largest face. The
+  // register must hold every index the sweeps record, or one variable's
+  // fluxes land in the next one's slot.
+  mesh::MeshConfig config;
+  config.ndim = 3;
+  config.nxb = 8;
+  config.nyb = 16;
+  config.nzb = 8;
+  config.nguard = 4;
+  config.maxblocks = 16;
+  config.max_level = 2;
+  config.nroot = {2, 2, 2};
+  for (int d = 0; d < 3; ++d) {
+    config.bc[static_cast<std::size_t>(d)][0] = mesh::Bc::kPeriodic;
+    config.bc[static_cast<std::size_t>(d)][1] = mesh::Bc::kPeriodic;
+  }
+  mesh::AmrMesh amr(config, mem::HugePolicy::kNone, runtime.layout(),
+                    runtime.page_pool(), runtime.arena());
+  amr.refine_block(0);
+
+  eos::GammaEos gamma(1.4);
+  HydroOptions opts;
+  opts.cfl = 0.5;
+  HydroSolver solver(amr, gamma, opts);
+  amr.for_leaf_cells([&](int b, int i, int j, int k) {
+    const double x = amr.xcenter(b, i) - 0.5;
+    const double y = amr.ycenter(b, j) - 0.5;
+    const double z = amr.zcenter(b, k) - 0.5;
+    const double rho = 1.0 + 2.0 * std::exp(-40.0 * (x * x + y * y + z * z));
+    auto& unk = amr.unk();
+    unk.at(kDens, i, j, k, b) = rho;
+    unk.at(kVelx, i, j, k, b) = 0.0;
+    unk.at(kVely, i, j, k, b) = 0.0;
+    unk.at(kVelz, i, j, k, b) = 0.0;
+    unk.at(kPres, i, j, k, b) = rho;  // pressure blob launches waves
+    unk.at(kEint, i, j, k, b) = 2.5;
+    unk.at(kEner, i, j, k, b) = 2.5;
+    unk.at(kGamc, i, j, k, b) = 1.4;
+    unk.at(kGame, i, j, k, b) = 1.4;
+  });
+  amr.fill_guardcells();
+
+  const double mass0 = amr.integrate(kDens);
+  const double ener0 = amr.integrate_product(kDens, kEner);
+  for (int n = 0; n < 10; ++n) {
+    solver.step(solver.compute_dt());
+  }
+  EXPECT_NEAR(amr.integrate(kDens) / mass0, 1.0, 1e-11);
+  EXPECT_NEAR(amr.integrate_product(kDens, kEner) / ener0, 1.0, 1e-11);
+}
+
 // ------------------------------------------------------------ eos update
 
 TEST(EosUpdate, RestoresThermodynamicConsistency) {

@@ -53,6 +53,14 @@ class FakeClock {
   std::atomic<std::uint64_t> next_{1000};
 };
 
+/// Commit \p cycles as the machine-model replay does: one quantum
+/// through the CounterSink interface, on the calling thread.
+void commit_cycles(perf::PerfContext& perf, std::uint64_t cycles) {
+  perf::CounterSet delta;
+  delta[perf::Event::kCycles] = cycles;
+  perf.sink_counters(delta);
+}
+
 // ----------------------------------------------------------------- ring
 
 TEST(SpanRingTest, OverflowDropsOldestAndNeverBlocks) {
@@ -340,7 +348,7 @@ TEST(SamplerTest, FullRingKeepsTheFirstHalfAndTheLatest) {
 
 TEST(SamplerTest, PublishedPerfCountersFlowIntoSamples) {
   perf::PerfContext perf;
-  perf.add(perf::Event::kCycles, 12345);
+  commit_cycles(perf, 12345);
   perf.publish();
   FakeClock clock;
   SamplerOptions opts =
@@ -349,7 +357,7 @@ TEST(SamplerTest, PublishedPerfCountersFlowIntoSamples) {
   opts.perf = &perf;
   Sampler sampler(opts);
   sampler.sample_once();
-  perf.add(perf::Event::kCycles, 55);
+  commit_cycles(perf, 55);
   // Not yet published: the sampler must still see the old snapshot.
   sampler.sample_once();
   perf.publish();
@@ -427,8 +435,9 @@ TEST(SamplerTest, OverrunningCapturesSkipTicksOnAbsoluteDeadlines) {
 
 TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   // The tsan workload: a background sampler reading published counters
-  // at 1 ms cadence while parallel lanes hammer their shards and record
-  // spans. Any read of unsynchronized state here is a tsan report.
+  // at 1 ms cadence while parallel lanes record spans and the driver
+  // thread commits counters between regions, as the replay does. Any
+  // read of unsynchronized state here is a tsan report.
   rt::Runtime runtime({.lanes = 2});
   perf::PerfContext perf;
   TelemetryOptions topts;
@@ -442,10 +451,9 @@ TEST(SamplerTest, SamplerOverParallelSweepIsRaceFree) {
   Sampler sampler(opts);
   sampler.start();
   for (int step = 0; step < 20; ++step) {
-    runtime.arena().parallel_for(128, [&perf](int, std::size_t) {
-      FHP_TRACE_SPAN("load.item");
-      perf.add(perf::Event::kCycles, 7);
-    });
+    runtime.arena().parallel_for(
+        128, [](int, std::size_t) { FHP_TRACE_SPAN("load.item"); });
+    commit_cycles(perf, 128 * 7);
     perf.publish();  // step boundary: legal snapshot point
   }
   sampler.stop();

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "par/parallel.hpp"
 #include "perf/events.hpp"
 #include "perf/histogram.hpp"
 #include "perf/perf_context.hpp"
@@ -29,6 +28,14 @@ class PerfTest : public ::testing::Test {
  protected:
   PerfContext ctx_;
 };
+
+/// Commit \p amount of \p event as the machine-model replay does: one
+/// quantum through the CounterSink interface.
+void commit(PerfContext& ctx, Event event, std::uint64_t amount) {
+  CounterSet delta;
+  delta[event] = amount;
+  ctx.sink_counters(delta);
+}
 
 // ------------------------------------------------------------------ events
 
@@ -77,43 +84,32 @@ TEST(Events, DeriveMeasuresZeroSafe) {
 // ----------------------------------------------------------- perf context
 
 TEST_F(PerfTest, ContextCountersAccumulate) {
-  ctx_.add(Event::kCycles, 10);
-  ctx_.add(Event::kCycles, 5);
-  ctx_.add(Event::kDtlbMisses, 2);
+  commit(ctx_, Event::kCycles, 10);
+  commit(ctx_, Event::kCycles, 5);
+  commit(ctx_, Event::kDtlbMisses, 2);
   const CounterSet s = ctx_.snapshot();
   EXPECT_EQ(s[Event::kCycles], 15u);
   EXPECT_EQ(s[Event::kDtlbMisses], 2u);
 }
 
-TEST_F(PerfTest, ContextBulkAddAndReset) {
-  CounterSet d;
-  d[Event::kBytesRead] = 123;
-  ctx_.add_all(d);
-  EXPECT_EQ(ctx_.snapshot()[Event::kBytesRead], 123u);
-  ctx_.reset();
-  EXPECT_EQ(ctx_.snapshot()[Event::kBytesRead], 0u);
+TEST_F(PerfTest, CommittedQuantaSum) {
+  CounterSet first;
+  first[Event::kBytesRead] = 123;
+  first[Event::kCycles] = 9;
+  CounterSet second;
+  second[Event::kBytesRead] = 77;
+  ctx_.sink_counters(first);
+  ctx_.sink_counters(second);
+  const CounterSet s = ctx_.snapshot();
+  EXPECT_EQ(s[Event::kBytesRead], 200u);
+  EXPECT_EQ(s[Event::kCycles], 9u);
 }
 
 TEST_F(PerfTest, ContextsAreIndependent) {
   PerfContext other;
-  ctx_.add(Event::kCycles, 42);
+  commit(ctx_, Event::kCycles, 42);
   EXPECT_EQ(other.snapshot()[Event::kCycles], 0u);
   EXPECT_EQ(ctx_.snapshot()[Event::kCycles], 42u);
-}
-
-TEST_F(PerfTest, ShardSumsAreExactAcrossLaneCounts) {
-  // Same increments pushed through 1 or 4 lanes must yield the same
-  // totals: uint64 shard sums are exact and order-independent.
-  auto run = [](int lanes) {
-    par::ExecArena arena(lanes);
-    PerfContext ctx;
-    arena.parallel_for(64, [&](int /*lane*/, std::size_t i) {
-      ctx.add(Event::kCycles, i + 1);
-    });
-    return ctx.snapshot()[Event::kCycles];
-  };
-  EXPECT_EQ(run(1), run(4));
-  EXPECT_EQ(run(1), 64u * 65u / 2u);
 }
 
 // ----------------------------------------------------------------- regions
@@ -121,8 +117,8 @@ TEST_F(PerfTest, ShardSumsAreExactAcrossLaneCounts) {
 TEST_F(PerfTest, RegionCapturesCounterDelta) {
   {
     PerfRegion region(ctx_, "unit-test");
-    ctx_.add(Event::kCycles, 1000);
-    ctx_.add(Event::kDtlbMisses, 3);
+    commit(ctx_, Event::kCycles, 1000);
+    commit(ctx_, Event::kDtlbMisses, 3);
   }
   const RegionStats stats = ctx_.regions().get("unit-test");
   EXPECT_EQ(stats.entries, 1u);
@@ -134,7 +130,7 @@ TEST_F(PerfTest, RegionCapturesCounterDelta) {
 TEST_F(PerfTest, RegionAccumulatesAcrossEntries) {
   for (int i = 0; i < 3; ++i) {
     PerfRegion region(ctx_, "loop");
-    ctx_.add(Event::kCycles, 10);
+    commit(ctx_, Event::kCycles, 10);
   }
   const RegionStats stats = ctx_.regions().get("loop");
   EXPECT_EQ(stats.entries, 3u);
@@ -144,12 +140,12 @@ TEST_F(PerfTest, RegionAccumulatesAcrossEntries) {
 TEST_F(PerfTest, RegionsNestIndependently) {
   {
     PerfRegion outer(ctx_, "outer");
-    ctx_.add(Event::kCycles, 5);
+    commit(ctx_, Event::kCycles, 5);
     {
       PerfRegion inner(ctx_, "inner");
-      ctx_.add(Event::kCycles, 7);
+      commit(ctx_, Event::kCycles, 7);
     }
-    ctx_.add(Event::kCycles, 11);
+    commit(ctx_, Event::kCycles, 11);
   }
   // Nested counts land in both regions (like nested PAPI reads).
   EXPECT_EQ(ctx_.regions().get("inner").totals[Event::kCycles], 7u);
@@ -158,9 +154,9 @@ TEST_F(PerfTest, RegionsNestIndependently) {
 
 TEST_F(PerfTest, StopIsIdempotent) {
   PerfRegion region(ctx_, "stopped");
-  ctx_.add(Event::kCycles, 4);
+  commit(ctx_, Event::kCycles, 4);
   region.stop();
-  ctx_.add(Event::kCycles, 100);
+  commit(ctx_, Event::kCycles, 100);
   region.stop();  // no-op
   EXPECT_EQ(ctx_.regions().get("stopped").totals[Event::kCycles], 4u);
   EXPECT_EQ(ctx_.regions().get("stopped").entries, 1u);
@@ -407,9 +403,9 @@ TEST(TimersTest, DownstreamSinkReceivesSpansAndTimesThem) {
 TEST_F(PerfTest, RegionReportDerivesMeasures) {
   {
     PerfRegion region(ctx_, "report-me");
-    ctx_.add(Event::kCycles, 1800000000ull);
-    ctx_.add(Event::kDtlbMisses, 900000ull);
-    ctx_.add(Event::kVectorOps, 180000000ull);
+    commit(ctx_, Event::kCycles, 1800000000ull);
+    commit(ctx_, Event::kDtlbMisses, 900000ull);
+    commit(ctx_, Event::kVectorOps, 180000000ull);
   }
   const RegionReport report(ctx_, 1.8e9);
   const RegionMeasures rm = report.get("report-me");

@@ -9,7 +9,7 @@
 ///      on junk), and rejected ids are never issued;
 ///   3. exhaustion — tenants carving from a dry synthetic inventory
 ///      degrade hugetlbfs -> THP -> base and still complete, with the
-///      fallbacks visible in their PoolSummary;
+///      fallbacks visible in their JobResult::pool;
 ///   4. shutdown — kDrain resolves everything kDone, kCancel resolves
 ///      the backlog kCancelled promptly; both join the workers. This
 ///      file is part of the tsan workload: concurrent workers stepping
@@ -383,7 +383,7 @@ TEST(ServiceExhaustion, NoThpTierDegradesToBaseWithoutFailing) {
 
 TEST(ServiceExhaustion, SharedInventoryAccountsPerTenant) {
   // A healthy synthetic pool: tenants draw down one shared inventory,
-  // and each tenant's PoolSummary carries its own slice.
+  // and each tenant's JobResult::pool carries its own slice.
   ServiceOptions opts;
   opts.workers = 1;  // serial: deterministic attribution
   opts.pool_config = synthetic_pool(one_node_2m(256, 256), /*thp=*/true);

@@ -215,14 +215,6 @@ TEST(RuntimeParams, CommandLineUnknownOptionThrows) {
   EXPECT_THROW(rp.apply_command_line(2, argv), ConfigError);
 }
 
-TEST(RuntimeParams, IsOverriddenTracksChanges) {
-  RuntimeParams rp;
-  rp.declare_real("cfl", 0.8);
-  EXPECT_FALSE(rp.is_overridden("cfl"));
-  rp.set_real("cfl", 0.6);
-  EXPECT_TRUE(rp.is_overridden("cfl"));
-}
-
 TEST(RuntimeParams, DumpListsEverything) {
   RuntimeParams rp;
   rp.declare_int("alpha", 1, "doc for alpha");
@@ -337,16 +329,6 @@ TEST(TableWriter, RowWidthMismatchThrows) {
   TableWriter t;
   t.set_header({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), ConfigError);
-}
-
-TEST(TableWriter, CsvQuotesSpecialCharacters) {
-  TableWriter t;
-  t.set_header({"name", "value"});
-  t.add_row({"with,comma", "with\"quote"});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_NE(os.str().find("\"with,comma\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"with\"\"quote\""), std::string::npos);
 }
 
 TEST(TableWriter, FormatMeasureMatchesPaperStyle) {

@@ -123,7 +123,6 @@ TEST(TaskGraphBuild, EmptyGraphRunsAsNoOp) {
   TaskGraph g(arena);
   g.freeze();
   g.run();
-  EXPECT_EQ(g.last_stats().executed, 0u);
 }
 
 // --------------------------------------------------- parallel execution
@@ -142,7 +141,6 @@ TEST(TaskGraphRun, EveryTaskExecutesExactlyOnce) {
   g.freeze();
   g.run();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(g.last_stats().executed, static_cast<std::uint64_t>(kTasks));
 
   // Graphs are reusable: a second run re-executes everything.
   g.run();
@@ -349,13 +347,9 @@ std::unique_ptr<Problem> supernova_problem(LayoutKind layout, int lanes) {
 }
 
 /// The Driver under test: its task-graph step, to the step budget.
-RunResult run_driver(Problem& p, int lanes) {
+RunResult run_driver(Problem& p) {
   Driver& driver = p.sim.driver();
   driver.evolve();
-  if (lanes > 1) {
-    // Sanity: the DAG actually executed tasks on the lanes.
-    EXPECT_GT(driver.scheduler_stats().executed, 0u);
-  }
   return p.result(driver.sim_time());
 }
 
@@ -524,7 +518,7 @@ void expect_driver_matches_bulk(Build build) {
     ASSERT_EQ(bulk.state, var_major_state)
         << mesh::to_string(layout) << ": bulk state differs across layouts";
     for (const int lanes : {1, 2, 4}) {
-      expect_identical(bulk, run_driver(*build(layout, lanes), lanes),
+      expect_identical(bulk, run_driver(*build(layout, lanes)),
                        std::string(mesh::to_string(layout)) + " x " +
                            std::to_string(lanes) + " lanes");
     }
