@@ -7,9 +7,8 @@
 ///
 ///   hugectl status            show THP mode, pools, meminfo fields
 ///   hugectl pool <n>          resize the 2 MiB pool to n pages (root)
-///   hugectl pool-status       init the process PagePool from the
-///                             environment (FLASHHP_PAGE_POOL /
-///                             FLASHHP_PLACEMENT) and print its per-node
+///   hugectl pool-status       init a PagePool from the environment
+///                             (FLASHHP_PAGE_POOL) and print its
 ///                             inventory and degradation counters
 ///   hugectl probe <policy>    map+prefault 64 MiB under none|thp|hugetlbfs
 ///                             and report what the kernel actually granted
@@ -73,7 +72,7 @@ int cmd_pool(const std::string& count_text) {
 
 int cmd_pool_status() {
   // A pool configured the way a runtime's private pool would be
-  // (FLASHHP_PAGE_POOL / FLASHHP_PLACEMENT), reporting the live inventory.
+  // (FLASHHP_PAGE_POOL), reporting the live inventory.
   mem::PagePool pool;
   pool.init(mem::config_from_environment());
   std::fputs(pool.status_text().c_str(), stdout);

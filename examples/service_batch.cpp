@@ -10,15 +10,14 @@
 ///
 /// Usage: service_batch [--jobs=N] [--svc.lanes=W] [--svc.quantum=Q]
 ///                      [--mem.hpage_type=none|thp|hugetlbfs]
-///                      [--mem.page_pool=SPEC] [--mem.placement=P]
-///                      [--obs.timeline=PATH]
+///                      [--mem.page_pool=SPEC] [--obs.timeline=PATH]
 ///
 /// Every tenant requests the page policy of `--mem.hpage_type` (else
 /// FLASHHP_HPAGE_TYPE / XOS_MMM_L_HPAGE_TYPE, else none); the service's
-/// shared pool is configured from `--mem.page_pool` / `--mem.placement`
-/// (else their environment variables). With --obs.timeline (or
-/// FLASHHP_TELEMETRY) the first job writes its span timeline to PATH
-/// (JobSpec::timeline_path; tenants run no sampler).
+/// shared pool is configured from `--mem.page_pool` (else
+/// FLASHHP_PAGE_POOL). With --obs.timeline (or FLASHHP_TELEMETRY) the
+/// first job writes its span timeline to PATH (JobSpec::timeline_path;
+/// tenants run no sampler).
 
 #include <cstdio>
 #include <optional>

@@ -20,7 +20,7 @@ namespace fhp::mem {
 /// A fixed-size typed buffer carved from a PagePool as a single
 /// allocation — used for the really big arrays (unk, the EOS table) where
 /// we want to know, per buffer, exactly what page regime backs it and
-/// what the pool decided about its placement.
+/// what tier and page size the pool decided for it.
 template <typename T>
 class HugeBuffer {
  public:
@@ -61,7 +61,7 @@ class HugeBuffer {
     return alloc_.region();
   }
 
-  /// The pool allocation (region + placement decision) backing the buffer.
+  /// The pool allocation (region + pool decision) backing the buffer.
   [[nodiscard]] const PoolAllocation& allocation() const noexcept {
     return alloc_;
   }

@@ -75,7 +75,7 @@ void declare_runtime_params(RuntimeParams& params);
 
 /// Step 1 from a parameter file / command line: the parsed
 /// "mem.hpage_type" when set non-empty (ConfigError on junk), else
-/// nullopt. The page-pool parameters are read separately, by
+/// nullopt. The page-pool parameter is read separately, by
 /// pool_config_from_params().
 [[nodiscard]] std::optional<HugePolicy> policy_from_params(
     const RuntimeParams& params);

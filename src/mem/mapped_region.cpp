@@ -43,22 +43,20 @@ void* try_mmap(std::size_t bytes, int extra_flags) noexcept {
 }
 
 /// Pick a hugetlb pool size for \p bytes: the caller's preference if that
-/// pool exists and can cover the request, else the largest pool page
-/// <= bytes (so a 40 MiB request does not burn a 512 MiB page), else the
-/// smallest pool available. Pools whose free pages cannot cover the
-/// rounded-up request are skipped: MAP_HUGETLB against an exhausted pool
-/// is a doomed syscall, and burning it would turn "the pool ran dry" into
-/// a silent THP fallback instead of a logged decision.
+/// pool exists and can cover the request, else pick_hugetlb_pool()'s
+/// choice. Pools whose free pages cannot cover the rounded-up request are
+/// skipped: MAP_HUGETLB against an exhausted pool is a doomed syscall,
+/// and burning it would turn "the pool ran dry" into a silent THP
+/// fallback instead of a logged decision.
 std::size_t choose_hugetlb_page(std::size_t bytes, std::size_t preferred) {
   const auto pools = hugetlb_pools();
   if (pools.empty()) return 0;
-  const auto can_satisfy = [bytes](const HugetlbPool& p) {
-    return p.free_hugepages >= round_up(bytes, p.page_bytes) / p.page_bytes;
-  };
   if (preferred != 0) {
     for (const auto& p : pools) {
       if (p.page_bytes != preferred) continue;
-      if (can_satisfy(p)) return preferred;
+      if (p.free_hugepages >= pages_to_cover(bytes, p.page_bytes)) {
+        return preferred;
+      }
       FHP_LOG(kInfo) << "hugetlb pool " << format_bytes(p.page_bytes)
                      << " cannot cover " << format_bytes(bytes) << " ("
                      << p.free_hugepages << '/' << p.nr_hugepages
@@ -67,16 +65,13 @@ std::size_t choose_hugetlb_page(std::size_t bytes, std::size_t preferred) {
     }
     return 0;  // explicit preference not configured -> let caller fall back
   }
-  std::size_t best = 0;
-  for (const auto& p : pools) {
-    if (!can_satisfy(p)) continue;
-    if (p.page_bytes <= bytes || best == 0) best = p.page_bytes;
-  }
-  if (best == 0) {
+  const auto best = pick_hugetlb_pool(pools, bytes);
+  if (!best) {
     FHP_LOG(kInfo) << "no hugetlb pool has enough free pages for "
                    << format_bytes(bytes) << "; falling back";
+    return 0;
   }
-  return best;
+  return pools[*best].page_bytes;
 }
 
 }  // namespace

@@ -25,36 +25,10 @@ std::string_view state_name(int state) noexcept {
   return "?";
 }
 
-/// Pages needed to cover \p bytes from a pool of \p page_bytes pages.
-std::size_t pages_needed(std::size_t bytes, std::size_t page_bytes) noexcept {
-  return round_up(bytes, page_bytes) / page_bytes;
-}
-
-/// \p var's value, or "" when unset.
-std::string_view env_setting(const char* var) {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read when a pool is
-  // configured at setup; nothing in-process calls setenv.
-  const char* raw = std::getenv(var);
-  return raw == nullptr ? std::string_view() : std::string_view(raw);
-}
-
-/// A config from a pool spec and a placement ("" = unset, keep the
-/// default); \p placement_source names the placement's origin in errors.
-PagePoolConfig make_config(std::string_view spec,
-                           std::string_view placement_source,
-                           std::string_view placement) {
+/// The config a pool spec describes ("" keeps the defaults).
+PagePoolConfig make_config(std::string_view spec) {
   PagePoolConfig config;
-  if (!spec.empty()) parse_pool_spec(spec, config.enabled, config.reservations);
-  if (!placement.empty()) {
-    const auto parsed = parse_placement_policy(placement);
-    if (!parsed) {
-      throw ConfigError(std::string(placement_source) + "='" +
-                        std::string(placement) +
-                        "' is not a valid placement policy "
-                        "(expected local-first|remote-huge-first)");
-    }
-    config.placement = *parsed;
-  }
+  parse_pool_spec(spec, config.enabled, config.reservations);
   return config;
 }
 
@@ -93,8 +67,10 @@ void parse_pool_spec(std::string_view spec, bool& enabled,
 }
 
 PagePoolConfig config_from_environment() {
-  return make_config(env_setting(kPoolEnvVar), kPlacementEnvVar,
-                     env_setting(kPlacementEnvVar));
+  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- read when a pool is
+  // configured at setup; nothing in-process calls setenv.
+  const char* spec = std::getenv(kPoolEnvVar);
+  return make_config(spec == nullptr ? "" : spec);
 }
 
 void PagePool::init(PagePoolConfig config) {
@@ -129,19 +105,10 @@ void PagePool::init_locked(PagePoolConfig config) {
     }
   }
 
-  // Inventory: explicit override > per-node sysfs tree > system-wide tree
-  // synthesized as a single node 0.
-  if (!config.inventory.empty()) {
-    inventory_ = config.inventory;
-  } else {
-    inventory_ = node_hugetlb_pools(config.node_root);
-    if (inventory_.empty()) {
-      NodeHugePools node;
-      node.node = 0;
-      node.pools = hugetlb_pools(config.hugepages_root);
-      if (!node.pools.empty()) inventory_.push_back(std::move(node));
-    }
-  }
+  // Inventory: explicit override, else the system-wide tree — the pools
+  // MAP_HUGETLB draws from, whichever node their pages sit on.
+  inventory_ = config.inventory.empty() ? hugetlb_pools(config.hugepages_root)
+                                        : config.inventory;
   thp_available_ = thp_pmd_size(config.thp_root).has_value();
   config_ = std::move(config);
   counters_ = PoolCounters{};
@@ -156,28 +123,6 @@ void PagePool::ensure_ready_locked() {
   if (state_ == State::kFinished) {
     throw ConfigError("PagePool used after fini()");
   }
-}
-
-std::size_t PagePool::find_pool_locked(int node, std::size_t bytes,
-                                       HugetlbPool** pool_out) {
-  *pool_out = nullptr;
-  for (auto& n : inventory_) {
-    if (n.node != node) continue;
-    // Prefer the largest pool page <= bytes with enough free pages (so a
-    // 40 MiB request does not burn a 1 GiB page), else the smallest pool
-    // that can satisfy the request.
-    HugetlbPool* best = nullptr;
-    for (auto& p : n.pools) {
-      if (p.free_hugepages < pages_needed(bytes, p.page_bytes)) continue;
-      if (best == nullptr || p.page_bytes <= bytes) best = &p;
-    }
-    if (best != nullptr) {
-      *pool_out = best;
-      return best->page_bytes;
-    }
-    return 0;
-  }
-  return 0;
 }
 
 PoolDecision PagePool::plan(std::size_t bytes, HugePolicy policy) {
@@ -215,33 +160,13 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
       break;
   }
 
-  // Local node first.
-  HugetlbPool* pool = nullptr;
-  std::size_t page = find_pool_locked(config_.local_node, bytes, &pool);
-  int node = config_.local_node;
-
-  // Remote-huge-first: a remote huge page beats a local small page.
-  if (pool == nullptr &&
-      config_.placement == PlacementPolicy::kRemoteHugeFirst) {
-    for (const auto& n : inventory_) {
-      if (n.node == config_.local_node) continue;
-      page = find_pool_locked(n.node, bytes, &pool);
-      if (pool != nullptr) {
-        node = n.node;
-        break;
-      }
-    }
-  }
-
-  if (pool != nullptr) {
-    pool->free_hugepages -= pages_needed(bytes, page);
+  if (const auto i = pick_hugetlb_pool(inventory_, bytes)) {
+    HugetlbPool& pool = inventory_[*i];
+    pool.free_hugepages -= pages_to_cover(bytes, pool.page_bytes);
     d.tier = Backing::kHugetlbfs;
-    d.page_bytes = page;
-    d.node = node;
-    d.remote = node != config_.local_node;
-    d.reason = d.remote ? "remote-huge" : "local-huge";
+    d.page_bytes = pool.page_bytes;
+    d.reason = "pool-huge";
     ++counters_.huge_allocs;
-    if (d.remote) ++counters_.remote_huge_allocs;
     return d;
   }
 
@@ -257,8 +182,7 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
     ++counters_.base_fallbacks;
   }
   FHP_LOG(kInfo) << "page pool exhausted for " << format_bytes(bytes)
-                 << " (placement=" << to_string(config_.placement)
-                 << "); degrading to "
+                 << "; degrading to "
                  << (d.tier == Backing::kThp ? "THP" : "base pages");
   return d;
 }
@@ -301,8 +225,6 @@ PoolStatus PagePool::status() const {
   PoolStatus s;
   s.enabled = config_.enabled;
   s.state = state_name(static_cast<int>(state_));
-  s.placement = config_.placement;
-  s.local_node = config_.local_node;
   s.thp_available = thp_available_;
   s.inventory = inventory_;
   s.counters = counters_;
@@ -313,25 +235,19 @@ std::string PagePool::status_text() const {
   const PoolStatus s = status();
   std::ostringstream os;
   os << "page pool: " << s.state << (s.enabled ? "" : " (disabled)")
-     << " placement=" << to_string(s.placement)
-     << " local-node=" << s.local_node
      << " thp=" << (s.thp_available ? "available" : "unavailable") << '\n';
   if (s.inventory.empty()) {
     os << "  (no hugetlb pools configured)\n";
   }
-  for (const auto& n : s.inventory) {
-    os << "  node" << n.node << ":\n";
-    for (const auto& p : n.pools) {
-      os << "    " << format_bytes(p.page_bytes) << " pages: "
-         << p.free_hugepages << '/' << p.nr_hugepages << " free";
-      if (p.surplus_hugepages != 0) {
-        os << " (" << p.surplus_hugepages << " surplus)";
-      }
-      os << '\n';
+  for (const auto& p : s.inventory) {
+    os << "  " << format_bytes(p.page_bytes) << " pages: " << p.free_hugepages
+       << '/' << p.nr_hugepages << " free";
+    if (p.surplus_hugepages != 0) {
+      os << " (" << p.surplus_hugepages << " surplus)";
     }
+    os << '\n';
   }
   os << "  allocs: huge=" << s.counters.huge_allocs
-     << " remote-huge=" << s.counters.remote_huge_allocs
      << " thp-fallback=" << s.counters.thp_fallbacks
      << " base-fallback=" << s.counters.base_fallbacks
      << " exhausted=" << s.counters.exhausted_events
@@ -357,23 +273,13 @@ void declare_page_pool_params(RuntimeParams& params) {
                         "page-pool reservation spec (off | <pages> | "
                         "<size>:<pages>[,...]; empty: resolve from " +
                             std::string(kPoolEnvVar) + ")");
-  params.declare_string(kPlacementParamName, "",
-                        "NUMA placement policy "
-                        "(local-first|remote-huge-first; empty: resolve "
-                        "from " +
-                            std::string(kPlacementEnvVar) + ")");
 }
 
 std::optional<PagePoolConfig> pool_config_from_params(
     const RuntimeParams& params) {
   const std::string spec = params.get_string(kPoolParamName);
-  const std::string placement = params.get_string(kPlacementParamName);
-  if (spec.empty() && placement.empty()) return std::nullopt;
-  return make_config(spec.empty() ? env_setting(kPoolEnvVar) : spec,
-                     placement.empty() ? kPlacementEnvVar
-                                       : kPlacementParamName,
-                     placement.empty() ? env_setting(kPlacementEnvVar)
-                                       : placement);
+  if (spec.empty()) return std::nullopt;
+  return make_config(spec);
 }
 
 }  // namespace fhp::mem

@@ -1,6 +1,6 @@
 /// \file page_pool.hpp
-/// \brief mem::PagePool — an explicit huge-page pool manager with NUMA
-///        placement and a contract-enforced degradation ladder.
+/// \brief mem::PagePool — an explicit huge-page pool manager with a
+///        contract-enforced degradation ladder.
 ///
 /// The paper's Ookami runs worked because an administrator pre-reserved
 /// hugetlb pools (`hugeadm`, boot parameters) and the Fujitsu runtime
@@ -11,12 +11,10 @@
 ///   - an init → alloc → status → fini lifecycle with hard contracts
 ///     (double-init and alloc-after-fini throw fhp::ConfigError — a pool
 ///     misused is a configuration bug, not a soft failure),
-///   - capacity/free accounting read from the sysfs hugetlb trees (both
-///     the system-wide tree and the per-NUMA-node trees), with injectable
-///     roots so tests run unprivileged against fixtures,
-///   - a placement policy across nodes, including kRemoteHugeFirst —
-///     prefer a *remote huge* page over a *local small* page when the
-///     local pool has run dry (the RemoteHugePages result),
+///   - capacity/free accounting read from the system-wide sysfs hugetlb
+///     tree — the pools the kernel serves MAP_HUGETLB from, on any NUMA
+///     node — with an injectable root so tests run unprivileged against
+///     fixtures; a decision is a tier and a page size, never a node,
 ///   - graceful, *logged and counted* degradation when pools are
 ///     exhausted: hugetlbfs → THP → base pages, never a crash and never
 ///     a silent page-size change. Every decision is queryable
@@ -43,7 +41,6 @@
 #include <vector>
 
 #include "mem/mapped_region.hpp"
-#include "mem/numa.hpp"
 #include "mem/page_size.hpp"
 #include "support/mutex.hpp"
 
@@ -59,13 +56,22 @@ struct PoolReservation {
   std::size_t pages = 0;
 };
 
+/// What the pool decided for one allocation: the page-size tier, the
+/// chosen pool page, and a static reason string for logs and reports.
+/// The decision is what the pool planned from its inventory; the
+/// MappedRegion records what the kernel actually granted, and PagePool
+/// counts any shortfall between the two — verify, don't assume.
+struct PoolDecision {
+  Backing tier = Backing::kSmallPages;
+  std::size_t page_bytes = 0;  ///< pool page size for kHugetlbfs, else 0
+  const char* reason = "";     ///< e.g. "pool-huge", "pool-exhausted->thp"
+};
+
 /// Configuration for PagePool::init(). All sysfs roots are injectable so
 /// tests (and CI containers without privilege) run against fixture trees.
 struct PagePoolConfig {
-  /// System-wide hugetlb tree (capacity reporting + reservation writes).
+  /// System-wide hugetlb tree: the pool inventory and reservation writes.
   std::string hugepages_root = "/sys/kernel/mm/hugepages";
-  /// Per-node tree; nodes under here become the pool inventory.
-  std::string node_root = "/sys/devices/system/node";
   /// THP tree; hpage_pmd_size decides whether the THP fallback tier exists.
   std::string thp_root = "/sys/kernel/mm/transparent_hugepage";
 
@@ -78,31 +84,24 @@ struct PagePoolConfig {
   /// the system already had).
   std::vector<PoolReservation> reservations;
 
-  /// The node considered local for placement decisions.
-  int local_node = 0;
-
-  PlacementPolicy placement = PlacementPolicy::kLocalFirst;
-
-  /// Non-empty: use this inventory verbatim instead of scanning sysfs.
-  /// This is how tests and benchmarks model asymmetric node pools
+  /// Non-empty: use these pools (sorted by page size) verbatim instead of
+  /// reading hugepages_root. This is how tests model a given inventory
   /// deterministically.
-  std::vector<NodeHugePools> inventory;
+  std::vector<HugetlbPool> inventory;
 };
 
 /// Running totals of pool decisions (monotonic over the pool's lifetime).
 struct PoolCounters {
-  std::uint64_t huge_allocs = 0;         ///< placed on a hugetlb pool
-  std::uint64_t remote_huge_allocs = 0;  ///< subset placed on a remote node
-  std::uint64_t thp_fallbacks = 0;       ///< degraded to THP
-  std::uint64_t base_fallbacks = 0;      ///< degraded to base pages
-  std::uint64_t exhausted_events = 0;    ///< no pool could satisfy a request
+  std::uint64_t huge_allocs = 0;       ///< placed on a hugetlb pool
+  std::uint64_t thp_fallbacks = 0;     ///< degraded to THP
+  std::uint64_t base_fallbacks = 0;    ///< degraded to base pages
+  std::uint64_t exhausted_events = 0;  ///< no pool could satisfy a request
   /// Decisions the kernel did not honour (decided tier != actual backing).
   std::uint64_t backing_shortfalls = 0;
 
   /// Field-wise this - earlier: the decisions made since \p earlier.
   [[nodiscard]] PoolCounters since(const PoolCounters& earlier) const noexcept {
     return {huge_allocs - earlier.huge_allocs,
-            remote_huge_allocs - earlier.remote_huge_allocs,
             thp_fallbacks - earlier.thp_fallbacks,
             base_fallbacks - earlier.base_fallbacks,
             exhausted_events - earlier.exhausted_events,
@@ -114,16 +113,14 @@ struct PoolCounters {
 struct PoolStatus {
   bool enabled = true;
   std::string_view state = "idle";  ///< "idle" | "ready" | "finished"
-  PlacementPolicy placement = PlacementPolicy::kLocalFirst;
-  int local_node = 0;
   bool thp_available = false;
   /// The pool mirror: free_hugepages reflects pages the pool has handed
   /// out, not necessarily what sysfs says right now.
-  std::vector<NodeHugePools> inventory;
+  std::vector<HugetlbPool> inventory;
   PoolCounters counters;
 };
 
-/// One allocation carved from the pool: the mapping plus the placement
+/// One allocation carved from the pool: the mapping plus the pool
 /// decision that produced it. Move-only, releases on destruction.
 class PoolAllocation {
  public:
@@ -167,13 +164,11 @@ class PoolAllocation {
   PoolDecision decision_;
 };
 
-/// Environment knobs honoured by config_from_environment():
+/// The environment knob honoured by config_from_environment():
 ///   FLASHHP_PAGE_POOL = off | 0        disable the pool (pass-through)
 ///                     | <N>            reserve N 2 MiB pages at init
 ///                     | 2M:<N>,1G:<M>  explicit per-size reservations
-///   FLASHHP_PLACEMENT = local-first | remote-huge-first
 inline constexpr const char* kPoolEnvVar = "FLASHHP_PAGE_POOL";
-inline constexpr const char* kPlacementEnvVar = "FLASHHP_PLACEMENT";
 
 /// Parse a FLASHHP_PAGE_POOL spec into (enabled, reservations). Throws
 /// fhp::ConfigError on junk — silent misconfiguration is the failure mode
@@ -181,8 +176,8 @@ inline constexpr const char* kPlacementEnvVar = "FLASHHP_PLACEMENT";
 void parse_pool_spec(std::string_view spec, bool& enabled,
                      std::vector<PoolReservation>& reservations);
 
-/// The config FLASHHP_PAGE_POOL and FLASHHP_PLACEMENT describe (defaults
-/// where unset). Throws ConfigError on junk.
+/// The config FLASHHP_PAGE_POOL describes (defaults where unset). Throws
+/// ConfigError on junk.
 [[nodiscard]] PagePoolConfig config_from_environment();
 
 /// The pool manager. All entry points are thread-safe (one internal
@@ -195,15 +190,15 @@ class PagePool {
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  /// Reserve pools (best-effort), read the node inventory, and arm the
-  /// pool. Throws ConfigError if already initialized (double-init) or
-  /// already finished.
+  /// Reserve pools (best-effort), read the inventory, and arm the pool.
+  /// Throws ConfigError if already initialized (double-init) or already
+  /// finished.
   void init(PagePoolConfig config);
 
-  /// Decide placement for \p bytes under \p policy without mapping
-  /// anything: consults and decrements the inventory mirror and updates
-  /// counters(). Auto-initializes from the environment on first use;
-  /// throws ConfigError after fini().
+  /// Decide a tier and page size for \p bytes under \p policy without
+  /// mapping anything: consults and decrements the inventory mirror and
+  /// updates counters(). Auto-initializes from the environment on first
+  /// use; throws ConfigError after fini().
   [[nodiscard]] PoolDecision plan(std::size_t bytes, HugePolicy policy);
 
   /// plan() + carve the mapping through MappedRegion, honouring the
@@ -234,32 +229,25 @@ class PagePool {
   void ensure_ready_locked() FHP_REQUIRES(mutex_);
   [[nodiscard]] PoolDecision plan_locked(std::size_t bytes, HugePolicy policy)
       FHP_REQUIRES(mutex_);
-  /// Find a pool on \p node with enough free pages for \p bytes; returns
-  /// the pool page size (0 = none) and, via \p pool_out, the mirror slot.
-  [[nodiscard]] std::size_t find_pool_locked(int node, std::size_t bytes,
-                                             HugetlbPool** pool_out)
-      FHP_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   State state_ FHP_GUARDED_BY(mutex_) = State::kIdle;
   PagePoolConfig config_ FHP_GUARDED_BY(mutex_);
-  std::vector<NodeHugePools> inventory_ FHP_GUARDED_BY(mutex_);
+  std::vector<HugetlbPool> inventory_ FHP_GUARDED_BY(mutex_);
   bool thp_available_ FHP_GUARDED_BY(mutex_) = false;
   PoolCounters counters_ FHP_GUARDED_BY(mutex_);
 };
 
-/// Names of the runtime parameters declared by declare_page_pool_params().
+/// Name of the runtime parameter declared by declare_page_pool_params().
 inline constexpr const char* kPoolParamName = "mem.page_pool";
-inline constexpr const char* kPlacementParamName = "mem.placement";
 
-/// Declare "mem.page_pool" and "mem.placement" (defaults "": defer to the
-/// environment). Called from mem::declare_runtime_params().
+/// Declare "mem.page_pool" (default "": defer to the environment). Called
+/// from mem::declare_runtime_params().
 void declare_page_pool_params(RuntimeParams& params);
 
-/// The pool config the parameters above describe, each unset one taken
-/// from its environment variable; nullopt when both are unset. Throws
-/// ConfigError on junk. rt::apply_runtime_params() stores it in
-/// RuntimeOptions::pool_config.
+/// The pool config the parameter above describes; nullopt when it is
+/// unset. Throws ConfigError on junk. rt::apply_runtime_params() stores
+/// it in RuntimeOptions::pool_config.
 [[nodiscard]] std::optional<PagePoolConfig> pool_config_from_params(
     const RuntimeParams& params);
 

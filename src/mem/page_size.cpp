@@ -71,4 +71,15 @@ std::vector<HugetlbPool> hugetlb_pools(const std::string& sysfs_root) {
   return pools;
 }
 
+std::optional<std::size_t> pick_hugetlb_pool(
+    const std::vector<HugetlbPool>& pools, std::size_t bytes) noexcept {
+  std::optional<std::size_t> best;
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    const HugetlbPool& p = pools[i];
+    if (p.free_hugepages < pages_to_cover(bytes, p.page_bytes)) continue;
+    if (!best || p.page_bytes <= bytes) best = i;
+  }
+  return best;
+}
+
 }  // namespace fhp::mem

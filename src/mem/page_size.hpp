@@ -49,10 +49,25 @@ struct HugetlbPool {
 [[nodiscard]] std::optional<std::size_t> parse_hugepages_dirname(
     const std::string& name);
 
+/// The one page-size rule for a hugetlb request of \p bytes: the index in
+/// \p pools (sorted by page size, as hugetlb_pools() returns them) of the
+/// largest page <= bytes whose pool has enough free pages to cover the
+/// request (so a 40 MiB request does not burn a 1 GiB page), else of the
+/// smallest pool that can cover it; nullopt when no pool can. PagePool
+/// plans with it and MappedRegion maps with it.
+[[nodiscard]] std::optional<std::size_t> pick_hugetlb_pool(
+    const std::vector<HugetlbPool>& pools, std::size_t bytes) noexcept;
+
 /// Round \p bytes up to a multiple of \p page (page must be a power of two).
 [[nodiscard]] constexpr std::size_t round_up(std::size_t bytes,
                                              std::size_t page) noexcept {
   return (bytes + page - 1) & ~(page - 1);
+}
+
+/// Pages of \p page bytes needed to cover \p bytes.
+[[nodiscard]] constexpr std::size_t pages_to_cover(std::size_t bytes,
+                                                   std::size_t page) noexcept {
+  return round_up(bytes, page) / page;
 }
 
 /// True if \p v is a nonzero power of two.

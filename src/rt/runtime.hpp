@@ -64,7 +64,7 @@ namespace fhp::rt {
 /// private pool initialized from `pool_config`, or from the environment
 /// on first allocation. rt::apply_runtime_params() fills these from
 /// `--par.threads` / `--mesh.layout` / `--mem.hpage_type` /
-/// `--mem.page_pool` / `--mem.placement`.
+/// `--mem.page_pool`.
 struct RuntimeOptions {
   /// Lane count for this runtime's ExecArena; 0 = resolve
   /// FLASHHP_THREADS / 1, once, at construction.
@@ -88,12 +88,12 @@ struct RuntimeOptions {
 };
 
 /// Declares the parameters that configure a runtime: `par.threads`,
-/// `mesh.layout`, `mem.hpage_type` and the page-pool parameters.
+/// `mesh.layout`, `mem.hpage_type` and `mem.page_pool`.
 void declare_runtime_params(RuntimeParams& params);
 
 /// Reads the parameters declared above (after apply_command_line) into
 /// RuntimeOptions, with the same meaning their environment twins have;
-/// `mem.page_pool` / `mem.placement` land in `pool_config`. Touches no
+/// `mem.page_pool` lands in `pool_config`. Touches no
 /// process-wide state. Throws ConfigError on unparsable values.
 [[nodiscard]] RuntimeOptions apply_runtime_params(const RuntimeParams& params);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "support/error.hpp"
@@ -157,6 +158,12 @@ CheckpointInfo read_checkpoint(const std::string& path,
   std::int64_t nleaves = 0;
   read_pod(in, nleaves);
   FHP_REQUIRE(in && nleaves > 0, "corrupt checkpoint leaf count");
+  // The count sizes the leaf table below: bound it by what the mesh can
+  // hold before anything is allocated or refined.
+  FHP_REQUIRE(nleaves <= mesh.tree().capacity(),
+              "checkpoint '" + path + "' claims " + std::to_string(nleaves) +
+                  " leaves but the mesh holds at most " +
+                  std::to_string(mesh.tree().capacity()) + " blocks");
 
   const mesh::MeshConfig& c = mesh.config();
   const int nroots = c.nroot[0] * c.nroot[1] * (c.ndim >= 3 ? c.nroot[2] : 1);

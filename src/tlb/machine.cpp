@@ -22,31 +22,20 @@ FHP_NO_ALLOC void Machine::touch(const void* addr, std::size_t bytes,
   const std::uint64_t first = base & ~static_cast<std::uint64_t>(line - 1);
   const std::uint64_t last = (base + bytes - 1) &
                              ~static_cast<std::uint64_t>(line - 1);
-  const bool is_remote = remote();
   for (std::uint64_t a = first;; a += line) {
     ++quantum_.accesses;
-    if (is_remote) ++quantum_.remote_accesses;
     // Address translation: L1 TLB, then L2 TLB, then a table walk.
     if (!l1_tlb_.access(a, page_shift)) {
       ++quantum_.l1_tlb_misses;
-      if (!l2_tlb_.access(a, page_shift)) {
-        ++quantum_.walks;
-        if (is_remote) ++quantum_.remote_walks;
-      }
+      if (!l2_tlb_.access(a, page_shift)) ++quantum_.walks;
     }
     // Data: L1D, then L2, then memory.
     const CacheResult r1 = l1d_.access(a, write);
     if (!r1.hit) {
       ++quantum_.l1d_misses;
       const CacheResult r2 = l2_.access(a, write);
-      if (!r2.hit) {
-        ++quantum_.l2_misses;
-        if (is_remote) ++quantum_.remote_l2_misses;
-      }
-      if (r2.writeback) {
-        ++quantum_.writebacks;
-        if (is_remote) ++quantum_.remote_writebacks;
-      }
+      if (!r2.hit) ++quantum_.l2_misses;
+      if (r2.writeback) ++quantum_.writebacks;
     }
     if (a == last) break;
   }
@@ -60,34 +49,20 @@ double Machine::model_cycles(const QuantumStats& q) const noexcept {
 
   const double mem_bytes = static_cast<double>(q.bytes_read(p.l1d.line_bytes) +
                                                q.bytes_written(p.l1d.line_bytes));
-  double bw_cycles = mem_bytes / p.mem_bytes_per_cycle;
+  const double bw_cycles = mem_bytes / p.mem_bytes_per_cycle;
 
   const double l2_hit_count =
       static_cast<double>(q.l1d_misses - std::min(q.l1d_misses, q.l2_misses));
-  double lat_cycles =
+  const double lat_cycles =
       (l2_hit_count * p.l2_hit_cycles +
        static_cast<double>(q.l2_misses) * p.mem_latency_cycles) *
       (1.0 - p.latency_overlap);
 
   const double l2tlb_hits =
       static_cast<double>(q.l1_tlb_misses - std::min(q.l1_tlb_misses, q.walks));
-  double walk_cycles =
+  const double walk_cycles =
       static_cast<double>(q.walks) * p.walk_cycles * (1.0 - p.walk_overlap) +
       l2tlb_hits * p.l2_tlb_hit_cycles * (1.0 - p.l2_tlb_hit_overlap);
-
-  // NUMA surcharges, guarded so an all-local quantum computes the exact
-  // same doubles as the pre-NUMA formula (the cross-thread bit-identity
-  // contract rides on this).
-  if (q.remote_accesses != 0) {
-    const double remote_bytes = static_cast<double>(
-        (q.remote_l2_misses + q.remote_writebacks) * p.l1d.line_bytes);
-    bw_cycles += remote_bytes / p.mem_bytes_per_cycle *
-                 (1.0 / p.numa.remote_bandwidth_factor - 1.0);
-    lat_cycles += static_cast<double>(q.remote_l2_misses) *
-                  p.numa.remote_mem_extra_cycles * (1.0 - p.latency_overlap);
-    walk_cycles += static_cast<double>(q.remote_walks) *
-                   p.numa.remote_walk_extra_cycles * (1.0 - p.walk_overlap);
-  }
 
   return std::max(compute_cycles, bw_cycles) + lat_cycles + walk_cycles;
 }
@@ -118,15 +93,10 @@ double Machine::commit(std::uint64_t scale) noexcept {
     delta[perf::Event::kDtlbMisses] =
         scaled(quantum_.l1_tlb_misses) +
         static_cast<std::uint64_t>(std::llround(bg_misses));
-    double walk_cycle_total =
+    const double walk_cycle_total =
         static_cast<double>(scaled(quantum_.walks)) * params_.walk_cycles *
             (1.0 - params_.walk_overlap) +
         bg_walk_cycles;
-    if (quantum_.remote_walks != 0) {
-      walk_cycle_total += static_cast<double>(scaled(quantum_.remote_walks)) *
-                          params_.numa.remote_walk_extra_cycles *
-                          (1.0 - params_.walk_overlap);
-    }
     delta[perf::Event::kTlbWalkCycles] =
         static_cast<std::uint64_t>(std::llround(walk_cycle_total));
     delta[perf::Event::kBytesRead] = scaled(quantum_.bytes_read(line));

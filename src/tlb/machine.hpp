@@ -36,7 +36,6 @@
 
 #include <cstdint>
 
-#include "mem/numa.hpp"
 #include "support/contracts.hpp"
 #include "support/events.hpp"
 #include "tlb/cache_model.hpp"
@@ -55,14 +54,6 @@ struct QuantumStats {
   std::uint64_t walks = 0;           ///< missed both TLB levels
   std::uint64_t scalar_ops = 0;
   std::uint64_t vector_ops = 0;
-  // Remote-node twins: the subset of the above issued while the machine's
-  // access node was a non-local NUMA node (see Machine::apply_placement).
-  // All zero on a single-node run, which keeps the cycle model — and the
-  // published counters — bit-identical to the no-NUMA formula.
-  std::uint64_t remote_accesses = 0;
-  std::uint64_t remote_l2_misses = 0;
-  std::uint64_t remote_writebacks = 0;
-  std::uint64_t remote_walks = 0;
 
   [[nodiscard]] std::uint64_t bytes_read(std::uint32_t line) const noexcept {
     return l2_misses * line;
@@ -72,24 +63,8 @@ struct QuantumStats {
   }
 };
 
-/// NUMA cost knobs: what a remote-node access pays over a local one.
-/// Defaults are an A64FX-like CMG-to-CMG regime: extra latency on the
-/// data access and on the page-table walk (remote page tables), and a
-/// bandwidth derate on the inter-node link.
-struct NumaParams {
-  int local_node = 0;
-  /// Extra memory-latency cycles for a line fetched from a remote node.
-  std::uint32_t remote_mem_extra_cycles = 90;
-  /// Extra walk cycles when the page tables live on a remote node.
-  std::uint32_t remote_walk_extra_cycles = 120;
-  /// Remote bandwidth as a fraction of local bandwidth (0 < f <= 1).
-  double remote_bandwidth_factor = 0.7;
-};
-
 /// Extended machine configuration (geometry + the background miss floor).
 struct MachineParams : MachineConfig {
-  /// NUMA costs; only consulted for accesses issued on a remote node.
-  NumaParams numa;
   /// TLB misses per modeled cycle from memory *outside* the traced arrays
   /// (OS, libraries, comm buffers) — page-size-policy independent.
   /// Calibrated so the floor sits near 8e5 misses/s at 1.8 GHz — the
@@ -119,20 +94,6 @@ class Machine {
   /// into cache lines; each line is one TLB + cache lookup.
   FHP_NO_ALLOC void touch(const void* addr, std::size_t bytes, bool write,
                           std::uint8_t page_shift) noexcept;
-
-  /// True if the current access node is a bound, non-local node.
-  [[nodiscard]] bool remote() const noexcept {
-    return access_node_ >= 0 && access_node_ != params_.numa.local_node;
-  }
-
-  /// The mem→tlb placement seam: charge subsequent touches to the node a
-  /// PagePool decision placed the data on (unbound if the decision did
-  /// not model a node, e.g. a THP/base fallback). A node other than
-  /// params().numa.local_node makes them remote; negative means unbound,
-  /// treated as local.
-  void apply_placement(const mem::PoolDecision& decision) noexcept {
-    access_node_ = decision.node;
-  }
 
   /// Account pure compute work (operation counts, not cycles).
   void compute(std::uint64_t scalar_ops, std::uint64_t vector_ops) noexcept {
@@ -166,7 +127,6 @@ class Machine {
   CacheModel l1d_;
   CacheModel l2_;
   QuantumStats quantum_;
-  int access_node_ = -1;  // survives reset(): placement outlives quanta
 };
 
 }  // namespace fhp::tlb

@@ -287,12 +287,17 @@ struct ProvenanceFile {
 };
 
 ProvenanceFile provenance_file(rt::Runtime& runtime) {
+  // One file per test: ctest runs the tests that call this as concurrent
+  // processes in one working directory.
+  const std::string path =
+      std::string("ckpt_provenance_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".bin";
   std::vector<char> written[2];
   for (const LayoutKind layout :
        {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
-    write_checkpoint("ckpt_provenance.bin", *painted_mesh(runtime, layout),
-                     {0.5, 7});
-    written[static_cast<int>(layout)] = file_bytes("ckpt_provenance.bin");
+    write_checkpoint(path, *painted_mesh(runtime, layout), {0.5, 7});
+    written[static_cast<int>(layout)] = file_bytes(path);
   }
   ProvenanceFile file{written[0], 0};
   EXPECT_EQ(written[0].size(), written[1].size());
@@ -314,11 +319,11 @@ ProvenanceFile provenance_file(rt::Runtime& runtime) {
   return file;
 }
 
-/// Write \p file to \p path with its provenance field set to \p value.
-void write_with_provenance(const ProvenanceFile& file, std::int32_t value,
-                           const std::string& path) {
-  std::vector<char> bytes = file.bytes;
-  std::memcpy(bytes.data() + file.field, &value, sizeof value);
+/// Write \p bytes to \p path with the field at \p offset set to \p value.
+template <typename T>
+void write_patched(std::vector<char> bytes, std::size_t offset, T value,
+                   const std::string& path) {
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
   std::ofstream(path, std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
@@ -329,7 +334,8 @@ TEST(CheckpointTest, LegacyTiledProvenanceRestoresExactly) {
   ASSERT_GT(file.field, 0u);
   // Files written under the since-deleted tiled layout say 2; their zone
   // data is canonical, so they restore into either layout.
-  write_with_provenance(file, 2, "ckpt_legacy_layout.bin");
+  write_patched(file.bytes, file.field, std::int32_t{2},
+                "ckpt_legacy_layout.bin");
   const auto original = painted_mesh(runtime, LayoutKind::kVarMajor);
   for (const LayoutKind reader :
        {LayoutKind::kVarMajor, LayoutKind::kZoneMajor}) {
@@ -348,11 +354,39 @@ TEST(CheckpointTest, UnknownLayoutProvenanceRejected) {
   const ProvenanceFile file = provenance_file(runtime);
   ASSERT_GT(file.field, 0u);
   for (const std::int32_t value : {-1, 3}) {
-    write_with_provenance(file, value, "ckpt_unknown_layout.bin");
+    write_patched(file.bytes, file.field, value, "ckpt_unknown_layout.bin");
     mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
                     runtime.page_pool(), runtime.arena());
     EXPECT_THROW(read_checkpoint("ckpt_unknown_layout.bin", m), ConfigError)
         << "provenance " << value;
+  }
+}
+
+TEST(CheckpointTest, OversizedLeafCountRejected) {
+  rt::Runtime runtime;
+  const ProvenanceFile file = provenance_file(runtime);
+  ASSERT_GT(file.field, 0u);
+  // The leaf count follows the provenance: 4 bytes of layout, 8 of time,
+  // 8 of step.
+  const std::size_t count_field = file.field + sizeof(std::int32_t) +
+                                  sizeof(double) + sizeof(std::int64_t);
+  std::int64_t written = 0;
+  ASSERT_LE(count_field + sizeof written, file.bytes.size());
+  std::memcpy(&written, file.bytes.data() + count_field, sizeof written);
+  ASSERT_EQ(written, 8);  // the painted mesh's leaves
+
+  mesh::AmrMesh fresh(ckpt_config(), mem::HugePolicy::kNone,
+                      runtime.layout(), runtime.page_pool(), runtime.arena());
+  const std::int64_t capacity = fresh.tree().capacity();
+  for (const std::int64_t count : {capacity + 1, std::int64_t{1} << 60}) {
+    write_patched(file.bytes, count_field, count, "ckpt_leaf_count.bin");
+    mesh::AmrMesh m(ckpt_config(), mem::HugePolicy::kNone, runtime.layout(),
+                    runtime.page_pool(), runtime.arena());
+    EXPECT_THROW(read_checkpoint("ckpt_leaf_count.bin", m), ConfigError)
+        << "leaf count " << count;
+    // Rejected before the topology replay touched the mesh.
+    EXPECT_EQ(m.tree().num_allocated(), fresh.tree().num_allocated())
+        << "leaf count " << count;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "mem/allocator.hpp"
 #include "mem/huge_policy.hpp"
@@ -69,6 +70,39 @@ TEST(PageSize, HugetlbPoolsEnumerationDoesNotThrow) {
   }
   // A bogus root yields an empty list, not an error.
   EXPECT_TRUE(hugetlb_pools("/nonexistent/sysfs").empty());
+}
+
+TEST(PageSize, PickHugetlbPoolRule) {
+  const auto pool = [](std::size_t page, std::size_t free) {
+    HugetlbPool p;
+    p.page_bytes = page;
+    p.nr_hugepages = free + 2;
+    p.free_hugepages = free;
+    return p;
+  };
+  struct Case {
+    const char* name;
+    std::vector<HugetlbPool> pools;
+    std::size_t bytes;
+    std::size_t page;  ///< the chosen pool's page size; 0 = none
+  };
+  const Case cases[] = {
+      {"empty list", {}, kPage2M, 0},
+      {"exact fit", {pool(kPage2M, 4)}, 4 * kPage2M, kPage2M},
+      {"one page short", {pool(kPage2M, 3)}, 4 * kPage2M, 0},
+      {"40 MiB beside a free 1 GiB page",
+       {pool(kPage2M, 32), pool(kPage1G, 1)}, 40ull << 20, kPage2M},
+      {"40 MiB against a lone 1 GiB pool", {pool(kPage1G, 1)}, 40ull << 20,
+       kPage1G},
+      {"dry smaller pool, free larger one",
+       {pool(kPage2M, 0), pool(kPage1G, 1)}, 40ull << 20, kPage1G},
+      {"largest page <= request", {pool(kPage2M, 512), pool(kPage1G, 1)},
+       kPage1G, kPage1G},
+  };
+  for (const Case& c : cases) {
+    const auto i = pick_hugetlb_pool(c.pools, c.bytes);
+    EXPECT_EQ(i ? c.pools[*i].page_bytes : 0, c.page) << c.name;
+  }
 }
 
 // ----------------------------------------------------------------- policy

@@ -1,6 +1,6 @@
 /// \file test_page_pool.cpp
 /// \brief mem::PagePool: lifecycle contracts, exhaustion degradation,
-///        NUMA placement, status reporting, decision counters.
+///        page-size choice, status reporting, decision counters.
 ///
 /// All sysfs-derived state comes from fixture trees (injectable roots) or
 /// explicit synthetic inventories, so every test runs unprivileged and
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "mem/allocator.hpp"
-#include "mem/numa.hpp"
 #include "mem/page_pool.hpp"
 #include "support/error.hpp"
 
@@ -26,67 +25,31 @@ std::string sysfs_fixture(const std::string& rel) {
   return std::string(FHP_TEST_FIXTURE_DIR) + "/sysfs/" + rel;
 }
 
-/// A synthetic single-node inventory with one 2 MiB pool.
-std::vector<NodeHugePools> one_node_2m(std::size_t nr, std::size_t free) {
+/// A synthetic inventory with one 2 MiB pool.
+std::vector<HugetlbPool> one_2m_pool(std::size_t nr, std::size_t free) {
   HugetlbPool p;
   p.page_bytes = kPage2M;
   p.nr_hugepages = nr;
   p.free_hugepages = free;
-  return {{0, {p}}};
+  return {p};
 }
 
 /// Config over synthetic inventory; THP tier present via the fixture.
-PagePoolConfig synthetic_config(std::vector<NodeHugePools> inventory,
+PagePoolConfig synthetic_config(std::vector<HugetlbPool> inventory,
                                 bool thp = true) {
   PagePoolConfig cfg;
   cfg.inventory = std::move(inventory);
   cfg.hugepages_root = "/flashhp-nonexistent";
-  cfg.node_root = "/flashhp-nonexistent";
   cfg.thp_root = thp ? sysfs_fixture("thp") : "/flashhp-nonexistent";
   return cfg;
 }
 
-// ---------------------------------------------------------------- numa.hpp
-
-TEST(NodeInventory, ReadsPerNodeFixtureTree) {
-  const auto nodes = node_hugetlb_pools(sysfs_fixture("two-node"));
-  ASSERT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(nodes[0].node, 0);
-  ASSERT_EQ(nodes[0].pools.size(), 1u);
-  EXPECT_EQ(nodes[0].pools[0].page_bytes, kPage2M);
-  EXPECT_EQ(nodes[0].pools[0].nr_hugepages, 4u);
-  EXPECT_EQ(nodes[0].pools[0].free_hugepages, 0u);
-
-  EXPECT_EQ(nodes[1].node, 1);
-  ASSERT_EQ(nodes[1].pools.size(), 2u);  // sorted by page size: 2M then 1G
-  EXPECT_EQ(nodes[1].pools[0].page_bytes, kPage2M);
-  EXPECT_EQ(nodes[1].pools[0].free_hugepages, 32u);
-  EXPECT_EQ(nodes[1].pools[1].page_bytes, kPage1G);
-  EXPECT_EQ(nodes[1].pools[1].free_hugepages, 1u);
-}
-
-TEST(NodeInventory, MissingRootYieldsEmpty) {
-  EXPECT_TRUE(node_hugetlb_pools("/flashhp-nonexistent").empty());
-}
-
-TEST(NodeInventory, ParseNodeDirname) {
-  EXPECT_EQ(parse_node_dirname("node0"), 0);
-  EXPECT_EQ(parse_node_dirname("node17"), 17);
-  EXPECT_FALSE(parse_node_dirname("node").has_value());
-  EXPECT_FALSE(parse_node_dirname("cpu0").has_value());
-  EXPECT_FALSE(parse_node_dirname("nodeX").has_value());
-}
-
-TEST(PlacementPolicyNames, RoundTripAndAliases) {
-  EXPECT_EQ(to_string(PlacementPolicy::kLocalFirst), "local-first");
-  EXPECT_EQ(to_string(PlacementPolicy::kRemoteHugeFirst), "remote-huge-first");
-  EXPECT_EQ(parse_placement_policy("local-first"),
-            PlacementPolicy::kLocalFirst);
-  EXPECT_EQ(parse_placement_policy("Remote-Huge-First"),
-            PlacementPolicy::kRemoteHugeFirst);
-  EXPECT_EQ(parse_placement_policy("remote"),
-            PlacementPolicy::kRemoteHugeFirst);
-  EXPECT_FALSE(parse_placement_policy("nearest").has_value());
+/// Config over the system-wide fixture tree (2 MiB: 32/68 free, 1 GiB:
+/// 1/2 free), read the way the pool reads /sys/kernel/mm/hugepages.
+PagePoolConfig fixture_tree_config() {
+  PagePoolConfig cfg = synthetic_config({});
+  cfg.hugepages_root = sysfs_fixture("hugepages");
+  return cfg;
 }
 
 // ---------------------------------------------------------- pool spec knob
@@ -126,17 +89,17 @@ TEST(PoolSpec, JunkThrowsConfigError) {
 
 TEST(PagePoolLifecycle, DoubleInitThrows) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
-  EXPECT_THROW(pool.init(synthetic_config(one_node_2m(4, 4))), ConfigError);
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
+  EXPECT_THROW(pool.init(synthetic_config(one_2m_pool(4, 4))), ConfigError);
 }
 
 TEST(PagePoolLifecycle, UseAfterFiniThrows) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   pool.fini();
   EXPECT_THROW((void)pool.plan(kPage2M, HugePolicy::kHugetlbfs), ConfigError);
   EXPECT_THROW((void)pool.alloc(kPage2M, HugePolicy::kNone), ConfigError);
-  EXPECT_THROW(pool.init(synthetic_config(one_node_2m(4, 4))), ConfigError);
+  EXPECT_THROW(pool.init(synthetic_config(one_2m_pool(4, 4))), ConfigError);
 }
 
 TEST(PagePoolLifecycle, FiniContracts) {
@@ -144,7 +107,7 @@ TEST(PagePoolLifecycle, FiniContracts) {
   EXPECT_THROW(never_inited.fini(), ConfigError);
 
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   pool.fini();
   EXPECT_NO_THROW(pool.fini());  // idempotent once finished
 }
@@ -152,7 +115,7 @@ TEST(PagePoolLifecycle, FiniContracts) {
 TEST(PagePoolLifecycle, StatusValidInAnyState) {
   PagePool pool;
   EXPECT_EQ(pool.status().state, "idle");
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   EXPECT_EQ(pool.status().state, "ready");
   pool.fini();
   EXPECT_EQ(pool.status().state, "finished");
@@ -160,15 +123,13 @@ TEST(PagePoolLifecycle, StatusValidInAnyState) {
 
 // ------------------------------------------------------- degradation ladder
 
-TEST(PagePoolDegradation, HealthyPoolPlacesLocalHuge) {
+TEST(PagePoolDegradation, HealthyPoolPlacesHuge) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   const PoolDecision d = pool.plan(kPage2M, HugePolicy::kHugetlbfs);
   EXPECT_EQ(d.tier, Backing::kHugetlbfs);
   EXPECT_EQ(d.page_bytes, kPage2M);
-  EXPECT_EQ(d.node, 0);
-  EXPECT_FALSE(d.remote);
-  EXPECT_STREQ(d.reason, "local-huge");
+  EXPECT_STREQ(d.reason, "pool-huge");
   EXPECT_EQ(pool.counters().huge_allocs, 1u);
   EXPECT_EQ(pool.counters().exhausted_events, 0u);
 }
@@ -176,7 +137,7 @@ TEST(PagePoolDegradation, HealthyPoolPlacesLocalHuge) {
 TEST(PagePoolDegradation, ExhaustedPoolFallsToThpThenBase) {
   // THP tier available: exhaustion degrades to THP.
   PagePool with_thp;
-  with_thp.init(synthetic_config(one_node_2m(4, 0), /*thp=*/true));
+  with_thp.init(synthetic_config(one_2m_pool(4, 0), /*thp=*/true));
   const PoolDecision d1 = with_thp.plan(kPage2M, HugePolicy::kHugetlbfs);
   EXPECT_EQ(d1.tier, Backing::kThp);
   EXPECT_STREQ(d1.reason, "pool-exhausted->thp");
@@ -186,7 +147,7 @@ TEST(PagePoolDegradation, ExhaustedPoolFallsToThpThenBase) {
 
   // No THP tier: exhaustion degrades all the way to base pages.
   PagePool no_thp;
-  no_thp.init(synthetic_config(one_node_2m(4, 0), /*thp=*/false));
+  no_thp.init(synthetic_config(one_2m_pool(4, 0), /*thp=*/false));
   const PoolDecision d2 = no_thp.plan(kPage2M, HugePolicy::kHugetlbfs);
   EXPECT_EQ(d2.tier, Backing::kSmallPages);
   EXPECT_STREQ(d2.reason, "pool-exhausted->base");
@@ -196,7 +157,7 @@ TEST(PagePoolDegradation, ExhaustedPoolFallsToThpThenBase) {
 
 TEST(PagePoolDegradation, MirrorDecrementsUntilExhaustion) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(2, 2)));
+  pool.init(synthetic_config(one_2m_pool(2, 2)));
   EXPECT_EQ(pool.plan(kPage2M, HugePolicy::kHugetlbfs).tier,
             Backing::kHugetlbfs);
   EXPECT_EQ(pool.plan(kPage2M, HugePolicy::kHugetlbfs).tier,
@@ -206,22 +167,22 @@ TEST(PagePoolDegradation, MirrorDecrementsUntilExhaustion) {
   EXPECT_EQ(d.tier, Backing::kThp);
   EXPECT_EQ(pool.counters().huge_allocs, 2u);
   EXPECT_EQ(pool.counters().exhausted_events, 1u);
-  EXPECT_EQ(pool.status().inventory[0].pools[0].free_hugepages, 0u);
+  EXPECT_EQ(pool.status().inventory[0].free_hugepages, 0u);
 }
 
 TEST(PagePoolDegradation, MultiPageRequestsAccountCorrectly) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(8, 3)));
+  pool.init(synthetic_config(one_2m_pool(8, 3)));
   // 5 MiB needs 3 x 2 MiB pages: exactly drains the pool.
   const PoolDecision d = pool.plan(5ull << 20, HugePolicy::kHugetlbfs);
   EXPECT_EQ(d.tier, Backing::kHugetlbfs);
-  EXPECT_EQ(pool.status().inventory[0].pools[0].free_hugepages, 0u);
+  EXPECT_EQ(pool.status().inventory[0].free_hugepages, 0u);
   EXPECT_EQ(pool.plan(kPage2M, HugePolicy::kHugetlbfs).tier, Backing::kThp);
 }
 
 TEST(PagePoolDegradation, ExplicitPoliciesBypassThePools) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   const PoolDecision none = pool.plan(kPage2M, HugePolicy::kNone);
   EXPECT_EQ(none.tier, Backing::kSmallPages);
   EXPECT_STREQ(none.reason, "policy=none");
@@ -229,118 +190,76 @@ TEST(PagePoolDegradation, ExplicitPoliciesBypassThePools) {
   EXPECT_EQ(thp.tier, Backing::kThp);
   // Neither touched the hugetlb mirror or the counters.
   EXPECT_EQ(pool.counters().huge_allocs, 0u);
-  EXPECT_EQ(pool.status().inventory[0].pools[0].free_hugepages, 4u);
+  EXPECT_EQ(pool.status().inventory[0].free_hugepages, 4u);
 }
 
 TEST(PagePoolDegradation, DisabledPoolIsPassThrough) {
-  PagePoolConfig cfg = synthetic_config(one_node_2m(4, 4));
+  PagePoolConfig cfg = synthetic_config(one_2m_pool(4, 4));
   cfg.enabled = false;
   PagePool pool;
   pool.init(cfg);
   const PoolDecision d = pool.plan(kPage2M, HugePolicy::kHugetlbfs);
   EXPECT_STREQ(d.reason, "pool-disabled");
   EXPECT_EQ(pool.counters().huge_allocs, 0u);
-  EXPECT_EQ(pool.status().inventory[0].pools[0].free_hugepages, 4u);
+  EXPECT_EQ(pool.status().inventory[0].free_hugepages, 4u);
 }
 
-// ----------------------------------------------------------- NUMA placement
+// ------------------------------------------------------- inventory, page size
 
-TEST(PagePoolPlacement, LocalFirstDegradesRatherThanLeavingTheNode) {
-  PagePoolConfig cfg = synthetic_config({});
-  cfg.node_root = sysfs_fixture("two-node");
-  cfg.inventory.clear();
-  cfg.local_node = 0;
-  cfg.placement = PlacementPolicy::kLocalFirst;
+TEST(PoolInventory, ReadsTheSystemWideFixtureTree) {
+  const std::vector<HugetlbPool> pools =
+      hugetlb_pools(sysfs_fixture("hugepages"));
+  ASSERT_EQ(pools.size(), 2u);  // sorted by page size: 2M then 1G
+  EXPECT_EQ(pools[0].page_bytes, kPage2M);
+  EXPECT_EQ(pools[0].nr_hugepages, 68u);
+  EXPECT_EQ(pools[0].free_hugepages, 32u);
+  EXPECT_EQ(pools[0].resv_hugepages, 0u);
+  EXPECT_EQ(pools[1].page_bytes, kPage1G);
+  EXPECT_EQ(pools[1].nr_hugepages, 2u);
+  EXPECT_EQ(pools[1].free_hugepages, 1u);
+
+  // With no explicit inventory the pool's mirror is that tree.
   PagePool pool;
-  pool.init(cfg);
-  // node0's pool is dry (fixture: 0/4 free); local-first never looks at
-  // node1's 32 free pages.
-  const PoolDecision d = pool.plan(kPage2M, HugePolicy::kHugetlbfs);
-  EXPECT_EQ(d.tier, Backing::kThp);
-  EXPECT_STREQ(d.reason, "pool-exhausted->thp");
-  EXPECT_EQ(pool.counters().remote_huge_allocs, 0u);
+  pool.init(fixture_tree_config());
+  const std::vector<HugetlbPool> mirror = pool.status().inventory;
+  ASSERT_EQ(mirror.size(), pools.size());
+  for (std::size_t i = 0; i < pools.size(); ++i) {
+    EXPECT_EQ(mirror[i].page_bytes, pools[i].page_bytes);
+    EXPECT_EQ(mirror[i].nr_hugepages, pools[i].nr_hugepages);
+    EXPECT_EQ(mirror[i].free_hugepages, pools[i].free_hugepages);
+  }
 }
 
-TEST(PagePoolPlacement, RemoteHugeFirstTakesTheRemotePool) {
-  PagePoolConfig cfg = synthetic_config({});
-  cfg.node_root = sysfs_fixture("two-node");
-  cfg.inventory.clear();
-  cfg.local_node = 0;
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
+TEST(PagePoolPageSize, LargeRequestUsesTheGiganticPool) {
   PagePool pool;
-  pool.init(cfg);
-  const PoolDecision d = pool.plan(kPage2M, HugePolicy::kHugetlbfs);
-  EXPECT_EQ(d.tier, Backing::kHugetlbfs);
-  EXPECT_EQ(d.page_bytes, kPage2M);
-  EXPECT_EQ(d.node, 1);
-  EXPECT_TRUE(d.remote);
-  EXPECT_STREQ(d.reason, "remote-huge");
-  EXPECT_EQ(pool.counters().huge_allocs, 1u);
-  EXPECT_EQ(pool.counters().remote_huge_allocs, 1u);
-}
-
-TEST(PagePoolPlacement, LargeRequestUsesTheRemoteGiganticPool) {
-  PagePoolConfig cfg = synthetic_config({});
-  cfg.node_root = sysfs_fixture("two-node");
-  cfg.inventory.clear();
-  cfg.local_node = 0;
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
-  PagePool pool;
-  pool.init(cfg);
-  // 512 MiB needs 256 x 2 MiB (node1 has 32 free) but fits the one free
-  // 1 GiB gigantic page.
-  const PoolDecision d = pool.plan(512ull << 20, HugePolicy::kHugetlbfs);
-  EXPECT_EQ(d.tier, Backing::kHugetlbfs);
-  EXPECT_EQ(d.page_bytes, kPage1G);
-  EXPECT_EQ(d.node, 1);
-  EXPECT_TRUE(d.remote);
-}
-
-TEST(PagePoolPlacement, AsymmetricInventoryDrainsNodeByNode) {
-  // node0 has 1 free page, node1 has 2: remote-huge-first uses the local
-  // page first, then crosses over, then degrades.
-  HugetlbPool local;
-  local.page_bytes = kPage2M;
-  local.nr_hugepages = 4;
-  local.free_hugepages = 1;
-  HugetlbPool remote = local;
-  remote.free_hugepages = 2;
-  PagePoolConfig cfg = synthetic_config({{0, {local}}, {1, {remote}}});
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
-  PagePool pool;
-  pool.init(cfg);
-
-  EXPECT_FALSE(pool.plan(kPage2M, HugePolicy::kHugetlbfs).remote);
-  EXPECT_TRUE(pool.plan(kPage2M, HugePolicy::kHugetlbfs).remote);
-  EXPECT_TRUE(pool.plan(kPage2M, HugePolicy::kHugetlbfs).remote);
-  EXPECT_EQ(pool.plan(kPage2M, HugePolicy::kHugetlbfs).tier, Backing::kThp);
-  const PoolCounters c = pool.counters();
-  EXPECT_EQ(c.huge_allocs, 3u);
-  EXPECT_EQ(c.remote_huge_allocs, 2u);
-  EXPECT_EQ(c.exhausted_events, 1u);
+  pool.init(fixture_tree_config());
+  // 40 MiB takes 20 of the 32 free 2 MiB pages, not the free 1 GiB page.
+  const PoolDecision small = pool.plan(40ull << 20, HugePolicy::kHugetlbfs);
+  EXPECT_EQ(small.tier, Backing::kHugetlbfs);
+  EXPECT_EQ(small.page_bytes, kPage2M);
+  // 1 GiB needs 512 x 2 MiB (12 left) but fits the one free 1 GiB page.
+  const PoolDecision large = pool.plan(kPage1G, HugePolicy::kHugetlbfs);
+  EXPECT_EQ(large.tier, Backing::kHugetlbfs);
+  EXPECT_EQ(large.page_bytes, kPage1G);
+  const std::vector<HugetlbPool> mirror = pool.status().inventory;
+  ASSERT_EQ(mirror.size(), 2u);
+  EXPECT_EQ(mirror[0].free_hugepages, 12u);
+  EXPECT_EQ(mirror[1].free_hugepages, 0u);
 }
 
 // ------------------------------------------------------------ status report
 
 TEST(PagePoolStatus, HugectlStyleText) {
-  PagePoolConfig cfg = synthetic_config({});
-  cfg.node_root = sysfs_fixture("two-node");
-  cfg.inventory.clear();
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
   PagePool pool;
-  pool.init(cfg);
+  pool.init(fixture_tree_config());
   (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);
 
   const std::string expected =
-      "page pool: ready placement=remote-huge-first local-node=0 "
-      "thp=available\n"
-      "  node0:\n"
-      "    2.0 MiB pages: 0/4 free\n"
-      "  node1:\n"
-      "    2.0 MiB pages: 31/64 free\n"
-      "    1.0 GiB pages: 1/2 free\n"
-      "  allocs: huge=1 remote-huge=1 thp-fallback=0 base-fallback=0 "
-      "exhausted=0 shortfall=0\n";
+      "page pool: ready thp=available\n"
+      "  2.0 MiB pages: 31/68 free\n"
+      "  1.0 GiB pages: 1/2 free\n"
+      "  allocs: huge=1 thp-fallback=0 base-fallback=0 exhausted=0 "
+      "shortfall=0\n";
   EXPECT_EQ(pool.status_text(), expected);
 }
 
@@ -354,23 +273,15 @@ TEST(PagePoolStatus, EmptyInventoryText) {
 // ----------------------------------------------------------- counter events
 
 TEST(PagePoolEvents, CountedInPoolCounters) {
-  HugetlbPool local;
-  local.page_bytes = kPage2M;
-  local.nr_hugepages = 2;
-  local.free_hugepages = 1;
-  HugetlbPool remote = local;
-  PagePoolConfig cfg = synthetic_config({{0, {local}}, {1, {remote}}});
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
   PagePool pool;
-  pool.init(cfg);
+  pool.init(synthetic_config(one_2m_pool(2, 2)));
 
-  (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // local huge
-  (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // remote huge
+  (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // huge
+  (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // huge
   (void)pool.plan(kPage2M, HugePolicy::kHugetlbfs);  // exhausted -> thp
 
   const PoolCounters counters = pool.counters();
   EXPECT_EQ(counters.huge_allocs, 2u);
-  EXPECT_EQ(counters.remote_huge_allocs, 1u);
   EXPECT_EQ(counters.thp_fallbacks, 1u);
   EXPECT_EQ(counters.base_fallbacks, 0u);
 }
@@ -383,7 +294,7 @@ TEST(PagePoolAlloc, NeverCrashesAndCountsShortfalls) {
   // allocation still succeeds (degraded by MappedRegion's own ladder),
   // and the decision/backing mismatch is counted, never hidden.
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   PoolAllocation a = pool.alloc(kPage2M, HugePolicy::kHugetlbfs);
   ASSERT_TRUE(a.valid());
   ASSERT_NE(a.data(), nullptr);
@@ -399,7 +310,7 @@ TEST(PagePoolAlloc, NeverCrashesAndCountsShortfalls) {
 
 TEST(PagePoolAlloc, DecidedFallbackSkipsTheHugetlbAttempt) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 0)));  // dry -> decided THP
+  pool.init(synthetic_config(one_2m_pool(4, 0)));  // dry -> decided THP
   PoolAllocation a = pool.alloc(kPage2M, HugePolicy::kHugetlbfs);
   ASSERT_TRUE(a.valid());
   EXPECT_EQ(a.decision().tier, Backing::kThp);
@@ -410,7 +321,7 @@ TEST(PagePoolAlloc, DecidedFallbackSkipsTheHugetlbAttempt) {
 
 TEST(PagePoolAlloc, MovedFromAllocationIsEmpty) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(4, 4)));
+  pool.init(synthetic_config(one_2m_pool(4, 4)));
   PoolAllocation a = pool.alloc(kPage2M, HugePolicy::kNone);
   PoolAllocation b = std::move(a);
   EXPECT_TRUE(b.valid());
@@ -421,26 +332,9 @@ TEST(PagePoolAlloc, MovedFromAllocationIsEmpty) {
 
 // ------------------------------------------------------ carving (HugeBuffer)
 
-TEST(PagePoolCarving, HugeBufferCountsRemoteChunks) {
-  HugetlbPool dry;
-  dry.page_bytes = kPage2M;
-  dry.nr_hugepages = 4;
-  dry.free_hugepages = 0;
-  HugetlbPool full = dry;
-  full.free_hugepages = 16;
-  PagePoolConfig cfg = synthetic_config({{0, {dry}}, {1, {full}}});
-  cfg.placement = PlacementPolicy::kRemoteHugeFirst;
-  PagePool pool;
-  pool.init(cfg);
-  const HugeBuffer<char> buf(1024, HugePolicy::kHugetlbfs, pool);
-  EXPECT_TRUE(buf.allocation().decision().remote);
-  EXPECT_EQ(buf.allocation().decision().node, 1);
-  EXPECT_EQ(pool.counters().remote_huge_allocs, 1u);
-}
-
 TEST(PagePoolCarving, HugeBufferExposesItsDecision) {
   PagePool pool;
-  pool.init(synthetic_config(one_node_2m(16, 16)));
+  pool.init(synthetic_config(one_2m_pool(16, 16)));
   HugeBuffer<double> buf(1024, HugePolicy::kHugetlbfs, pool);
   EXPECT_EQ(buf.size(), 1024u);
   buf[0] = 1.5;

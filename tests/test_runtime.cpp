@@ -124,31 +124,25 @@ TEST(RuntimeContext, PoolParamsConfigureOnlyTheirRuntimesPool) {
   // Never a page count here: a count makes PagePool::init try to resize
   // the host's hugetlb pool.
   const ScopedEnv pool_env(mem::kPoolEnvVar, "");
-  const ScopedEnv placement_env(mem::kPlacementEnvVar, "local-first");
   RuntimeParams rp;
   rt::declare_runtime_params(rp);
   rp.set_from_string(mem::kPoolParamName, "off");
-  rp.set_from_string(mem::kPlacementParamName, "remote-huge-first");
   const rt::RuntimeOptions options = rt::apply_runtime_params(rp);
   ASSERT_TRUE(options.pool_config.has_value());
   EXPECT_FALSE(options.pool_config->enabled);
-  EXPECT_EQ(options.pool_config->placement,
-            mem::PlacementPolicy::kRemoteHugeFirst);
 
   const rt::Runtime runtime(options);
   const mem::PoolStatus status = runtime.page_pool().status();
   EXPECT_EQ(status.state, "ready");
   EXPECT_FALSE(status.enabled);
-  EXPECT_EQ(status.placement, mem::PlacementPolicy::kRemoteHugeFirst);
 
   // Applying the parameters configured no process-wide slot: a pool built
   // afterwards elsewhere still resolves from the environment.
   mem::PagePool elsewhere;
   (void)elsewhere.plan(64, mem::HugePolicy::kNone);
   EXPECT_TRUE(elsewhere.status().enabled);
-  EXPECT_EQ(elsewhere.status().placement, mem::PlacementPolicy::kLocalFirst);
 
-  rp.set_from_string(mem::kPlacementParamName, "junk");
+  rp.set_from_string(mem::kPoolParamName, "2M:junk");
   EXPECT_THROW(static_cast<void>(rt::apply_runtime_params(rp)), ConfigError);
 }
 

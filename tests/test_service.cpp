@@ -33,7 +33,6 @@
 
 #include "eos/eos_table.hpp"
 #include "mem/huge_policy.hpp"
-#include "mem/numa.hpp"
 #include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
 #include "par/parallel.hpp"
@@ -53,23 +52,21 @@ std::string sysfs_fixture(const std::string& rel) {
   return std::string(FHP_TEST_FIXTURE_DIR) + "/sysfs/" + rel;
 }
 
-/// A synthetic single-node inventory with one 2 MiB pool.
-std::vector<mem::NodeHugePools> one_node_2m(std::size_t nr,
-                                            std::size_t free) {
+/// A synthetic inventory with one 2 MiB pool.
+std::vector<mem::HugetlbPool> one_2m_pool(std::size_t nr, std::size_t free) {
   mem::HugetlbPool p;
   p.page_bytes = mem::kPage2M;
   p.nr_hugepages = nr;
   p.free_hugepages = free;
-  return {{0, {p}}};
+  return {p};
 }
 
 /// Pool config over a synthetic inventory (no privilege needed).
-mem::PagePoolConfig synthetic_pool(std::vector<mem::NodeHugePools> inventory,
+mem::PagePoolConfig synthetic_pool(std::vector<mem::HugetlbPool> inventory,
                                    bool thp) {
   mem::PagePoolConfig cfg;
   cfg.inventory = std::move(inventory);
   cfg.hugepages_root = "/flashhp-nonexistent";
-  cfg.node_root = "/flashhp-nonexistent";
   cfg.thp_root = thp ? sysfs_fixture("thp") : "/flashhp-nonexistent";
   return cfg;
 }
@@ -344,7 +341,7 @@ TEST(ServiceExhaustion, DryPoolDegradesToThpWithoutFailing) {
   opts.workers = 2;
   // A pool whose hugetlb inventory is already dry, with the THP tier
   // available: every tenant allocation must degrade, not fail.
-  opts.pool_config = synthetic_pool(one_node_2m(4, 0), /*thp=*/true);
+  opts.pool_config = synthetic_pool(one_2m_pool(4, 0), /*thp=*/true);
   Service service(opts);
 
   JobSpec spec = sedov_spec(2);
@@ -366,7 +363,7 @@ TEST(ServiceExhaustion, DryPoolDegradesToThpWithoutFailing) {
 TEST(ServiceExhaustion, NoThpTierDegradesToBaseWithoutFailing) {
   ServiceOptions opts;
   opts.workers = 1;
-  opts.pool_config = synthetic_pool(one_node_2m(4, 0), /*thp=*/false);
+  opts.pool_config = synthetic_pool(one_2m_pool(4, 0), /*thp=*/false);
   Service service(opts);
 
   JobSpec spec = cellular_spec(2);
@@ -386,7 +383,7 @@ TEST(ServiceExhaustion, SharedInventoryAccountsPerTenant) {
   // and each tenant's JobResult::pool carries its own slice.
   ServiceOptions opts;
   opts.workers = 1;  // serial: deterministic attribution
-  opts.pool_config = synthetic_pool(one_node_2m(256, 256), /*thp=*/true);
+  opts.pool_config = synthetic_pool(one_2m_pool(256, 256), /*thp=*/true);
   Service service(opts);
 
   JobSpec spec = sedov_spec(2);

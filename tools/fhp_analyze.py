@@ -18,12 +18,11 @@ tree that only emerge from whole-file or whole-graph views:
                     the PR's dependency inversions removed. Modules inside
                     the braces are peers — edges between them are legal as
                     long as they stay acyclic. Downward edges are always
-                    legal; the load-bearing one is tlb -> mem: the NUMA
-                    placement vocabulary (NodeHugePools, PlacementPolicy,
-                    PoolDecision) lives in mem/numa.hpp, and
-                    tlb::Machine::apply_placement() consumes it. mem must
-                    never include tlb back — that would be the upward edge
-                    this rule exists to stop.
+                    legal; the load-bearing one is tlb -> mem:
+                    tlb/trace.hpp includes mem/mapped_region.hpp for
+                    effective_page_shift(), the page size a traced region
+                    is modeled at. mem must never include tlb back — that
+                    would be the upward edge this rule exists to stop.
 
   layer-cycle       any cycle in the module-granularity include graph is
                     an error, reported at every include line that forms an
@@ -464,11 +463,11 @@ SELF_TEST_FILES: dict[str, tuple[str, dict[str, int]]] = {
         'void touch() {}\n',
         {},
     ),
-    # Downward edge is legal: tlb consumes mem's placement vocabulary
-    # (mem/numa.hpp) — the seam behind Machine::apply_placement(). Only
-    # the reverse direction (mem including tlb) would be a finding.
-    "src/tlb/placement_edge.cpp": (
-        '#include "mem/numa.hpp"\n'
+    # Downward edge is legal: tlb reads a mapping's page size from mem
+    # (mem/mapped_region.hpp), as tlb/trace.hpp does. Only the reverse
+    # direction (mem including tlb) would be a finding.
+    "src/tlb/page_size_edge.cpp": (
+        '#include "mem/mapped_region.hpp"\n'
         'void touch() {}\n',
         {},
     ),
