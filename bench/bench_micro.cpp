@@ -20,6 +20,7 @@
 #include "hydro/riemann.hpp"
 #include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
+#include "mem/page_size.hpp"
 #include "mesh/amr_mesh.hpp"
 #include "mesh/unk.hpp"
 #include "obs/recording.hpp"
@@ -37,6 +38,7 @@ void BM_MappedRegion(benchmark::State& state) {
     mem::MapRequest req;
     req.bytes = 8ull << 20;
     req.policy = policy;
+    req.hugetlb_page = mem::kPage2M;  // the hugetlbfs arm's page size
     req.prefault = false;
     mem::MappedRegion region(req);
     benchmark::DoNotOptimize(region.data());

@@ -19,8 +19,8 @@
 #include <iostream>
 
 #include "experiment_common.hpp"
-#include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
+#include "mem/page_pool.hpp"
 #include "support/string_util.hpp"
 #include "support/table_writer.hpp"
 #include "tlb/machine.hpp"
@@ -115,11 +115,12 @@ int main() {
       run(&g_static_array[0][0],
           mem::range_huge_bytes(g_static_array, sizeof g_static_array));
 
-  // Dynamic array under the huge-page policy.
-  mem::MapRequest req;
-  req.bytes = sizeof g_static_array;
-  req.policy = mem::HugePolicy::kHugetlbfs;
-  mem::MappedRegion region(req);
+  // Dynamic array under the huge-page policy, carved from a page pool
+  // (configured from FLASHHP_PAGE_POOL) like every large allocation.
+  mem::PagePool pool;
+  const mem::PoolAllocation allocation =
+      pool.alloc(sizeof g_static_array, mem::HugePolicy::kHugetlbfs);
+  const mem::MappedRegion& region = allocation.region();
   auto* dynamic_array = static_cast<double*>(region.data());
   for (std::size_t i = 0; i < sizeof g_static_array / 8; ++i) {
     dynamic_array[i] = 1.0;

@@ -8,22 +8,27 @@
 ///   hugectl status            show THP mode, pools, meminfo fields
 ///   hugectl pool <n>          resize the 2 MiB pool to n pages (root)
 ///   hugectl pool-status       init a PagePool from the environment
-///                             (FLASHHP_PAGE_POOL) and print its
-///                             inventory and degradation counters
-///   hugectl probe <policy>    map+prefault 64 MiB under none|thp|hugetlbfs
-///                             and report what the kernel actually granted
+///                             (FLASHHP_PAGE_POOL) and print the pools
+///                             as the kernel reports them and its
+///                             degradation counters
+///   hugectl probe <policy>    carve 64 MiB under none|thp|hugetlbfs from
+///                             such a pool, prefaulted, and print what the
+///                             pool planned and what the kernel actually
+///                             granted; exits 1 if the two differ
+///
+/// A bad setting (FLASHHP_PAGE_POOL=junk) is one line on stderr, exit 2.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "mem/hugeadm.hpp"
-#include "mem/mapped_region.hpp"
 #include "mem/meminfo.hpp"
 #include "mem/page_pool.hpp"
 #include "mem/page_size.hpp"
 #include "mem/thp.hpp"
 #include "mem/vmstat.hpp"
+#include "support/error.hpp"
 #include "support/string_util.hpp"
 
 namespace {
@@ -72,7 +77,7 @@ int cmd_pool(const std::string& count_text) {
 
 int cmd_pool_status() {
   // A pool configured the way a runtime's private pool would be
-  // (FLASHHP_PAGE_POOL), reporting the live inventory.
+  // (FLASHHP_PAGE_POOL), reporting the pools as the kernel reports them.
   mem::PagePool pool;
   pool.init(mem::config_from_environment());
   std::fputs(pool.status_text().c_str(), stdout);
@@ -86,19 +91,23 @@ int cmd_probe(const std::string& policy_text) {
                  policy_text.c_str());
     return 2;
   }
-  mem::MapRequest req;
-  req.bytes = 64ull << 20;
-  req.policy = *policy;
-  req.prefault = true;
+  // The pool plans the mapping from the kernel's pools, as a runtime's
+  // private pool would (FLASHHP_PAGE_POOL), and prefaults it.
+  mem::PagePool pool;
+  pool.init(mem::config_from_environment());
 
   const auto before = mem::MeminfoSnapshot::capture();
   const auto vm_before = mem::VmstatSnapshot::capture();
-  mem::MappedRegion region(req);
+  const mem::PoolAllocation allocation = pool.alloc(64ull << 20, *policy);
   const auto after = mem::MeminfoSnapshot::capture();
   const auto vm_after = mem::VmstatSnapshot::capture();
+  const mem::PoolDecision& plan = allocation.decision();
+  const mem::MappedRegion& region = allocation.region();
 
   std::printf("requested: 64 MiB under policy '%s'\n",
               std::string(to_string(*policy)).c_str());
+  std::printf("planned:   %s (%s)\n", std::string(to_string(plan.tier)).c_str(),
+              plan.reason);
   std::printf("obtained:  %s\n", region.describe().c_str());
   std::printf("verified:  %s resident on huge pages (via smaps)\n",
               format_bytes(region.resident_huge_bytes()).c_str());
@@ -114,12 +123,12 @@ int cmd_probe(const std::string& policy_text) {
               static_cast<long long>(vm_delta.thp_fault_alloc),
               static_cast<long long>(vm_delta.thp_fault_fallback),
               static_cast<long long>(vm_delta.thp_collapse_alloc));
-  return 0;
+  return allocation.backing() == plan.tier ? 0 : 1;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::string cmd = argc >= 2 ? argv[1] : "status";
   if (cmd == "status") return cmd_status();
   if (cmd == "pool" && argc >= 3) return cmd_pool(argv[2]);
@@ -128,5 +137,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "usage: hugectl [status | pool <npages> | pool-status | "
                "probe <none|thp|hugetlbfs>]\n");
+  return 2;
+} catch (const fhp::ConfigError& e) {
+  std::fprintf(stderr, "hugectl: %s\n", e.what());
   return 2;
 }

@@ -19,8 +19,9 @@
 #include "mem/meminfo.hpp"
 #include "rt/runtime.hpp"
 #include "sim/simulation.hpp"
+#include "support/error.hpp"
 
-int main() {
+int main() try {
   using namespace fhp;
 
   // 1. The execution context: lane count from FLASHHP_THREADS (defaults
@@ -68,4 +69,7 @@ int main() {
             << " leaf blocks\n\n";
   simulation.timers().summary(std::cout);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::cerr << "quickstart: " << e.what() << "\n";
+  return 2;
 }

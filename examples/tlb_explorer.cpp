@@ -12,11 +12,12 @@
 #include <iostream>
 #include <vector>
 
+#include "support/error.hpp"
 #include "support/runtime_params.hpp"
 #include "support/table_writer.hpp"
 #include "tlb/machine.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace fhp;
   RuntimeParams rp;
   rp.declare_int("bytes", 256ll << 20, "array size to stride over");
@@ -57,4 +58,7 @@ int main(int argc, char** argv) {
       "z-pencil (nvar*ni*nj*8) — deep into the saturated 4 KiB region.\n",
       15 * 24 * 24 * 8);
   return 0;
+} catch (const fhp::ConfigError& e) {
+  std::fprintf(stderr, "tlb_explorer: %s\n", e.what());
+  return 2;
 }

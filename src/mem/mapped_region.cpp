@@ -42,75 +42,37 @@ void* try_mmap(std::size_t bytes, int extra_flags) noexcept {
   return p == MAP_FAILED ? nullptr : p;
 }
 
-/// Pick a hugetlb pool size for \p bytes: the caller's preference if that
-/// pool exists and can cover the request, else pick_hugetlb_pool()'s
-/// choice. Pools whose free pages cannot cover the rounded-up request are
-/// skipped: MAP_HUGETLB against an exhausted pool is a doomed syscall,
-/// and burning it would turn "the pool ran dry" into a silent THP
-/// fallback instead of a logged decision.
-std::size_t choose_hugetlb_page(std::size_t bytes, std::size_t preferred) {
-  const auto pools = hugetlb_pools();
-  if (pools.empty()) return 0;
-  if (preferred != 0) {
-    for (const auto& p : pools) {
-      if (p.page_bytes != preferred) continue;
-      if (p.free_hugepages >= pages_to_cover(bytes, p.page_bytes)) {
-        return preferred;
-      }
-      FHP_LOG(kInfo) << "hugetlb pool " << format_bytes(p.page_bytes)
-                     << " cannot cover " << format_bytes(bytes) << " ("
-                     << p.free_hugepages << '/' << p.nr_hugepages
-                     << " pages free); falling back";
-      return 0;
-    }
-    return 0;  // explicit preference not configured -> let caller fall back
-  }
-  const auto best = pick_hugetlb_pool(pools, bytes);
-  if (!best) {
-    FHP_LOG(kInfo) << "no hugetlb pool has enough free pages for "
-                   << format_bytes(bytes) << "; falling back";
-    return 0;
-  }
-  return pools[*best].page_bytes;
-}
-
 }  // namespace
 
 MappedRegion::MappedRegion(const MapRequest& request) {
   FHP_PRECONDITION(request.bytes > 0, "cannot map zero bytes");
-  FHP_PRECONDITION(request.hugetlb_page == 0 || is_pow2(request.hugetlb_page),
-                   "hugetlb page preference must be a power of two");
+  FHP_PRECONDITION(request.policy != HugePolicy::kHugetlbfs ||
+                       is_pow2(request.hugetlb_page),
+                   "a hugetlbfs request must name a power-of-two page size");
   requested_ = request.policy;
   const std::size_t base = base_page_size();
 
   // --- Explicit hugetlbfs path -------------------------------------------
+  // The kernel has the last word: ENOMEM (the pool cannot reserve the
+  // pages) or EINVAL (no pool of that size) falls back to THP.
   if (request.policy == HugePolicy::kHugetlbfs) {
-    const std::size_t hp =
-        choose_hugetlb_page(request.bytes, request.hugetlb_page);
-    if (hp != 0) {
-      const std::size_t len = round_up(request.bytes, hp);
-      const int flags =
-          MAP_HUGETLB |
-          static_cast<int>(log2_pow2(hp) << MAP_HUGE_SHIFT);
-      if (void* p = try_mmap(len, flags)) {
-        addr_ = p;
-        size_ = len;
-        page_bytes_ = hp;
-        backing_ = Backing::kHugetlbfs;
-        if (request.prefault) prefault();
-        return;
-      }
-      // Capture errno before the log stream runs: format_bytes and the
-      // stream machinery may make calls that clobber it.
-      const int err = errno;
-      FHP_LOG(kInfo) << "MAP_HUGETLB(" << format_bytes(hp)
-                     << ") failed (errno=" << err
-                     << "); falling back to THP";
-    } else {
-      FHP_LOG(kInfo) << "no hugetlb pool can back "
-                     << format_bytes(request.bytes)
-                     << "; falling back to THP";
+    const std::size_t hp = request.hugetlb_page;
+    const std::size_t len = round_up(request.bytes, hp);
+    const int flags =
+        MAP_HUGETLB | static_cast<int>(log2_pow2(hp) << MAP_HUGE_SHIFT);
+    if (void* p = try_mmap(len, flags)) {
+      addr_ = p;
+      size_ = len;
+      page_bytes_ = hp;
+      backing_ = Backing::kHugetlbfs;
+      if (request.prefault) prefault();
+      return;
     }
+    // Capture errno before the log stream runs: format_bytes and the
+    // stream machinery may make calls that clobber it.
+    const int err = errno;
+    FHP_LOG(kInfo) << "MAP_HUGETLB(" << format_bytes(hp)
+                   << ") failed (errno=" << err << "); falling back to THP";
   }
 
   // --- THP path (also the hugetlbfs fallback) ---------------------------

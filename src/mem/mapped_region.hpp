@@ -4,9 +4,10 @@
 /// A MappedRegion is the unit of backing storage in flashhp. Depending on
 /// the requested HugePolicy it tries, in order:
 ///
-///   kHugetlbfs:  mmap(MAP_ANONYMOUS|MAP_HUGETLB|MAP_HUGE_<size>) for each
-///                configured pool size (largest that fits first), then
-///                falls back to the THP path, then to base pages.
+///   kHugetlbfs:  mmap(MAP_ANONYMOUS|MAP_HUGETLB|MAP_HUGE_<size>) at the
+///                page size the request names (PagePool::plan() decides
+///                it from the kernel's pools); if the kernel refuses, the
+///                THP path, then base pages.
 ///   kThp:        mmap(MAP_ANONYMOUS) aligned to the THP PMD size, then
 ///                madvise(MADV_HUGEPAGE).
 ///   kNone:       mmap(MAP_ANONYMOUS) + madvise(MADV_NOHUGEPAGE), so the
@@ -40,8 +41,9 @@ enum class Backing {
 struct MapRequest {
   std::size_t bytes = 0;             ///< required capacity (rounded up)
   HugePolicy policy = HugePolicy::kNone;
-  /// Preferred hugetlb page size; 0 = pick the largest pool page that does
-  /// not waste more than half the allocation.
+  /// The hugetlb page size a kHugetlbfs request maps with (a power of
+  /// two; the other policies ignore it). MappedRegion does not read the
+  /// pools: the caller decides the size, as PagePool::plan() does.
   std::size_t hugetlb_page = 0;
   /// Touch every page after mapping so the experiment measures steady-state
   /// access, not first-touch faults (and so THP promotion has happened —

@@ -16,38 +16,23 @@ namespace fhp::mem {
 
 namespace {
 
-std::string_view state_name(int state) noexcept {
-  switch (state) {
-    case 0: return "idle";
-    case 1: return "ready";
-    case 2: return "finished";
-  }
-  return "?";
-}
-
 /// The config a pool spec describes ("" keeps the defaults).
 PagePoolConfig make_config(std::string_view spec) {
   PagePoolConfig config;
-  parse_pool_spec(spec, config.enabled, config.reservations);
+  config.reservations = parse_pool_spec(spec);
   return config;
 }
 
 }  // namespace
 
-void parse_pool_spec(std::string_view spec, bool& enabled,
-                     std::vector<PoolReservation>& reservations) {
-  enabled = true;
-  reservations.clear();
+std::vector<PoolReservation> parse_pool_spec(std::string_view spec) {
+  std::vector<PoolReservation> reservations;
   const std::string v = to_lower(trim(spec));
-  if (v.empty()) return;
-  if (v == "off" || v == "0" || v == "none" || v == "false") {
-    enabled = false;
-    return;
-  }
+  if (v.empty()) return reservations;
   // Bare count: reserve that many pages of the paper's default 2 MiB size.
   if (const auto n = parse_int(v); n && *n > 0) {
     reservations.push_back({kPage2M, static_cast<std::size_t>(*n)});
-    return;
+    return reservations;
   }
   // "2M:4,1G:1" style explicit per-size reservations.
   for (const auto& field : split(v, ',')) {
@@ -55,7 +40,7 @@ void parse_pool_spec(std::string_view spec, bool& enabled,
     const auto fail = [&spec, &field]() -> void {
       throw ConfigError("bad page-pool spec '" + std::string(spec) +
                         "' (field '" + field +
-                        "'): expected off | <pages> | <size>:<pages>[,...]");
+                        "'): expected <pages> | <size>:<pages>[,...]");
     };
     if (parts.size() != 2) fail();
     const auto size = parse_size_bytes(trim(parts[0]));
@@ -64,6 +49,7 @@ void parse_pool_spec(std::string_view spec, bool& enabled,
     reservations.push_back(
         {static_cast<std::size_t>(*size), static_cast<std::size_t>(*count)});
   }
+  return reservations;
 }
 
 PagePoolConfig config_from_environment() {
@@ -80,11 +66,7 @@ void PagePool::init(PagePoolConfig config) {
 
 void PagePool::init_locked(PagePoolConfig config) {
   if (state_ == State::kReady) {
-    throw ConfigError("PagePool::init() called twice (pool is ready; call "
-                      "fini() first if reconfiguration is intended)");
-  }
-  if (state_ == State::kFinished) {
-    throw ConfigError("PagePool::init() called on a finished pool");
+    throw ConfigError("PagePool::init() called twice (the pool is ready)");
   }
 
   // Best-effort pool sizing — exactly what `hugeadm --pool-pages-min`
@@ -105,42 +87,16 @@ void PagePool::init_locked(PagePoolConfig config) {
     }
   }
 
-  // Inventory: explicit override, else the system-wide tree — the pools
-  // MAP_HUGETLB draws from, whichever node their pages sit on.
-  inventory_ = config.inventory.empty() ? hugetlb_pools(config.hugepages_root)
-                                        : config.inventory;
   thp_available_ = thp_pmd_size(config.thp_root).has_value();
   config_ = std::move(config);
   counters_ = PoolCounters{};
   state_ = State::kReady;
 }
 
-void PagePool::ensure_ready_locked() {
-  if (state_ == State::kIdle) {
-    init_locked(config_from_environment());
-    return;
-  }
-  if (state_ == State::kFinished) {
-    throw ConfigError("PagePool used after fini()");
-  }
-}
-
 PoolDecision PagePool::plan(std::size_t bytes, HugePolicy policy) {
   MutexLock lock(mutex_);
-  ensure_ready_locked();
-  return plan_locked(bytes, policy);
-}
-
-PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
+  if (state_ == State::kIdle) init_locked(config_from_environment());
   PoolDecision d;
-  if (!config_.enabled) {
-    // Pass-through: MappedRegion's own ladder governs; nothing is counted.
-    d.tier = policy == HugePolicy::kHugetlbfs ? Backing::kHugetlbfs
-             : policy == HugePolicy::kThp     ? Backing::kThp
-                                              : Backing::kSmallPages;
-    d.reason = "pool-disabled";
-    return d;
-  }
   switch (policy) {
     case HugePolicy::kNone:
       d.tier = Backing::kSmallPages;
@@ -160,11 +116,13 @@ PoolDecision PagePool::plan_locked(std::size_t bytes, HugePolicy policy) {
       break;
   }
 
-  if (const auto i = pick_hugetlb_pool(inventory_, bytes)) {
-    HugetlbPool& pool = inventory_[*i];
-    pool.free_hugepages -= pages_to_cover(bytes, pool.page_bytes);
+  // The system-wide tree, read now: the pools MAP_HUGETLB draws from,
+  // whichever node their pages sit on, with every page a released
+  // allocation gave back.
+  const std::vector<HugetlbPool> pools = hugetlb_pools(config_.hugepages_root);
+  if (const auto i = pick_hugetlb_pool(pools, bytes)) {
     d.tier = Backing::kHugetlbfs;
-    d.page_bytes = pool.page_bytes;
+    d.page_bytes = pools[*i].page_bytes;
     d.reason = "pool-huge";
     ++counters_.huge_allocs;
     return d;
@@ -223,10 +181,11 @@ PoolAllocation PagePool::alloc(std::size_t bytes, HugePolicy policy) {
 PoolStatus PagePool::status() const {
   MutexLock lock(mutex_);
   PoolStatus s;
-  s.enabled = config_.enabled;
-  s.state = state_name(static_cast<int>(state_));
+  if (state_ == State::kReady) {
+    s.state = "ready";
+    s.inventory = hugetlb_pools(config_.hugepages_root);
+  }
   s.thp_available = thp_available_;
-  s.inventory = inventory_;
   s.counters = counters_;
   return s;
 }
@@ -234,7 +193,7 @@ PoolStatus PagePool::status() const {
 std::string PagePool::status_text() const {
   const PoolStatus s = status();
   std::ostringstream os;
-  os << "page pool: " << s.state << (s.enabled ? "" : " (disabled)")
+  os << "page pool: " << s.state
      << " thp=" << (s.thp_available ? "available" : "unavailable") << '\n';
   if (s.inventory.empty()) {
     os << "  (no hugetlb pools configured)\n";
@@ -260,17 +219,9 @@ PoolCounters PagePool::counters() const {
   return counters_;
 }
 
-void PagePool::fini() {
-  MutexLock lock(mutex_);
-  if (state_ == State::kIdle) {
-    throw ConfigError("PagePool::fini() called on an uninitialized pool");
-  }
-  state_ = State::kFinished;  // idempotent from kFinished
-}
-
 void declare_page_pool_params(RuntimeParams& params) {
   params.declare_string(kPoolParamName, "",
-                        "page-pool reservation spec (off | <pages> | "
+                        "page-pool reservation spec (<pages> | "
                         "<size>:<pages>[,...]; empty: resolve from " +
                             std::string(kPoolEnvVar) + ")");
 }

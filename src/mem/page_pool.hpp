@@ -8,12 +8,14 @@
 /// the per-mapping mechanics; PagePool adds the *management* layer on
 /// top:
 ///
-///   - an init → alloc → status → fini lifecycle with hard contracts
-///     (double-init and alloc-after-fini throw fhp::ConfigError — a pool
-///     misused is a configuration bug, not a soft failure),
-///   - capacity/free accounting read from the system-wide sysfs hugetlb
-///     tree — the pools the kernel serves MAP_HUGETLB from, on any NUMA
-///     node — with an injectable root so tests run unprivileged against
+///   - an init → alloc → status lifecycle with a hard contract
+///     (double-init throws fhp::ConfigError — a pool misused is a
+///     configuration bug, not a soft failure),
+///   - decisions read from the system-wide sysfs hugetlb tree at each
+///     hugetlbfs allocation — the pools the kernel serves MAP_HUGETLB
+///     from, on any NUMA node, counting only pages that are free and not
+///     reserved, so pages a released allocation gave back are planned
+///     again — with an injectable root so tests run unprivileged against
 ///     fixtures; a decision is a tier and a page size, never a node,
 ///   - graceful, *logged and counted* degradation when pools are
 ///     exhausted: hugetlbfs → THP → base pages, never a crash and never
@@ -58,9 +60,10 @@ struct PoolReservation {
 
 /// What the pool decided for one allocation: the page-size tier, the
 /// chosen pool page, and a static reason string for logs and reports.
-/// The decision is what the pool planned from its inventory; the
-/// MappedRegion records what the kernel actually granted, and PagePool
-/// counts any shortfall between the two — verify, don't assume.
+/// The decision is what the pool planned from the kernel's pools as they
+/// read at that moment; the MappedRegion records what the kernel actually
+/// granted, and PagePool counts any shortfall between the two (another
+/// mapping may take the pages in between) — verify, don't assume.
 struct PoolDecision {
   Backing tier = Backing::kSmallPages;
   std::size_t page_bytes = 0;  ///< pool page size for kHugetlbfs, else 0
@@ -70,24 +73,16 @@ struct PoolDecision {
 /// Configuration for PagePool::init(). All sysfs roots are injectable so
 /// tests (and CI containers without privilege) run against fixture trees.
 struct PagePoolConfig {
-  /// System-wide hugetlb tree: the pool inventory and reservation writes.
+  /// System-wide hugetlb tree: read at every hugetlbfs decision, and the
+  /// target of the reservation writes.
   std::string hugepages_root = "/sys/kernel/mm/hugepages";
   /// THP tree; hpage_pmd_size decides whether the THP fallback tier exists.
   std::string thp_root = "/sys/kernel/mm/transparent_hugepage";
 
-  /// false = pass-through mode: alloc() forwards to MappedRegion without
-  /// consulting any inventory (FLASHHP_PAGE_POOL=off).
-  bool enabled = true;
-
   /// Best-effort pool sizing performed at init() (requires privilege;
-  /// failure is logged, not fatal — the inventory then reports whatever
+  /// failure is logged, not fatal — the pool then plans from whatever
   /// the system already had).
   std::vector<PoolReservation> reservations;
-
-  /// Non-empty: use these pools (sorted by page size) verbatim instead of
-  /// reading hugepages_root. This is how tests model a given inventory
-  /// deterministically.
-  std::vector<HugetlbPool> inventory;
 };
 
 /// Running totals of pool decisions (monotonic over the pool's lifetime).
@@ -111,11 +106,10 @@ struct PoolCounters {
 
 /// Snapshot returned by PagePool::status().
 struct PoolStatus {
-  bool enabled = true;
-  std::string_view state = "idle";  ///< "idle" | "ready" | "finished"
+  std::string_view state = "idle";  ///< "idle" | "ready"
   bool thp_available = false;
-  /// The pool mirror: free_hugepages reflects pages the pool has handed
-  /// out, not necessarily what sysfs says right now.
+  /// The hugetlb pools under the pool's root, read by this call (empty
+  /// while idle): what the next hugetlbfs decision would see.
   std::vector<HugetlbPool> inventory;
   PoolCounters counters;
 };
@@ -165,16 +159,15 @@ class PoolAllocation {
 };
 
 /// The environment knob honoured by config_from_environment():
-///   FLASHHP_PAGE_POOL = off | 0        disable the pool (pass-through)
-///                     | <N>            reserve N 2 MiB pages at init
+///   FLASHHP_PAGE_POOL = <N>            reserve N 2 MiB pages at init
 ///                     | 2M:<N>,1G:<M>  explicit per-size reservations
 inline constexpr const char* kPoolEnvVar = "FLASHHP_PAGE_POOL";
 
-/// Parse a FLASHHP_PAGE_POOL spec into (enabled, reservations). Throws
-/// fhp::ConfigError on junk — silent misconfiguration is the failure mode
-/// this library exists to eliminate.
-void parse_pool_spec(std::string_view spec, bool& enabled,
-                     std::vector<PoolReservation>& reservations);
+/// Parse a FLASHHP_PAGE_POOL spec into its reservations ("" reserves
+/// nothing). Throws fhp::ConfigError on junk — silent misconfiguration is
+/// the failure mode this library exists to eliminate.
+[[nodiscard]] std::vector<PoolReservation> parse_pool_spec(
+    std::string_view spec);
 
 /// The config FLASHHP_PAGE_POOL describes (defaults where unset). Throws
 /// ConfigError on junk.
@@ -190,15 +183,14 @@ class PagePool {
   PagePool(const PagePool&) = delete;
   PagePool& operator=(const PagePool&) = delete;
 
-  /// Reserve pools (best-effort), read the inventory, and arm the pool.
-  /// Throws ConfigError if already initialized (double-init) or already
-  /// finished.
+  /// Reserve pools (best-effort) and arm the pool. Throws ConfigError if
+  /// already initialized (double-init).
   void init(PagePoolConfig config);
 
   /// Decide a tier and page size for \p bytes under \p policy without
-  /// mapping anything: consults and decrements the inventory mirror and
-  /// updates counters(). Auto-initializes from the environment on first
-  /// use; throws ConfigError after fini().
+  /// mapping anything: a hugetlbfs decision reads the hugetlb pools under
+  /// the configured root; every decision updates counters().
+  /// Auto-initializes from the environment on first use.
   [[nodiscard]] PoolDecision plan(std::size_t bytes, HugePolicy policy);
 
   /// plan() + carve the mapping through MappedRegion, honouring the
@@ -209,8 +201,8 @@ class PagePool {
   /// SystemError from MappedRegion, not a pool bug.
   [[nodiscard]] PoolAllocation alloc(std::size_t bytes, HugePolicy policy);
 
-  /// Snapshot of state, inventory mirror, and counters. Valid in any
-  /// lifecycle state.
+  /// Snapshot of state, the pools as they read now, and counters. Valid
+  /// in any lifecycle state.
   [[nodiscard]] PoolStatus status() const;
 
   /// `hugectl --pool-list` style human-readable report of status().
@@ -218,22 +210,14 @@ class PagePool {
 
   [[nodiscard]] PoolCounters counters() const;
 
-  /// Retire the pool: further plan()/alloc() throw ConfigError.
-  /// Idempotent once finished; throws ConfigError if never initialized.
-  void fini();
-
  private:
-  enum class State { kIdle, kReady, kFinished };
+  enum class State { kIdle, kReady };
 
   void init_locked(PagePoolConfig config) FHP_REQUIRES(mutex_);
-  void ensure_ready_locked() FHP_REQUIRES(mutex_);
-  [[nodiscard]] PoolDecision plan_locked(std::size_t bytes, HugePolicy policy)
-      FHP_REQUIRES(mutex_);
 
   mutable Mutex mutex_;
   State state_ FHP_GUARDED_BY(mutex_) = State::kIdle;
   PagePoolConfig config_ FHP_GUARDED_BY(mutex_);
-  std::vector<HugetlbPool> inventory_ FHP_GUARDED_BY(mutex_);
   bool thp_available_ FHP_GUARDED_BY(mutex_) = false;
   PoolCounters counters_ FHP_GUARDED_BY(mutex_);
 };

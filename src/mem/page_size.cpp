@@ -76,7 +76,10 @@ std::optional<std::size_t> pick_hugetlb_pool(
   std::optional<std::size_t> best;
   for (std::size_t i = 0; i < pools.size(); ++i) {
     const HugetlbPool& p = pools[i];
-    if (p.free_hugepages < pages_to_cover(bytes, p.page_bytes)) continue;
+    const std::size_t available = p.free_hugepages > p.resv_hugepages
+                                      ? p.free_hugepages - p.resv_hugepages
+                                      : 0;
+    if (available < pages_to_cover(bytes, p.page_bytes)) continue;
     if (!best || p.page_bytes <= bytes) best = i;
   }
   return best;

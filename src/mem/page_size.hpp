@@ -51,10 +51,13 @@ struct HugetlbPool {
 
 /// The one page-size rule for a hugetlb request of \p bytes: the index in
 /// \p pools (sorted by page size, as hugetlb_pools() returns them) of the
-/// largest page <= bytes whose pool has enough free pages to cover the
-/// request (so a 40 MiB request does not burn a 1 GiB page), else of the
-/// smallest pool that can cover it; nullopt when no pool can. PagePool
-/// plans with it and MappedRegion maps with it.
+/// largest page <= bytes whose pool has enough available pages to cover
+/// the request (so a 40 MiB request does not burn a 1 GiB page), else of
+/// the smallest pool that can cover it; nullopt when no pool can. A pool's
+/// available pages are free_hugepages - resv_hugepages (0 if negative):
+/// reserved pages are still free but promised to mappings that have not
+/// faulted them in yet, and a new MAP_HUGETLB cannot reserve them.
+/// PagePool::plan() decides every hugetlbfs page size with it.
 [[nodiscard]] std::optional<std::size_t> pick_hugetlb_pool(
     const std::vector<HugetlbPool>& pools, std::size_t bytes) noexcept;
 

@@ -20,14 +20,16 @@
 ///     held by tests/test_service.cpp;
 ///   - a shared huge-page pool: every tenant's Runtime carves block
 ///     and table storage from one mem::PagePool, under the runtime's
-///     huge_policy() (the job's JobSpec::policy). Tenant setups are
-///     serialized under one mutex so that the pool counter deltas
-///     across each setup are that tenant's alone: they become its
-///     JobResult::pool — per-tenant accounting over a shared inventory.
-///     (PagePool serializes allocations anyway, and the Helm-table disk
-///     cache is safe to share: HelmTable::save renames a finished file
-///     into place.) Exhaustion degrades (hugetlbfs -> THP -> base), it
-///     never fails a job;
+///     huge_policy() (the job's JobSpec::policy), and the pool plans
+///     each allocation from the kernel's hugetlb pools as they read
+///     then, so pages a finished tenant released serve the next one.
+///     Tenant setups are serialized under one mutex so that the pool
+///     counter deltas across each setup are that tenant's alone: they
+///     become its JobResult::pool — per-tenant accounting of one shared
+///     pool. (PagePool serializes allocations anyway, and the Helm-table
+///     disk cache is safe to share: HelmTable::save renames a finished
+///     file into place.) Exhaustion degrades (hugetlbfs -> THP -> base),
+///     it never fails a job;
 ///   - per-tenant counters: each tenant is one sim::Simulation, whose
 ///     Driver and machine model count into its runtime's perf(), which
 ///     progress() and JobResult read;

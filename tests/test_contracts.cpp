@@ -87,6 +87,8 @@ TEST(MappedRegionContracts, NonPowerOfTwoHugetlbPreferenceViolates) {
   req.policy = mem::HugePolicy::kHugetlbfs;
   req.hugetlb_page = mem::kPage2M + 1;
   EXPECT_THROW(mem::MappedRegion{req}, ContractViolation);
+  req.hugetlb_page = 0;  // a hugetlbfs request must name its page size
+  EXPECT_THROW(mem::MappedRegion{req}, ContractViolation);
 }
 
 TEST(MappedRegionContracts, ContainsTracksTheMappedRange) {

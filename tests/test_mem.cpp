@@ -4,10 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "mem/allocator.hpp"
@@ -21,6 +18,8 @@
 #include "mem/thp.hpp"
 #include "mem/vmstat.hpp"
 #include "support/error.hpp"
+
+#include "fake_hugepages.hpp"
 
 namespace fhp::mem {
 namespace {
@@ -73,11 +72,13 @@ TEST(PageSize, HugetlbPoolsEnumerationDoesNotThrow) {
 }
 
 TEST(PageSize, PickHugetlbPoolRule) {
-  const auto pool = [](std::size_t page, std::size_t free) {
+  const auto pool = [](std::size_t page, std::size_t free,
+                       std::size_t resv = 0) {
     HugetlbPool p;
     p.page_bytes = page;
     p.nr_hugepages = free + 2;
     p.free_hugepages = free;
+    p.resv_hugepages = resv;
     return p;
   };
   struct Case {
@@ -90,6 +91,9 @@ TEST(PageSize, PickHugetlbPoolRule) {
       {"empty list", {}, kPage2M, 0},
       {"exact fit", {pool(kPage2M, 4)}, 4 * kPage2M, kPage2M},
       {"one page short", {pool(kPage2M, 3)}, 4 * kPage2M, 0},
+      {"a free page is reserved", {pool(kPage2M, 4, 1)}, 4 * kPage2M, 0},
+      {"free net of reserved covers", {pool(kPage2M, 5, 1)}, 4 * kPage2M,
+       kPage2M},
       {"40 MiB beside a free 1 GiB page",
        {pool(kPage2M, 32), pool(kPage1G, 1)}, 40ull << 20, kPage2M},
       {"40 MiB against a lone 1 GiB pool", {pool(kPage1G, 1)}, 40ull << 20,
@@ -492,6 +496,7 @@ TEST(MappedRegion, HugetlbfsUsesPoolWhenAvailable) {
   MapRequest req;
   req.bytes = kPages * kPage2M;
   req.policy = HugePolicy::kHugetlbfs;
+  req.hugetlb_page = kPage2M;
   MappedRegion region(req);
   ASSERT_TRUE(region.valid());
   EXPECT_EQ(region.backing(), Backing::kHugetlbfs);
@@ -524,60 +529,27 @@ TEST(Hugeadm, MissingSysfsYieldsNullopt) {
   EXPECT_FALSE(release_hugetlb_pool(kPage2M, 0, "/nonexistent"));
 }
 
-/// A temporary directory laid out like /sys/kernel/mm/hugepages with one
-/// 2 MiB pool of \p pages: the write path's target, so the tests never
-/// touch the host's pool.
-class FakeHugepagesRoot {
- public:
-  explicit FakeHugepagesRoot(std::size_t pages) {
-    std::string templ =
-        (std::filesystem::temp_directory_path() / "fhp_hugeadm_XXXXXX")
-            .string();
-    FHP_CHECK(::mkdtemp(templ.data()) != nullptr, "mkdtemp failed");
-    root_ = templ;
-    std::filesystem::create_directory(root_ / "hugepages-2048kB");
-    std::ofstream(nr_path()) << pages << '\n';
-  }
-  ~FakeHugepagesRoot() {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
-  FakeHugepagesRoot(const FakeHugepagesRoot&) = delete;
-  FakeHugepagesRoot& operator=(const FakeHugepagesRoot&) = delete;
-
-  [[nodiscard]] std::string root() const { return root_.string(); }
-  [[nodiscard]] std::size_t pages() const {
-    std::size_t n = 0;
-    std::ifstream(nr_path()) >> n;
-    return n;
-  }
-
- private:
-  [[nodiscard]] std::filesystem::path nr_path() const {
-    return root_ / "hugepages-2048kB" / "nr_hugepages";
-  }
-  std::filesystem::path root_;
-};
-
 TEST(Hugeadm, EnsureIsMonotoneNonDestructive) {
-  FakeHugepagesRoot sysfs(6);
+  test::FakeHugepagesRoot sysfs;
+  sysfs.set(kPage2M, 6, 6);
   // Asking for no more pages than exist must not shrink the pool.
   EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 0, sysfs.root()), 6u);
   EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 4, sysfs.root()), 6u);
-  EXPECT_EQ(sysfs.pages(), 6u);
+  EXPECT_EQ(sysfs.nr_hugepages(kPage2M), 6u);
   // Asking for more grows it to exactly the request.
   EXPECT_EQ(ensure_hugetlb_pool(kPage2M, 10, sysfs.root()), 10u);
-  EXPECT_EQ(sysfs.pages(), 10u);
+  EXPECT_EQ(sysfs.nr_hugepages(kPage2M), 10u);
   // No pool of that page size under the root.
   EXPECT_FALSE(ensure_hugetlb_pool(kPage1G, 1, sysfs.root()).has_value());
 }
 
 TEST(Hugeadm, ReleaseShrinksThePool) {
-  FakeHugepagesRoot sysfs(8);
+  test::FakeHugepagesRoot sysfs;
+  sysfs.set(kPage2M, 8, 8);
   EXPECT_TRUE(release_hugetlb_pool(kPage2M, 2, sysfs.root()));
-  EXPECT_EQ(sysfs.pages(), 2u);
+  EXPECT_EQ(sysfs.nr_hugepages(kPage2M), 2u);
   EXPECT_TRUE(release_hugetlb_pool(kPage2M, 0, sysfs.root()));
-  EXPECT_EQ(sysfs.pages(), 0u);
+  EXPECT_EQ(sysfs.nr_hugepages(kPage2M), 0u);
 }
 
 }  // namespace

@@ -121,29 +121,32 @@ TEST(RuntimeContext, RuntimeParamsFeedTheOptions) {
 }
 
 TEST(RuntimeContext, PoolParamsConfigureOnlyTheirRuntimesPool) {
-  // Never a page count here: a count makes PagePool::init try to resize
-  // the host's hugetlb pool.
+  // Never a nonzero page count here: it makes PagePool::init try to
+  // resize the host's hugetlb pool. A reservation of 0 pages never
+  // writes sysfs.
   const ScopedEnv pool_env(mem::kPoolEnvVar, "");
   RuntimeParams rp;
   rt::declare_runtime_params(rp);
-  rp.set_from_string(mem::kPoolParamName, "off");
+  rp.set_from_string(mem::kPoolParamName, "2M:0");
   const rt::RuntimeOptions options = rt::apply_runtime_params(rp);
   ASSERT_TRUE(options.pool_config.has_value());
-  EXPECT_FALSE(options.pool_config->enabled);
+  ASSERT_EQ(options.pool_config->reservations.size(), 1u);
+  EXPECT_EQ(options.pool_config->reservations[0].page_bytes, mem::kPage2M);
+  EXPECT_EQ(options.pool_config->reservations[0].pages, 0u);
 
   const rt::Runtime runtime(options);
-  const mem::PoolStatus status = runtime.page_pool().status();
-  EXPECT_EQ(status.state, "ready");
-  EXPECT_FALSE(status.enabled);
+  EXPECT_EQ(runtime.page_pool().status().state, "ready");
 
   // Applying the parameters configured no process-wide slot: a pool built
-  // afterwards elsewhere still resolves from the environment.
-  mem::PagePool elsewhere;
-  (void)elsewhere.plan(64, mem::HugePolicy::kNone);
-  EXPECT_TRUE(elsewhere.status().enabled);
+  // afterwards elsewhere is not initialized until its first use.
+  const mem::PagePool elsewhere;
+  EXPECT_EQ(elsewhere.status().state, "idle");
 
-  rp.set_from_string(mem::kPoolParamName, "2M:junk");
-  EXPECT_THROW(static_cast<void>(rt::apply_runtime_params(rp)), ConfigError);
+  for (const char* junk : {"off", "2M:junk"}) {
+    rp.set_from_string(mem::kPoolParamName, junk);
+    EXPECT_THROW(static_cast<void>(rt::apply_runtime_params(rp)), ConfigError)
+        << junk;
+  }
 }
 
 // ----------------------------------------------------- execution arenas

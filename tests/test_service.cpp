@@ -7,7 +7,7 @@
 ///   2. admission — the bounded queue rejects with typed reasons
 ///      (kQueueFull at capacity, kShuttingDown after shutdown, kBadSpec
 ///      on junk), and rejected ids are never issued;
-///   3. exhaustion — tenants carving from a dry synthetic inventory
+///   3. exhaustion — tenants carving from a dry fake hugetlb tree
 ///      degrade hugetlbfs -> THP -> base and still complete, with the
 ///      fallbacks visible in their JobResult::pool;
 ///   4. shutdown — kDrain resolves everything kDone, kCancel resolves
@@ -41,6 +41,7 @@
 #include "support/runtime_params.hpp"
 #include "svc/service.hpp"
 
+#include "fake_hugepages.hpp"
 #include "scoped_env.hpp"
 
 namespace fhp::svc {
@@ -52,21 +53,10 @@ std::string sysfs_fixture(const std::string& rel) {
   return std::string(FHP_TEST_FIXTURE_DIR) + "/sysfs/" + rel;
 }
 
-/// A synthetic inventory with one 2 MiB pool.
-std::vector<mem::HugetlbPool> one_2m_pool(std::size_t nr, std::size_t free) {
-  mem::HugetlbPool p;
-  p.page_bytes = mem::kPage2M;
-  p.nr_hugepages = nr;
-  p.free_hugepages = free;
-  return {p};
-}
-
-/// Pool config over a synthetic inventory (no privilege needed).
-mem::PagePoolConfig synthetic_pool(std::vector<mem::HugetlbPool> inventory,
-                                   bool thp) {
+/// Pool config over a fake hugetlb tree (no privilege needed).
+mem::PagePoolConfig tree_pool(const test::FakeHugepagesRoot& tree, bool thp) {
   mem::PagePoolConfig cfg;
-  cfg.inventory = std::move(inventory);
-  cfg.hugepages_root = "/flashhp-nonexistent";
+  cfg.hugepages_root = tree.root();
   cfg.thp_root = thp ? sysfs_fixture("thp") : "/flashhp-nonexistent";
   return cfg;
 }
@@ -339,9 +329,11 @@ TEST(ServiceAdmission, InteractivePreferredOverEarlierBatch) {
 TEST(ServiceExhaustion, DryPoolDegradesToThpWithoutFailing) {
   ServiceOptions opts;
   opts.workers = 2;
-  // A pool whose hugetlb inventory is already dry, with the THP tier
+  // A pool whose hugetlb tree is already dry, with the THP tier
   // available: every tenant allocation must degrade, not fail.
-  opts.pool_config = synthetic_pool(one_2m_pool(4, 0), /*thp=*/true);
+  test::FakeHugepagesRoot tree;
+  tree.set(mem::kPage2M, 4, 0);
+  opts.pool_config = tree_pool(tree, /*thp=*/true);
   Service service(opts);
 
   JobSpec spec = sedov_spec(2);
@@ -363,7 +355,9 @@ TEST(ServiceExhaustion, DryPoolDegradesToThpWithoutFailing) {
 TEST(ServiceExhaustion, NoThpTierDegradesToBaseWithoutFailing) {
   ServiceOptions opts;
   opts.workers = 1;
-  opts.pool_config = synthetic_pool(one_2m_pool(4, 0), /*thp=*/false);
+  test::FakeHugepagesRoot tree;
+  tree.set(mem::kPage2M, 4, 0);
+  opts.pool_config = tree_pool(tree, /*thp=*/false);
   Service service(opts);
 
   JobSpec spec = cellular_spec(2);
@@ -379,11 +373,13 @@ TEST(ServiceExhaustion, NoThpTierDegradesToBaseWithoutFailing) {
 }
 
 TEST(ServiceExhaustion, SharedInventoryAccountsPerTenant) {
-  // A healthy synthetic pool: tenants draw down one shared inventory,
-  // and each tenant's JobResult::pool carries its own slice.
+  // A healthy fake tree: tenants plan from one shared pool, and each
+  // tenant's JobResult::pool carries its own slice.
   ServiceOptions opts;
   opts.workers = 1;  // serial: deterministic attribution
-  opts.pool_config = synthetic_pool(one_2m_pool(256, 256), /*thp=*/true);
+  test::FakeHugepagesRoot tree;
+  tree.set(mem::kPage2M, 256, 256);
+  opts.pool_config = tree_pool(tree, /*thp=*/true);
   Service service(opts);
 
   JobSpec spec = sedov_spec(2);
